@@ -314,15 +314,16 @@ def _poly_det(M: List[List[Polynomial]], ring: RingDescriptor,
     return acc
 
 
-def presentation_matrix_N(forms: Sequence[Polynomial],
+def presentation_matrix_N(I: Ideal,
                           target_names: Sequence[str] = ("T0", "T1", "T2", "T3"),
                           kd: Optional[KoszulData] = None,
                           s_window: Optional[int] = None,
                           with_minors: bool = True) -> PresentationData:
     """Compute the linear presentation matrix of N = ⊕_s H^1_m(R/I^s)_{sd-2}
-    over B = k[T], its graded cokernel dimensions, and the support ideal."""
+    over B = k[T], its graded cokernel dimensions, and the support ideal.
+    I is generated by the four forms, in order."""
     if kd is None:
-        kd = koszul_cycles(forms)
+        kd = koszul_cycles(I.generators)
     ring, d = kd.ring, kd.d
     F = ring.field
     e1, e2 = -d - 1, -2 * d - 1
@@ -333,7 +334,7 @@ def presentation_matrix_N(forms: Sequence[Polynomial],
     l = dual_hdim(kd, 3, 3 * d - 2)
     n, mrank = W1.dim, W2.dim
 
-    n_check = hdim_difference(Ideal(ring, list(kd.forms)), 1, d - 2)
+    n_check = hdim_difference(I, 1, d - 2)
     if n_check != n:
         raise ArithmeticError(
             f"presentation rank n={n} disagrees with H^1_m(R/I)_{d - 2}={n_check}")

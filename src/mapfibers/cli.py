@@ -18,8 +18,6 @@ import sys
 from typing import Optional
 
 from .cohomology import m_mu_dims
-from .fibers import image_ideal, rees_ideal
-from .ideals import Ideal
 from .mapfile import MapFileError, load_map_file
 from .pipeline import (EXIT_HYPOTHESIS, EXIT_OK, PipelineOptions,
                        run_pipeline)
@@ -79,8 +77,7 @@ def _cmd_cohomology(args) -> int:
         print(f"error: forms share the factor {pmap.common_factor}",
               file=sys.stderr)
         return EXIT_HYPOTHESIS
-    I = Ideal(pmap.source, [f for f in pmap.forms if not f.is_zero()])
-    table = m_mu_dims(I, pmap.d, args.mu, range(1, args.s_max + 1))
+    table = m_mu_dims(pmap.base_ideal, pmap.d, args.mu, range(1, args.s_max + 1))
     print(f"dim H^{pmap.m}(I^s) in degree s*d + ({args.mu}):")
     for s in sorted(table.values):
         print(f"  s = {s}: {table.values[s]}")
@@ -98,7 +95,7 @@ def _cmd_image(args) -> int:
         print(f"error: forms share the factor {pmap.common_factor}",
               file=sys.stderr)
         return EXIT_HYPOTHESIS
-    img = image_ideal(pmap, rees_ideal(pmap))
+    img = pmap.image
     print(f"image: dimension {img.dimension}, degree {img.degree}, "
           f"generically finite: {img.generically_finite}")
     for g in img.ideal.minimal_basis():

@@ -17,26 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .hilbert import hilbert_series_quotient
-from .ideals import (Ideal, degree_monomials, ideal_power,
-                     saturate_irrelevant)
+from .ideals import Ideal, degree_monomials, ideal_power
 from .modules import FreeModuleMap, FreeResolution, free_resolution
 from .rings import mono_mul
 
-_resolution_cache: Dict[tuple, FreeResolution] = {}
-
 
 def quotient_resolution(J: Ideal) -> FreeResolution:
-    """Minimal free resolution of R/J (cached)."""
-    key = (J.ring, J.generators)
-    res = _resolution_cache.get(key)
-    if res is None:
-        res = free_resolution(list(J.generators))
-        _resolution_cache[key] = res
-    return res
+    """Minimal free resolution of R/J."""
+    return free_resolution(list(J.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +41,7 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
     h = J.hilbert()
     if h.krull_dim > 1:
         raise ValueError("difference route requires dim R/J ≤ 1")
-    sat = saturate_irrelevant(J)
+    sat = J.saturation()
     hs = sat.hilbert() if sat.generators else None
     hf_sat = hs.hf(t) if hs else comb(t + J.ring.nvars - 1, J.ring.nvars - 1) if t >= 0 else 0
     if i == 0:
@@ -175,16 +167,24 @@ def m_mu_dims(I: Ideal, d: int, mu: int, s_range: Sequence[int],
 
     The identification uses 0 → Iˢ → R → R/Iˢ → 0 and the vanishing of
     H^{m−1}_𝔪(R) and H^m_𝔪(R) (depth m+1).  For m = 2 the difference
-    route is used (with an optional duality cross-check); higher m goes
-    through duality alone.
+    route is used (with an optional duality cross-check, recorded in
+    `cross_values`); higher m goes through duality alone.  Each power is
+    built for its own step and dropped after it.
     """
     if m is None:
         m = I.ring.nvars - 1
+    return _strand_table(lambda s: ideal_power(I, s) if s > 1 else I,
+                         d, mu, s_range, m, cross_check)
+
+
+def _strand_table(power: Callable[[int], Ideal], d: int, mu: int,
+                  s_range: Sequence[int], m: int,
+                  cross_check: bool) -> CohomologyTable:
     table = CohomologyTable(mu=mu, m=m)
     for s in sorted(set(s_range)):
         if s < 1:
             raise ValueError("s must be ≥ 1")
-        J = ideal_power(I, s) if s > 1 else I
+        J = power(s)
         t = mu + s * d
         if m == 2:
             val = hdim_difference(J, 1, t)
@@ -196,19 +196,17 @@ def m_mu_dims(I: Ideal, d: int, mu: int, s_range: Sequence[int],
                         f"cohomology routes disagree at s={s}: {val} vs {other}")
         else:
             val = hdim_duality(J, m - 1, t)
-            if cross_check:
-                table.cross_values[s] = val
         table.values[s] = val
     table.detect_stabilization()
     return table
 
 
-def n_table(I: Ideal, d: int, s_range: Sequence[int],
-            m: Optional[int] = None, cross_check: bool = True) -> CohomologyTable:
-    """The strand μ = −m: N_s = dim H^m_𝔪(Iˢ)_{sd−m}."""
-    if m is None:
-        m = I.ring.nvars - 1
-    return m_mu_dims(I, d, -m, s_range, m=m, cross_check=cross_check)
+def n_table(pmap, s_range: Sequence[int],
+            cross_check: bool = True) -> CohomologyTable:
+    """The strand μ = −m of a map's base ideal: N_s = dim H^m_𝔪(Iˢ)_{sd−m},
+    on the powers (and their saturations) the map already holds."""
+    return _strand_table(pmap.power, pmap.d, -pmap.m, s_range, pmap.m,
+                         cross_check)
 
 
 @dataclass

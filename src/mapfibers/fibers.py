@@ -18,13 +18,14 @@ realizes it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .approx import PresentationData, presentation_matrix_N
 from .groebner import normal_form
 from .ideals import (Ideal, degree_monomials, eliminate, exact_divide,
-                     ideal_power, intersect_many, poly_gcd_list,
-                     restrict_polynomial, saturate_irrelevant,
-                     saturate_variable)
+                     extend_polynomial, ideal_power, intersect_many,
+                     poly_gcd_list, restrict_polynomial, saturate_variable)
 from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
 from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
@@ -44,14 +45,20 @@ class NotGenericallyFiniteError(ValueError):
             f"{image_dimension} < source dimension {expected}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParameterizedMap:
-    """A rational map P^m --> P^n: n+1 forms of common degree d, gcd 1."""
+    """A rational map P^m --> P^n: n+1 forms of common degree d, gcd 1.
+
+    The map is immutable and owns every object derived from it: each is
+    computed on first use and then shared by all stages of the analysis.
+    """
     source: RingDescriptor
     target: RingDescriptor
     forms: Tuple[Polynomial, ...]
     d: int
     common_factor: Optional[Polynomial] = None   # divided out by build_map
+    _powers: Dict[int, Ideal] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -60,6 +67,51 @@ class ParameterizedMap:
     @property
     def n(self) -> int:
         return len(self.forms) - 1
+
+    @cached_property
+    def base_ideal(self) -> Ideal:
+        """I = (f_0, ..., f_n); zero forms drop out."""
+        return Ideal(self.source, self.forms)
+
+    def power(self, s: int) -> Ideal:
+        """I^s, built once per s; its saturation is memoized on it."""
+        if s not in self._powers:
+            self._powers[s] = (ideal_power(self.base_ideal, s) if s > 1
+                               else self.base_ideal)
+        return self._powers[s]
+
+    @cached_property
+    def rees(self) -> "ReesData":
+        return rees_ideal(self)
+
+    @cached_property
+    def image(self) -> "ImageData":
+        return image_ideal(self)
+
+    @cached_property
+    def locus(self) -> Tuple[Ideal, int, int]:
+        """`base_locus`: I^sat and the (cone dimension, degree) of V(I)."""
+        return base_locus(self)
+
+    @cached_property
+    def lci_proxy(self) -> bool:
+        """`lci_proxy_check`; True when the base locus is empty."""
+        return self.locus[1] <= 0 or lci_proxy_check(self)
+
+    @cached_property
+    def presentation(self) -> Tuple[Optional[PresentationData], Optional[str]]:
+        """(presentation of N, None) for m = 2 with four nonzero forms,
+        (None, message) when `presentation_matrix_N` raised ArithmeticError
+        (the map misses a hypothesis of the rank cross-check), and
+        (None, None) when the construction does not apply."""
+        if self.m != 2 or len(self.forms) != 4 or any(
+                f.is_zero() for f in self.forms):
+            return None, None
+        try:
+            return presentation_matrix_N(
+                self.base_ideal, target_names=self.target.variables), None
+        except ArithmeticError as exc:
+            return None, str(exc)
 
 
 def build_map(forms: Sequence[Polynomial],
@@ -108,11 +160,6 @@ class ReesData:
     linear_part: List[Polynomial]  # syzygy forms Σ_j z_j T_j, generate 𝔓_(*,1)
 
 
-def _lift_to(f: Polynomial, big: RingDescriptor) -> Polynomial:
-    pad = big.nvars - f.ring.nvars
-    return Polynomial(big, {m + (0,) * pad: c for m, c in f.terms.items()})
-
-
 def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     """𝔓 = (T_j - t·f_j : j) ∩ k[X, T], eliminating the auxiliary t.
 
@@ -128,7 +175,7 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
         aux += "_"
     big = S.extend((aux,), (1,))
     t = Polynomial.variable(big, big.nvars - 1)
-    gens = [Polynomial.variable(big, nx + j) - t * _lift_to(f, big)
+    gens = [Polynomial.variable(big, nx + j) - t * extend_polynomial(f, big)
             for j, f in enumerate(pmap.forms)]
     P_small, small = eliminate(Ideal(big, gens), drop=(big.nvars - 1,))
     if small != S:
@@ -141,10 +188,10 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     for z in kernel_of_free_map(row):
         lin = Polynomial.zero(S)
         for j, zj in enumerate(z):
-            lin = lin + _lift_to(zj, S) * Polynomial.variable(S, nx + j)
+            lin = lin + extend_polynomial(zj, S) * Polynomial.variable(S, nx + j)
         linear.append(lin)
 
-    subs = {nx + j: _lift_to(f, S) for j, f in enumerate(pmap.forms)}
+    subs = {nx + j: extend_polynomial(f, S) for j, f in enumerate(pmap.forms)}
     for g in P.generators:
         if not g.substitute(subs).is_zero():
             raise ArithmeticError("Rees generator does not vanish on the graph")
@@ -163,12 +210,10 @@ class ImageData:
     generically_finite: bool
 
 
-def image_ideal(pmap: ParameterizedMap, rd: Optional[ReesData] = None) -> ImageData:
+def image_ideal(pmap: ParameterizedMap) -> ImageData:
     """𝔓 ∩ k[T]; the map is generically finite iff the image has dimension m."""
-    if rd is None:
-        rd = rees_ideal(pmap)
     nx = pmap.source.nvars
-    elim, _ = eliminate(rd.rees, drop=tuple(range(nx)))
+    elim, _ = eliminate(pmap.rees.rees, drop=tuple(range(nx)))
     # re-grade in the standard target ring so Hilbert data uses degree 1
     B = pmap.target
     img = Ideal(B, [Polynomial(B, dict(g.terms)) for g in elim.generators])
@@ -206,12 +251,20 @@ def _pivot(y: PointProjective) -> int:
     raise ValueError("zero point")
 
 
-def fiber_ideal(pmap: ParameterizedMap, rd: ReesData,
-                y: PointProjective) -> FiberIdeals:
+def _differences(pmap: ParameterizedMap, y: PointProjective,
+                 i: int) -> List[Polynomial]:
+    """f_j - p_j·f_i for j ≠ i, in order of j; zero entries are kept."""
+    fi = pmap.forms[i]
+    return [fj - fi.scale(y.coords[j])
+            for j, fj in enumerate(pmap.forms) if j != i]
+
+
+def fiber_ideal(pmap: ParameterizedMap, y: PointProjective) -> FiberIdeals:
     """Specialize 𝔓 at T = y (the fiber of the graph projection) and also
     return the symmetric-algebra specialization for comparison."""
     R = pmap.source
     nx = R.nvars
+    rd = pmap.rees
     S = rd.ambient
     subs = {nx + j: Polynomial.constant(S, c) for j, c in enumerate(y.coords)}
     keep = list(range(nx))
@@ -224,43 +277,24 @@ def fiber_ideal(pmap: ParameterizedMap, rd: ReesData,
                 out.append(restrict_polynomial(sp, R, keep))
         return out
 
-    rees_gens = specialize(rd.rees.generators)
-    sym_gens = specialize(rd.linear_part)
     i = _pivot(y)
-    fi = pmap.forms[i]
-    prop_gens = []
-    for j, fj in enumerate(pmap.forms):
-        if j == i:
-            continue
-        gen = fj - fi.scale(y.coords[j])
-        if not gen.is_zero():
-            prop_gens.append(gen)
-    zero = [Polynomial.zero(R)]
-    return FiberIdeals(y, i, Ideal(R, rees_gens or zero),
-                       Ideal(R, sym_gens or zero),
-                       Ideal(R, prop_gens or zero))
+    return FiberIdeals(y, i, Ideal(R, specialize(rd.rees.generators)),
+                       Ideal(R, specialize(rd.linear_part)),
+                       Ideal(R, _differences(pmap, y, i)))
 
 
-def fibers_agree(pmap: ParameterizedMap, rd: ReesData, y: PointProjective) -> bool:
+def fibers_agree(pmap: ParameterizedMap, y: PointProjective) -> bool:
     """Do the graph fiber and the symmetric-algebra fiber agree at y
     (after saturating the irrelevant ideal away)?"""
-    fi = fiber_ideal(pmap, rd, y)
-    return saturate_irrelevant(fi.rees_fiber) == saturate_irrelevant(fi.sym_fiber)
+    fi = fiber_ideal(pmap, y)
+    return fi.rees_fiber.saturation() == fi.sym_fiber.saturation()
 
 
 def unmixed_part(pmap: ParameterizedMap, y: PointProjective) -> Polynomial:
     """The divisor h_y = gcd(f_j - p_j f_i : j), monic; 1 when the fiber has
     no codimension-one component."""
     R = pmap.source
-    i = _pivot(y)
-    fi = pmap.forms[i]
-    gens = []
-    for j, fj in enumerate(pmap.forms):
-        if j == i:
-            continue
-        g = fj - fi.scale(y.coords[j])
-        if not g.is_zero():
-            gens.append(g)
+    gens = [g for g in _differences(pmap, y, _pivot(y)) if not g.is_zero()]
     if not gens:
         # all forms proportional at y — degenerate, whole source is the fiber
         return Polynomial.constant(R, R.field.one())
@@ -327,7 +361,7 @@ def linear_factors(G: Polynomial) -> Tuple[List[Polynomial], bool]:
             for idx, v in enumerate(range(k + 1, nv)):
                 plane = plane - (Polynomial.variable(C, nv + idx)
                                  * Polynomial.variable(C, v))
-            restricted = _lift_to(G, C).substitute({k: plane})
+            restricted = extend_polynomial(G, C).substitute({k: plane})
             # coefficient of each X-monomial is a polynomial in the a's
             eqs: Dict[tuple, Polynomial] = {}
             avars = standard_ring(tuple(f"a_{j}" for j in range(unknowns)),
@@ -385,16 +419,16 @@ class FiberSearch:
 
 def base_locus(pmap: ParameterizedMap) -> Tuple[Ideal, int, int]:
     """Saturated base ideal I^sat and (cone dimension, degree) of V(I)."""
-    I = Ideal(pmap.source, [f for f in pmap.forms if not f.is_zero()])
-    sat = saturate_irrelevant(I)
+    sat = pmap.base_ideal.saturation()
     dim, deg = sat.dimension_degree()
     return sat, dim, deg
 
 
-def lci_proxy_check(pmap: ParameterizedMap, rd: ReesData) -> bool:
+def lci_proxy_check(pmap: ParameterizedMap) -> bool:
     """Proxy for the local-complete-intersection hypothesis: the Rees ideal
     agrees with the symmetric-algebra ideal up to irrelevant torsion,
     i.e. 𝔓 ⊆ (𝔓₁·S : (X)^∞)."""
+    rd = pmap.rees
     S = rd.ambient
     J1 = Ideal(S, rd.linear_part)
     nx = pmap.source.nvars
@@ -402,9 +436,7 @@ def lci_proxy_check(pmap: ParameterizedMap, rd: ReesData) -> bool:
     return rd.rees.is_subideal_of(sat)
 
 
-def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3,
-                        rd: Optional[ReesData] = None,
-                        presentation=None) -> FiberSearch:
+def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
     """Inventory of the (m-1)-dimensional fibers of the graph projection.
 
     Route A (any m): for each s ≤ s_max with ν = indeg((I^s)^sat) < sd, the
@@ -415,18 +447,14 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3,
     each support point is verified the same way.  The union is returned with
     a completeness flag that is True only when a complete route ran.
     """
-    if rd is None:
-        rd = rees_ideal(pmap)
-    img = image_ideal(pmap, rd)
+    img = pmap.image
     if not img.generically_finite:
         raise NotGenericallyFiniteError(img.dimension, pmap.m)
 
     R = pmap.source
     d = pmap.d
     m = pmap.m
-    I = Ideal(R, [f for f in pmap.forms if not f.is_zero()])
-    sat, bl_dim, _ = base_locus(pmap)
-    base_empty = bl_dim == 0
+    base_empty = pmap.locus[1] == 0
     result = FiberSearch([], False, base_empty)
 
     found: Dict[tuple, FiberRecord] = {}
@@ -440,8 +468,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3,
         h = unmixed_part(pmap, y)
         if h.degree() < 1:
             return
-        fi = fiber_ideal(pmap, rd, y)
-        dim = fi.dimension()
+        dim = fiber_ideal(pmap, y).dimension()
         if dim != m - 1:
             return
         found[key] = FiberRecord(y, _pivot(y), h, h.degree(), dim, route)
@@ -453,8 +480,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3,
         return result
 
     for s in range(1, s_max + 1):
-        Js = ideal_power(I, s) if s > 1 else I
-        Jsat = saturate_irrelevant(Js)
+        Jsat = pmap.power(s).saturation()
         nu = Jsat.initial_degree()
         entry = {"nu": nu, "sd": s * d, "applicable": nu < s * d}
         result.route_a[s] = entry
@@ -481,34 +507,27 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3,
             for y in recover_points_from_divisor(pmap, ell):
                 try_point(y, "A")
 
-    if m == 2 and len(pmap.forms) == 4 and all(not f.is_zero() for f in pmap.forms):
-        from .approx import presentation_matrix_N
-        pres = presentation
-        if pres is None:
-            try:
-                pres = presentation_matrix_N(list(pmap.forms),
-                                             target_names=pmap.target.variables)
-            except ArithmeticError as exc:
-                # rank cross-check can fail when the map misses a hypothesis;
-                # the gcd route above is still sound on its own
-                result.notes.append(f"support route unavailable: {exc}")
-        if pres is not None:
-            result.route_b_ran = True
-            proxy = lci_proxy_check(pmap, rd)
-            result.lci_proxy = proxy
-            try:
-                pts, pts_complete = rational_points_zero_dim(pres.annihilator)
-                result.route_b_points_complete = pts_complete
-                for y in pts:
-                    try_point(y, "B")
-                result.complete = pts_complete and proxy
-                if not pts_complete:
-                    result.notes.append(
-                        "support has components with no rational point: "
-                        "inventory restricted to the base field")
-            except NotZeroDimensionalError:
-                result.route_b_points_complete = False
-                result.notes.append("module support is not zero-dimensional")
+    pres, pres_error = pmap.presentation
+    if pres_error is not None:
+        # the gcd route above is still sound on its own
+        result.notes.append(f"support route unavailable: {pres_error}")
+    if pres is not None:
+        result.route_b_ran = True
+        proxy = pmap.lci_proxy
+        result.lci_proxy = proxy
+        try:
+            pts, pts_complete = rational_points_zero_dim(pres.annihilator)
+            result.route_b_points_complete = pts_complete
+            for y in pts:
+                try_point(y, "B")
+            result.complete = pts_complete and proxy
+            if not pts_complete:
+                result.notes.append(
+                    "support has components with no rational point: "
+                    "inventory restricted to the base field")
+        except NotZeroDimensionalError:
+            result.route_b_points_complete = False
+            result.notes.append("module support is not zero-dimensional")
     if not result.complete and not result.route_b_ran:
         result.notes.append(
             "only the gcd route ran: inventory is sound but may be incomplete")
@@ -538,9 +557,7 @@ class DivisorBoundVerdict:
 def check_divisor_degree_bound(pmap: ParameterizedMap, s: int,
                                records: Sequence[FiberRecord]) -> DivisorBoundVerdict:
     """Verify the divisor-degree bound at power s against found fibers."""
-    I = Ideal(pmap.source, [f for f in pmap.forms if not f.is_zero()])
-    Js = ideal_power(I, s) if s > 1 else I
-    nu = saturate_irrelevant(Js).initial_degree()
+    nu = pmap.power(s).saturation().initial_degree()
     sd = s * pmap.d
     total = sum(r.divisor_degree for r in records)
     applicable = nu < sd
@@ -567,32 +584,19 @@ def check_fiber_factorization(pmap: ParameterizedMap,
     I = (f_i) + h_y·(g_j) and I^sat ⊆ (f_i, h_y).  A divisibility failure
     signals a false fiber record and raises."""
     R = pmap.source
-    i = rec.pivot
-    fi = pmap.forms[i]
-    y = rec.point
-    cofactors = []
-    regen = [fi]
-    for j, fj in enumerate(pmap.forms):
-        if j == i:
-            continue
-        num = fj - fi.scale(y.coords[j])
-        if num.is_zero():
-            cofactors.append(Polynomial.zero(R))
-            continue
-        g = exact_divide(num, rec.divisor)     # raises if h_y is not a divisor
-        cofactors.append(g)
-        regen.append(rec.divisor * g)
-    I = Ideal(R, [f for f in pmap.forms if not f.is_zero()])
-    rebuilt = Ideal(R, [p for p in regen if not p.is_zero()])
+    fi = pmap.forms[rec.pivot]
+    # exact_divide raises if h_y is not a divisor
+    cofactors = [exact_divide(num, rec.divisor)
+                 for num in _differences(pmap, rec.point, rec.pivot)]
+    I = pmap.base_ideal
+    rebuilt = Ideal(R, [fi] + [rec.divisor * g for g in cofactors])
     ideal_match = I == rebuilt
-    sat = saturate_irrelevant(I)
-    contained = sat.is_subideal_of(Ideal(R, [fi, rec.divisor]))
+    contained = I.saturation().is_subideal_of(Ideal(R, [fi, rec.divisor]))
     rec.cofactors = cofactors
     return FactorizationVerdict(ideal_match, contained, cofactors)
 
 
-def brute_force_fiber_oracle(pmap: ParameterizedMap,
-                             rd: Optional[ReesData] = None) -> List[FiberRecord]:
+def brute_force_fiber_oracle(pmap: ParameterizedMap) -> List[FiberRecord]:
     """Enumerate P^m over a small finite field, bucket by image point, and
     return the image points whose fiber has dimension m-1.
 
@@ -602,8 +606,6 @@ def brute_force_fiber_oracle(pmap: ParameterizedMap,
     F = pmap.source.field
     if F.characteristic() == 0:
         raise ValueError("oracle enumeration needs a finite field")
-    if rd is None:
-        rd = rees_ideal(pmap)
     m = pmap.m
     images = {}
     for x in projective_points(F, m):
@@ -614,8 +616,7 @@ def brute_force_fiber_oracle(pmap: ParameterizedMap,
         images.setdefault(y.coords, y)
     records = []
     for y in images.values():
-        fi = fiber_ideal(pmap, rd, y)
-        if fi.dimension() == m - 1:
+        if fiber_ideal(pmap, y).dimension() == m - 1:
             h = unmixed_part(pmap, y)
             records.append(FiberRecord(y, _pivot(y), h, h.degree(), m - 1,
                                        "oracle"))

@@ -11,7 +11,9 @@ Both require / preserve homogeneity where documented.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import PrimeField
@@ -24,9 +26,9 @@ from .rings import (GREVLEX, Monomial, RingDescriptor, TermOrder,
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced bases."""
+    """A finitely generated ideal with cached reduced bases and saturation."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_sat")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -36,6 +38,7 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb: Dict[TermOrder, GroebnerBasis] = {}
+        self._sat: Optional[Ideal] = None
 
     def groebner(self, order: TermOrder = GREVLEX) -> GroebnerBasis:
         gb = self._gb.get(order)
@@ -43,6 +46,12 @@ class Ideal:
             gb = reduced_groebner(list(self.generators), order=order, ring=self.ring)
             self._gb[order] = gb
         return gb
+
+    def saturation(self) -> "Ideal":
+        """`saturate_irrelevant` of this ideal, computed once."""
+        if self._sat is None:
+            self._sat = saturate_irrelevant(self)
+        return self._sat
 
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero():
@@ -59,9 +68,6 @@ class Ideal:
         if not isinstance(other, Ideal) or self.ring != other.ring:
             return NotImplemented
         return self.groebner().polys == other.groebner().polys
-
-    def __hash__(self):
-        return hash((self.ring, self.generators))
 
     def hilbert(self) -> HilbertData:
         return hilbert_series_quotient(self.groebner())
@@ -124,15 +130,14 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, [g * h for g in I.generators for h in J.generators])
 
 def ideal_power(I: Ideal, s: int) -> Ideal:
+    """I^s from the products of s generators taken with repetition, in
+    lexicographic index order; products that coincide are kept once."""
     if s < 1:
         raise ValueError("power must be >= 1")
-    out = I
-    for _ in range(s - 1):
-        out = ideal_product(out, I)
-    # products of generators repeat; prune by monomial-degree dedup
     seen = set()
     gens = []
-    for g in out.generators:
+    for combo in combinations_with_replacement(I.generators, s):
+        g = reduce(mul, combo)
         key = tuple(sorted(g.terms.items()))
         if key not in seen:
             seen.add(key)

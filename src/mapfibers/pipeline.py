@@ -16,11 +16,9 @@ from typing import Dict, List, Optional
 
 from .cohomology import (CohomologyTable, ModuleDegreeVerdict,
                          check_module_degree_formula, n_table)
-from .fibers import (FiberSearch, ParameterizedMap, base_locus,
+from .fibers import (FiberSearch, ParameterizedMap,
                      check_divisor_degree_bound, check_fiber_factorization,
-                     find_one_dim_fibers, image_ideal, lci_proxy_check,
-                     rees_ideal)
-from .ideals import Ideal
+                     find_one_dim_fibers)
 from .report import (SCHEMA_VERSION, divisor_bound_json, factorization_json,
                      fibers_block, image_block, input_block, point_json)
 from .solve import NotZeroDimensionalError, rational_points_zero_dim
@@ -78,17 +76,15 @@ def run_pipeline(pmap: ParameterizedMap,
         "timings": timings,
     }
     m, d = pmap.m, pmap.d
-    I = Ideal(pmap.source, [f for f in pmap.forms if not f.is_zero()])
 
     with _Step(timings, "hypotheses"):
         gcd_ok = (pmap.common_factor is None
                   or pmap.common_factor.degree() < 1)
-        rd = rees_ideal(pmap)
-        img = image_ideal(pmap, rd)
-        sat, cone_dim, bdeg = base_locus(pmap)
+        img = pmap.image
+        sat, cone_dim, bdeg = pmap.locus
         base_empty = cone_dim <= 0
         indeg_sat = sat.initial_degree()
-        lci = lci_proxy_check(pmap, rd) if not base_empty else True
+        lci = pmap.lci_proxy
     report["hypotheses"] = {
         "gcd_is_one": gcd_ok,
         "common_factor": str(pmap.common_factor)
@@ -111,18 +107,10 @@ def run_pipeline(pmap: ParameterizedMap,
         return PipelineResult(report, EXIT_HYPOTHESIS)
 
     # presentation of N over the target ring (m = 2 with 4 nonzero forms)
-    pres = None
-    pres_applicable = (m == 2 and len(pmap.forms) == 4
-                       and all(not f.is_zero() for f in pmap.forms))
-    pres_error = None
-    if pres_applicable and (opt.presentation or opt.fibers):
-        from .approx import presentation_matrix_N
+    pres, pres_error = None, None
+    if opt.presentation or opt.fibers:
         with _Step(timings, "presentation"):
-            try:
-                pres = presentation_matrix_N(list(pmap.forms),
-                                             target_names=pmap.target.variables)
-            except ArithmeticError as exc:
-                pres_error = str(exc)
+            pres, pres_error = pmap.presentation
     if pres is not None and opt.presentation:
         supp_pts: List = []
         supp_complete = None
@@ -159,8 +147,7 @@ def run_pipeline(pmap: ParameterizedMap,
     search = None
     if opt.fibers:
         with _Step(timings, "fibers"):
-            search = find_one_dim_fibers(pmap, s_max=max(opt.s_max, 2),
-                                         rd=rd, presentation=pres)
+            search = find_one_dim_fibers(pmap, s_max=max(opt.s_max, 2))
         report["fibers"] = fibers_block(search)
         if not search.complete:
             incomplete = True
@@ -179,7 +166,7 @@ def run_pipeline(pmap: ParameterizedMap,
 
     if opt.module_table:
         with _Step(timings, "module"):
-            table = n_table(I, d, range(1, opt.s_max + 1))
+            table = n_table(pmap, range(1, opt.s_max + 1))
             table.detect_stabilization()
             degrees = [r.divisor_degree for r in search.records] \
                 if search is not None else []

@@ -1,10 +1,7 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients.
-The text syntax accepted by :func:`parse_polynomial` is the one used in
-map files: variables, integer or rational literals, ``+ - * ^`` and
-parentheses, with ``**`` accepted as a synonym for ``^``.  Adjacent
-factors must be joined with ``*`` explicitly.
+Text is parsed by :func:`mapfibers.mapfile.parse_polynomial`.
 """
 
 from __future__ import annotations
@@ -237,116 +234,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"
-
-
-# -- parsing ---------------------------------------------------------
-
-
-class _Parser:
-    """Recursive-descent parser for the map-file polynomial syntax."""
-
-    def __init__(self, text: str, ring: RingDescriptor):
-        self.text = text
-        self.pos = 0
-        self.ring = ring
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ValueError(f"unexpected character {self.text[self.pos]!r} at position {self.pos} in {self.text!r}")
-        return p
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> Polynomial:
-        ch = self.peek()
-        sign = 1
-        while ch in "+-":
-            if ch == "-":
-                sign = -sign
-            self.pos += 1
-            ch = self.peek()
-        p = self.term()
-        if sign < 0:
-            p = -p
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                p = p + self.term()
-            elif ch == "-":
-                self.pos += 1
-                p = p - self.term()
-            else:
-                return p
-
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*" and not self.text.startswith("**", self.pos):
-                self.pos += 1
-                p = p * self.factor()
-            else:
-                return p
-
-    def factor(self) -> Polynomial:
-        p = self.atom()
-        ch = self.peek()
-        if ch == "^" or self.text.startswith("**", self.pos):
-            self.pos += 2 if self.text.startswith("**", self.pos) else 1
-            k = self.integer()
-            p = p ** k
-        return p
-
-    def atom(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            p = self.expr()
-            if self.peek() != ")":
-                raise ValueError(f"missing ')' at position {self.pos} in {self.text!r}")
-            self.pos += 1
-            return p
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
-        if ch.isdigit():
-            num = self.integer()
-            if self.peek() == "/":
-                self.pos += 1
-                den = self.integer()
-                c = self.ring.field.parse(f"{num}/{den}")
-                return Polynomial.constant(self.ring, c)
-            return Polynomial.constant(self.ring, num)
-        if ch.isalpha() or ch == "_":
-            name = self.identifier()
-            return Polynomial.variable(self.ring, self.ring.index_of(name))
-        raise ValueError(f"unexpected character {ch!r} at position {self.pos} in {self.text!r}")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected an integer at position {start} in {self.text!r}")
-        return int(self.text[start:self.pos])
-
-    def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
-    return _Parser(text, ring).parse()

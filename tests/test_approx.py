@@ -4,6 +4,7 @@ import pytest
 
 from mapfibers.approx import (check_surface_bounds, complex_ranks, contract,
                               dual_hdim, koszul_cycles, presentation_matrix_N)
+from mapfibers.ideals import Ideal
 from mapfibers.modules import vec_is_zero, vector_degree
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
@@ -52,7 +53,6 @@ def test_top_cycle_dual_dimension(quintic_koszul):
 
 
 def test_complex_ranks(quintic_map, quintic_koszul):
-    from mapfibers.ideals import Ideal
     I = Ideal(quintic_map.source, list(quintic_map.forms))
     l, mrank, n = complex_ranks(quintic_koszul, I)
     assert (l, n) == (15, 8)
@@ -77,7 +77,7 @@ def test_coker_dims_match_strand(quintic_result):
 
 
 def test_zero_module_edge_case():
-    pres = presentation_matrix_N([x * x, y * y, z * z, x * y])
+    pres = presentation_matrix_N(Ideal(R, [x * x, y * y, z * z, x * y]))
     assert pres.ranks[2] == 0
     assert all(v == 0 for v in pres.coker_dims.values())
     assert pres.annihilator.contains(Polynomial.constant(pres.base_ring, 1))

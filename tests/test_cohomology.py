@@ -26,9 +26,9 @@ def test_two_routes_agree_on_non_principal_ideal():
         assert hdim_difference(J, 1, t) == hdim_duality(J, 1, t)
 
 
-def test_quintic_strands(quintic_ideal):
+def test_quintic_strands(quintic_map, quintic_ideal):
     # the module strand: dim H^2(I^s) at degree 5s - 2
-    table = n_table(quintic_ideal, 5, range(1, 5))
+    table = n_table(quintic_map, range(1, 5))
     assert table.values == {1: 8, 2: 10, 3: 9, 4: 8}
     # duality cross-check agrees where computed
     for s, v in table.cross_values.items():
@@ -50,9 +50,17 @@ def test_degree_formula_requires_stabilization():
     assert verdict.stabilized_value is None
 
 
+def test_cross_table_only_when_a_second_route_ran():
+    # m = 1 has only the duality route: nothing is cross-checked
+    R2 = standard_ring(("x", "y"))
+    a, b = (Polynomial.variable(R2, i) for i in range(2))
+    t = m_mu_dims(Ideal(R2, [a ** 3, b ** 3]), 3, -1, range(1, 3),
+                  cross_check=True)
+    assert t.values and t.cross_values == {}
+
+
 def test_degree_formula_on_stable_table(bpf_map):
-    I = Ideal(bpf_map.source, list(bpf_map.forms))
-    table = n_table(I, 2, range(1, 5))
+    table = n_table(bpf_map, range(1, 5))
     table.detect_stabilization()
     assert table.stable_value == 0
     verdict = check_module_degree_formula([], table, 2)

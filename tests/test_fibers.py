@@ -91,16 +91,15 @@ def test_linear_factor_extraction():
 
 
 def test_fiber_dimension_and_agreement(quintic_map):
-    rd = rees_ideal(quintic_map)
     y = PointProjective((Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
                         QQ)
-    fi = fiber_ideal(quintic_map, rd, y)
+    fi = fiber_ideal(quintic_map, y)
     assert fi.dimension() == 1
-    assert fibers_agree(quintic_map, rd, y)
+    assert fibers_agree(quintic_map, y)
     # a generic image point has a zero-dimensional fiber
     generic = PointProjective((Fraction(1), Fraction(1), Fraction(1),
                                Fraction(1)), QQ)
-    assert fiber_ideal(quintic_map, rd, generic).dimension() <= 0
+    assert fiber_ideal(quintic_map, generic).dimension() <= 0
 
 
 def test_factorization_identity(quintic_result):

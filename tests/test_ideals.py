@@ -55,6 +55,42 @@ def test_sum_product_power():
     assert sq == Ideal(R, [x * x, x * y, y * y])
 
 
+def _ordered_product_power(I, s):
+    """I^s as all n^s ordered products, first occurrence of each value kept."""
+    out = I
+    for _ in range(s - 1):
+        out = ideal_product(out, I)
+    seen, gens = set(), []
+    for g in out.generators:
+        key = tuple(sorted(g.terms.items()))
+        if key not in seen:
+            seen.add(key)
+            gens.append(g)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("gens", [
+    [x * x, x * y, y * y, z],                  # x^2·y^2 = (x·y)^2 repeats
+    [x + y, x * z - y * y, z * z, y + z.scale(3)],
+])
+def test_power_matches_ordered_products(gens):
+    I = Ideal(R, gens)
+    for s in range(1, 5):
+        assert ideal_power(I, s).generators == _ordered_product_power(I, s)
+
+
+def test_equality_is_by_value_and_ideals_are_unhashable():
+    assert Ideal(R, [x, y]) == Ideal(R, [y, x + y])
+    with pytest.raises(TypeError):
+        hash(Ideal(R, [x, y]))
+
+
+def test_saturation_is_computed_once():
+    I = Ideal(R, [x * x, x * y, x * z])
+    assert I.saturation() is I.saturation()
+    assert I.saturation() == saturate_irrelevant(I) == Ideal(R, [x])
+
+
 def test_exact_divide():
     f = (x + y) * (x - z)
     assert exact_divide(f, x + y) == x - z

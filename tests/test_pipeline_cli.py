@@ -1,7 +1,13 @@
 import json
 import os
+import sys
 
+from mapfibers import build_map, standard_ring
 from mapfibers.cli import main
+from mapfibers.ideals import saturate_irrelevant
+from mapfibers.fibers import lci_proxy_check
+from mapfibers.approx import presentation_matrix_N
+from mapfibers.poly import Polynomial
 from mapfibers.mapfile import parse_map_file
 from mapfibers.pipeline import PipelineOptions, run_pipeline
 from mapfibers.report import SCHEMA_VERSION, dumps, render_text
@@ -134,3 +140,39 @@ def test_cli_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "line 2" in err
+
+
+def _count_calls(monkeypatch, fn, key=lambda *args: None):
+    """Rebind fn in every mapfibers module that holds it to a wrapper that
+    logs key(*args) per call; returns the log."""
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(key(*args))
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "mapfibers":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return log
+
+
+def test_pipeline_derives_each_object_once(monkeypatch):
+    R = standard_ring(("x", "y", "z"))
+    x, y, z = (Polynomial.variable(R, i) for i in range(3))
+    u, v = x * (x - z), y * (y - z)
+    pmap = build_map([y * u, x * v, z * u, z * v])   # six base points
+    saturations = _count_calls(
+        monkeypatch, saturate_irrelevant,
+        key=lambda I: frozenset(tuple(sorted(g.terms.items()))
+                                for g in I.generators))
+    proxies = _count_calls(monkeypatch, lci_proxy_check)
+    presentations = _count_calls(monkeypatch, presentation_matrix_N)
+    result = run_pipeline(pmap, PipelineOptions(s_max=3))
+    assert result.exit_code == 0 and result.search.route_b_ran
+    assert len(result.search.records) == 4
+    assert saturations and len(saturations) == len(set(saturations))
+    assert len(proxies) <= 1 and len(presentations) <= 1
+
