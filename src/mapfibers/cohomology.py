@@ -20,7 +20,6 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .hilbert import hilbert_series_quotient
 from .ideals import Ideal, degree_monomials, ideal_power
 from .modules import FreeModuleMap, FreeResolution, free_resolution
 from .rings import mono_mul

@@ -1,18 +1,31 @@
 """Internal Buchberger engine for ideals and free-module submodules.
 
-Everything here works on a raw term-list representation: a polynomial
-(or module element) is a list of ``(key, emono, coeff)`` triples sorted
-by descending key, where ``emono = (component,) + exponents`` and
-``key`` is an integer packing of the monomial order so that comparing
-keys compares monomials.  Scalar polynomials are the component-0 case.
+A polynomial (or module element) is a list of ``(key, coeff)`` pairs
+sorted by descending key.  The key is the monomial itself, packed into
+one integer: EXP_BITS-wide fields, one per variable plus the order's
+total-degree fields, laid out so that comparing keys compares monomials.
+Variable fields hold ``e`` (lex) or ``EXP_CAP - e`` (the reverse-lex
+orders); for modules the component's rank sits in the bits above the
+scalar fields (position over term).  Scalar polynomials are the
+component-0 case.
+
+Every field is affine in the exponent vector, hence so is the key:
+
+    key(x^u · m) = key(m) + key(x^u) − key(1)
+
+A shift by x^u is one integer add of ``delta = key(x^u·m) − key(m)``,
+divisibility is one subtract-and-mask test on the top (guard) bit of
+each field, and exponents are unpacked only to form the lcm of a pair
+and at the conversion boundaries in `groebner` and `modules`.  This holds
+while every field stays within [0, EXP_CAP], so the total degree of each
+monomial the engine forms is capped at EXP_CAP: packing raises
+ArithmeticError past it, and every reduction step checks that the
+shifted reducer stays within it.
 
 Coefficients are Python ints: over the rationals we keep polynomials
 primitive (integer coefficients, content 1) and use fraction-free
 pseudo-reduction; over GF(p) coefficients are residues and basis
 elements are kept monic.
-
-The public modules (`groebner`, `modules`) convert Polynomial values to
-and from this representation.
 """
 
 from __future__ import annotations
@@ -22,13 +35,20 @@ from bisect import insort
 from math import gcd as igcd
 
 EXP_BITS = 16
-EXP_CAP = (1 << EXP_BITS) - 1
+# The top bit of each field is a guard for the divisibility test, so an
+# exponent (and a total degree) may use the other EXP_BITS - 1 bits.
+EXP_CAP = (1 << (EXP_BITS - 1)) - 1
+_MASK = (1 << EXP_BITS) - 1
 # Strip integer content mid-reduction once coefficients pass this size.
 STRIP_BITS = 2048
 
 
+def _over_cap(what, value):
+    return ArithmeticError(f"{what} {value} exceeds the monomial cap {EXP_CAP}")
+
+
 class EngineContext:
-    """Monomial-order keys plus coefficient arithmetic for one computation."""
+    """Packed monomial keys plus coefficient arithmetic for one computation."""
 
     def __init__(self, nvars, order, mod=None, ncomps=1, comp_rank=None,
                  weights=None, comp_offsets=None):
@@ -41,77 +61,128 @@ class EngineContext:
         self.comp_rank = tuple(comp_rank)
         self.weights = tuple(weights) if weights is not None else (1,) * nvars
         self.comp_offsets = tuple(comp_offsets) if comp_offsets is not None else (0,) * ncomps
-        self.skey = self._scalar_key_closure()
-        self.key = self._module_key_closure()
         # coprime (product) criterion is only valid for scalar ideals
         self.use_coprime = ncomps == 1
+        self._layout(order)
 
-    def _scalar_key_closure(self):
-        order = self.order
+    def _layout(self, order):
         nv = self.nvars
         var_order = order.var_order if order.var_order is not None else tuple(range(nv))
         rev = tuple(reversed(var_order))
+        every = frozenset(range(nv))
+        # fields from most to least significant: a variable index, or the
+        # set of variables whose total degree the field holds
         if order.kind == "grevlex":
-            def skey(e, _rev=rev):
-                k = 0
-                t = 0
-                for i in _rev:
-                    ei = e[i]
-                    t += ei
-                    k = (k << EXP_BITS) | (EXP_CAP - ei)
-                return (t << (EXP_BITS * nv)) | k
-            return skey
-        if order.kind == "lex":
-            def skey(e, _ord=var_order):
-                k = 0
-                for i in _ord:
-                    k = (k << EXP_BITS) | e[i]
-                return k
-            return skey
-        if order.kind == "elim":
+            fields = [every, *rev]
+        elif order.kind == "lex":
+            fields = [*var_order, every]
+        elif order.kind == "elim":
             block = order.block or frozenset()
-            brev = tuple(i for i in rev if i in block)
-            krev = tuple(i for i in rev if i not in block)
-            def skey(e, _brev=brev, _krev=krev):
-                kb = 0
-                tb = 0
-                for i in _brev:
-                    ei = e[i]
-                    tb += ei
-                    kb = (kb << EXP_BITS) | (EXP_CAP - ei)
-                kr = 0
-                tr = 0
-                for i in _krev:
-                    ei = e[i]
-                    tr += ei
-                    kr = (kr << EXP_BITS) | (EXP_CAP - ei)
-                k = (tb << (EXP_BITS * len(_brev))) | kb
-                k = (k << EXP_BITS) | tr
-                return (k << (EXP_BITS * len(_krev))) | kr
-            return skey
-        raise ValueError(f"unsupported order kind {order.kind!r}")
-
-    def _module_key_closure(self):
-        skey = self.skey
-        if self.ncomps == 1:
-            def key(em, _skey=skey):
-                return _skey(em[1:])
-            return key
-        rank = self.comp_rank
+            fields = [block, *(i for i in rev if i in block),
+                      every - block, *(i for i in rev if i not in block)]
+        else:
+            raise ValueError(f"unsupported order kind {order.kind!r}")
+        self.reverse = reverse = order.kind != "lex"
+        cols = [0] * nv           # key(e) = one + Σ e_i · cols[i]
+        one = guards = var_guards = 0
+        var_shift = [0] * nv
+        total_shifts = []
+        for pos, f in enumerate(reversed(fields)):
+            shift = EXP_BITS * pos
+            guard = 1 << (shift + EXP_BITS - 1)
+            guards |= guard
+            if isinstance(f, int):
+                var_guards |= guard
+                var_shift[f] = shift
+                if reverse:
+                    one += EXP_CAP << shift
+                    cols[f] -= 1 << shift
+                else:
+                    cols[f] += 1 << shift
+            else:
+                total_shifts.append(shift)
+                for i in f:
+                    cols[i] += 1 << shift
         # position over term: component rank dominates the scalar key
-        shift = EXP_BITS * (self.nvars + 3)
-        def key(em, _skey=skey, _rank=rank, _shift=shift):
-            return (_rank[em[0]] << _shift) | _skey(em[1:])
-        return key
+        cshift = self.cshift = EXP_BITS * (nv + 3)
+        self._rank_bits = tuple(r << cshift for r in self.comp_rank)
+        self._comp_of_rank = {r: c for c, r in enumerate(self.comp_rank)}
+        self.one = one
+        self.guards = guards
+        self.var_guards = var_guards
+        # a nonzero rank difference shows in these bits of (a + guards − b)
+        rank_bits = max(self.comp_rank, default=0).bit_length() + 1
+        self.test_mask = var_guards | (((1 << rank_bits) - 1) << cshift)
 
-    def wdeg(self, em):
+        cols = tuple(cols)
+
+        def pack(e):
+            d = sum(e)
+            if d > EXP_CAP:
+                big = max(e)
+                raise (_over_cap("exponent", big) if big > EXP_CAP
+                       else _over_cap("total degree", d))
+            k = one
+            for x, c in zip(e, cols):
+                if x:
+                    k += x * c
+            return k
+        self.pack = pack
+
+        shifts = tuple(var_shift)
+        if reverse:
+            def exps(k):
+                return tuple(EXP_CAP - ((k >> s) & _MASK) for s in shifts)
+        else:
+            def exps(k):
+                return tuple((k >> s) & _MASK for s in shifts)
+        self.exps = exps
+
+        if len(total_shifts) == 1:
+            (s0,) = total_shifts
+
+            def deg(k):
+                return (k >> s0) & _MASK
+        else:
+            s1, s0 = total_shifts
+
+            def deg(k):
+                return ((k >> s0) & _MASK) + ((k >> s1) & _MASK)
+        self.deg = deg
+
         w = self.weights
-        d = self.comp_offsets[em[0]]
-        for i in range(self.nvars):
-            e = em[i + 1]
-            if e:
-                d += e * w[i]
-        return d
+        if all(x == 1 for x in w):
+            self.wdeg = deg
+        else:
+            def wdeg(k):
+                return sum(a * b for a, b in zip(w, exps(k)) if b)
+            self.wdeg = wdeg
+
+        g, t, v = guards, self.test_mask, var_guards
+        if reverse:
+            def divides(a, b):
+                return ((a - b + g) & t) == v
+        else:
+            def divides(a, b):
+                return ((b - a + g) & t) == v
+        self.divides = divides
+
+    def pack_comp(self, c, e):
+        """Key of the monomial x^e in component c."""
+        return self._rank_bits[c] + self.pack(e)
+
+    def comp(self, k):
+        return self._comp_of_rank[k >> self.cshift]
+
+    def lcm(self, a, b):
+        """Key of lcm(a, b) for two keys in one component."""
+        ea, eb = self.exps(a), self.exps(b)
+        return ((a >> self.cshift) << self.cshift) + self.pack(
+            tuple(x if x > y else y for x, y in zip(ea, eb)))
+
+    def sugar(self, k):
+        """Weighted degree of a key, component offset included."""
+        return self.comp_offsets[self.comp(k)] + self.wdeg(k)
 
 
 # -- raw term-list helpers --------------------------------------------
@@ -122,124 +193,111 @@ def _normalize(terms, mod):
     if not terms:
         return terms
     if mod is not None:
-        c = terms[0][2]
+        c = terms[0][1]
         if c == 1:
             return terms
         inv = pow(c, mod - 2, mod)
-        return [(k, em, (co * inv) % mod) for (k, em, co) in terms]
+        return [(k, (co * inv) % mod) for (k, co) in terms]
     g = 0
-    for (_, _, co) in terms:
+    for (_, co) in terms:
         g = igcd(g, co)
         if g == 1:
             break
-    if terms[0][2] < 0:
+    if terms[0][1] < 0:
         g = -g
     if g == 1:
         return terms
-    return [(k, em, co // g) for (k, em, co) in terms]
+    return [(k, co // g) for (k, co) in terms]
 
 
 def _strip_content(terms):
     g = 0
-    for (_, _, co) in terms:
+    for (_, co) in terms:
         g = igcd(g, co)
         if g == 1:
             return terms, 1
-    if terms and terms[0][2] < 0:
+    if terms and terms[0][1] < 0:
         g = -g
-    return [(k, em, co // g) for (k, em, co) in terms], g
+    return [(k, co // g) for (k, co) in terms], g
 
 
-def _axpy(a, f, b, shift, g, ctx):
-    """a*f + b*(x^shift * g) as a merged, sorted term list."""
-    mod = ctx.mod
-    key = ctx.key
-    nv = ctx.nvars
+def _axpy(a, f, b, delta, g, mod):
+    """a*f + b*(x^u * g) as a merged, sorted term list.
+
+    ``delta`` is key(x^u) − key(1): adding it to a key multiplies by x^u.
+    """
+    if a != 1:
+        f = [(k, (a * c) % mod if mod is not None else a * c) for (k, c) in f]
     out = []
     append = out.append
-    i = j = 0
-    nf, ng = len(f), len(g)
-    no_shift = not any(shift)
-    # current shifted-g term
-    if j < ng:
-        kg, emg, cg = g[j]
-        if not no_shift:
-            emg = (emg[0],) + tuple(emg[t + 1] + shift[t] for t in range(nv))
-            kg = key(emg)
-    while i < nf and j < ng:
-        kf, emf, cf = f[i]
-        if kf > kg:
-            append((kf, emf, (a * cf) % mod if mod is not None else a * cf))
+    i, nf = 0, len(f)
+    for kg, cg in g:
+        kg += delta
+        while i < nf and f[i][0] > kg:
+            append(f[i])
             i += 1
-        elif kf < kg:
-            append((kg, emg, (b * cg) % mod if mod is not None else b * cg))
-            j += 1
-            if j < ng:
-                kg, emg, cg = g[j]
-                if not no_shift:
-                    emg = (emg[0],) + tuple(emg[t + 1] + shift[t] for t in range(nv))
-                    kg = key(emg)
-        else:
-            c = (a * cf + b * cg) % mod if mod is not None else a * cf + b * cg
-            if c:
-                append((kf, emf, c))
+        c = b * cg
+        if i < nf and f[i][0] == kg:
+            c += f[i][1]
             i += 1
-            j += 1
-            if j < ng:
-                kg, emg, cg = g[j]
-                if not no_shift:
-                    emg = (emg[0],) + tuple(emg[t + 1] + shift[t] for t in range(nv))
-                    kg = key(emg)
-    while i < nf:
-        kf, emf, cf = f[i]
-        append((kf, emf, (a * cf) % mod if mod is not None else a * cf))
-        i += 1
-    while j < ng:
-        append((kg, emg, (b * cg) % mod if mod is not None else b * cg))
-        j += 1
-        if j < ng:
-            kg, emg, cg = g[j]
-            if not no_shift:
-                emg = (emg[0],) + tuple(emg[t + 1] + shift[t] for t in range(nv))
-                kg = key(emg)
+        if mod is not None:
+            c %= mod
+        if c:
+            append((kg, c))
+    out.extend(f[i:])
     return out
-
-
-def _em_divides(a, b):
-    if a[0] != b[0]:
-        return False
-    for x, y in zip(a[1:], b[1:]):
-        if x > y:
-            return False
-    return True
 
 
 class _Basis:
     """Growing reducer set with leads indexed ascending for prefix scans."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, polys=()):
         self.ctx = ctx
-        self.entries = []       # (terms, lead_key, lead_em, lead_coeff, sugar)
+        # (terms, lead_key, lead_coeff, sugar, max_total_degree, lead_wdeg)
+        self.entries = []
         self.by_key = []        # sorted (lead_key, index)
+        for p in polys:
+            self.add(p, ctx.sugar(p[0][0]))
 
     def add(self, terms, sugar):
+        ctx = self.ctx
         idx = len(self.entries)
-        k, em, c = terms[0]
-        self.entries.append((terms, k, em, c, sugar))
+        k, c = terms[0]
+        deg = ctx.deg
+        self.entries.append((terms, k, c, sugar, max(deg(t[0]) for t in terms),
+                             ctx.wdeg(k)))
         insort(self.by_key, (k, idx))
         return idx
 
-    def find_reducer(self, key, em, skip=-1):
+    def find_reducer(self, key, skip=-1):
+        ctx = self.ctx
+        test, want = ctx.test_mask, ctx.var_guards
         # a divisor's key never exceeds the multiple's key
-        for lk, idx in self.by_key:
-            if lk > key:
-                return None
-            if idx == skip:
-                continue
-            ent = self.entries[idx]
-            if _em_divides(ent[2], em):
-                return ent
+        if ctx.reverse:
+            base = ctx.guards - key
+            for lk, idx in self.by_key:
+                if lk > key:
+                    return None
+                if ((lk + base) & test) == want and idx != skip:
+                    return self.entries[idx]
+        else:
+            base = key + ctx.guards
+            for lk, idx in self.by_key:
+                if lk > key:
+                    return None
+                if ((base - lk) & test) == want and idx != skip:
+                    return self.entries[idx]
         return None
+
+
+def _shift_delta(ent, target, ctx):
+    """key(u) − key(1) for x^u = target / lead(ent), after checking that
+    x^u times every term of ``ent`` stays within the cap."""
+    delta = target - ent[1]
+    d = ctx.deg(delta + ctx.one) + ent[4]
+    if d > EXP_CAP:
+        raise _over_cap("total degree", d)
+    return delta
 
 
 def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
@@ -254,15 +312,15 @@ def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
     num, den = 1, 1
     idx = 0
     while idx < len(terms):
-        k, em, c = terms[idx]
-        ent = basis.find_reducer(k, em, skip)
+        k, c = terms[idx]
+        ent = basis.find_reducer(k, skip)
         if ent is None:
             idx += 1
             continue
-        rterms, rk, rem, rc, rsugar = ent
-        shift = tuple(em[t + 1] - rem[t + 1] for t in range(ctx.nvars))
+        rterms, rk, rc, rsugar = ent[:4]
+        delta = _shift_delta(ent, k, ctx)
         if mod is not None:
-            terms = _axpy(1, terms, (-c) % mod, shift, rterms, ctx)
+            terms = _axpy(1, terms, (-c) % mod, delta, rterms, mod)
         else:
             g = igcd(c, rc)
             a = rc // g
@@ -271,14 +329,14 @@ def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
                 b = c // g
             else:
                 b = -(c // g)
-            terms = _axpy(a, terms, b, shift, rterms, ctx)
+            terms = _axpy(a, terms, b, delta, rterms, None)
             if track_scale:
                 num *= a
-            if terms and terms[0][2].bit_length() > STRIP_BITS:
+            if terms and terms[0][1].bit_length() > STRIP_BITS:
                 terms, stripped = _strip_content(terms)
                 if track_scale:
                     den *= stripped
-        sg = rsugar + ctx.wdeg((0,) + shift) - ctx.comp_offsets[0]
+        sg = rsugar + ctx.wdeg(delta + ctx.one)
         if sg > sugar:
             sugar = sg
         # terms[:idx] kept their monomials; scaling cannot make them reducible
@@ -289,43 +347,16 @@ def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
     return terms, sugar, (num, den)
 
 
-def _spoly(ei, ej, ctx):
-    """S-polynomial of two basis entries with a common lead component."""
-    ti, ki, emi, ci, si = ei
-    tj, kj, emj, cj, sj = ej
-    nv = ctx.nvars
-    lcm = tuple(max(emi[t + 1], emj[t + 1]) for t in range(nv))
-    ui = tuple(lcm[t] - emi[t + 1] for t in range(nv))
-    uj = tuple(lcm[t] - emj[t + 1] for t in range(nv))
-    wi = si + sum(ui[t] * ctx.weights[t] for t in range(nv))
-    wj = sj + sum(uj[t] * ctx.weights[t] for t in range(nv))
-    sugar = wi if wi > wj else wj
+def _spoly(ei, ej, lcm, ctx):
+    """S-polynomial of two basis entries whose leads have lcm key ``lcm``."""
+    di = _shift_delta(ei, lcm, ctx)
+    dj = _shift_delta(ej, lcm, ctx)
+    ti = [(k + di, c) for (k, c) in ei[0]] if di else ei[0]
     if ctx.mod is not None:
-        s = _axpy(1, _shift_terms(ti, ui, ctx), ctx.mod - 1, uj, tj, ctx)
-    else:
-        g = igcd(ci, cj)
-        s = _axpy(cj // g, _shift_terms(ti, ui, ctx), -(ci // g), uj, tj, ctx)
-    return s, sugar
-
-
-def _shift_terms(terms, shift, ctx):
-    if not any(shift):
-        return terms
-    key = ctx.key
-    nv = ctx.nvars
-    out = []
-    for (_, em, c) in terms:
-        em2 = (em[0],) + tuple(em[t + 1] + shift[t] for t in range(nv))
-        out.append((key(em2), em2, c))
-    return out
-
-
-def _em_lcm(a, b):
-    return (a[0],) + tuple(max(x, y) for x, y in zip(a[1:], b[1:]))
-
-
-def _em_equal(a, b):
-    return a == b
+        return _axpy(1, ti, ctx.mod - 1, dj, ej[0], ctx.mod)
+    ci, cj = ei[2], ej[2]
+    g = igcd(ci, cj)
+    return _axpy(cj // g, ti, -(ci // g), dj, ej[0], None)
 
 
 def groebner_raw(gens, ctx):
@@ -335,119 +366,78 @@ def groebner_raw(gens, ctx):
     basis as a list of normalized term lists sorted by ascending lead key.
     """
     basis = _Basis(ctx)
+    ents = basis.entries
+    divides = ctx.divides
     pairs = []          # heap of (sugar, lcm_key, i, j)
-    alive = {}          # (i, j) -> lcm_em, or None once dropped
-    lcms = {}
+    live = {}           # (i, j) -> lcm key, for pairs not yet dropped or done
 
-    def update_pairs(h_idx):
-        # Gebauer–Möller update after appending element h_idx
-        ents = basis.entries
-        th, kh, emh, ch, sh = ents[h_idx]
-        cand = []
-        for i in range(h_idx):
-            emi = ents[i][2]
-            if emi[0] != emh[0]:
-                continue
-            cand.append((i, _em_lcm(emi, emh)))
+    def update_pairs(h):
+        # Gebauer–Möller update after appending element h
+        kh, sh, wh = ents[h][1], ents[h][3], ents[h][5]
+        high = kh >> ctx.cshift
+        cand = {i: ctx.lcm(ents[i][1], kh) for i in range(h)
+                if ents[i][1] >> ctx.cshift == high}
         # drop new pairs whose lcm is a strict multiple of another new lcm;
         # among equal lcms keep one, preferring a coprime pair (which then
         # kills the whole class)
-        kept = []
-        for i, L in cand:
-            dominated = False
-            for j, L2 in cand:
-                if j == i:
-                    continue
-                if _em_divides(L2, L) and not _em_equal(L2, L):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append((i, L))
-        # group equal lcms
         groups = {}
-        for i, L in kept:
-            groups.setdefault(L, []).append(i)
+        for i, L in cand.items():
+            if not any(j != i and L2 != L and divides(L2, L)
+                       for j, L2 in cand.items()):
+                groups.setdefault(L, []).append(i)
         new_pairs = []
         for L, members in groups.items():
-            if ctx.use_coprime:
-                coprime = False
-                for i in members:
-                    emi = basis.entries[i][2]
-                    if all(min(emi[t + 1], emh[t + 1]) == 0 for t in range(ctx.nvars)):
-                        coprime = True
-                        break
-                if coprime:
-                    continue
+            if ctx.use_coprime and any(L == ents[i][1] + kh - ctx.one
+                                       for i in members):
+                continue
             new_pairs.append((min(members), L))
         # Buchberger chain criterion against existing pairs
-        for (i, j), L in list(lcms.items()):
-            if alive.get((i, j)) is None:
-                continue
-            if L[0] == emh[0] and _em_divides(emh, L):
-                Lih = _em_lcm(basis.entries[i][2], emh)
-                Ljh = _em_lcm(basis.entries[j][2], emh)
-                if not _em_equal(Lih, L) and not _em_equal(Ljh, L):
-                    alive[(i, j)] = None
+        for (i, j), L in list(live.items()):
+            if divides(kh, L) and cand[i] != L and cand[j] != L:
+                del live[(i, j)]
         for i, L in new_pairs:
-            ei = basis.entries[i]
-            ui = tuple(L[t + 1] - ei[2][t + 1] for t in range(ctx.nvars))
-            uh = tuple(L[t + 1] - emh[t + 1] for t in range(ctx.nvars))
-            wi = ei[4] + sum(ui[t] * ctx.weights[t] for t in range(ctx.nvars))
-            wh = sh + sum(uh[t] * ctx.weights[t] for t in range(ctx.nvars))
-            sg = wi if wi > wh else wh
-            alive[(i, h_idx)] = L
-            lcms[(i, h_idx)] = L
-            heapq.heappush(pairs, (sg, ctx.key(L), i, h_idx))
+            wl = ctx.wdeg(L)
+            wi = ents[i][3] + wl - ents[i][5]
+            wj = sh + wl - wh
+            live[(i, h)] = L
+            heapq.heappush(pairs, (wi if wi > wj else wj, L, i, h))
 
     for g in gens:
         if not g:
             continue
         g = _normalize(sorted(g, key=lambda t: t[0], reverse=True), ctx.mod)
-        nf, sugar, _ = _reduce_full(g, ctx.wdeg(g[0][1]), basis, ctx)
+        nf, sugar, _ = _reduce_full(g, ctx.sugar(g[0][0]), basis, ctx)
         if nf:
-            nf = _normalize(nf, ctx.mod)
-            update_pairs(basis.add(nf, sugar))
+            update_pairs(basis.add(_normalize(nf, ctx.mod), sugar))
 
     while pairs:
-        sg, lk, i, j = heapq.heappop(pairs)
-        if alive.get((i, j)) is None:
+        sg, L, i, j = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
             continue
-        alive[(i, j)] = None
-        s, sugar = _spoly(basis.entries[i], basis.entries[j], ctx)
+        s = _spoly(ents[i], ents[j], L, ctx)
         if not s:
             continue
-        nf, sugar, _ = _reduce_full(s, sugar, basis, ctx)
+        nf, sugar, _ = _reduce_full(s, sg, basis, ctx)
         if nf:
-            nf = _normalize(nf, ctx.mod)
-            update_pairs(basis.add(nf, sugar))
+            update_pairs(basis.add(_normalize(nf, ctx.mod), sugar))
 
-    return _interreduce([e[0] for e in basis.entries], ctx)
+    return _interreduce([e[0] for e in ents], ctx)
 
 
 def _interreduce(polys, ctx):
     """Minimalize leads, tail-reduce everything, sort ascending by lead."""
     polys = [p for p in polys if p]
+    divides = ctx.divides
     # minimal leads: drop any element whose lead is divisible by another's
-    keep = []
-    for i, p in enumerate(polys):
-        k, em, _ = p[0]
-        redundant = False
-        for j, q in enumerate(polys):
-            if i == j:
-                continue
-            k2, em2, _ = q[0]
-            if _em_divides(em2, em) and (not _em_equal(em2, em) or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(p)
+    keep = [p for i, p in enumerate(polys)
+            if not any(j != i and divides(q[0][0], p[0][0])
+                       and (q[0][0] != p[0][0] or j < i)
+                       for j, q in enumerate(polys))]
     keep.sort(key=lambda p: p[0][0])
-    basis = _Basis(ctx)
-    for p in keep:
-        basis.add(p, ctx.wdeg(p[0][1]))
+    basis = _Basis(ctx, keep)
     out = []
     for idx, p in enumerate(keep):
-        nf, _, _ = _reduce_full(p, ctx.wdeg(p[0][1]), basis, ctx, skip=idx)
+        nf, _, _ = _reduce_full(p, ctx.sugar(p[0][0]), basis, ctx, skip=idx)
         out.append(_normalize(nf, ctx.mod))
     out.sort(key=lambda p: p[0][0])
     return out
@@ -461,10 +451,8 @@ def normal_form_raw(terms, gb_list, ctx, track_scale=True):
     """
     if not terms:
         return terms, (1, 1)
-    basis = _Basis(ctx)
-    for p in gb_list:
-        basis.add(p, ctx.wdeg(p[0][1]))
+    basis = _Basis(ctx, gb_list)
     terms = sorted(terms, key=lambda t: t[0], reverse=True)
-    nf, _, scale = _reduce_full(terms, ctx.wdeg(terms[0][1]), basis, ctx,
+    nf, _, scale = _reduce_full(terms, ctx.sugar(terms[0][0]), basis, ctx,
                                 track_scale=track_scale)
     return nf, scale

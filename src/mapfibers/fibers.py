@@ -113,6 +113,17 @@ class ParameterizedMap:
         except ArithmeticError as exc:
             return None, str(exc)
 
+    @cached_property
+    def support(self) -> Tuple[Optional[List[PointProjective]], bool]:
+        """`rational_points_zero_dim` on the annihilator of N: the rational
+        support points in solver order and whether they are all of its
+        points; (None, False) when the support is not zero-dimensional.
+        Only defined when `presentation` succeeded."""
+        try:
+            return rational_points_zero_dim(self.presentation[0].annihilator)
+        except NotZeroDimensionalError:
+            return None, False
+
 
 def build_map(forms: Sequence[Polynomial],
               target_names: Optional[Sequence[str]] = None) -> ParameterizedMap:
@@ -515,9 +526,11 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         result.route_b_ran = True
         proxy = pmap.lci_proxy
         result.lci_proxy = proxy
-        try:
-            pts, pts_complete = rational_points_zero_dim(pres.annihilator)
-            result.route_b_points_complete = pts_complete
+        pts, pts_complete = pmap.support
+        result.route_b_points_complete = pts_complete
+        if pts is None:
+            result.notes.append("module support is not zero-dimensional")
+        else:
             for y in pts:
                 try_point(y, "B")
             result.complete = pts_complete and proxy
@@ -525,9 +538,6 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
                 result.notes.append(
                     "support has components with no rational point: "
                     "inventory restricted to the base field")
-        except NotZeroDimensionalError:
-            result.route_b_points_complete = False
-            result.notes.append("module support is not zero-dimensional")
     if not result.complete and not result.route_b_ran:
         result.notes.append(
             "only the gcd route ran: inventory is sound but may be incomplete")

@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional
 
 from . import engine
 from .engine import EngineContext
-from .fields import PrimeField, RationalField
+from .fields import PrimeField
 from .poly import Polynomial
 from .rings import GREVLEX, RingDescriptor, TermOrder
 
@@ -30,31 +30,31 @@ def to_raw(p: Polynomial, ctx: EngineContext) -> list:
     """Polynomial → engine term list (cleared to integers over QQ)."""
     if not p.terms:
         return []
-    key = ctx.key
+    pack = ctx.pack
     if ctx.mod is not None:
-        out = [(key((0,) + m), (0,) + m, int(c)) for m, c in p.terms.items() if int(c) % ctx.mod]
+        out = [(pack(m), int(c)) for m, c in p.terms.items() if int(c) % ctx.mod]
     else:
         den = 1
         for c in p.terms.values():
             den = den * c.denominator // gcd(den, c.denominator)
-        out = [(key((0,) + m), (0,) + m, int(c * den)) for m, c in p.terms.items()]
+        out = [(pack(m), int(c * den)) for m, c in p.terms.items()]
     out.sort(key=lambda t: t[0], reverse=True)
     return out
 
 
-def from_raw(terms: list, ring: RingDescriptor, monic: bool = True) -> Polynomial:
-    """Engine term list → monic Polynomial."""
+def from_raw(terms: list, ctx: EngineContext, ring: RingDescriptor,
+             scale=None) -> Polynomial:
+    """Engine term list → Polynomial, monic unless a ``scale`` is given."""
     if not terms:
         return Polynomial.zero(ring)
-    F = ring.field
-    if isinstance(F, PrimeField):
-        lead = terms[0][2]
-        inv = pow(lead, F.p - 2, F.p) if monic and lead != 1 else 1
-        return Polynomial(ring, {em[1:]: (c * inv) % F.p for (_, em, c) in terms})
-    lead = terms[0][2]
-    if monic:
-        return Polynomial(ring, {em[1:]: Fraction(c, lead) for (_, em, c) in terms})
-    return Polynomial(ring, {em[1:]: Fraction(c) for (_, em, c) in terms})
+    exps = ctx.exps
+    if ctx.mod is not None:
+        p = ctx.mod
+        inv = pow(terms[0][1], p - 2, p) if scale is None else scale
+        return Polynomial(ring, {exps(k): (c * inv) % p for (k, c) in terms})
+    if scale is None:
+        scale = Fraction(1, terms[0][1])
+    return Polynomial(ring, {exps(k): c * scale for (k, c) in terms})
 
 
 class GroebnerBasis:
@@ -65,7 +65,7 @@ class GroebnerBasis:
         self.order = order
         self._raw = raw
         self._ctx = ctx
-        self.polys: List[Polynomial] = [from_raw(t, ring) for t in raw]
+        self.polys: List[Polynomial] = [from_raw(t, ctx, ring) for t in raw]
         self.reduced = True
         self._reducer = None
 
@@ -80,14 +80,11 @@ class GroebnerBasis:
                 and self.order == other.order and self.polys == other.polys)
 
     def leading_monomials(self) -> list:
-        return [t[0][1][1:] for t in self._raw]
+        return [self._ctx.exps(t[0][0]) for t in self._raw]
 
     def _basis_index(self):
         if self._reducer is None:
-            b = engine._Basis(self._ctx)
-            for p in self._raw:
-                b.add(p, self._ctx.wdeg(p[0][1]))
-            self._reducer = b
+            self._reducer = engine._Basis(self._ctx, self._raw)
         return self._reducer
 
     def __repr__(self):
@@ -117,21 +114,18 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.is_zero() or not gb._raw:
         return f
     ctx = gb._ctx
-    terms = sorted(to_raw(f, ctx), key=lambda t: t[0], reverse=True)
+    terms = to_raw(f, ctx)
     basis = gb._basis_index()
-    nf, _, (num, den) = engine._reduce_full(terms, ctx.wdeg(terms[0][1]), basis, ctx,
+    nf, _, (num, den) = engine._reduce_full(terms, ctx.sugar(terms[0][0]), basis, ctx,
                                             track_scale=True)
-    if not nf:
-        return Polynomial.zero(gb.ring)
     if ctx.mod is not None:
-        return Polynomial(gb.ring, {em[1:]: c for (_, em, c) in nf})
+        return from_raw(nf, ctx, gb.ring, scale=1)
     # engine computed num/den · f ≡ nf; recover the true remainder, then
     # rescale to match f's own denominators
     inden = 1
     for c in f.terms.values():
         inden = inden * c.denominator // gcd(inden, c.denominator)
-    scale = Fraction(den, num * inden)
-    return Polynomial(gb.ring, {em[1:]: Fraction(c) * scale for (_, em, c) in nf})
+    return from_raw(nf, ctx, gb.ring, scale=Fraction(den, num * inden))
 
 
 def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:

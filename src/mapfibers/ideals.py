@@ -10,13 +10,11 @@ Both require / preserve homogeneity where documented.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import PrimeField
 from .groebner import GroebnerBasis, normal_form, reduced_groebner
 from .hilbert import HilbertData, hilbert_series_quotient
 from .poly import Polynomial

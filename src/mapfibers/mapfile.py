@@ -17,7 +17,8 @@ grammar
     base   := coefficient | variable | '(' expr ')'
 
 where a coefficient is an integer or an a/b rational literal.  Parsing is
-exact; over GF(p) integer literals reduce mod p.  ``format_map_file`` is a
+exact; over GF(p) integer literals reduce mod p.  No degree may pass the
+engine's monomial cap `engine.EXP_CAP` (32767).  ``format_map_file`` is a
 right inverse: parsing its output reproduces the map.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Sequence, Tuple
 
+from .engine import EXP_CAP
 from .fields import Field, QQ, PrimeField
 from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
@@ -142,7 +144,11 @@ class _ExprParser:
             if kind != "int":
                 raise MapFileError("exponent must be a natural number",
                                    self.line, col)
-            f = f ** int(text)
+            n = int(text)
+            if max(f.degree(), 1) * n > EXP_CAP:
+                raise MapFileError(f"exponent {n} takes the degree past the "
+                                   f"monomial cap {EXP_CAP}", self.line, col)
+            f = f ** n
         return f
 
     def _base(self) -> Polynomial:
@@ -263,6 +269,9 @@ def parse_map_file(text: str) -> ParameterizedMap:
     for idx in range(n + 1):
         value, lineno, vcol = form_texts[idx]
         f = parse_polynomial(value, ring, lineno, vcol)
+        if f.degree() > EXP_CAP:
+            raise MapFileError(f"form f{idx} has degree {f.degree()}, above "
+                               f"the monomial cap {EXP_CAP}", lineno, vcol)
         if not f.is_homogeneous():
             raise MapFileError(f"form f{idx} is not homogeneous", lineno, vcol)
         forms.append(f)

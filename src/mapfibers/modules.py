@@ -133,14 +133,13 @@ def _module_context(ring: RingDescriptor, ncomps: int, shifts, comp_rank=None,
 
 def vec_to_raw(vec: Vector, ctx: EngineContext) -> list:
     out = []
-    key = ctx.key
+    pack = ctx.pack_comp
     if ctx.mod is not None:
         for c, p in enumerate(vec):
             for m, co in p.terms.items():
                 co = int(co) % ctx.mod
                 if co:
-                    em = (c,) + m
-                    out.append((key(em), em, co))
+                    out.append((pack(c, m), co))
     else:
         den = 1
         for p in vec:
@@ -148,27 +147,27 @@ def vec_to_raw(vec: Vector, ctx: EngineContext) -> list:
                 den = den * co.denominator // gcd(den, co.denominator)
         for c, p in enumerate(vec):
             for m, co in p.terms.items():
-                em = (c,) + m
-                out.append((key(em), em, int(co * den)))
+                out.append((pack(c, m), int(co * den)))
     out.sort(key=lambda t: t[0], reverse=True)
     return out
 
 
-def raw_to_vec(terms: list, ring: RingDescriptor, ncomps: int, monic: bool = True) -> Vector:
-    comps = [{} for _ in range(ncomps)]
-    if not terms:
-        return tuple(Polynomial.zero(ring) for _ in range(ncomps))
-    F = ring.field
-    if isinstance(F, PrimeField):
-        lead = terms[0][2]
-        inv = pow(lead, F.p - 2, F.p) if monic and lead != 1 else 1
-        for (_, em, c) in terms:
-            comps[em[0]][em[1:]] = (c * inv) % F.p
-    else:
-        lead = terms[0][2]
-        scale = Fraction(1, lead) if monic else Fraction(1)
-        for (_, em, c) in terms:
-            comps[em[0]][em[1:]] = c * scale
+def raw_to_vec(terms: list, ctx: EngineContext, ring: RingDescriptor,
+               scale=None) -> Vector:
+    """Engine term list → vector, monic unless a ``scale`` is given."""
+    comps = [{} for _ in range(ctx.ncomps)]
+    if terms:
+        exps, comp = ctx.exps, ctx.comp
+        if ctx.mod is not None:
+            p = ctx.mod
+            inv = pow(terms[0][1], p - 2, p) if scale is None else scale
+            for (k, c) in terms:
+                comps[comp(k)][exps(k)] = (c * inv) % p
+        else:
+            if scale is None:
+                scale = Fraction(1, terms[0][1])
+            for (k, c) in terms:
+                comps[comp(k)][exps(k)] = c * scale
     return tuple(Polynomial(ring, d) for d in comps)
 
 
@@ -180,7 +179,7 @@ class ModuleGroebnerBasis:
         self.ring = free.ring
         self._raw = raw
         self._ctx = ctx
-        self.vectors: List[Vector] = [raw_to_vec(t, free.ring, free.rank) for t in raw]
+        self.vectors: List[Vector] = [raw_to_vec(t, ctx, free.ring) for t in raw]
         self._reducer = None
 
     def __len__(self):
@@ -191,14 +190,12 @@ class ModuleGroebnerBasis:
 
     def leading_terms(self) -> list:
         """(component, monomial) leading pairs, one per basis element."""
-        return [(t[0][1][0], t[0][1][1:]) for t in self._raw]
+        ctx = self._ctx
+        return [(ctx.comp(t[0][0]), ctx.exps(t[0][0])) for t in self._raw]
 
     def _basis_index(self):
         if self._reducer is None:
-            b = engine._Basis(self._ctx)
-            for p in self._raw:
-                b.add(p, self._ctx.wdeg(p[0][1]))
-            self._reducer = b
+            self._reducer = engine._Basis(self._ctx, self._raw)
         return self._reducer
 
     def normal_form(self, vec: Vector) -> Vector:
@@ -206,21 +203,15 @@ class ModuleGroebnerBasis:
             return vec
         ctx = self._ctx
         terms = vec_to_raw(vec, ctx)
-        nf, _, (num, den) = engine._reduce_full(terms, ctx.wdeg(terms[0][1]),
+        nf, _, (num, den) = engine._reduce_full(terms, ctx.sugar(terms[0][0]),
                                                 self._basis_index(), ctx, track_scale=True)
-        if not nf:
-            return self.free.zero()
         if ctx.mod is not None:
-            return raw_to_vec(nf, self.ring, self.free.rank, monic=False)
+            return raw_to_vec(nf, ctx, self.ring, scale=1)
         inden = 1
         for p in vec:
             for co in p.terms.values():
                 inden = inden * co.denominator // gcd(inden, co.denominator)
-        scale = Fraction(den, num * inden)
-        comps = [{} for _ in range(self.free.rank)]
-        for (_, em, c) in nf:
-            comps[em[0]][em[1:]] = c * scale
-        return tuple(Polynomial(self.ring, d) for d in comps)
+        return raw_to_vec(nf, ctx, self.ring, scale=Fraction(den, num * inden))
 
     def contains(self, vec: Vector) -> bool:
         return vec_is_zero(self.normal_form(vec))

@@ -10,18 +10,17 @@ base field).  Partial results are reported as computed, never fabricated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from .cohomology import (CohomologyTable, ModuleDegreeVerdict,
-                         check_module_degree_formula, n_table)
+from .cohomology import (ModuleDegreeVerdict, check_module_degree_formula,
+                         n_table)
 from .fibers import (FiberSearch, ParameterizedMap,
                      check_divisor_degree_bound, check_fiber_factorization,
                      find_one_dim_fibers)
 from .report import (SCHEMA_VERSION, divisor_bound_json, factorization_json,
                      fibers_block, image_block, input_block, point_json)
-from .solve import NotZeroDimensionalError, rational_points_zero_dim
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -112,13 +111,8 @@ def run_pipeline(pmap: ParameterizedMap,
         with _Step(timings, "presentation"):
             pres, pres_error = pmap.presentation
     if pres is not None and opt.presentation:
-        supp_pts: List = []
-        supp_complete = None
-        try:
-            pts, supp_complete = rational_points_zero_dim(pres.annihilator)
-            supp_pts = sorted(pts, key=lambda p: p.coords)
-        except NotZeroDimensionalError:
-            supp_complete = False
+        pts, supp_complete = pmap.support
+        supp_pts = sorted(pts or [], key=lambda p: p.coords)
         l, mrank, n = pres.ranks
         block = {
             "ranks": {"l": l, "mrank": mrank, "n": n},

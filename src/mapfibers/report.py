@@ -9,7 +9,7 @@ form, so a report can be parsed back without loss.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .fibers import (FiberRecord, FiberSearch, ImageData, ParameterizedMap,
                      DivisorBoundVerdict, FactorizationVerdict)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .engine import EngineContext
 from .fields import Field, QQ
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -61,30 +62,16 @@ class TermOrder:
     var_order: Optional[tuple] = None
     block: Optional[frozenset] = None
 
-    def key_function(self, nvars: int) -> Callable[[Monomial], tuple]:
-        """Return key(mono) such that key(u) > key(v) iff u > v."""
+    def key_function(self, nvars: int) -> Callable[[Monomial], int]:
+        """Return key(mono) such that key(u) > key(v) iff u > v.
+
+        The key is the engine's packed monomial, so exponents and total
+        degrees above `engine.EXP_CAP` raise ArithmeticError.
+        """
         order = self.var_order if self.var_order is not None else tuple(range(nvars))
         if len(order) != nvars:
             raise ValueError("var_order length does not match variable count")
-        rev = tuple(reversed(order))
-        if self.kind == "grevlex":
-            def key(e, _rev=rev):
-                return (sum(e), tuple(-e[i] for i in _rev))
-            return key
-        if self.kind == "lex":
-            def key(e, _ord=order):
-                return tuple(e[i] for i in _ord)
-            return key
-        if self.kind == "elim":
-            block = self.block or frozenset()
-            brev = tuple(i for i in rev if i in block)
-            krev = tuple(i for i in rev if i not in block)
-            def key(e, _brev=brev, _krev=krev):
-                bdeg = sum(e[i] for i in _brev)
-                return (bdeg, tuple(-e[i] for i in _brev),
-                        sum(e) - bdeg, tuple(-e[i] for i in _krev))
-            return key
-        raise ValueError(f"unknown term order kind {self.kind!r}")
+        return EngineContext(nvars, self).pack
 
 
 GREVLEX = TermOrder("grevlex")

@@ -11,14 +11,14 @@ factors over the coefficient field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Iterable, List, Sequence, Tuple
 
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, PrimeField
 from .groebner import reduced_groebner
 from .ideals import Ideal, eliminate, restrict_polynomial
 from .poly import Polynomial
-from .rings import RingDescriptor, standard_ring
+from .rings import RingDescriptor
 
 
 class NotZeroDimensionalError(ValueError):

@@ -101,3 +101,14 @@ def test_expression_parser_directly():
         parse_polynomial("x + ", R)
     with pytest.raises(MapFileError):
         parse_polynomial("x + $", R)
+
+
+def test_exponent_past_the_cap_rejected_with_location():
+    with pytest.raises(MapFileError) as exc:
+        parse_map_file("source = x y\nf0 = x^70000\nf1 = y^70000\n")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    assert "70000" in str(exc.value) and "32767" in str(exc.value)
+    # each exponent fits, their product does not
+    with pytest.raises(MapFileError) as exc:
+        parse_map_file("source = x y\nf0 = x^20000*y^20000\nf1 = x*y^39999\n")
+    assert exc.value.line == 2 and "degree 40000" in str(exc.value)

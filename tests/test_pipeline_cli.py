@@ -1,7 +1,9 @@
 import json
 import os
+import subprocess
 import sys
 
+import mapfibers
 from mapfibers import build_map, standard_ring
 from mapfibers.cli import main
 from mapfibers.ideals import saturate_irrelevant
@@ -11,6 +13,7 @@ from mapfibers.poly import Polynomial
 from mapfibers.mapfile import parse_map_file
 from mapfibers.pipeline import PipelineOptions, run_pipeline
 from mapfibers.report import SCHEMA_VERSION, dumps, render_text
+from mapfibers.solve import rational_points_zero_dim
 
 from conftest import map_path
 
@@ -142,6 +145,20 @@ def test_cli_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_cli_exponent_past_the_cap_exits_one(tmp_path):
+    bad = tmp_path / "huge.map"
+    bad.write_text("source = x y\nf0 = x^70000\nf1 = y^70000\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapfibers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "mapfibers.cli", "analyze",
+                           str(bad)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "line 2, column 8" in proc.stderr and "32767" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _count_calls(monkeypatch, fn, key=lambda *args: None):
     """Rebind fn in every mapfibers module that holds it to a wrapper that
     logs key(*args) per call; returns the log."""
@@ -170,9 +187,11 @@ def test_pipeline_derives_each_object_once(monkeypatch):
                                 for g in I.generators))
     proxies = _count_calls(monkeypatch, lci_proxy_check)
     presentations = _count_calls(monkeypatch, presentation_matrix_N)
+    supports = _count_calls(monkeypatch, rational_points_zero_dim)
     result = run_pipeline(pmap, PipelineOptions(s_max=3))
     assert result.exit_code == 0 and result.search.route_b_ran
     assert len(result.search.records) == 4
     assert saturations and len(saturations) == len(set(saturations))
     assert len(proxies) <= 1 and len(presentations) <= 1
+    assert len(supports) == 1
 
