@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import _dual_map_rows, _hom_basis, hdim_difference
+from .cohomology import hdim_difference
 from .ideals import Ideal, degree_monomials, intersect_many
 from .modules import (FreeModule, FreeModuleMap, Vector, kernel_of_free_map,
                       lift_through_generators, module_groebner,
                       submodule_colon_component, vec_is_zero, vector_degree)
-from .hilbert import hilbert_series_module_quotient
+from .hilbert import hilbert_series_quotient
 from .poly import Polynomial, mono_mul
 from .rings import RingDescriptor, standard_ring
 from . import linalg
@@ -237,38 +237,6 @@ def complex_ranks(kd: KoszulData, I: Optional[Ideal] = None) -> Tuple[int, int, 
     return l, mrank, n
 
 
-def module_ext_dim(gens: Sequence[Vector], ambient: FreeModule, j: int, e: int) -> int:
-    """dim_k Ext^j(M, R)_e for M = ⟨gens⟩ ⊆ a graded free module.
-
-    Resolves M by iterated syzygy kernels and dualizes degreewise; used to
-    spot-check depth of the cycle modules (H^0_m = H^1_m = 0 translates to
-    Ext^3 = Ext^2 = 0 against R(-3))."""
-    ring = ambient.ring
-    covers: List[FreeModule] = []
-    maps: List[FreeModuleMap] = []
-    current, current_amb = list(gens), ambient
-    while current:
-        cover, gmap = _generator_cover(current, current_amb)
-        covers.append(cover)
-        maps.append(gmap)
-        current = kernel_of_free_map(gmap)
-        current_amb = cover
-        if len(covers) > ring.nvars + 1:
-            raise ArithmeticError("resolution exceeded the global dimension")
-    if j >= len(covers):
-        return 0
-    hom_dim = len(_hom_basis(covers[j].shifts, e, ring.nvars))
-    r_up = 0
-    if j + 1 < len(maps):
-        rows, _, _ = _dual_map_rows(maps[j + 1], e)
-        r_up = linalg.rank(rows, ring.field)
-    r_down = 0
-    if j >= 1:
-        rows, _, _ = _dual_map_rows(maps[j], e)
-        r_down = linalg.rank(rows, ring.field)
-    return hom_dim - r_up - r_down
-
-
 @dataclass
 class PresentationData:
     """Presentation of N over the target ring and derived invariants."""
@@ -389,7 +357,7 @@ def presentation_matrix_N(I: Ideal,
     cfree = FreeModule(B, (1,) * n)
     columns = [tuple(P[a][b] for a in range(n)) for b in range(mrank)]
     mgb = module_groebner([c for c in columns if not vec_is_zero(c)], cfree)
-    H = hilbert_series_module_quotient(mgb, cfree)
+    H = hilbert_series_quotient(mgb)
     top = max(n + 2, 4) if s_window is None else s_window
     coker_dims = {s: H.hf(s) for s in range(1, top + 1)}
     window = {H.hf(s) for s in range(n, n + 3)}

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    mapfibers analyze    <file> [--json OUT] [--s-max K] [--seed N]
+    mapfibers analyze    <file> [--json OUT] [--s-max K]
     mapfibers fibers     <file>
     mapfibers cohomology <file> --mu M [--s-max K]
     mapfibers image      <file>
@@ -39,7 +39,7 @@ def _cmd_analyze(args) -> int:
     pmap = _load(args.file)
     if pmap is None:
         return 1
-    opt = PipelineOptions(s_max=args.s_max, seed=args.seed)
+    opt = PipelineOptions(s_max=args.s_max)
     result = run_pipeline(pmap, opt, path=args.file)
     sys.stdout.write(render_text(result.report))
     if args.json:
@@ -81,7 +81,6 @@ def _cmd_cohomology(args) -> int:
     print(f"dim H^{pmap.m}(I^s) in degree s*d + ({args.mu}):")
     for s in sorted(table.values):
         print(f"  s = {s}: {table.values[s]}")
-    table.detect_stabilization()
     if table.stabilized:
         print(f"stabilizes at {table.stable_value} from s = {table.stable_from}")
     return EXIT_OK
@@ -116,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="OUT", help="also write the JSON report")
     p.add_argument("--s-max", type=int, default=4, dest="s_max",
                    help="largest power of the base ideal to examine")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed echoed into the report for reproducibility")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fibers", help="inventory of (m-1)-dimensional fibers")

@@ -230,12 +230,3 @@ def check_module_degree_formula(divisor_degrees: Sequence[int],
         lhs, rhs, lhs == rhs, False,
         f"stabilized value {lhs} vs divisor sum {rhs} (equal)" if lhs == rhs
         else f"stabilized value {lhs} differs from divisor sum {rhs}")
-
-
-def predicted_support(records: Sequence, mu: int, m: int) -> List:
-    """Fibers whose divisor degree meets deg ≥ μ + m + 1.
-
-    These are the points where the strand M_μ must be supported;
-    records need a ``divisor_degree`` attribute.
-    """
-    return [r for r in records if r.divisor_degree >= mu + m + 1]

@@ -16,7 +16,7 @@ Every field is affine in the exponent vector, hence so is the key:
 A shift by x^u is one integer add of ``delta = key(x^u·m) − key(m)``,
 divisibility is one subtract-and-mask test on the top (guard) bit of
 each field, and exponents are unpacked only to form the lcm of a pair
-and at the conversion boundaries in `groebner` and `modules`.  This holds
+and at the conversion boundary in `groebner`.  This holds
 while every field stays within [0, EXP_CAP], so the total degree of each
 monomial the engine forms is capped at EXP_CAP: packing raises
 ArithmeticError past it, and every reduction step checks that the
@@ -105,14 +105,14 @@ class EngineContext:
                     cols[i] += 1 << shift
         # position over term: component rank dominates the scalar key
         cshift = self.cshift = EXP_BITS * (nv + 3)
-        self._rank_bits = tuple(r << cshift for r in self.comp_rank)
-        self._comp_of_rank = {r: c for c, r in enumerate(self.comp_rank)}
+        self.rank_bits = tuple(r << cshift for r in self.comp_rank)
+        self.comp_of_rank = {r: c for c, r in enumerate(self.comp_rank)}
         self.one = one
         self.guards = guards
         self.var_guards = var_guards
         # a nonzero rank difference shows in these bits of (a + guards − b)
-        rank_bits = max(self.comp_rank, default=0).bit_length() + 1
-        self.test_mask = var_guards | (((1 << rank_bits) - 1) << cshift)
+        width = max(self.comp_rank, default=0).bit_length() + 1
+        self.test_mask = var_guards | (((1 << width) - 1) << cshift)
 
         cols = tuple(cols)
 
@@ -169,10 +169,10 @@ class EngineContext:
 
     def pack_comp(self, c, e):
         """Key of the monomial x^e in component c."""
-        return self._rank_bits[c] + self.pack(e)
+        return self.rank_bits[c] + self.pack(e)
 
     def comp(self, k):
-        return self._comp_of_rank[k >> self.cshift]
+        return self.comp_of_rank[k >> self.cshift]
 
     def lcm(self, a, b):
         """Key of lcm(a, b) for two keys in one component."""

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .approx import PresentationData, presentation_matrix_N
 from .groebner import normal_form
 from .ideals import (Ideal, degree_monomials, eliminate, exact_divide,
-                     extend_polynomial, ideal_power, intersect_many,
-                     poly_gcd_list, restrict_polynomial, saturate_variable)
+                     extend_polynomial, ideal_power, poly_gcd_list,
+                     restrict_polynomial, saturate_variable)
 from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
 from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
@@ -442,9 +442,9 @@ def lci_proxy_check(pmap: ParameterizedMap) -> bool:
     rd = pmap.rees
     S = rd.ambient
     J1 = Ideal(S, rd.linear_part)
-    nx = pmap.source.nvars
-    sat = intersect_many([saturate_variable(J1, i) for i in range(nx)])
-    return rd.rees.is_subideal_of(sat)
+    # 𝔓 ⊆ ∩_i (J1 : X_i^∞) iff 𝔓 ⊆ J1 : X_i^∞ for every i
+    return all(rd.rees.is_subideal_of(saturate_variable(J1, i))
+               for i in range(pmap.source.nvars))
 
 
 def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:

@@ -1,16 +1,20 @@
-"""Reduced Gröbner bases and normal forms for scalar ideals.
+"""Gröbner front end for ideals and free-module submodules.
 
-Thin, deterministic wrapper over the raw engine: handles conversion
-between Polynomial values (Fraction or residue coefficients) and the
-engine's integer term lists, caches the reducer index for repeated
-normal-form calls, and normalizes output monic.
+The one boundary between Polynomial values and the engine's term lists.
+A module element is a tuple of polynomials, one per component of a
+shifted free module ⊕_c R(−shifts[c]); an ideal is the rank-one case
+with shifts ``(0,)``.  This module converts vectors to and from the
+engine's integer term lists, keeps the reducer index of a basis for
+repeated normal forms, recovers exact remainders over QQ, and
+normalizes basis elements monic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import engine
 from .engine import EngineContext
@@ -18,81 +22,117 @@ from .fields import PrimeField
 from .poly import Polynomial
 from .rings import GREVLEX, RingDescriptor, TermOrder
 
+Vector = Tuple[Polynomial, ...]
 
-def _context(ring: RingDescriptor, order: TermOrder, weights=None) -> EngineContext:
+
+def _context(ring: RingDescriptor, order: TermOrder, shifts: Sequence[int] = (0,),
+             comp_rank=None) -> EngineContext:
     mod = ring.field.p if isinstance(ring.field, PrimeField) else None
-    if weights is None:
-        weights = tuple(sum(w) for w in ring.weights)
-    return EngineContext(ring.nvars, order, mod=mod, weights=weights)
+    weights = tuple(sum(w) for w in ring.weights)
+    return EngineContext(ring.nvars, order, mod=mod, ncomps=len(shifts),
+                         comp_rank=comp_rank, weights=weights,
+                         comp_offsets=tuple(shifts))
 
 
-def to_raw(p: Polynomial, ctx: EngineContext) -> list:
-    """Polynomial → engine term list (cleared to integers over QQ)."""
-    if not p.terms:
-        return []
-    pack = ctx.pack
-    if ctx.mod is not None:
-        out = [(pack(m), int(c)) for m, c in p.terms.items() if int(c) % ctx.mod]
-    else:
-        den = 1
+def _denominator(vec: Vector) -> int:
+    """Least common denominator of the coefficients of a vector over QQ."""
+    den = 1
+    for p in vec:
         for c in p.terms.values():
             den = den * c.denominator // gcd(den, c.denominator)
-        out = [(pack(m), int(c * den)) for m, c in p.terms.items()]
+    return den
+
+
+def to_raw(vec: Vector, ctx: EngineContext) -> list:
+    """Vector → engine term list (cleared to integers over QQ)."""
+    pack = ctx.pack
+    out = []
+    if ctx.mod is not None:
+        mod = ctx.mod
+        for p, off in zip(vec, ctx.rank_bits):
+            if p.terms:
+                out += [(off + pack(m), int(c)) for m, c in p.terms.items()
+                        if int(c) % mod]
+    else:
+        den = _denominator(vec)
+        for p, off in zip(vec, ctx.rank_bits):
+            if p.terms:
+                out += [(off + pack(m), int(c * den)) for m, c in p.terms.items()]
     out.sort(key=lambda t: t[0], reverse=True)
     return out
 
 
 def from_raw(terms: list, ctx: EngineContext, ring: RingDescriptor,
-             scale=None) -> Polynomial:
-    """Engine term list → Polynomial, monic unless a ``scale`` is given."""
-    if not terms:
-        return Polynomial.zero(ring)
-    exps = ctx.exps
-    if ctx.mod is not None:
-        p = ctx.mod
-        inv = pow(terms[0][1], p - 2, p) if scale is None else scale
-        return Polynomial(ring, {exps(k): (c * inv) % p for (k, c) in terms})
-    if scale is None:
-        scale = Fraction(1, terms[0][1])
-    return Polynomial(ring, {exps(k): c * scale for (k, c) in terms})
+             scale=None) -> Vector:
+    """Engine term list → vector, monic unless a ``scale`` is given."""
+    comps = [{} for _ in range(ctx.ncomps)]
+    if terms:
+        exps, comp_of_rank, cshift = ctx.exps, ctx.comp_of_rank, ctx.cshift
+        if ctx.mod is not None:
+            p = ctx.mod
+            if scale is None:
+                scale = pow(terms[0][1], p - 2, p)
+            for (k, c) in terms:
+                comps[comp_of_rank[k >> cshift]][exps(k)] = (c * scale) % p
+        else:
+            if scale is None:
+                scale = Fraction(1, terms[0][1])
+            for (k, c) in terms:
+                comps[comp_of_rank[k >> cshift]][exps(k)] = c * scale
+    return tuple(Polynomial(ring, d) for d in comps)
 
 
 class GroebnerBasis:
-    """Reduced Gröbner basis: unique for (ideal, order), elements monic."""
+    """Reduced Gröbner basis of a submodule of ⊕_c R(−shifts[c]) (of an
+    ideal when the shifts are ``(0,)``): unique for (submodule, order,
+    component ranking), elements monic."""
 
-    def __init__(self, ring: RingDescriptor, order: TermOrder, raw: list, ctx: EngineContext):
+    def __init__(self, vectors: Iterable[Vector], ring: RingDescriptor,
+                 order: TermOrder = GREVLEX, shifts: Sequence[int] = (0,),
+                 comp_rank=None):
         self.ring = ring
         self.order = order
-        self._raw = raw
-        self._ctx = ctx
-        self.polys: List[Polynomial] = [from_raw(t, ctx, ring) for t in raw]
-        self.reduced = True
-        self._reducer = None
+        self.ctx = ctx = _context(ring, order, shifts, comp_rank)
+        self._raw = engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx)
+        self.vectors: List[Vector] = [from_raw(t, ctx, ring) for t in self._raw]
 
-    def __iter__(self):
-        return iter(self.polys)
+    @cached_property
+    def polys(self) -> List[Polynomial]:
+        """The elements of a rank-one basis as polynomials."""
+        return [p for (p,) in self.vectors]
 
-    def __len__(self):
-        return len(self.polys)
+    def leading_terms(self) -> list:
+        """(component, exponent tuple) of each element's leading term."""
+        ctx = self.ctx
+        return [(ctx.comp(t[0][0]), ctx.exps(t[0][0])) for t in self._raw]
 
-    def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis) and self.ring == other.ring
-                and self.order == other.order and self.polys == other.polys)
+    @cached_property
+    def _reducer(self) -> engine._Basis:
+        return engine._Basis(self.ctx, self._raw)
 
-    def leading_monomials(self) -> list:
-        return [self._ctx.exps(t[0][0]) for t in self._raw]
+    def normal_form(self, vec: Vector) -> Vector:
+        """Remainder of division by the basis; exact."""
+        if not self._raw or all(p.is_zero() for p in vec):
+            return vec
+        ctx = self.ctx
+        terms = to_raw(vec, ctx)
+        nf, _, (num, den) = engine._reduce_full(terms, ctx.sugar(terms[0][0]),
+                                                self._reducer, ctx, track_scale=True)
+        if ctx.mod is not None:
+            return from_raw(nf, ctx, self.ring, scale=1)
+        # engine computed num/den · vec ≡ nf; recover the true remainder,
+        # then rescale to match vec's own denominators
+        return from_raw(nf, ctx, self.ring,
+                        scale=Fraction(den, num * _denominator(vec)))
 
-    def _basis_index(self):
-        if self._reducer is None:
-            self._reducer = engine._Basis(self._ctx, self._raw)
-        return self._reducer
+    def contains(self, vec: Vector) -> bool:
+        return all(p.is_zero() for p in self.normal_form(vec))
 
     def __repr__(self):
-        return f"<GroebnerBasis of {len(self.polys)} elements in {self.ring!r}>"
+        return f"<GroebnerBasis of {len(self.vectors)} elements in {self.ring!r}>"
 
 
 def reduced_groebner(gens: Iterable[Polynomial], order: TermOrder = GREVLEX,
-                     weights: Optional[tuple] = None,
                      ring: Optional[RingDescriptor] = None) -> GroebnerBasis:
     gens = [g for g in gens if not g.is_zero()]
     if not gens and ring is None:
@@ -102,31 +142,11 @@ def reduced_groebner(gens: Iterable[Polynomial], order: TermOrder = GREVLEX,
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    ctx = _context(ring, order, weights)
-    raw = engine.groebner_raw([to_raw(g, ctx) for g in gens], ctx)
-    return GroebnerBasis(ring, order, raw, ctx)
+    return GroebnerBasis([(g,) for g in gens], ring, order)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of multivariate division by the reduced basis; exact."""
     if f.ring != gb.ring:
         raise ValueError("polynomial ring does not match basis ring")
-    if f.is_zero() or not gb._raw:
-        return f
-    ctx = gb._ctx
-    terms = to_raw(f, ctx)
-    basis = gb._basis_index()
-    nf, _, (num, den) = engine._reduce_full(terms, ctx.sugar(terms[0][0]), basis, ctx,
-                                            track_scale=True)
-    if ctx.mod is not None:
-        return from_raw(nf, ctx, gb.ring, scale=1)
-    # engine computed num/den · f ≡ nf; recover the true remainder, then
-    # rescale to match f's own denominators
-    inden = 1
-    for c in f.terms.values():
-        inden = inden * c.denominator // gcd(inden, c.denominator)
-    return from_raw(nf, ctx, gb.ring, scale=Fraction(den, num * inden))
-
-
-def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(f, gb).is_zero()
+    return gb.normal_form((f,))[0]

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-_memo: Dict[tuple, Dict[int, int]] = {}
-
 
 def _minimalize(monos: Sequence[tuple]) -> List[tuple]:
     """Drop monomials divisible by another (keeps the minimal generators)."""
@@ -29,13 +27,15 @@ def _minimalize(monos: Sequence[tuple]) -> List[tuple]:
     return out
 
 
-def _numerator(monos: Tuple[tuple, ...]) -> Dict[int, int]:
-    """Numerator of HS(R/(monos)) over (1−t)^nvars, monos minimal."""
+def _numerator(monos: Tuple[tuple, ...],
+               memo: Dict[tuple, Dict[int, int]]) -> Dict[int, int]:
+    """Numerator of HS(R/(monos)) over (1−t)^nvars, monos minimal; ``memo``
+    holds the numerators already found in this recursion."""
     if not monos:
         return {0: 1}
     if len(monos) == 1:
         return {0: 1, sum(monos[0]): -1}
-    cached = _memo.get(monos)
+    cached = memo.get(monos)
     if cached is not None:
         return cached
     nv = len(monos[0])
@@ -56,7 +56,7 @@ def _numerator(monos: Tuple[tuple, ...]) -> Dict[int, int]:
             for k, c in out.items():
                 nxt[k + d] = nxt.get(k + d, 0) - c
             out = {k: c for k, c in nxt.items() if c}
-        _memo[monos] = out
+        memo[monos] = out
         return out
     # pivot on the most frequent variable, at its least positive exponent
     counts = [0] * nv
@@ -71,13 +71,13 @@ def _numerator(monos: Tuple[tuple, ...]) -> Dict[int, int]:
     plus = _minimalize(list(monos) + [pivot])
     # I : p
     colon = _minimalize([tuple(max(0, m[i] - pivot[i]) for i in range(nv)) for m in monos])
-    np = _numerator(tuple(plus))
-    nc = _numerator(tuple(colon))
+    np = _numerator(tuple(plus), memo)
+    nc = _numerator(tuple(colon), memo)
     out = dict(np)
     for k, c in nc.items():
         out[k + e] = out.get(k + e, 0) + c
     out = {k: c for k, c in out.items() if c}
-    _memo[monos] = out
+    memo[monos] = out
     return out
 
 
@@ -85,7 +85,7 @@ def numerator_from_leads(lead_monos: Sequence[tuple], nvars: int) -> Dict[int, i
     monos = _minimalize([tuple(m) for m in lead_monos])
     if monos and any(sum(m) == 0 for m in monos):
         return {}          # unit ideal: quotient is 0
-    return _numerator(tuple(monos))
+    return _numerator(tuple(monos), {})
 
 
 def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
@@ -170,25 +170,17 @@ class HilbertData:
 
 
 def hilbert_series_quotient(gb) -> HilbertData:
-    """HS of R/J from a reduced GB of J (via the initial ideal)."""
-    nv = gb.ring.nvars
-    return HilbertData(numerator_from_leads(gb.leading_monomials(), nv), nv)
-
-
-def hilbert_series_module_quotient(mgb, free) -> HilbertData:
-    """HS of F/U from a module GB of U ⊆ F, componentwise with shifts."""
-    nv = free.ring.nvars
-    per_comp: List[List[tuple]] = [[] for _ in range(free.rank)]
-    for comp, mono in mgb.leading_terms():
+    """HS of F/U from a reduced GB of U ⊆ F = ⊕_c R(−shifts[c]), summed
+    componentwise over the initial module; R/J for an ideal J."""
+    ctx = gb.ctx
+    per_comp: List[List[tuple]] = [[] for _ in ctx.comp_offsets]
+    for comp, mono in gb.leading_terms():
         per_comp[comp].append(mono)
     total: Dict[int, int] = {}
-    for c in range(free.rank):
-        num = numerator_from_leads(per_comp[c], nv)
-        a = free.shifts[c]
-        for k, coef in num.items():
+    for a, leads in zip(ctx.comp_offsets, per_comp):
+        for k, coef in numerator_from_leads(leads, ctx.nvars).items():
             total[k + a] = total.get(k + a, 0) + coef
-    total = {k: c for k, c in total.items() if c}
-    return HilbertData(total, nv)
+    return HilbertData({k: c for k, c in total.items() if c}, ctx.nvars)
 
 
 def free_module_series(shifts: Sequence[int], nvars: int) -> HilbertData:
@@ -196,9 +188,3 @@ def free_module_series(shifts: Sequence[int], nvars: int) -> HilbertData:
     for a in shifts:
         num[a] = num.get(a, 0) + 1
     return HilbertData(num, nvars)
-
-
-def dim_deg_from_gb(gb) -> Tuple[int, int]:
-    """(Krull dimension, degree) of R/J from a reduced GB of J."""
-    h = hilbert_series_quotient(gb)
-    return h.krull_dim, h.degree

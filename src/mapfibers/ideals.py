@@ -151,12 +151,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one = Polynomial.constant(big, R.field.one())
     gens = [t * extend_polynomial(g, big) for g in I.generators]
     gens += [(one - t) * extend_polynomial(g, big) for g in J.generators]
-    order = elimination_order(frozenset({big.nvars - 1}))
-    gb = reduced_groebner(gens, order=order, ring=big)
-    keep = list(range(R.nvars))
-    out = [restrict_polynomial(p, R, keep) for p in gb.polys
-           if all(m[big.nvars - 1] == 0 for m in p.terms)]
-    return Ideal(R, out)
+    out, _ = eliminate(Ideal(big, gens), (big.nvars - 1,))
+    return Ideal(R, out.generators)
 
 
 def intersect_many(ideals: Sequence[Ideal]) -> Ideal:
@@ -221,12 +217,11 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     """(I : X_i^∞) for a homogeneous ideal, via reverse-lex-last order."""
     if I.is_zero():
         return I
-    # the reverse-lex divisibility trick needs standard-graded homogeneity
-    if any(w != (1,) for w in I.ring.weights):
+    # Bayer–Stillman: grevlex compares unweighted total degree first, so the
+    # trick needs every generator homogeneous in total degree (whatever the
+    # ring's weights), and only that
+    if any(len({sum(m) for m in g.terms}) > 1 for g in I.generators):
         return saturate_element(I, Polynomial.variable(I.ring, i))
-    for g in I.generators:
-        if not g.is_homogeneous():
-            return saturate_element(I, Polynomial.variable(I.ring, i))
     order = grevlex_with_last(I.ring.nvars, i)
     gb = I.groebner(order)
     return Ideal(I.ring, [strip_variable_power(p, i) for p in gb.polys])
@@ -240,12 +235,8 @@ def saturate_element(I: Ideal, f: Polynomial) -> Ideal:
     one = Polynomial.constant(big, R.field.one())
     gens = [extend_polynomial(g, big) for g in I.generators]
     gens.append(w * extend_polynomial(f, big) - one)
-    order = elimination_order(frozenset({big.nvars - 1}))
-    gb = reduced_groebner(gens, order=order, ring=big)
-    keep = list(range(R.nvars))
-    out = [restrict_polynomial(p, R, keep) for p in gb.polys
-           if all(m[big.nvars - 1] == 0 for m in p.terms)]
-    return Ideal(R, out)
+    out, _ = eliminate(Ideal(big, gens), (big.nvars - 1,))
+    return Ideal(R, out.generators)
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
@@ -280,11 +271,6 @@ def radical_contains(I: Ideal, f: Polynomial) -> bool:
     gens.append(w * extend_polynomial(f, big) - one)
     gb = reduced_groebner(gens, ring=big)
     return any(p.is_constant() for p in gb.polys)
-
-
-def same_radical(I: Ideal, J: Ideal) -> bool:
-    return (all(radical_contains(J, g) for g in I.generators)
-            and all(radical_contains(I, g) for g in J.generators))
 
 
 # ---------------------------------------------------------------------------

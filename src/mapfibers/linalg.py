@@ -153,28 +153,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> List[List]:
     return basis
 
 
-def row_space_intersection(A: Sequence[Sequence], B: Sequence[Sequence], field: Field) -> List[List]:
-    """Rows spanning rowspace(A) ∩ rowspace(B)."""
-    A = [list(r) for r in A if any(r)]
-    B = [list(r) for r in B if any(r)]
-    if not A or not B:
-        return []
-    n = len(A[0])
-    # solve u·A − v·B = 0: nullspace of the (len A + len B) × n transposed system
-    stacked = [[A[i][c] for i in range(len(A))] + [field.neg(B[j][c]) for j in range(len(B))]
-               for c in range(n)]
-    combos = nullspace(stacked, len(A) + len(B), field)
-    out = []
-    for u in combos:
-        row = [field.zero()] * n
-        for i in range(len(A)):
-            if not field.is_zero(u[i]):
-                row = [field.add(row[c], field.mul(u[i], A[i][c])) for c in range(n)]
-        if any(not field.is_zero(x) for x in row):
-            out.append(row)
-    return out
-
-
 def solve(rows: Sequence[Sequence], rhs: Sequence, field: Field) -> Optional[List]:
     """One solution x of A·x = rhs, or None if inconsistent."""
     m = len(rows)

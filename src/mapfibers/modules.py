@@ -1,24 +1,20 @@
-"""Graded free modules, module Gröbner bases, kernels, and resolutions.
+"""Graded free modules, kernels, and resolutions, on top of `groebner`.
 
-Module elements are tuples of Polynomial, one per free-module component.
-Orders are position-over-term with a configurable component priority and
-grevlex underneath; kernels are computed by the standard elimination
-trick on the graph submodule {(M(e_c), e_c)} of target ⊕ source.
+Module elements are tuples of Polynomial, one per free-module component,
+and a submodule's Gröbner basis is `groebner.GroebnerBasis` with the free
+module's shifts.  Orders are position-over-term with a configurable
+component priority and grevlex underneath; kernels are computed by the
+standard elimination trick on the graph submodule {(M(e_c), e_c)} of
+target ⊕ source.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from . import engine
-from .engine import EngineContext
-from .fields import PrimeField
+from .groebner import GroebnerBasis, Vector
 from .poly import Polynomial
 from .rings import GREVLEX, RingDescriptor, TermOrder
-
-Vector = Tuple[Polynomial, ...]
 
 
 class FreeModule:
@@ -34,10 +30,6 @@ class FreeModule:
 
     def zero(self) -> Vector:
         return tuple(Polynomial.zero(self.ring) for _ in self.shifts)
-
-    def basis_vector(self, c: int) -> Vector:
-        return tuple(Polynomial.constant(self.ring, 1) if i == c else Polynomial.zero(self.ring)
-                     for i in range(self.rank))
 
     def __eq__(self, other):
         return (isinstance(other, FreeModule) and self.ring == other.ring
@@ -67,10 +59,6 @@ def vector_degree(vec: Vector, shifts: Sequence[int]) -> Optional[int]:
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(a: Vector, p: Polynomial) -> Vector:
@@ -119,109 +107,10 @@ class FreeModuleMap:
         return f"<FreeModuleMap {self.source!r} -> {self.target!r}>"
 
 
-# -- raw conversion ----------------------------------------------------
-
-
-def _module_context(ring: RingDescriptor, ncomps: int, shifts, comp_rank=None,
-                    order: TermOrder = GREVLEX) -> EngineContext:
-    mod = ring.field.p if isinstance(ring.field, PrimeField) else None
-    weights = tuple(sum(w) for w in ring.weights)
-    return EngineContext(ring.nvars, order, mod=mod, ncomps=ncomps,
-                         comp_rank=comp_rank, weights=weights,
-                         comp_offsets=tuple(shifts))
-
-
-def vec_to_raw(vec: Vector, ctx: EngineContext) -> list:
-    out = []
-    pack = ctx.pack_comp
-    if ctx.mod is not None:
-        for c, p in enumerate(vec):
-            for m, co in p.terms.items():
-                co = int(co) % ctx.mod
-                if co:
-                    out.append((pack(c, m), co))
-    else:
-        den = 1
-        for p in vec:
-            for co in p.terms.values():
-                den = den * co.denominator // gcd(den, co.denominator)
-        for c, p in enumerate(vec):
-            for m, co in p.terms.items():
-                out.append((pack(c, m), int(co * den)))
-    out.sort(key=lambda t: t[0], reverse=True)
-    return out
-
-
-def raw_to_vec(terms: list, ctx: EngineContext, ring: RingDescriptor,
-               scale=None) -> Vector:
-    """Engine term list → vector, monic unless a ``scale`` is given."""
-    comps = [{} for _ in range(ctx.ncomps)]
-    if terms:
-        exps, comp = ctx.exps, ctx.comp
-        if ctx.mod is not None:
-            p = ctx.mod
-            inv = pow(terms[0][1], p - 2, p) if scale is None else scale
-            for (k, c) in terms:
-                comps[comp(k)][exps(k)] = (c * inv) % p
-        else:
-            if scale is None:
-                scale = Fraction(1, terms[0][1])
-            for (k, c) in terms:
-                comps[comp(k)][exps(k)] = c * scale
-    return tuple(Polynomial(ring, d) for d in comps)
-
-
-class ModuleGroebnerBasis:
-    """Reduced module GB of a submodule of a shifted free module."""
-
-    def __init__(self, free: FreeModule, raw: list, ctx: EngineContext):
-        self.free = free
-        self.ring = free.ring
-        self._raw = raw
-        self._ctx = ctx
-        self.vectors: List[Vector] = [raw_to_vec(t, ctx, free.ring) for t in raw]
-        self._reducer = None
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def leading_terms(self) -> list:
-        """(component, monomial) leading pairs, one per basis element."""
-        ctx = self._ctx
-        return [(ctx.comp(t[0][0]), ctx.exps(t[0][0])) for t in self._raw]
-
-    def _basis_index(self):
-        if self._reducer is None:
-            self._reducer = engine._Basis(self._ctx, self._raw)
-        return self._reducer
-
-    def normal_form(self, vec: Vector) -> Vector:
-        if vec_is_zero(vec) or not self._raw:
-            return vec
-        ctx = self._ctx
-        terms = vec_to_raw(vec, ctx)
-        nf, _, (num, den) = engine._reduce_full(terms, ctx.sugar(terms[0][0]),
-                                                self._basis_index(), ctx, track_scale=True)
-        if ctx.mod is not None:
-            return raw_to_vec(nf, ctx, self.ring, scale=1)
-        inden = 1
-        for p in vec:
-            for co in p.terms.values():
-                inden = inden * co.denominator // gcd(inden, co.denominator)
-        return raw_to_vec(nf, ctx, self.ring, scale=Fraction(den, num * inden))
-
-    def contains(self, vec: Vector) -> bool:
-        return vec_is_zero(self.normal_form(vec))
-
-
 def module_groebner(vectors: Sequence[Vector], free: FreeModule,
-                    comp_rank=None, order: TermOrder = GREVLEX) -> ModuleGroebnerBasis:
-    ctx = _module_context(free.ring, free.rank, free.shifts, comp_rank, order)
-    raw = engine.groebner_raw([vec_to_raw(v, ctx) for v in vectors if not vec_is_zero(v)], ctx)
-    return ModuleGroebnerBasis(free, raw, ctx)
+                    comp_rank=None, order: TermOrder = GREVLEX) -> GroebnerBasis:
+    return GroebnerBasis([v for v in vectors if not vec_is_zero(v)], free.ring,
+                         order, free.shifts, comp_rank)
 
 
 def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vector]:

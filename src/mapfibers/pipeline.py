@@ -30,7 +30,6 @@ EXIT_INCOMPLETE = 3
 @dataclass
 class PipelineOptions:
     s_max: int = 4
-    seed: Optional[int] = None
     fibers: bool = True
     divisor_bound: bool = True
     factorization: bool = True
@@ -55,11 +54,11 @@ class _Step:
         self.name = name
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        self.sink[self.name] = round(time.time() - self.t0, 3)
+        self.sink[self.name] = round(time.perf_counter() - self.t0, 3)
         return False
 
 
@@ -71,7 +70,7 @@ def run_pipeline(pmap: ParameterizedMap,
     report: Dict = {
         "schema_version": SCHEMA_VERSION,
         "input": input_block(pmap, path),
-        "options": {"s_max": opt.s_max, "seed": opt.seed},
+        "options": {"s_max": opt.s_max},
         "timings": timings,
     }
     m, d = pmap.m, pmap.d
@@ -161,7 +160,6 @@ def run_pipeline(pmap: ParameterizedMap,
     if opt.module_table:
         with _Step(timings, "module"):
             table = n_table(pmap, range(1, opt.s_max + 1))
-            table.detect_stabilization()
             degrees = [r.divisor_degree for r in search.records] \
                 if search is not None else []
             verdict = check_module_degree_formula(degrees, table, m)

@@ -69,13 +69,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def multidegree(self) -> Optional[tuple]:
-        """Weighted degree if homogeneous, else None."""
-        degs = {self.ring.weighted_degree(m) for m in self.terms}
-        if len(degs) == 1:
-            return next(iter(degs))
-        return None
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

@@ -15,11 +15,7 @@ from .fibers import (FiberRecord, FiberSearch, ImageData, ParameterizedMap,
                      DivisorBoundVerdict, FactorizationVerdict)
 from .solve import PointProjective
 
-SCHEMA_VERSION = 1
-
-
-def coeff_str(field, c) -> str:
-    return field.to_str(c)
+SCHEMA_VERSION = 2
 
 
 def point_json(pt: PointProjective) -> List[str]:

@@ -38,14 +38,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order: graded reverse-lex, lex, or a block order.
@@ -116,12 +108,6 @@ class RingDescriptor:
     def grading_length(self) -> int:
         return len(self.weights[0]) if self.weights else 1
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise KeyError(f"no variable {name!r} in ring {self.variables}")
-
     def weighted_degree(self, mono: Monomial) -> tuple:
         deg = [0] * self.grading_length
         for e, w in zip(mono, self.weights):
@@ -162,11 +148,3 @@ class RingDescriptor:
 def standard_ring(names, field: Field = QQ) -> RingDescriptor:
     names = tuple(names)
     return RingDescriptor(names, field, ((1,),) * len(names))
-
-
-def bigraded_ring(source_names, target_names, field: Field = QQ) -> RingDescriptor:
-    """Ring on source variables (degree (1,0)) and target variables ((0,1))."""
-    source_names = tuple(source_names)
-    target_names = tuple(target_names)
-    weights = ((1, 0),) * len(source_names) + ((0, 1),) * len(target_names)
-    return RingDescriptor(source_names + target_names, field, weights)

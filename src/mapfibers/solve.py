@@ -49,19 +49,6 @@ class PointProjective:
     def __repr__(self):
         return "(" + " : ".join(self.field.to_str(c) for c in self.coords) + ")"
 
-    def vanishing_ideal(self, ring: RingDescriptor) -> Ideal:
-        """Linear forms cutting out the point in the given coordinate ring."""
-        if ring.nvars != len(self.coords):
-            raise ValueError("coordinate count mismatch")
-        k = next(i for i, c in enumerate(self.coords) if not self.field.is_zero(c))
-        gens = []
-        Xk = Polynomial.variable(ring, k)
-        for i, c in enumerate(self.coords):
-            if i == k:
-                continue
-            gens.append(Polynomial.variable(ring, i) - Xk.scale(c))
-        return Ideal(ring, gens)
-
 
 # ---------------------------------------------------------------------------
 # univariate utilities
@@ -268,7 +255,7 @@ def _affine_points(gens: List[Polynomial], ring: RingDescriptor) -> Tuple[List[T
         return [], True
     # zero-dimensionality: every variable must appear as a pure power
     # among the leading monomials
-    leads = gb.leading_monomials()
+    leads = [m for _, m in gb.leading_terms()]
     for i in range(n):
         if not any(m[i] and all(e == 0 for j, e in enumerate(m) if j != i) for m in leads):
             raise NotZeroDimensionalError("chart system is not zero-dimensional")

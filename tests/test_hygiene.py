@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every function, method or class the package defines is named somewhere.
 
 Stdlib only: each ``src/mapfibers/*.py`` is parsed with ``ast``.  The
-package ``__init__`` is exempt because its imports are re-exports.
+package ``__init__`` is exempt from the import check because its imports
+are re-exports.
 """
 
 import ast
@@ -57,3 +59,55 @@ def test_no_unused_imports(module):
                     for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{module} imports unused names: {', '.join(unused)}"
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SCANNED = ("src", "tests", "perfbench")
+
+
+def _trees():
+    for top in SCANNED:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    path = os.path.join(dirpath, f)
+                    with open(path, encoding="utf-8") as fh:
+                        yield path, ast.parse(fh.read())
+
+
+def _references(tree):
+    """Every name a module reads: identifiers, attributes, imported names
+    and string constants that spell an identifier (such as the
+    ``(module, function)`` pairs a tracer wraps)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_definition_is_referenced():
+    """No function, method or class in the package is dead: each non-dunder
+    ``def`` or ``class`` under ``src/mapfibers`` is named somewhere in
+    ``src/``, ``tests/`` or ``perfbench/`` besides its own definition."""
+    defined = {}
+    referenced = set()
+    for path, tree in _trees():
+        referenced.update(_references(tree))
+        if os.path.dirname(os.path.abspath(path)) != os.path.abspath(SRC):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__")):
+                defined.setdefault(node.name, f"{os.path.basename(path)}:"
+                                              f"{node.lineno}")
+    dead = sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in referenced)
+    assert not dead, f"definitions named nowhere else: {', '.join(dead)}"

@@ -3,7 +3,9 @@
 Each suite draws at least 100 random cases across GF(7) and GF(11) from a
 fixed seed, so failures are reproducible.  The properties are the algebraic
 identities the rest of the package leans on: gcd/lcm arithmetic, saturation
-idempotence, the two independent routes to local cohomology dimensions,
+idempotence, variable saturation by its two routes in the Rees ring's
+weights (over GF(7) and QQ), the two independent routes to local cohomology
+dimensions,
 normal-form soundness, and determinism of the reduced Groebner basis under
 concurrent recomputation.
 """
@@ -11,11 +13,12 @@ concurrent recomputation.
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-from mapfibers import Ideal, PrimeField, standard_ring
+from mapfibers import QQ, Ideal, PrimeField, standard_ring
 from mapfibers.cohomology import hdim_difference, hdim_duality
 from mapfibers.groebner import normal_form, reduced_groebner
 from mapfibers.ideals import (colon, degree_monomials, exact_divide,
-                              intersect, poly_gcd, saturate_irrelevant)
+                              intersect, poly_gcd, saturate_element,
+                              saturate_irrelevant, saturate_variable)
 from mapfibers.poly import Polynomial
 
 SEED = 20260815
@@ -24,6 +27,7 @@ FIELDS = (PrimeField(7), PrimeField(11))
 # per-field case counts; every suite covers at least 100 cases total
 N_GCD = 60
 N_SAT = 50
+N_VAR_SAT = 50
 N_COH = 50
 N_NF = 50
 N_GB_CASES = 25          # times 4 parallel runs each
@@ -88,6 +92,38 @@ def test_saturation_idempotent_and_stable():
             for i in range(1, len(R.variables)):
                 stab = intersect(stab, colon(S, Polynomial.variable(R, i)))
             assert _ideals_equal(S, stab)
+
+
+def _rand_biform(rng, ring, nx, a, b):
+    """Random nonzero form of degree a in the first nx variables and b in
+    the others."""
+    monos = [u + v for u in degree_monomials(nx, a)
+             for v in degree_monomials(ring.nvars - nx, b)]
+    F = ring.field
+    items = [(m, F.div(F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))),
+                       F.from_int(rng.randint(1, 2))))
+             for m in rng.sample(monos, rng.randint(1, min(4, len(monos))))]
+    return Polynomial.from_terms(ring, items)
+
+
+def test_variable_saturation_routes_agree_in_rees_weights():
+    """The reverse-lex route of `saturate_variable` needs only homogeneity
+    in total degree, so on bihomogeneous ideals of a ring weighted like the
+    Rees ring (X weight 1, T weight d + 1) it must match the
+    inverse-adjunction route of `saturate_element`."""
+    rng = random.Random(SEED + 5)
+    d = 3
+    bidegrees = ((1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
+    for field in (PrimeField(7), QQ):
+        R = standard_ring(("x", "y", "z"), field).extend(("T0", "T1", "T2"),
+                                                         (d + 1,))
+        for _ in range(N_VAR_SAT // 2):
+            gens = [_rand_biform(rng, R, 3, *rng.choice(bidegrees))
+                    for _ in range(rng.randint(2, 3))]
+            J = Ideal(R, gens)
+            i = rng.randrange(R.nvars)
+            assert saturate_variable(J, i) == \
+                saturate_element(J, Polynomial.variable(R, i))
 
 
 def test_cohomology_dimension_two_routes_agree():
