@@ -18,8 +18,7 @@ from .fibers import (ParameterizedMap, build_map, rees_ideal, image_ideal,
                      check_fiber_factorization, brute_force_fiber_oracle,
                      NotGenericallyFiniteError)
 from .cohomology import m_mu_dims, n_table, check_module_degree_formula
-from .approx import (koszul_cycles, complex_ranks, presentation_matrix_N,
-                     check_surface_bounds)
+from .approx import koszul_cycles, presentation_matrix_N, check_surface_bounds
 from .mapfile import parse_map_file, format_map_file, load_map_file, MapFileError
 from .pipeline import PipelineOptions, run_pipeline
 
@@ -33,7 +32,7 @@ __all__ = [
     "check_divisor_degree_bound", "check_fiber_factorization",
     "brute_force_fiber_oracle", "NotGenericallyFiniteError",
     "m_mu_dims", "n_table", "check_module_degree_formula",
-    "koszul_cycles", "complex_ranks", "presentation_matrix_N",
+    "koszul_cycles", "presentation_matrix_N",
     "check_surface_bounds",
     "parse_map_file", "format_map_file", "load_map_file", "MapFileError",
     "PipelineOptions", "run_pipeline",

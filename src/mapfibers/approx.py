@@ -14,23 +14,23 @@ l = dim Hom(Z_3, R)_{-3d-1}.  The entry P[a][b] is Σ_i (D_i)[b][a]·T_i with
 D_i: Hom(Z_1,R)_{-d-1} → Hom(Z_2,R)_{-2d-1} given by composition with the
 contraction e_i ⌟ (-): Z_2 → Z_1.
 
-Everything here is exact linear algebra over the coefficient field: Hom
-pieces are cut out of coordinate space by the syzygy constraints of the
-cycle generators, and the contraction compositions are computed by lifting
-through those generators.
+Everything here is exact linear algebra over the coefficient field.  A Hom
+piece Hom(Z_q, R)_e is the kernel, in degree e, of the dual of the syzygy
+map of the chosen generators of Z_q (`cohomology.dual_map_rows`), and the
+contraction compositions are computed by lifting through those generators.
 """
 
 from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import hdim_difference
-from .ideals import Ideal, degree_monomials, intersect_many
-from .modules import (FreeModule, FreeModuleMap, Vector, kernel_of_free_map,
-                      lift_through_generators, module_groebner,
-                      submodule_colon_component, vec_is_zero, vector_degree)
+from .cohomology import dual_map_rows, hdim_difference, hom_basis
+from .ideals import Ideal, intersect_many
+from .modules import (FreeModule, FreeModuleMap, Vector, generator_map,
+                      kernel_of_free_map, lift_through_generators,
+                      module_groebner, submodule_colon_component, vec_is_zero)
 from .hilbert import hilbert_series_quotient
-from .poly import Polynomial, mono_mul
+from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
 from . import linalg
 
@@ -48,13 +48,15 @@ class KoszulData:
     modules: List[FreeModule]              # K_0 .. K_4
     differentials: List[FreeModuleMap]     # d_1 .. d_4, d_q: K_q -> K_{q-1}
     cycles: Dict[int, List[Vector]]        # q -> minimal generators of Z_q
-    _syzygies: Dict[int, List[Vector]] = field(default_factory=dict, repr=False)
+    _syzygies: Dict[int, FreeModuleMap] = field(default_factory=dict, repr=False)
 
-    def cycle_syzygies(self, q: int) -> List[Vector]:
-        """Generating syzygies among the chosen generators of Z_q."""
+    def cycle_syzygies(self, q: int) -> FreeModuleMap:
+        """The syzygy map of the chosen generators of Z_q: its cokernel is
+        Z_q, its target ⊕_j R(−deg g_j) has one summand per generator."""
         if q not in self._syzygies:
-            cover, gmap = _generator_cover(self.cycles[q], self.modules[q])
-            self._syzygies[q] = kernel_of_free_map(gmap)
+            cover = generator_map(self.cycles[q], self.modules[q])
+            self._syzygies[q] = generator_map(kernel_of_free_map(cover),
+                                              cover.source)
         return self._syzygies[q]
 
 
@@ -139,19 +141,11 @@ def contract(i: int, vec: Vector, ring: RingDescriptor) -> Vector:
     return tuple(out)
 
 
-def _generator_cover(gens: Sequence[Vector], ambient: FreeModule):
-    """Cover map ⊕_j R(-δ_j) → ambient sending the j-th basis vector to gens[j]."""
-    degs = tuple(vector_degree(g, ambient.shifts) for g in gens)
-    cover = FreeModule(ambient.ring, degs)
-    matrix = [[gens[c][r] for c in range(len(gens))] for r in range(ambient.rank)]
-    return cover, FreeModuleMap(cover, ambient, matrix)
-
-
 @dataclass
 class HomPiece:
-    """Explicit k-basis of Hom(M, R)_e for M = ⟨gens⟩ ⊆ a graded free module.
+    """Explicit k-basis of Hom(M, R)_e for M = ⟨g_j⟩ ⊆ a graded free module.
 
-    A homomorphism is recorded by its values u_j = φ(gens[j]) ∈ R_{δ_j + e};
+    A homomorphism is recorded by its values u_j = φ(g_j) ∈ R_{δ_j + e};
     the values are subject to Σ_j σ_j·u_j = 0 for every generating syzygy σ.
     `coords` indexes the coordinate space: one slot per (generator j, monomial
     of degree δ_j + e), and each basis element is a coefficient vector over it.
@@ -174,67 +168,21 @@ class HomPiece:
         return [Polynomial(ring, v) for v in vals]
 
 
-def hom_piece(gens: Sequence[Vector], ambient: FreeModule, e: int,
-              syzygies: Optional[Sequence[Vector]] = None) -> HomPiece:
-    """Compute Hom(⟨gens⟩, R)_e by syzygy-constrained linear algebra."""
-    ring = ambient.ring
-    F = ring.field
-    degs = tuple(vector_degree(g, ambient.shifts) for g in gens)
-    monos = [degree_monomials(ring.nvars, dj + e) if dj + e >= 0 else ()
-             for dj in degs]
-    coords = [(j, m) for j in range(len(gens)) for m in monos[j]]
-    col = {c: i for i, c in enumerate(coords)}
-
-    if syzygies is None:
-        cover, gmap = _generator_cover(gens, ambient)
-        syzygies = kernel_of_free_map(gmap)
-
-    rows = []
-    for s in syzygies:
-        eps = vector_degree(s, degs)
-        if eps is None:
-            continue
-        row_of = {mu: [F.zero() for _ in coords]
-                  for mu in degree_monomials(ring.nvars, eps + e)}
-        for j, sj in enumerate(s):
-            if sj.is_zero():
-                continue
-            for m in monos[j]:
-                ci = col[(j, m)]
-                for ms, cs in sj.terms.items():
-                    row = row_of[mono_mul(ms, m)]
-                    row[ci] = F.add(row[ci], cs)
-        rows.extend(row_of.values())
-
-    basis = linalg.nullspace(rows, len(coords), F)
-    return HomPiece(e, degs, coords, basis)
+def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
+    """Hom(M, R)_e for the module M presented by its generators' syzygy map:
+    the kernel of Hom(syzygies, R) in degree e."""
+    ring = syzygies.target.ring
+    rows, ncols, _ = dual_map_rows(syzygies, e)
+    return HomPiece(e, syzygies.target.shifts,
+                    hom_basis(syzygies.target.shifts, e, ring.nvars),
+                    linalg.nullspace(rows, ncols, ring.field))
 
 
 def dual_hdim(kd: KoszulData, q: int, t: int) -> int:
     """dim_k H^3_m(Z_q)_t, computed by duality as dim Hom(Z_q, R)_{-t-3}."""
     if q not in kd.cycles:
         raise ValueError(f"no cycle module Z_{q}")
-    return hom_piece(kd.cycles[q], kd.modules[q], -t - 3,
-                     kd.cycle_syzygies(q)).dim
-
-
-def complex_ranks(kd: KoszulData, I: Optional[Ideal] = None) -> Tuple[int, int, int]:
-    """Ranks (l, mrank, n) of the presentation strand B(-3)^l → B(-2)^mrank → B(-1)^n.
-
-    When the base ideal is supplied, n is recomputed independently as
-    dim H^1_m(R/I)_{d-2} and the two answers must agree.
-    """
-    d = kd.d
-    n = dual_hdim(kd, 1, d - 2)
-    mrank = dual_hdim(kd, 2, 2 * d - 2)
-    l = dual_hdim(kd, 3, 3 * d - 2)
-    if I is not None:
-        n_check = hdim_difference(I, 1, d - 2)
-        if n_check != n:
-            raise ArithmeticError(
-                f"rank cross-check failed: Hom(Z_1) gives n={n} but "
-                f"H^1_m(R/I)_{d - 2} = {n_check}")
-    return l, mrank, n
+    return hom_piece(kd.cycle_syzygies(q), -t - 3).dim
 
 
 @dataclass
@@ -283,22 +231,21 @@ def _poly_det(M: List[List[Polynomial]], ring: RingDescriptor,
 
 
 def presentation_matrix_N(I: Ideal,
-                          target_names: Sequence[str] = ("T0", "T1", "T2", "T3"),
-                          kd: Optional[KoszulData] = None,
-                          s_window: Optional[int] = None,
-                          with_minors: bool = True) -> PresentationData:
+                          target_names: Sequence[str] = ("T0", "T1", "T2", "T3")
+                          ) -> PresentationData:
     """Compute the linear presentation matrix of N = ⊕_s H^1_m(R/I^s)_{sd-2}
     over B = k[T], its graded cokernel dimensions, and the support ideal.
-    I is generated by the four forms, in order."""
-    if kd is None:
-        kd = koszul_cycles(I.generators)
+    I is generated by the four forms, in order.  The ranks (l, mrank, n)
+    are the dimensions of Hom(Z_q, R)_{-qd-1} for q = 3, 2, 1, and n is
+    cross-checked against dim H^1_m(R/I)_{d-2} by the difference route."""
+    kd = koszul_cycles(I.generators)
     ring, d = kd.ring, kd.d
     F = ring.field
     e1, e2 = -d - 1, -2 * d - 1
 
     z1, z2 = kd.cycles[1], kd.cycles[2]
-    W1 = hom_piece(z1, kd.modules[1], e1, kd.cycle_syzygies(1))
-    W2 = hom_piece(z2, kd.modules[2], e2, kd.cycle_syzygies(2))
+    W1 = hom_piece(kd.cycle_syzygies(1), e1)
+    W2 = hom_piece(kd.cycle_syzygies(2), e2)
     l = dual_hdim(kd, 3, 3 * d - 2)
     n, mrank = W1.dim, W2.dim
 
@@ -358,8 +305,7 @@ def presentation_matrix_N(I: Ideal,
     columns = [tuple(P[a][b] for a in range(n)) for b in range(mrank)]
     mgb = module_groebner([c for c in columns if not vec_is_zero(c)], cfree)
     H = hilbert_series_quotient(mgb)
-    top = max(n + 2, 4) if s_window is None else s_window
-    coker_dims = {s: H.hf(s) for s in range(1, top + 1)}
+    coker_dims = {s: H.hf(s) for s in range(1, max(n + 2, 4) + 1)}
     window = {H.hf(s) for s in range(n, n + 3)}
     stable = window.pop() if len(window) == 1 else None
 
@@ -376,7 +322,7 @@ def presentation_matrix_N(I: Ideal,
         ann = Ideal(B, [Polynomial.zero(B)])
 
     fitt = None
-    if with_minors and n <= mrank and comb(mrank, n) <= _MINor_SUBSET_LIMIT:
+    if n <= mrank and comb(mrank, n) <= _MINor_SUBSET_LIMIT:
         from itertools import combinations
         memo: Dict[Tuple[int, ...], Polynomial] = {}
         minors = []

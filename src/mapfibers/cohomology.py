@@ -21,13 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .ideals import Ideal, degree_monomials, ideal_power
-from .modules import FreeModuleMap, FreeResolution, free_resolution
+from .modules import FreeModuleMap, free_resolution
 from .rings import mono_mul
-
-
-def quotient_resolution(J: Ideal) -> FreeResolution:
-    """Minimal free resolution of R/J."""
-    return free_resolution(list(J.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +49,9 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 # route two: duality via a transposed resolution
 
-def _hom_basis(shifts: Sequence[int], e: int, nvars: int) -> List[Tuple[int, tuple]]:
+def hom_basis(shifts: Sequence[int], e: int, nvars: int) -> List[Tuple[int, tuple]]:
+    """The k-basis of Hom(⊕_c R(−shifts[c]), R)_e: one (component c,
+    monomial of degree e + shifts[c]) pair per basis element."""
     out = []
     for c, a in enumerate(shifts):
         for m in degree_monomials(nvars, e + a):
@@ -62,7 +59,7 @@ def _hom_basis(shifts: Sequence[int], e: int, nvars: int) -> List[Tuple[int, tup
     return out
 
 
-def _dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[List], int, int]:
+def dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[List], int, int]:
     """Matrix of Hom(−, R) applied to d, in degree e.
 
     Source basis comes from Hom(target of d), image lands in
@@ -71,8 +68,8 @@ def _dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[List], int, int]:
     ring = d.target.ring
     nv = ring.nvars
     F = ring.field
-    src = _hom_basis(d.target.shifts, e, nv)
-    tgt = _hom_basis(d.source.shifts, e, nv)
+    src = hom_basis(d.target.shifts, e, nv)
+    tgt = hom_basis(d.source.shifts, e, nv)
     tgt_index = {bm: k for k, bm in enumerate(tgt)}
     rows = [[F.zero()] * len(src) for _ in tgt]
     for col, (r, m) in enumerate(src):
@@ -94,21 +91,21 @@ def hdim_duality(J: Ideal, i: int, t: int) -> int:
     j = c - i
     if j < 0:
         return 0
-    res = quotient_resolution(J)
+    res = free_resolution(list(J.generators))
     if j > res.length:
         return 0
     e = -t - c
     F = ring.field
-    dim_j = len(_hom_basis(res.modules[j].shifts, e, c))
+    dim_j = len(hom_basis(res.modules[j].shifts, e, c))
     if dim_j == 0:
         return 0
     if j < res.length:
-        rows, ncols, _ = _dual_map_rows(res.maps[j], e)
+        rows, ncols, _ = dual_map_rows(res.maps[j], e)
         rk_out = linalg.rank(rows, F) if rows else 0
     else:
         rk_out = 0
     if j >= 1:
-        rows_in, _, _ = _dual_map_rows(res.maps[j - 1], e)
+        rows_in, _, _ = dual_map_rows(res.maps[j - 1], e)
         rk_in = linalg.rank(rows_in, F) if rows_in else 0
     else:
         rk_in = 0
@@ -145,7 +142,10 @@ class CohomologyTable:
     def stabilized(self) -> bool:
         return self.stable_value is not None
 
-    def detect_stabilization(self, run: int = 3) -> None:
+    def detect_stabilization(self) -> None:
+        """Stable from the first of three consecutive equal values that
+        every later value repeats."""
+        run = 3
         ss = sorted(self.values)
         for k in range(len(ss) - run + 1):
             window = ss[k:k + run]

@@ -443,16 +443,15 @@ def _interreduce(polys, ctx):
     return out
 
 
-def normal_form_raw(terms, gb_list, ctx, track_scale=True):
-    """Normal form against a fixed (reduced) basis list.
+def normal_form_raw(terms, basis, ctx):
+    """Normal form against the reducer set ``basis`` (a `_Basis`).
 
     Returns (terms, (num, den)): over ZZ the true remainder of the input
     is terms · den / num; over GF(p) the scale is always (1, 1).
     """
     if not terms:
         return terms, (1, 1)
-    basis = _Basis(ctx, gb_list)
     terms = sorted(terms, key=lambda t: t[0], reverse=True)
     nf, _, scale = _reduce_full(terms, ctx.sugar(terms[0][0]), basis, ctx,
-                                track_scale=track_scale)
+                                track_scale=True)
     return nf, scale

@@ -159,6 +159,10 @@ def build_map(forms: Sequence[Polynomial],
                          "dividing out the common factor")
     if target_names is None:
         target_names = tuple(f"T{j}" for j in range(len(forms)))
+    shared = [nm for nm in target_names if nm in ring.variables]
+    if shared:
+        raise ValueError(f"variable {shared[0]!r} names both a source and "
+                         f"a target variable")
     target = standard_ring(tuple(target_names), field=ring.field)
     return ParameterizedMap(ring, target, tuple(forms), d, factor)
 

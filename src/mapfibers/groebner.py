@@ -115,9 +115,8 @@ class GroebnerBasis:
         if not self._raw or all(p.is_zero() for p in vec):
             return vec
         ctx = self.ctx
-        terms = to_raw(vec, ctx)
-        nf, _, (num, den) = engine._reduce_full(terms, ctx.sugar(terms[0][0]),
-                                                self._reducer, ctx, track_scale=True)
+        nf, (num, den) = engine.normal_form_raw(to_raw(vec, ctx), self._reducer,
+                                                ctx)
         if ctx.mod is not None:
             return from_raw(nf, ctx, self.ring, scale=1)
         # engine computed num/den · vec ≡ nf; recover the true remainder,

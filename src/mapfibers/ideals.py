@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, normal_form, reduced_groebner
 from .hilbert import HilbertData, hilbert_series_quotient
+from .modules import FreeModule, minimal_generators
 from .poly import Polynomial
 from .rings import (GREVLEX, Monomial, RingDescriptor, TermOrder,
                     elimination_order, grevlex_with_last, mono_div,
@@ -82,16 +83,11 @@ class Ideal:
         return min(p.degree() for p in polys)
 
     def minimal_basis(self) -> List[Polynomial]:
-        """Generators with redundant members dropped (graded case)."""
+        """The homogeneous generators, sorted by (degree, text), with each
+        one dropped that the ones before it generate."""
         gens = sorted(self.generators, key=lambda g: (g.degree(), str(g)))
-        kept: List[Polynomial] = []
-        for g in gens:
-            if not kept:
-                kept.append(g)
-                continue
-            if not normal_form(g, reduced_groebner(kept, ring=self.ring)).is_zero():
-                kept.append(g)
-        return kept
+        return [v[0] for v in minimal_generators([(g,) for g in gens],
+                                                 FreeModule(self.ring, (0,)))]
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"

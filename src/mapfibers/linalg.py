@@ -105,13 +105,19 @@ def _echelon_gf(rows, p: int):
     return done, pivots
 
 
-def rank(rows: Sequence[Sequence], field: Field) -> int:
+def pivot_columns(rows: Sequence[Sequence], field: Field) -> List[int]:
+    """Ascending indices of the columns that are not in the span of the
+    columns before them (the pivot columns of the echelon form)."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
-        return 0
+        return []
     if isinstance(field, PrimeField):
-        return len(_echelon_gf(rows, field.p)[0])
-    return len(_echelon_qq(_int_rows(rows))[0])
+        return _echelon_gf(rows, field.p)[1]
+    return _echelon_qq(_int_rows(rows))[1]
+
+
+def rank(rows: Sequence[Sequence], field: Field) -> int:
+    return len(pivot_columns(rows, field))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> List[List]:

@@ -25,7 +25,7 @@ right inverse: parsing its output reproduces the map.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .engine import EXP_CAP
 from .fields import Field, QQ, PrimeField
@@ -208,20 +208,24 @@ def _parse_field_tag(value: str, line: int, col: int) -> Field:
                        line, col)
 
 
-def _check_names(names: Sequence[str], what: str, line: int, col: int):
-    for nm in names:
+def _parse_names(value: str, what: str, line: int,
+                 vcol: int) -> List[Tuple[str, int]]:
+    """The (name, column) pairs of a variable list."""
+    names = [(m.group(), vcol + m.start()) for m in re.finditer(r"\S+", value)]
+    for nm, col in names:
         if not _NAME.match(nm):
             raise MapFileError(f"bad {what} variable name {nm!r}", line, col)
-    if len(set(names)) != len(names):
-        raise MapFileError(f"repeated {what} variable", line, col)
+    if len({nm for nm, _ in names}) != len(names):
+        raise MapFileError(f"repeated {what} variable", line, vcol)
+    return names
 
 
 def parse_map_file(text: str) -> ParameterizedMap:
     field: Optional[Field] = None
-    source: Optional[Tuple[str, ...]] = None
-    target: Optional[Tuple[str, ...]] = None
+    source: Optional[List[Tuple[str, int]]] = None
+    target: Optional[List[Tuple[str, int]]] = None
     form_texts = {}
-    source_line = 0
+    source_line = target_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
@@ -237,12 +241,11 @@ def parse_map_file(text: str) -> ParameterizedMap:
         if key == "field":
             field = _parse_field_tag(value, lineno, vcol)
         elif key == "source":
-            source = tuple(value.split())
-            _check_names(source, "source", lineno, vcol)
+            source = _parse_names(value, "source", lineno, vcol)
             source_line = lineno
         elif key == "target":
-            target = tuple(value.split())
-            _check_names(target, "target", lineno, vcol)
+            target = _parse_names(value, "target", lineno, vcol)
+            target_line = lineno
         else:
             fm = _FORM.match(key)
             if fm is None:
@@ -264,7 +267,7 @@ def parse_map_file(text: str) -> ParameterizedMap:
         raise MapFileError("source needs at least two variables",
                            source_line or 1)
 
-    ring = standard_ring(source, field or QQ)
+    ring = standard_ring(tuple(nm for nm, _ in source), field or QQ)
     forms = []
     for idx in range(n + 1):
         value, lineno, vcol = form_texts[idx]
@@ -278,8 +281,23 @@ def parse_map_file(text: str) -> ParameterizedMap:
     if target is not None and len(target) != n + 1:
         raise MapFileError(
             f"target lists {len(target)} variables but there are {n + 1} forms")
+    # the Rees ring holds source and target variables side by side
+    if target is None:
+        defaults = {f"T{j}" for j in range(n + 1)}
+        for nm, col in source:
+            if nm in defaults:
+                raise MapFileError(
+                    f"source variable {nm!r} is also a default target name "
+                    f"(T0..T{n}); name the target variables in a "
+                    f"`target = ...` line", source_line, col)
+    else:
+        for nm, col in target:
+            if nm in ring.variables:
+                raise MapFileError(f"target variable {nm!r} is also a "
+                                   f"source variable", target_line, col)
     try:
-        return build_map(forms, target_names=target)
+        return build_map(forms, target_names=None if target is None else
+                         tuple(nm for nm, _ in target))
     except ValueError as exc:
         raise MapFileError(str(exc)) from None
 

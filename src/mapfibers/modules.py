@@ -3,15 +3,20 @@
 Module elements are tuples of Polynomial, one per free-module component,
 and a submodule's Gröbner basis is `groebner.GroebnerBasis` with the free
 module's shifts.  Orders are position-over-term with a configurable
-component priority and grevlex underneath; kernels are computed by the
-standard elimination trick on the graph submodule {(M(e_c), e_c)} of
-target ⊕ source.
+component priority and grevlex underneath.  This module holds the one copy
+of each graded-module primitive the package uses: minimal generators (one
+Gröbner basis per degree; `Ideal.minimal_basis` is the rank-one call), the
+generator map ⊕_j R(−deg g_j) → F of a list of vectors, and the graph
+submodule {(M(e_c), e_c)} of target ⊕ source, whose basis gives both
+kernels (by elimination of the target components) and lifts through
+generators (by normal form).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .groebner import GroebnerBasis, Vector
 from .poly import Polynomial
 from .rings import GREVLEX, RingDescriptor, TermOrder
@@ -114,60 +119,75 @@ def module_groebner(vectors: Sequence[Vector], free: FreeModule,
 
 
 def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vector]:
-    """Minimal homogeneous generating set, greedily by ascending degree."""
-    vecs = [v for v in vectors if not vec_is_zero(v)]
-    vecs.sort(key=lambda v: vector_degree(v, free.shifts))
+    """Minimal homogeneous generating set, greedily by ascending degree.
+
+    Zero vectors drop out; the rest are taken in ascending degree, in input
+    order within a degree, and a vector is kept unless the vectors kept
+    before it generate it.  One Gröbner basis per degree t decides this for
+    all degree-t vectors at once: the normal form modulo the vectors kept in
+    lower degrees is k-linear and vanishes exactly on their submodule, so a
+    degree-t vector is generated by the earlier ones iff its normal form lies
+    in the span of the normal forms of the degree-t vectors kept before it,
+    and the kept vectors are the pivot columns of the normal forms.
+    """
+    by_degree: Dict[int, List[Vector]] = {}
+    for v in vectors:
+        if not vec_is_zero(v):
+            by_degree.setdefault(vector_degree(v, free.shifts), []).append(v)
+    zero = free.ring.field.zero()
     chosen: List[Vector] = []
-    gb = None
-    for v in vecs:
-        if gb is not None and gb.contains(v):
-            continue
-        chosen.append(v)
-        gb = module_groebner(chosen, free)
+    for t in sorted(by_degree):
+        vecs = by_degree[t]
+        if chosen:
+            gb = module_groebner(chosen, free)
+            forms = [gb.normal_form(v) for v in vecs]
+        else:
+            forms = vecs
+        coords = sorted({(c, m) for f in forms
+                         for c, p in enumerate(f) for m in p.terms})
+        rows = [[f[c].terms.get(m, zero) for f in forms] for c, m in coords]
+        chosen += [vecs[j] for j in linalg.pivot_columns(rows, free.ring.field)]
     return chosen
 
 
-def kernel_of_free_map(M: FreeModuleMap, minimalize: bool = True) -> List[Vector]:
-    """Homogeneous generators of ker(M) via the graph-module elimination."""
+def generator_map(gens: Sequence[Vector], free: FreeModule) -> FreeModuleMap:
+    """The map ⊕_j R(−deg gens[j]) → free sending e_j to gens[j]; a zero
+    vector gets shift 0."""
+    shifts = tuple(vector_degree(g, free.shifts) or 0 for g in gens)
+    matrix = [[g[r] for g in gens] for r in range(free.rank)]
+    return FreeModuleMap(FreeModule(free.ring, shifts), free, matrix)
+
+
+def _graph_basis(M: FreeModuleMap) -> GroebnerBasis:
+    """Gröbner basis of the graph {(M(e_c), e_c)} ⊆ target ⊕ source, in an
+    order where the target components dominate the source components."""
     ring = M.source.ring
     tr, sr = M.target.rank, M.source.rank
     combined = FreeModule(ring, M.target.shifts + M.source.shifts)
     one = Polynomial.constant(ring, 1)
     zero = Polynomial.zero(ring)
-    gens = []
-    for c in range(sr):
-        col = M.column(c)
-        aug = tuple(one if i == c else zero for i in range(sr))
-        gens.append(col + aug)
-    # target components strictly dominate source components
+    graph = [M.column(c) + tuple(one if i == c else zero for i in range(sr))
+             for c in range(sr)]
     comp_rank = tuple(range(tr + sr - 1, sr - 1, -1)) + tuple(range(sr - 1, -1, -1))
-    gb = module_groebner(gens, combined, comp_rank=comp_rank)
-    kernel = []
-    for v in gb.vectors:
-        if all(v[i].is_zero() for i in range(tr)):
-            kernel.append(tuple(v[tr:]))
-    if minimalize and kernel:
-        kernel = minimal_generators(kernel, M.source)
-    return kernel
+    return module_groebner(graph, combined, comp_rank=comp_rank)
+
+
+def kernel_of_free_map(M: FreeModuleMap) -> List[Vector]:
+    """Minimal homogeneous generators of ker(M): the graph-basis elements
+    with vanishing target part."""
+    tr = M.target.rank
+    kernel = [tuple(v[tr:]) for v in _graph_basis(M).vectors
+              if all(v[i].is_zero() for i in range(tr))]
+    return minimal_generators(kernel, M.source) if kernel else []
 
 
 def lift_through_generators(vec: Vector, gens: Sequence[Vector],
                             free: FreeModule) -> Optional[List[Polynomial]]:
     """Coefficients c with vec = Σ c_i gens[i], or None if not in the module."""
-    ring = free.ring
-    tr = free.rank
-    sr = len(gens)
-    combined = FreeModule(ring, free.shifts + tuple(
-        vector_degree(g, free.shifts) or 0 for g in gens))
-    one = Polynomial.constant(ring, 1)
-    zero = Polynomial.zero(ring)
-    graph = []
-    for c, g in enumerate(gens):
-        aug = tuple(one if i == c else zero for i in range(sr))
-        graph.append(tuple(g) + aug)
-    comp_rank = tuple(range(tr + sr - 1, sr - 1, -1)) + tuple(range(sr - 1, -1, -1))
-    gb = module_groebner(graph, combined, comp_rank=comp_rank)
-    nf = gb.normal_form(tuple(vec) + tuple(zero for _ in range(sr)))
+    tr, sr = free.rank, len(gens)
+    zero = Polynomial.zero(free.ring)
+    nf = _graph_basis(generator_map(gens, free)).normal_form(
+        tuple(vec) + (zero,) * sr)
     if any(not nf[i].is_zero() for i in range(tr)):
         return None
     return [-nf[tr + i] for i in range(sr)]
@@ -196,33 +216,20 @@ class FreeResolution:
         return " <- ".join(repr(fm) for fm in self.modules)
 
 
-def free_resolution(gens: Sequence[Polynomial], max_length: Optional[int] = None) -> FreeResolution:
+def free_resolution(gens: Sequence[Polynomial]) -> FreeResolution:
     """Minimal graded free resolution of R/(gens) via iterated kernels."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
     F0 = FreeModule(ring, (0,))
-    as_vectors = [(g,) for g in gens]
-    min_gens = minimal_generators(as_vectors, F0)
-    cap = ring.nvars if max_length is None else min(max_length, ring.nvars + 1)
-    shifts1 = tuple(vector_degree(v, F0.shifts) for v in min_gens)
-    F1 = FreeModule(ring, shifts1)
-    phi1 = FreeModuleMap(F1, F0, [[v[0] for v in min_gens]])
-    modules = [F0, F1]
-    maps = [phi1]
-    while len(maps) < cap:
+    maps = [generator_map(minimal_generators([(g,) for g in gens], F0), F0)]
+    while len(maps) < ring.nvars:
         ker = kernel_of_free_map(maps[-1])
         if not ker:
             break
-        prev = modules[-1]
-        shifts = tuple(vector_degree(v, prev.shifts) for v in ker)
-        Fk = FreeModule(ring, shifts)
-        matrix = [[ker[c][r] for c in range(len(ker))] for r in range(prev.rank)]
-        phi = FreeModuleMap(Fk, prev, matrix)
-        modules.append(Fk)
-        maps.append(phi)
-    return FreeResolution(modules, maps)
+        maps.append(generator_map(ker, maps[-1].source))
+    return FreeResolution([F0] + [phi.source for phi in maps], maps)
 
 
 def submodule_colon_component(vectors: Sequence[Vector], free: FreeModule, j: int) -> List[Polynomial]:

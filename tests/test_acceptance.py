@@ -13,8 +13,9 @@ from math import comb
 
 from mapfibers import (PipelineOptions, check_divisor_degree_bound,
                        run_pipeline, saturate_irrelevant)
-from mapfibers.cohomology import hdim_difference, quotient_resolution
+from mapfibers.cohomology import hdim_difference
 from mapfibers.ideals import ideal_power
+from mapfibers.modules import free_resolution
 
 
 @contextmanager
@@ -61,7 +62,7 @@ def test_criterion_2_fiber_inventory(quintic_result):
 
 def test_criterion_3_resolution_shifts(quintic_ideal):
     with _budget(60):
-        res = quotient_resolution(quintic_ideal)
+        res = free_resolution(list(quintic_ideal.generators))
         betti = res.betti()
         assert betti[1] == [(5, 4)]
         assert betti[2] == [(6, 2), (8, 1)]

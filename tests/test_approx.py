@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
-from mapfibers.approx import (check_surface_bounds, complex_ranks, contract,
-                              dual_hdim, koszul_cycles, presentation_matrix_N)
+from mapfibers.approx import (check_surface_bounds, contract, dual_hdim,
+                              koszul_cycles, presentation_matrix_N)
 from mapfibers.ideals import Ideal
 from mapfibers.modules import vec_is_zero, vector_degree
 from mapfibers.poly import Polynomial
@@ -50,13 +50,6 @@ def test_top_cycle_dual_dimension(quintic_koszul):
     # the top cycle module is free of rank one generated in degree 4d,
     # so its dual dimension in degree 3d-2 is dim R_{d-1}
     assert dual_hdim(quintic_koszul, 3, 3 * 5 - 2) == comb(5 + 1, 2)
-
-
-def test_complex_ranks(quintic_map, quintic_koszul):
-    I = Ideal(quintic_map.source, list(quintic_map.forms))
-    l, mrank, n = complex_ranks(quintic_koszul, I)
-    assert (l, n) == (15, 8)
-    assert mrank == 23
 
 
 def test_presentation_matrix_is_linear(quintic_result):

@@ -79,7 +79,7 @@ def _compare(rng, nvars, order, mod, ncomps=1, ngens=3, max_deg=3,
     for _ in range(3):
         f = _random_element(rng, nvars, ncomps, 5, 4, mod)
         p, t = _both(f, ctx, rctx)
-        nf, scale = engine.normal_form_raw(p, gb, ctx, track_scale=True)
+        nf, scale = engine.normal_form_raw(p, engine._Basis(ctx, gb), ctx)
         rnf, rscale = ref.normal_form_raw(t, rgb, rctx, track_scale=True)
         assert _unpack(nf, ctx) == _unpack_ref(rnf)
         assert scale == rscale
@@ -174,4 +174,5 @@ def test_engine_product_past_the_cap_raises():
     basis = engine.groebner_raw(
         [[(ctx.pack((1, 0)), 1), (ctx.pack((0, 30000)), -1)]], ctx)
     with pytest.raises(ArithmeticError, match="total degree 34999"):
-        engine.normal_form_raw([(ctx.pack((5000, 0)), 1)], basis, ctx)
+        engine.normal_form_raw([(ctx.pack((5000, 0)), 1)],
+                               engine._Basis(ctx, basis), ctx)

@@ -126,3 +126,10 @@ def test_graded_piece_dimension():
     assert graded_piece_dim([], 2, R) == 0
     # degree-2 piece of (x) is x·R_1: dimension 3
     assert graded_piece_dim([x], 2, R) == 3
+
+
+def test_minimal_basis_keeps_the_sorted_greedy_choice():
+    assert [str(g) for g in Ideal(R, [y, x + y, x, x * x]).minimal_basis()] \
+        == ["x", "x + y"]
+    with pytest.raises(ValueError):
+        Ideal(R, [x, y * y + x]).minimal_basis()

@@ -1,8 +1,17 @@
+import os
+import random
+
 import pytest
 
+from mapfibers.fibers import build_map
 from mapfibers.mapfile import (MapFileError, format_map_file, parse_map_file,
                                parse_polynomial)
+from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+
+from conftest import MAPS_DIR
+
+N_FUZZ = 2000
 
 QUINTIC = """\
 # comments are ignored
@@ -112,3 +121,63 @@ def test_exponent_past_the_cap_rejected_with_location():
     with pytest.raises(MapFileError) as exc:
         parse_map_file("source = x y\nf0 = x^20000*y^20000\nf1 = x*y^39999\n")
     assert exc.value.line == 2 and "degree 40000" in str(exc.value)
+
+
+def test_default_target_clash_points_at_the_source_line():
+    with pytest.raises(MapFileError) as exc:
+        parse_map_file("source = T0 T1 T2\nf0 = T0\nf1 = T1\nf2 = T2\n"
+                       "f3 = T0 + T1\n")
+    assert (exc.value.line, exc.value.column) == (1, 10)
+    assert "'T0'" in str(exc.value)
+
+
+def test_target_name_repeating_a_source_name_rejected():
+    with pytest.raises(MapFileError) as exc:
+        parse_map_file("source = x y z\ntarget = a b x d\n"
+                       "f0 = x\nf1 = y\nf2 = z\nf3 = x + y\n")
+    assert (exc.value.line, exc.value.column) == (2, 14)
+    assert "'x'" in str(exc.value)
+
+
+def test_build_map_rejects_shared_names():
+    R = standard_ring(("x", "y"))
+    x, y = (Polynomial.variable(R, i) for i in range(2))
+    with pytest.raises(ValueError, match="'y'"):
+        build_map([x, y], target_names=("y", "z"))
+
+
+def _mutate(rng, text):
+    alphabet = "XTxyz0123456789 +-*^()/=#\n_$.,fGQ"
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or pos == len(chars):
+            chars.insert(pos, rng.choice(alphabet + text))
+        elif op == 1:
+            del chars[pos]
+        else:
+            chars[pos] = rng.choice(alphabet + text)
+    return "".join(chars)
+
+
+def test_parser_fuzz_gives_a_map_or_a_located_error():
+    """Seeded random edits of the bundled map files: each text parses to a
+    map whose source and target names are disjoint, or raises
+    MapFileError; nothing else escapes."""
+    rng = random.Random(20261018)
+    texts = []
+    for name in sorted(os.listdir(MAPS_DIR)):
+        with open(os.path.join(MAPS_DIR, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    parsed = failed = 0
+    for _ in range(N_FUZZ):
+        text = _mutate(rng, rng.choice(texts))
+        try:
+            pm = parse_map_file(text)
+        except MapFileError:
+            failed += 1
+            continue
+        assert not set(pm.source.variables) & set(pm.target.variables)
+        parsed += 1
+    assert parsed and failed

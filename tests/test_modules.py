@@ -1,7 +1,7 @@
-from mapfibers.cohomology import quotient_resolution
-from mapfibers.ideals import Ideal
-from mapfibers.modules import (FreeModule, FreeModuleMap, kernel_of_free_map,
-                               lift_through_generators, module_groebner,
+from mapfibers import groebner
+from mapfibers.modules import (FreeModule, FreeModuleMap, free_resolution,
+                               kernel_of_free_map, lift_through_generators,
+                               minimal_generators, module_groebner,
                                vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
@@ -37,7 +37,7 @@ def test_kernel_elements_map_to_zero(quintic_map):
 
 
 def test_resolution_of_two_variables():
-    res = quotient_resolution(Ideal(R, [x, y]))
+    res = free_resolution([x, y])
     assert res.betti()[0] == [(0, 1)]
     assert res.betti()[1] == [(1, 2)]
     assert res.betti()[2] == [(2, 1)]
@@ -50,7 +50,7 @@ def test_resolution_of_two_variables():
 
 
 def test_quintic_resolution_shifts(quintic_ideal):
-    res = quotient_resolution(quintic_ideal)
+    res = free_resolution(list(quintic_ideal.generators))
     assert res.betti()[1] == [(5, 4)]
     assert res.betti()[2] == [(6, 2), (8, 1)]
 
@@ -74,3 +74,22 @@ def test_module_groebner_membership():
     mgb = module_groebner(gens, free)
     assert mgb.contains((x * y, y * y))
     assert not mgb.contains((y, zero))
+
+
+def test_minimal_generators_builds_one_basis_per_later_degree(monkeypatch):
+    built = []
+    real_init = groebner.GroebnerBasis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "__init__", counting_init)
+    free = FreeModule(R, (0,))
+    # three degrees, three vectors kept: a basis after every kept vector
+    # would make three
+    vecs = [(x * z,), (x,), (z * z,), (y,), (x + y,), (y * z,), (z ** 3,),
+            (x * y * z,)]
+    chosen = minimal_generators(vecs, free)
+    assert [str(v[0]) for v in chosen] == ["x", "y", "z^2"]
+    assert len(built) <= 2

@@ -159,6 +159,25 @@ def test_cli_exponent_past_the_cap_exits_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_source_target_name_clash_exits_one(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapfibers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cases = [("source = T0 T1 T2\nf0 = T0^2\nf1 = T1^2\nf2 = T2^2\n"
+              "f3 = T0*T1\n", "line 1, column 10", "'T0'"),
+             ("source = x y z\ntarget = a b x d\nf0 = x^2\nf1 = y^2\n"
+              "f2 = z^2\nf3 = x*y\n", "line 2, column 14", "'x'")]
+    for k, (text, where, name) in enumerate(cases):
+        bad = tmp_path / f"clash{k}.map"
+        bad.write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "mapfibers.cli",
+                               "analyze", str(bad)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert where in proc.stderr and name in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def _count_calls(monkeypatch, fn, key=lambda *args: None):
     """Rebind fn in every mapfibers module that holds it to a wrapper that
     logs key(*args) per call; returns the log."""

@@ -6,8 +6,9 @@ identities the rest of the package leans on: gcd/lcm arithmetic, saturation
 idempotence, variable saturation by its two routes in the Rees ring's
 weights (over GF(7) and QQ), the two independent routes to local cohomology
 dimensions,
-normal-form soundness, and determinism of the reduced Groebner basis under
-concurrent recomputation.
+normal-form soundness, determinism of the reduced Groebner basis under
+concurrent recomputation, and minimal generators of submodules (over GF(7)
+and QQ) against the per-generator greedy loop.
 """
 
 import random
@@ -19,6 +20,9 @@ from mapfibers.groebner import normal_form, reduced_groebner
 from mapfibers.ideals import (colon, degree_monomials, exact_divide,
                               intersect, poly_gcd, saturate_element,
                               saturate_irrelevant, saturate_variable)
+from mapfibers.modules import (FreeModule, minimal_generators,
+                               module_groebner, vec_add, vec_is_zero,
+                               vec_scale, vector_degree)
 from mapfibers.poly import Polynomial
 
 SEED = 20260815
@@ -31,6 +35,7 @@ N_VAR_SAT = 50
 N_COH = 50
 N_NF = 50
 N_GB_CASES = 25          # times 4 parallel runs each
+N_MINGEN = 200
 
 
 def _ring(field, nvars=3):
@@ -192,3 +197,71 @@ def test_irrelevant_ideal_saturates_to_unit():
                       for i in range(len(R.variables))])
         S = saturate_irrelevant(m)
         assert S.contains(Polynomial.constant(R, 1))
+
+
+def _greedy_minimal_generators(vectors, free):
+    """The reference: one Gröbner basis after every vector it keeps."""
+    vecs = [v for v in vectors if not vec_is_zero(v)]
+    vecs.sort(key=lambda v: vector_degree(v, free.shifts))
+    chosen = []
+    gb = None
+    for v in vecs:
+        if gb is not None and gb.contains(v):
+            continue
+        chosen.append(v)
+        gb = module_groebner(chosen, free)
+    return chosen
+
+
+def _rand_qform(rng, ring, deg):
+    """Random nonzero form of the given degree, also over QQ."""
+    monos = degree_monomials(ring.nvars, deg)
+    F = ring.field
+    items = [(m, F.div(F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))),
+                       F.from_int(rng.randint(1, 2))))
+             for m in rng.sample(monos, rng.randint(1, min(3, len(monos))))]
+    return Polynomial.from_terms(ring, items)
+
+
+def _rand_vector(rng, ring, shifts, t):
+    """Random nonzero homogeneous vector of degree t under the shifts."""
+    live = [c for c, a in enumerate(shifts) if a <= t]
+    keep = set(rng.sample(live, rng.randint(1, len(live))))
+    return tuple(_rand_qform(rng, ring, t - a) if c in keep
+                 else Polynomial.zero(ring) for c, a in enumerate(shifts))
+
+
+def test_minimal_generators_match_the_greedy_loop():
+    """Per-degree pivot columns of normal forms choose exactly the vectors
+    the per-generator greedy loop keeps, on inputs with planted scalar
+    multiples, same-degree sums and multiples of lower-degree vectors."""
+    rng = random.Random(SEED + 6)
+    dropped = 0
+    for field in (PrimeField(7), QQ):
+        R = _ring(field)
+        for _ in range(N_MINGEN // 2):
+            shifts = tuple(rng.randint(0, 1)
+                           for _ in range(rng.randint(1, 3)))
+            free = FreeModule(R, shifts)
+            lo = min(shifts)
+            vecs = [_rand_vector(rng, R, shifts, rng.randint(lo, lo + 2))
+                    for _ in range(rng.randint(2, 4))]
+            for _ in range(rng.randint(2, 4)):
+                v = rng.choice(vecs)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    c = Polynomial.constant(R, field.from_int(rng.randint(2, 5)))
+                    vecs.append(vec_scale(v, c))
+                elif kind == 1:
+                    t = vector_degree(v, shifts)
+                    w = rng.choice([u for u in vecs
+                                    if vector_degree(u, shifts) == t])
+                    vecs.append(vec_add(v, w))
+                else:
+                    vecs.append(vec_scale(v, _rand_qform(rng, R,
+                                                         rng.randint(1, 2))))
+            rng.shuffle(vecs)
+            chosen = minimal_generators(vecs, free)
+            assert chosen == _greedy_minimal_generators(vecs, free)
+            dropped += len(vecs) - len(chosen)
+    assert dropped >= N_MINGEN
