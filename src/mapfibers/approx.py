@@ -16,19 +16,20 @@ contraction e_i ⌟ (-): Z_2 → Z_1.
 
 Everything here is exact linear algebra over the coefficient field.  A Hom
 piece Hom(Z_q, R)_e is the kernel, in degree e, of the dual of the syzygy
-map of the chosen generators of Z_q (`cohomology.dual_map_rows`), and the
-contraction compositions are computed by lifting through those generators.
+map of the chosen generators of Z_q (`cohomology.dual_map_rows`), the
+contraction compositions are computed by lifting through the cover map of
+Z_1, and their coordinates are read off the nullspace basis of Hom(Z_2, R).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import dual_map_rows, hdim_difference, hom_basis
 from .ideals import Ideal, intersect_many
 from .modules import (FreeModule, FreeModuleMap, Vector, generator_map,
-                      kernel_of_free_map, lift_through_generators,
-                      module_groebner, submodule_colon_component, vec_is_zero)
+                      kernel_of_free_map, module_groebner,
+                      submodule_colon_component, vec_is_zero)
 from .hilbert import hilbert_series_quotient
 from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
@@ -48,16 +49,8 @@ class KoszulData:
     modules: List[FreeModule]              # K_0 .. K_4
     differentials: List[FreeModuleMap]     # d_1 .. d_4, d_q: K_q -> K_{q-1}
     cycles: Dict[int, List[Vector]]        # q -> minimal generators of Z_q
-    _syzygies: Dict[int, FreeModuleMap] = field(default_factory=dict, repr=False)
-
-    def cycle_syzygies(self, q: int) -> FreeModuleMap:
-        """The syzygy map of the chosen generators of Z_q: its cokernel is
-        Z_q, its target ⊕_j R(−deg g_j) has one summand per generator."""
-        if q not in self._syzygies:
-            cover = generator_map(self.cycles[q], self.modules[q])
-            self._syzygies[q] = generator_map(kernel_of_free_map(cover),
-                                              cover.source)
-        return self._syzygies[q]
+    covers: Dict[int, FreeModuleMap]       # q -> Z_q ← ⊕_j R(−deg g_j), e_j ↦ g_j
+    syzygies: Dict[int, FreeModuleMap]     # q -> syzygy map of the cover: coker = Z_q
 
 
 def koszul_cycles(forms: Sequence[Polynomial]) -> KoszulData:
@@ -121,7 +114,11 @@ def koszul_cycles(forms: Sequence[Polynomial]) -> KoszulData:
                 raise ArithmeticError("Koszul differentials do not compose to zero")
 
     cycles = {q: kernel_of_free_map(dq) for q, dq in ((1, d1), (2, d2), (3, d3))}
-    return KoszulData(ring, d, forms, K, [d1, d2, d3, d4], cycles)
+    covers = {q: generator_map(gens, K[q]) for q, gens in cycles.items()}
+    syzygies = {q: generator_map(kernel_of_free_map(c), c.source)
+                for q, c in covers.items()}
+    return KoszulData(ring, d, forms, K, [d1, d2, d3, d4], cycles, covers,
+                      syzygies)
 
 
 def contract(i: int, vec: Vector, ring: RingDescriptor) -> Vector:
@@ -167,6 +164,34 @@ class HomPiece:
                 vals[j][mono] = c
         return [Polynomial(ring, v) for v in vals]
 
+    def coordinates(self, values: Sequence[Polynomial]) -> List:
+        """Coordinates in this basis of the homomorphism with the given value
+        tuple.  Each basis vector comes from `linalg.nullspace`, so it is the
+        only one nonzero at its last nonzero entry (its free column), and its
+        coordinate is read off there.  Subtracting the combination must leave
+        zero, which certifies that the values lie in Hom; ArithmeticError is
+        raised if not."""
+        F = values[0].ring.field
+        slot = {c: k for k, c in enumerate(self.coords)}
+        x = [F.zero()] * len(self.coords)
+        for j, u in enumerate(values):
+            for mono, c in u.terms.items():
+                if (j, mono) not in slot:
+                    raise ArithmeticError("value of the wrong degree for Hom")
+                x[slot[(j, mono)]] = c
+        lam = []
+        for vec in self.basis:
+            k = max(k for k, c in enumerate(vec) if not F.is_zero(c))
+            a = F.div(x[k], vec[k])
+            lam.append(a)
+            if not F.is_zero(a):
+                for r, c in enumerate(vec):
+                    if not F.is_zero(c):
+                        x[r] = F.sub(x[r], F.mul(a, c))
+        if any(not F.is_zero(r) for r in x):
+            raise ArithmeticError("value tuple is not a homomorphism in Hom")
+        return lam
+
 
 def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
     """Hom(M, R)_e for the module M presented by its generators' syzygy map:
@@ -182,7 +207,7 @@ def dual_hdim(kd: KoszulData, q: int, t: int) -> int:
     """dim_k H^3_m(Z_q)_t, computed by duality as dim Hom(Z_q, R)_{-t-3}."""
     if q not in kd.cycles:
         raise ValueError(f"no cycle module Z_{q}")
-    return hom_piece(kd.cycle_syzygies(q), -t - 3).dim
+    return hom_piece(kd.syzygies[q], -t - 3).dim
 
 
 @dataclass
@@ -243,9 +268,9 @@ def presentation_matrix_N(I: Ideal,
     F = ring.field
     e1, e2 = -d - 1, -2 * d - 1
 
-    z1, z2 = kd.cycles[1], kd.cycles[2]
-    W1 = hom_piece(kd.cycle_syzygies(1), e1)
-    W2 = hom_piece(kd.cycle_syzygies(2), e2)
+    z2 = kd.cycles[2]
+    W1 = hom_piece(kd.syzygies[1], e1)
+    W2 = hom_piece(kd.syzygies[2], e2)
     l = dual_hdim(kd, 3, 3 * d - 2)
     n, mrank = W1.dim, W2.dim
 
@@ -258,26 +283,10 @@ def presentation_matrix_N(I: Ideal,
     lift_coeffs: Dict[Tuple[int, int], List[Polynomial]] = {}
     for i in range(4):
         for b, w in enumerate(z2):
-            v = contract(i, w, ring)
-            cs = lift_through_generators(v, z1, kd.modules[1])
+            cs = kd.covers[1].lift(contract(i, w, ring))
             if cs is None:
                 raise ArithmeticError("contraction left the cycle module Z_1")
             lift_coeffs[(i, b)] = cs
-
-    # expansion matrix of the W_2 coordinate space, columns = W_2 basis
-    w2_rows = [[W2.basis[bb][r] for bb in range(mrank)]
-               for r in range(len(W2.coords))]
-    w2_col = {c: r for r, c in enumerate(W2.coords)}
-
-    def w2_coordinates(values: List[Polynomial]) -> List:
-        x = [F.zero()] * len(W2.coords)
-        for b, vb in enumerate(values):
-            for m, c in vb.terms.items():
-                x[w2_col[(b, m)]] = F.add(x[w2_col[(b, m)]], c)
-        lam = linalg.solve(w2_rows, x, F)
-        if lam is None:
-            raise ArithmeticError("contraction composite is not in Hom(Z_2, R)")
-        return lam
 
     # D_i[b][a]: coordinates of φ_a ∘ (e_i ⌟ -) in the W_2 basis
     D = [[[F.zero()] * n for _ in range(mrank)] for _ in range(4)]
@@ -291,7 +300,7 @@ def presentation_matrix_N(I: Ideal,
                     if not cj.is_zero() and not u[j].is_zero():
                         vb = vb + cj * u[j]
                 vals.append(vb)
-            lam = w2_coordinates(vals)
+            lam = W2.coordinates(vals)
             for b in range(mrank):
                 D[i][b][a] = lam[b]
 
@@ -303,7 +312,7 @@ def presentation_matrix_N(I: Ideal,
 
     cfree = FreeModule(B, (1,) * n)
     columns = [tuple(P[a][b] for a in range(n)) for b in range(mrank)]
-    mgb = module_groebner([c for c in columns if not vec_is_zero(c)], cfree)
+    mgb = module_groebner(columns, cfree)
     H = hilbert_series_quotient(mgb)
     coker_dims = {s: H.hf(s) for s in range(1, max(n + 2, 4) + 1)}
     window = {H.hf(s) for s in range(n, n + 3)}

@@ -52,10 +52,12 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
 def hom_basis(shifts: Sequence[int], e: int, nvars: int) -> List[Tuple[int, tuple]]:
     """The k-basis of Hom(⊕_c R(−shifts[c]), R)_e: one (component c,
     monomial of degree e + shifts[c]) pair per basis element."""
+    monos: Dict[int, Tuple[tuple, ...]] = {}
     out = []
     for c, a in enumerate(shifts):
-        for m in degree_monomials(nvars, e + a):
-            out.append((c, m))
+        if e + a not in monos:
+            monos[e + a] = degree_monomials(nvars, e + a)
+        out.extend((c, m) for m in monos[e + a])
     return out
 
 

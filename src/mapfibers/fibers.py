@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approx import PresentationData, presentation_matrix_N
 from .groebner import normal_form
-from .ideals import (Ideal, degree_monomials, eliminate, exact_divide,
+from .ideals import (Ideal, eliminate, exact_divide,
                      extend_polynomial, ideal_power, poly_gcd_list,
                      restrict_polynomial, saturate_variable)
 from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
@@ -466,7 +466,6 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
     if not img.generically_finite:
         raise NotGenericallyFiniteError(img.dimension, pmap.m)
 
-    R = pmap.source
     d = pmap.d
     m = pmap.m
     base_empty = pmap.locus[1] == 0
@@ -501,13 +500,9 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         result.route_a[s] = entry
         if nu >= s * d:
             continue
-        basis: List[Polynomial] = []
-        for g in Jsat.minimal_basis():
-            dg = g.degree()
-            if dg <= nu:
-                for mono in degree_monomials(R.nvars, nu - dg):
-                    basis.append(g.mul_term(mono, R.field.one()))
-        G = poly_gcd_list(basis)
+        # the degree-ν elements of the reduced basis span (I^s)^sat_ν
+        G = poly_gcd_list([g for g in Jsat.groebner().polys
+                           if g.degree() == nu])
         entry["gcd_degree"] = G.degree()
         if G.degree() < 1:
             continue

@@ -182,9 +182,3 @@ def hilbert_series_quotient(gb) -> HilbertData:
             total[k + a] = total.get(k + a, 0) + coef
     return HilbertData({k: c for k, c in total.items() if c}, ctx.nvars)
 
-
-def free_module_series(shifts: Sequence[int], nvars: int) -> HilbertData:
-    num: Dict[int, int] = {}
-    for a in shifts:
-        num[a] = num.get(a, 0) + 1
-    return HilbertData(num, nvars)

@@ -1,5 +1,5 @@
-"""Ideal-level operations: sums, products, intersections, colons,
-saturations, elimination, multivariate gcd, graded pieces.
+"""Ideal-level operations: products, powers, intersections, colons,
+saturations, elimination, multivariate gcd, the monomials of a degree.
 
 Everything is exact.  Saturation by a variable uses the reverse-lex
 trick (put the variable last in a graded reverse-lex order, then strip
@@ -10,7 +10,7 @@ Both require / preserve homogeneity where documented.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -116,9 +116,6 @@ def restrict_polynomial(f: Polynomial, small: RingDescriptor, keep: Sequence[int
 
 # ---------------------------------------------------------------------------
 # core constructions
-
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.ring, I.generators + J.generators)
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, [g * h for g in I.generators for h in J.generators])
@@ -255,20 +252,6 @@ def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:
     return Ideal(small, out), small
 
 
-def radical_contains(I: Ideal, f: Polynomial) -> bool:
-    """f ∈ √I, by adjoining an inverse for f and testing 1 ∈ ideal."""
-    if f.is_zero():
-        return True
-    R = I.ring
-    big = R.extend(("_w",))
-    w = Polynomial.variable(big, big.nvars - 1)
-    one = Polynomial.constant(big, R.field.one())
-    gens = [extend_polynomial(g, big) for g in I.generators]
-    gens.append(w * extend_polynomial(f, big) - one)
-    gb = reduced_groebner(gens, ring=big)
-    return any(p.is_constant() for p in gb.polys)
-
-
 # ---------------------------------------------------------------------------
 # gcd via lattice of principal ideals
 
@@ -309,9 +292,8 @@ def _normalize_poly(f: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# graded pieces as row spaces
+# monomials of one degree
 
-@lru_cache(maxsize=None)
 def degree_monomials(nvars: int, t: int) -> Tuple[Monomial, ...]:
     """All exponent tuples of total degree t, reverse-lex sorted."""
     if t < 0:
@@ -327,30 +309,3 @@ def degree_monomials(nvars: int, t: int) -> Tuple[Monomial, ...]:
     key = GREVLEX.key_function(nvars)
     monos.sort(key=key, reverse=True)
     return tuple(monos)
-
-
-def graded_piece_matrix(polys: Sequence[Polynomial], t: int,
-                        ring: RingDescriptor) -> List[List]:
-    """Rows spanning the degree-t part of the ideal generated by polys."""
-    monos = degree_monomials(ring.nvars, t)
-    index = {m: j for j, m in enumerate(monos)}
-    F = ring.field
-    rows = []
-    for g in polys:
-        d = g.degree()
-        if d is None or d > t:
-            continue
-        for m in degree_monomials(ring.nvars, t - d):
-            row = [F.zero()] * len(monos)
-            for gm, c in g.terms.items():
-                row[index[mono_mul(gm, m)]] = c
-            rows.append(row)
-    return rows
-
-
-def graded_piece_dim(polys: Sequence[Polynomial], t: int, ring: RingDescriptor) -> int:
-    from . import linalg
-    rows = graded_piece_matrix(polys, t, ring)
-    if not rows:
-        return 0
-    return linalg.rank(rows, ring.field)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .fields import Field, PrimeField
 
@@ -158,27 +158,3 @@ def nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> List[List]:
         basis.append([Fraction(v) for v in xi])
     return basis
 
-
-def solve(rows: Sequence[Sequence], rhs: Sequence, field: Field) -> Optional[List]:
-    """One solution x of A·x = rhs, or None if inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    if isinstance(field, PrimeField):
-        p = field.p
-        ech, pivots = _echelon_gf(aug, p)
-        if n in pivots:
-            return None
-        x = [0] * n
-        for r, pc in reversed(list(zip(ech, pivots))):
-            s = sum(r[c] * x[c] for c in range(pc + 1, n)) % p
-            x[pc] = (r[n] - s) % p
-        return x
-    ech, pivots = _echelon_qq(_int_rows(aug))
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in reversed(list(zip(ech, pivots))):
-        s = sum((Fraction(r[c]) * x[c] for c in range(pc + 1, n) if x[c]), Fraction(0))
-        x[pc] = (Fraction(r[n]) - s) / r[pc]
-    return x

@@ -8,8 +8,9 @@ of each graded-module primitive the package uses: minimal generators (one
 Gröbner basis per degree; `Ideal.minimal_basis` is the rank-one call), the
 generator map ⊕_j R(−deg g_j) → F of a list of vectors, and the graph
 submodule {(M(e_c), e_c)} of target ⊕ source, whose basis gives both
-kernels (by elimination of the target components) and lifts through
-generators (by normal form).
+kernels (by elimination of the target components) and lifts through a map
+(`FreeModuleMap.lift`, by normal form).  A lift keeps its graph basis on
+the map for later lifts; `kernel_of_free_map` keeps none.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class FreeModuleMap:
         self.matrix = [list(row) for row in matrix]
         if len(self.matrix) != target.rank or any(len(r) != source.rank for r in self.matrix):
             raise ValueError("matrix shape does not match module ranks")
+        self._graph: Optional[GroebnerBasis] = None
 
     def column(self, c: int) -> Vector:
         return tuple(self.matrix[r][c] for r in range(self.target.rank))
@@ -97,6 +99,18 @@ class FreeModuleMap:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.matrix for p in row)
+
+    def lift(self, vec: Vector) -> Optional[List[Polynomial]]:
+        """Coefficients c with vec = Σ_j c_j·column(j), or None if vec is
+        not in the image: a normal form against the graph basis, which is
+        built on the first lift and kept for the later ones."""
+        if self._graph is None:
+            self._graph = _graph_basis(self)
+        tr = self.target.rank
+        nf = self._graph.normal_form(tuple(vec) + self.source.zero())
+        if not vec_is_zero(nf[:tr]):
+            return None
+        return [-c for c in nf[tr:]]
 
     def check_homogeneous(self) -> bool:
         for r in range(self.target.rank):
@@ -179,18 +193,6 @@ def kernel_of_free_map(M: FreeModuleMap) -> List[Vector]:
     kernel = [tuple(v[tr:]) for v in _graph_basis(M).vectors
               if all(v[i].is_zero() for i in range(tr))]
     return minimal_generators(kernel, M.source) if kernel else []
-
-
-def lift_through_generators(vec: Vector, gens: Sequence[Vector],
-                            free: FreeModule) -> Optional[List[Polynomial]]:
-    """Coefficients c with vec = Σ c_i gens[i], or None if not in the module."""
-    tr, sr = free.rank, len(gens)
-    zero = Polynomial.zero(free.ring)
-    nf = _graph_basis(generator_map(gens, free)).normal_form(
-        tuple(vec) + (zero,) * sr)
-    if any(not nf[i].is_zero() for i in range(tr)):
-        return None
-    return [-nf[tr + i] for i in range(sr)]
 
 
 class FreeResolution:

@@ -30,7 +30,6 @@ EXIT_INCOMPLETE = 3
 @dataclass
 class PipelineOptions:
     s_max: int = 4
-    fibers: bool = True
     divisor_bound: bool = True
     factorization: bool = True
     module_table: bool = True
@@ -105,10 +104,8 @@ def run_pipeline(pmap: ParameterizedMap,
         return PipelineResult(report, EXIT_HYPOTHESIS)
 
     # presentation of N over the target ring (m = 2 with 4 nonzero forms)
-    pres, pres_error = None, None
-    if opt.presentation or opt.fibers:
-        with _Step(timings, "presentation"):
-            pres, pres_error = pmap.presentation
+    with _Step(timings, "presentation"):
+        pres, pres_error = pmap.presentation
     if pres is not None and opt.presentation:
         pts, supp_complete = pmap.support
         supp_pts = sorted(pts or [], key=lambda p: p.coords)
@@ -136,32 +133,27 @@ def run_pipeline(pmap: ParameterizedMap,
     elif pres_error is not None and opt.presentation:
         report["presentation"] = {"error": pres_error}
 
-    incomplete = False
-    search = None
-    if opt.fibers:
-        with _Step(timings, "fibers"):
-            search = find_one_dim_fibers(pmap, s_max=max(opt.s_max, 2))
-        report["fibers"] = fibers_block(search)
-        if not search.complete:
-            incomplete = True
+    with _Step(timings, "fibers"):
+        search = find_one_dim_fibers(pmap, s_max=max(opt.s_max, 2))
+    report["fibers"] = fibers_block(search)
+    incomplete = not search.complete
 
-        if opt.divisor_bound:
-            with _Step(timings, "divisor_bound"):
-                rows = [check_divisor_degree_bound(pmap, s, search.records)
-                        for s in range(1, opt.s_max + 1)]
-            report["divisor_bound"] = [divisor_bound_json(v) for v in rows]
+    if opt.divisor_bound:
+        with _Step(timings, "divisor_bound"):
+            rows = [check_divisor_degree_bound(pmap, s, search.records)
+                    for s in range(1, opt.s_max + 1)]
+        report["divisor_bound"] = [divisor_bound_json(v) for v in rows]
 
-        if opt.factorization and search.records:
-            with _Step(timings, "factorization"):
-                report["factorization"] = [
-                    factorization_json(rec, check_fiber_factorization(pmap, rec))
-                    for rec in search.records]
+    if opt.factorization and search.records:
+        with _Step(timings, "factorization"):
+            report["factorization"] = [
+                factorization_json(rec, check_fiber_factorization(pmap, rec))
+                for rec in search.records]
 
     if opt.module_table:
         with _Step(timings, "module"):
             table = n_table(pmap, range(1, opt.s_max + 1))
-            degrees = [r.divisor_degree for r in search.records] \
-                if search is not None else []
+            degrees = [r.divisor_degree for r in search.records]
             verdict = check_module_degree_formula(degrees, table, m)
             if verdict.inconclusive and pres is not None \
                     and pres.stable_value is not None:

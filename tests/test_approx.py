@@ -2,10 +2,12 @@ from math import comb
 
 import pytest
 
+from mapfibers import modules
 from mapfibers.approx import (check_surface_bounds, contract, dual_hdim,
-                              koszul_cycles, presentation_matrix_N)
+                              hom_piece, koszul_cycles, presentation_matrix_N)
 from mapfibers.ideals import Ideal
-from mapfibers.modules import vec_is_zero, vector_degree
+from mapfibers.modules import (FreeModule, generator_map, kernel_of_free_map,
+                               vec_is_zero, vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 
@@ -50,6 +52,43 @@ def test_top_cycle_dual_dimension(quintic_koszul):
     # the top cycle module is free of rank one generated in degree 4d,
     # so its dual dimension in degree 3d-2 is dim R_{d-1}
     assert dual_hdim(quintic_koszul, 3, 3 * 5 - 2) == comb(5 + 1, 2)
+
+
+def test_hom_coordinates_read_off_the_nullspace(quintic_koszul):
+    kd = quintic_koszul
+    W2 = hom_piece(kd.syzygies[2], -2 * kd.d - 1)
+    F = kd.ring.field
+    assert W2.dim == 23
+    for a in range(W2.dim):
+        unit = [F.one() if b == a else F.zero() for b in range(W2.dim)]
+        assert W2.coordinates(W2.values(kd.ring, a)) == unit
+
+
+def test_hom_coordinates_reject_values_outside_hom():
+    # M = (x, y): a degree-0 homomorphism sends x, y to c·x, c·y
+    cover = generator_map([(x,), (y,)], FreeModule(R, (0,)))
+    W = hom_piece(generator_map(kernel_of_free_map(cover), cover.source), 0)
+    assert (W.dim, len(W.coords)) == (1, 6)
+    assert W.coordinates([x + x, y + y]) == [2 * W.coordinates([x, y])[0]]
+    with pytest.raises(ArithmeticError):
+        W.coordinates([x, z])               # z·x ≠ x·y: not a homomorphism
+    with pytest.raises(ArithmeticError):
+        W.coordinates([x * x, x * y])       # degree 1, not degree 0
+
+
+def test_presentation_builds_few_graph_bases(quintic_ideal, monkeypatch):
+    # three Koszul kernels, three cover syzygy maps, one lift basis for Z_1
+    built = []
+    real = modules._graph_basis
+
+    def counting(M):
+        built.append(M)
+        return real(M)
+
+    monkeypatch.setattr(modules, "_graph_basis", counting)
+    pres = presentation_matrix_N(quintic_ideal)
+    assert pres.ranks == (15, 23, 8)
+    assert len(built) <= 7
 
 
 def test_presentation_matrix_is_linear(quintic_result):

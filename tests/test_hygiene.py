@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every function, method or class the package defines is named somewhere.
+"""Source hygiene: every name a module imports is used in that module,
+every function, method or class the package defines is named somewhere, and
+no function carries a process-wide cache decorator.
 
 Stdlib only: each ``src/mapfibers/*.py`` is parsed with ``ast``.  The
 package ``__init__`` is exempt from the import check because its imports
@@ -111,3 +112,26 @@ def test_every_definition_is_referenced():
     dead = sorted(f"{name} ({where})" for name, where in defined.items()
                   if name not in referenced)
     assert not dead, f"definitions named nowhere else: {', '.join(dead)}"
+
+
+CACHE_DECORATORS = ("lru_cache", "cache")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_level_caches(module):
+    """A `functools.lru_cache` or `functools.cache` decorator keeps its
+    entries for the life of the process; derived objects are cached on the
+    object that owns them instead."""
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) \
+                else getattr(target, "id", None)
+            if name in CACHE_DECORATORS:
+                found.append(f"{node.name} (line {dec.lineno})")
+    assert not found, f"{module} caches process-wide: {', '.join(found)}"

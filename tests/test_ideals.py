@@ -1,11 +1,9 @@
 import pytest
 
 from mapfibers.ideals import (Ideal, colon, eliminate, exact_divide,
-                              ideal_power, ideal_product, ideal_sum,
-                              intersect, poly_gcd, poly_gcd_list,
-                              radical_contains, saturate_element,
-                              saturate_irrelevant, saturate_variable,
-                              graded_piece_dim)
+                              ideal_power, ideal_product, intersect, poly_gcd,
+                              poly_gcd_list, saturate_element,
+                              saturate_irrelevant, saturate_variable)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 
@@ -49,7 +47,6 @@ def test_intersection_and_colon():
 
 def test_sum_product_power():
     A, B = Ideal(R, [x]), Ideal(R, [y])
-    assert ideal_sum(A, B) == Ideal(R, [x, y])
     assert ideal_product(A, B) == Ideal(R, [x * y])
     sq = ideal_power(Ideal(R, [x, y]), 2)
     assert sq == Ideal(R, [x * x, x * y, y * y])
@@ -107,25 +104,12 @@ def test_poly_gcd():
     assert poly_gcd(x, y).is_constant()
 
 
-def test_radical_membership():
-    I = Ideal(R, [x * x, y ** 3])
-    assert radical_contains(I, x)
-    assert radical_contains(I, x + y)
-    assert not radical_contains(I, z)
-
-
 def test_elimination_projects():
     # V(x - y, x - z) projects to the diagonal y = z
     I = Ideal(R, [x - y, x - z])
     J, small = eliminate(I, (0,))
     assert small.variables == ("y", "z")
     assert [str(g) for g in J.minimal_basis()] == ["y - z"]
-
-
-def test_graded_piece_dimension():
-    assert graded_piece_dim([], 2, R) == 0
-    # degree-2 piece of (x) is x·R_1: dimension 3
-    assert graded_piece_dim([x], 2, R) == 3
 
 
 def test_minimal_basis_keeps_the_sorted_greedy_choice():

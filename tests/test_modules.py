@@ -1,6 +1,6 @@
 from mapfibers import groebner
 from mapfibers.modules import (FreeModule, FreeModuleMap, free_resolution,
-                               kernel_of_free_map, lift_through_generators,
+                               generator_map, kernel_of_free_map,
                                minimal_generators, module_groebner,
                                vector_degree)
 from mapfibers.poly import Polynomial
@@ -47,6 +47,8 @@ def test_resolution_of_two_variables():
         for c in range(inner.source.rank):
             img = inner.column(c)
             assert all(e.is_zero() for e in outer.apply(img))
+    # kernels keep no graph basis: only a lift caches one on its map
+    assert all(phi._graph is None for phi in res.maps)
 
 
 def test_quintic_resolution_shifts(quintic_ideal):
@@ -59,13 +61,13 @@ def test_lift_through_generators():
     free = FreeModule(R, (0, 0))
     gens = [(x, y), (zero, z)]
     vec = (x * z, y * z + z * z)
-    lam = lift_through_generators(vec, gens, free)
+    cover = generator_map(gens, free)
+    lam = cover.lift(vec)
     assert lam is not None
     lhs0 = lam[0] * gens[0][0] + lam[1] * gens[1][0]
     lhs1 = lam[0] * gens[0][1] + lam[1] * gens[1][1]
     assert lhs0 == vec[0] and lhs1 == vec[1]
-    assert lift_through_generators((Polynomial.constant(R, 1), zero),
-                                   gens, free) is None
+    assert cover.lift((Polynomial.constant(R, 1), zero)) is None
 
 
 def test_module_groebner_membership():
