@@ -5,9 +5,11 @@ sorted by descending key.  The key is the monomial itself, packed into
 one integer: EXP_BITS-wide fields, one per variable plus the order's
 total-degree fields, laid out so that comparing keys compares monomials.
 Variable fields hold ``e`` (lex) or ``EXP_CAP - e`` (the reverse-lex
-orders); for modules the component's rank sits in the bits above the
-scalar fields (position over term).  Scalar polynomials are the
-component-0 case.
+orders); under non-unit variable weights one wider field below them
+holds the weighted degree, which breaks no tie because the fields above
+it already fix the monomial; for modules the component's rank sits in
+the bits above the scalar fields (position over term).  Scalar
+polynomials are the component-0 case.
 
 Every field is affine in the exponent vector, hence so is the key:
 
@@ -15,23 +17,34 @@ Every field is affine in the exponent vector, hence so is the key:
 
 A shift by x^u is one integer add of ``delta = key(x^u·m) − key(m)``,
 divisibility is one subtract-and-mask test on the top (guard) bit of
-each field, and exponents are unpacked only to form the lcm of a pair
-and at the conversion boundary in `groebner`.  This holds
-while every field stays within [0, EXP_CAP], so the total degree of each
-monomial the engine forms is capped at EXP_CAP: packing raises
-ArithmeticError past it, and every reduction step checks that the
-shifted reducer stays within it.
+each field, the weighted degree is one mask, and exponents are unpacked
+only to cache each basis lead's exponents (for the lcms of its pairs)
+and at the conversion boundary in `groebner`.  This holds while every
+field stays within [0, EXP_CAP] (the weighted field within max weight ·
+EXP_CAP), so the total degree of each monomial the engine forms is
+capped at EXP_CAP: packing raises ArithmeticError past it, and every
+reduction step checks that the shifted reducer stays within it.
+
+Reduction never merges sorted lists.  The unexamined part of the running
+polynomial is a dict key → coefficient with a heap of its keys: the
+largest key is popped, and a reducible term adds b · x^u · tail(reducer)
+into the dict, pushing only keys it had not held; irreducible terms are
+appended to the output, which comes out in descending order.  An
+S-polynomial is built the same way from the two tails.
 
 Coefficients are Python ints: over the rationals we keep polynomials
 primitive (integer coefficients, content 1) and use fraction-free
-pseudo-reduction; over GF(p) coefficients are residues and basis
-elements are kept monic.
+pseudo-reduction, multiplying the factor into the dict and the output
+and stripping the content once the lead passes STRIP_BITS; over GF(p)
+coefficients are reduced mod p only when popped, and basis elements are
+kept monic.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
+from itertools import chain, islice
 from math import gcd as igcd
 
 EXP_BITS = 16
@@ -82,13 +95,20 @@ class EngineContext:
                       every - block, *(i for i in rev if i not in block)]
         else:
             raise ValueError(f"unsupported order kind {order.kind!r}")
+        w = self.weights
+        if any(x < 0 for x in w):
+            raise ValueError(f"negative variable weight in {w}")
+        # under non-unit weights the least significant field holds the
+        # weighted degree, wide enough that max(w) · EXP_CAP stays below
+        # its guard bit; the fields above it decide the order on their own
+        low = EXP_BITS + max(w).bit_length() if any(x != 1 for x in w) else 0
         self.reverse = reverse = order.kind != "lex"
         cols = [0] * nv           # key(e) = one + Σ e_i · cols[i]
         one = guards = var_guards = 0
         var_shift = [0] * nv
         total_shifts = []
         for pos, f in enumerate(reversed(fields)):
-            shift = EXP_BITS * pos
+            shift = low + EXP_BITS * pos
             guard = 1 << (shift + EXP_BITS - 1)
             guards |= guard
             if isinstance(f, int):
@@ -103,8 +123,11 @@ class EngineContext:
                 total_shifts.append(shift)
                 for i in f:
                     cols[i] += 1 << shift
+        if low:
+            guards |= 1 << (low - 1)
+            cols = [c + x for c, x in zip(cols, w)]
         # position over term: component rank dominates the scalar key
-        cshift = self.cshift = EXP_BITS * (nv + 3)
+        cshift = self.cshift = low + EXP_BITS * (nv + 3)
         self.rank_bits = tuple(r << cshift for r in self.comp_rank)
         self.comp_of_rank = {r: c for c, r in enumerate(self.comp_rank)}
         self.one = one
@@ -150,13 +173,14 @@ class EngineContext:
                 return ((k >> s0) & _MASK) + ((k >> s1) & _MASK)
         self.deg = deg
 
-        w = self.weights
-        if all(x == 1 for x in w):
-            self.wdeg = deg
-        else:
+        if low:
+            wmask = (1 << low) - 1
+
             def wdeg(k):
-                return sum(a * b for a, b in zip(w, exps(k)) if b)
+                return k & wmask
             self.wdeg = wdeg
+        else:
+            self.wdeg = deg
 
         g, t, v = guards, self.test_mask, var_guards
         if reverse:
@@ -174,10 +198,9 @@ class EngineContext:
     def comp(self, k):
         return self.comp_of_rank[k >> self.cshift]
 
-    def lcm(self, a, b):
-        """Key of lcm(a, b) for two keys in one component."""
-        ea, eb = self.exps(a), self.exps(b)
-        return ((a >> self.cshift) << self.cshift) + self.pack(
+    def lcm(self, k, ea, eb):
+        """Key of lcm(x^ea, x^eb) in the component of key ``k``."""
+        return ((k >> self.cshift) << self.cshift) + self.pack(
             tuple(x if x > y else y for x, y in zip(ea, eb)))
 
     def sugar(self, k):
@@ -210,42 +233,38 @@ def _normalize(terms, mod):
     return [(k, co // g) for (k, co) in terms]
 
 
-def _strip_content(terms):
+def _strip_content(out, acc, head=0):
+    """Divide a running polynomial by its integer content, sign included.
+
+    The polynomial is the output list ``out``, the head coefficient
+    ``head`` (0 when it is not part of it) and the unexamined dict
+    ``acc``, which is divided in place; the first of ``out`` and ``head``
+    is its lead.  Returns (out, head, content).
+    """
     g = 0
-    for (_, co) in terms:
+    for co in chain((x for _, x in out), (head,), acc.values()):
         g = igcd(g, co)
         if g == 1:
-            return terms, 1
-    if terms and terms[0][1] < 0:
+            return out, head, 1
+    if (out[0][1] if out else head) < 0:
         g = -g
-    return [(k, co // g) for (k, co) in terms], g
+    for k in acc:
+        acc[k] //= g
+    return [(k, x // g) for (k, x) in out], head // g, g
 
 
-def _axpy(a, f, b, delta, g, mod):
-    """a*f + b*(x^u * g) as a merged, sorted term list.
-
-    ``delta`` is key(x^u) − key(1): adding it to a key multiplies by x^u.
-    """
-    if a != 1:
-        f = [(k, (a * c) % mod if mod is not None else a * c) for (k, c) in f]
-    out = []
-    append = out.append
-    i, nf = 0, len(f)
-    for kg, cg in g:
-        kg += delta
-        while i < nf and f[i][0] > kg:
-            append(f[i])
-            i += 1
-        c = b * cg
-        if i < nf and f[i][0] == kg:
-            c += f[i][1]
-            i += 1
-        if mod is not None:
-            c %= mod
-        if c:
-            append((kg, c))
-    out.extend(f[i:])
-    return out
+def _add_tail(acc, heap, b, delta, terms):
+    """acc += b · x^u · tail(terms), where delta = key(x^u) − key(1);
+    each key new to ``acc`` goes onto ``heap``, negated."""
+    push, get = heapq.heappush, acc.get
+    for k, c in islice(terms, 1, None):
+        k += delta
+        old = get(k)
+        if old is None:
+            acc[k] = b * c
+            push(heap, -k)
+        else:
+            acc[k] = old + b * c
 
 
 class _Basis:
@@ -253,7 +272,8 @@ class _Basis:
 
     def __init__(self, ctx, polys=()):
         self.ctx = ctx
-        # (terms, lead_key, lead_coeff, sugar, max_total_degree, lead_wdeg)
+        # (terms, lead_key, lead_coeff, sugar, max_total_degree, lead_wdeg,
+        #  lead_exponents)
         self.entries = []
         self.by_key = []        # sorted (lead_key, index)
         for p in polys:
@@ -265,7 +285,7 @@ class _Basis:
         k, c = terms[0]
         deg = ctx.deg
         self.entries.append((terms, k, c, sugar, max(deg(t[0]) for t in terms),
-                             ctx.wdeg(k)))
+                             ctx.wdeg(k), ctx.exps(k)))
         insort(self.by_key, (k, idx))
         return idx
 
@@ -300,8 +320,14 @@ def _shift_delta(ent, target, ctx):
     return delta
 
 
-def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
-    """Full normal form of ``terms`` against ``basis``.
+def _reduce(acc, heap, sugar, basis, ctx, skip=-1, track_scale=False):
+    """Full normal form of the polynomial held in ``acc`` and ``heap``.
+
+    ``acc`` maps each key of the unexamined part to its coefficient (zero
+    allowed; over GF(p) not yet reduced mod p) and ``heap`` holds each of
+    those keys once, negated.  The largest key is popped; a reducible term
+    adds b · x^u · tail(reducer) into ``acc``, an irreducible one goes to
+    the output, which therefore comes out sorted by descending key.
 
     Returns (reduced_terms, sugar, scale) where, over ZZ, the result
     equals scale · (input mod ideal): fraction-free steps multiply the
@@ -309,18 +335,33 @@ def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
     pair (num, den) so callers can recover the exact normal form.
     """
     mod = ctx.mod
-    num, den = 1, 1
-    idx = 0
-    while idx < len(terms):
-        k, c = terms[idx]
-        ent = basis.find_reducer(k, skip)
-        if ent is None:
-            idx += 1
+    one, wdeg = ctx.one, ctx.wdeg
+    find = basis.find_reducer
+    pop = heapq.heappop
+    out = []
+    num = den = 1
+    check_head = False      # the content test waits for the next lead
+    while heap:
+        k = -pop(heap)
+        c = acc.pop(k)
+        if mod is not None:
+            c %= mod
+        if not c:
             continue
-        rterms, rk, rc, rsugar = ent[:4]
+        if check_head:
+            check_head = False
+            if c.bit_length() > STRIP_BITS:
+                out, c, stripped = _strip_content(out, acc, c)
+                if track_scale:
+                    den *= stripped
+        ent = find(k, skip)
+        if ent is None:
+            out.append((k, c))
+            continue
+        rterms, _, rc, rsugar = ent[:4]
         delta = _shift_delta(ent, k, ctx)
         if mod is not None:
-            terms = _axpy(1, terms, (-c) % mod, delta, rterms, mod)
+            _add_tail(acc, heap, mod - c, delta, rterms)
         else:
             g = igcd(c, rc)
             a = rc // g
@@ -329,34 +370,52 @@ def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
                 b = c // g
             else:
                 b = -(c // g)
-            terms = _axpy(a, terms, b, delta, rterms, None)
-            if track_scale:
-                num *= a
-            if terms and terms[0][1].bit_length() > STRIP_BITS:
-                terms, stripped = _strip_content(terms)
+            if a != 1:
+                for t in acc:
+                    acc[t] *= a
+                out = [(t, x * a) for (t, x) in out]
+                if track_scale:
+                    num *= a
+            _add_tail(acc, heap, b, delta, rterms)
+            # the output's lead, or else the next nonzero key, leads the
+            # running polynomial; strip when its coefficient grows too big
+            if not out:
+                check_head = True
+            elif out[0][1].bit_length() > STRIP_BITS:
+                out, _, stripped = _strip_content(out, acc)
                 if track_scale:
                     den *= stripped
-        sg = rsugar + ctx.wdeg(delta + ctx.one)
+        sg = rsugar + wdeg(delta + one)
         if sg > sugar:
             sugar = sg
-        # terms[:idx] kept their monomials; scaling cannot make them reducible
-    if mod is None and terms:
-        terms, stripped = _strip_content(terms)
+    if mod is None and out:
+        out, _, stripped = _strip_content(out, acc)
         if track_scale:
             den *= stripped
-    return terms, sugar, (num, den)
+    return out, sugar, (num, den)
+
+
+def _reduce_full(terms, sugar, basis, ctx, skip=-1, track_scale=False):
+    """`_reduce` of a term list sorted by descending key."""
+    return _reduce(dict(terms), [-k for k, _ in terms], sugar, basis, ctx,
+                   skip, track_scale)
 
 
 def _spoly(ei, ej, lcm, ctx):
-    """S-polynomial of two basis entries whose leads have lcm key ``lcm``."""
+    """S-polynomial of two basis entries whose leads have lcm key ``lcm``,
+    as the (acc, heap) pair that `_reduce` takes."""
     di = _shift_delta(ei, lcm, ctx)
     dj = _shift_delta(ej, lcm, ctx)
-    ti = [(k + di, c) for (k, c) in ei[0]] if di else ei[0]
     if ctx.mod is not None:
-        return _axpy(1, ti, ctx.mod - 1, dj, ej[0], ctx.mod)
-    ci, cj = ei[2], ej[2]
-    g = igcd(ci, cj)
-    return _axpy(cj // g, ti, -(ci // g), dj, ej[0], None)
+        a, b = 1, ctx.mod - 1
+    else:
+        ci, cj = ei[2], ej[2]
+        g = igcd(ci, cj)
+        a, b = cj // g, -(ci // g)
+    acc, heap = {}, []
+    _add_tail(acc, heap, a, di, ei[0])
+    _add_tail(acc, heap, b, dj, ej[0])
+    return acc, heap
 
 
 def groebner_raw(gens, ctx):
@@ -367,36 +426,47 @@ def groebner_raw(gens, ctx):
     """
     basis = _Basis(ctx)
     ents = basis.entries
-    divides = ctx.divides
+    divides, lcm, deg, wdeg = ctx.divides, ctx.lcm, ctx.deg, ctx.wdeg
+    cshift = ctx.cshift
     pairs = []          # heap of (sugar, lcm_key, i, j)
     live = {}           # (i, j) -> lcm key, for pairs not yet dropped or done
 
     def update_pairs(h):
         # Gebauer–Möller update after appending element h
-        kh, sh, wh = ents[h][1], ents[h][3], ents[h][5]
-        high = kh >> ctx.cshift
-        cand = {i: ctx.lcm(ents[i][1], kh) for i in range(h)
-                if ents[i][1] >> ctx.cshift == high}
-        # drop new pairs whose lcm is a strict multiple of another new lcm;
-        # among equal lcms keep one, preferring a coprime pair (which then
-        # kills the whole class)
-        groups = {}
-        for i, L in cand.items():
-            if not any(j != i and L2 != L and divides(L2, L)
-                       for j, L2 in cand.items()):
+        _, kh, _, sh, _, wh, xh = ents[h]
+        high = kh >> cshift
+        cand = {}           # i -> lcm key of leads i and h
+        groups = {}         # lcm key -> the i < h with that lcm, ascending
+        for i in range(h):
+            ei = ents[i]
+            if ei[1] >> cshift == high:
+                L = lcm(kh, ei[6], xh)
+                cand[i] = L
                 groups.setdefault(L, []).append(i)
+        # drop new pairs whose lcm is a strict multiple of another new lcm;
+        # a strict divisor has lower total degree, so each distinct lcm
+        # meets only the minimal lcms of lower degree.  Among equal lcms
+        # keep one, preferring a coprime pair (which then kills the class)
+        lower, level, level_deg = [], [], -1
         new_pairs = []
-        for L, members in groups.items():
+        for d, L in sorted((deg(L), L) for L in groups):
+            if d != level_deg:
+                lower += level
+                level, level_deg = [], d
+            if any(divides(M, L) for M in lower):
+                continue
+            level.append(L)
+            members = groups[L]
             if ctx.use_coprime and any(L == ents[i][1] + kh - ctx.one
                                        for i in members):
                 continue
-            new_pairs.append((min(members), L))
+            new_pairs.append((members[0], L))
         # Buchberger chain criterion against existing pairs
         for (i, j), L in list(live.items()):
             if divides(kh, L) and cand[i] != L and cand[j] != L:
                 del live[(i, j)]
         for i, L in new_pairs:
-            wl = ctx.wdeg(L)
+            wl = wdeg(L)
             wi = ents[i][3] + wl - ents[i][5]
             wj = sh + wl - wh
             live[(i, h)] = L
@@ -414,10 +484,7 @@ def groebner_raw(gens, ctx):
         sg, L, i, j = heapq.heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
-        s = _spoly(ents[i], ents[j], L, ctx)
-        if not s:
-            continue
-        nf, sugar, _ = _reduce_full(s, sg, basis, ctx)
+        nf, sugar, _ = _reduce(*_spoly(ents[i], ents[j], L, ctx), sg, basis, ctx)
         if nf:
             update_pairs(basis.add(_normalize(nf, ctx.mod), sugar))
 

@@ -168,13 +168,17 @@ class Polynomial:
         """Substitute polynomials for some variables (others stay)."""
         ring = self.ring
         out = Polynomial.zero(ring)
+        powers = {}             # (i, e) -> assignment[i] ** e
         for m, c in self.terms.items():
             piece = Polynomial.constant(ring, 1).scale(c)
             residual = list(m)
             for i, e in enumerate(m):
                 if e and i in assignment:
                     residual[i] = 0
-                    piece = piece * (assignment[i] ** e)
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = assignment[i] ** e
+                    piece = piece * power
             piece = piece.mul_term(tuple(residual), ring.field.one())
             out = out + piece
         return out

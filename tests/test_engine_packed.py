@@ -6,6 +6,7 @@ reduced bases, normal forms and scales must agree term by term.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -120,32 +121,55 @@ def test_module_bases_match_reference(mod):
                      comp_offsets=(1, 0, 2))
 
 
+WEIGHTS = [None, (1, 3, 2), (40, 1, 0)]
+
+
 def test_pack_unpack_round_trip_and_key_order():
-    rng = random.Random(3)
-    for _, order in ORDERS + [("var_order", TermOrder("grevlex", (2, 0, 1)))]:
-        ctx, rctx = _contexts(3, order, None, ncomps=2, comp_rank=(0, 1))
-        for _ in range(200):
-            c1, c2 = rng.randrange(2), rng.randrange(2)
-            a, b = _random_exps(rng, 3, 9), _random_exps(rng, 3, 9)
-            ka, kb = ctx.pack_comp(c1, a), ctx.pack_comp(c2, b)
-            assert (ctx.comp(ka), ctx.exps(ka)) == (c1, a)
-            ra, rb = rctx.key((c1,) + a), rctx.key((c2,) + b)
-            assert (ka > kb) == (ra > rb) and (ka == kb) == (ra == rb)
+    for weights in WEIGHTS:
+        rng = random.Random(3 if weights is None else str(weights))
+        for _, order in ORDERS + [("var_order", TermOrder("grevlex", (2, 0, 1)))]:
+            ctx, rctx = _contexts(3, order, None, ncomps=2, comp_rank=(0, 1),
+                                  weights=weights)
+            w = weights or (1, 1, 1)
+            for _ in range(200):
+                c1, c2 = rng.randrange(2), rng.randrange(2)
+                a, b = _random_exps(rng, 3, 9), _random_exps(rng, 3, 9)
+                ka, kb = ctx.pack_comp(c1, a), ctx.pack_comp(c2, b)
+                assert (ctx.comp(ka), ctx.exps(ka)) == (c1, a)
+                assert ctx.wdeg(ka) == sum(x * y for x, y in zip(w, a))
+                ra, rb = rctx.key((c1,) + a), rctx.key((c2,) + b)
+                assert (ka > kb) == (ra > rb) and (ka == kb) == (ra == rb)
+            # the weighted-degree field holds max(w) · EXP_CAP
+            for i in range(3):
+                e = tuple(EXP_CAP if j == i else 0 for j in range(3))
+                k = ctx.pack_comp(1, e)
+                assert (ctx.comp(k), ctx.exps(k)) == (1, e)
+                assert ctx.wdeg(k) == w[i] * EXP_CAP
 
 
 def test_divides_and_lcm_agree_with_tuple_monomials():
-    rng = random.Random(4)
-    for _, order in ORDERS:
-        ctx = EngineContext(3, order, ncomps=3, comp_rank=(1, 0, 2))
-        for _ in range(300):
-            a, b = _random_exps(rng, 3, 6), _random_exps(rng, 3, 6)
-            c = rng.randrange(3)
-            ka, kb = ctx.pack_comp(c, a), ctx.pack_comp(c, b)
-            assert ctx.divides(ka, kb) == mono_divides(a, b)
-            assert ctx.exps(ctx.lcm(ka, kb)) == mono_lcm(a, b)
-            assert ctx.comp(ctx.lcm(ka, kb)) == c
-            other = ctx.pack_comp((c + 1) % 3, b)
-            assert not ctx.divides(ka, other)
+    for weights in WEIGHTS:
+        rng = random.Random(4 if weights is None else str(weights))
+        for _, order in ORDERS:
+            ctx = EngineContext(3, order, ncomps=3, comp_rank=(1, 0, 2),
+                                weights=weights)
+            for _ in range(300):
+                a, b = _random_exps(rng, 3, 6), _random_exps(rng, 3, 6)
+                c = rng.randrange(3)
+                ka, kb = ctx.pack_comp(c, a), ctx.pack_comp(c, b)
+                assert ctx.divides(ka, kb) == mono_divides(a, b)
+                kl = ctx.lcm(kb, ctx.exps(ka), ctx.exps(kb))
+                assert ctx.exps(kl) == mono_lcm(a, b) and ctx.comp(kl) == c
+                other = ctx.pack_comp((c + 1) % 3, b)
+                assert not ctx.divides(ka, other)
+
+
+def test_unit_weights_keep_the_unweighted_layout():
+    ctx = EngineContext(3, GREVLEX, weights=(1, 1, 1))
+    assert ctx.cshift == EngineContext(3, GREVLEX).cshift
+    assert ctx.pack((2, 0, 1)) == GREVLEX.key_function(3)((2, 0, 1))
+    with pytest.raises(ValueError, match="negative"):
+        EngineContext(2, GREVLEX, weights=(1, -1))
 
 
 def test_scalar_key_is_the_term_order_key():
@@ -176,3 +200,104 @@ def test_engine_product_past_the_cap_raises():
     with pytest.raises(ArithmeticError, match="total degree 34999"):
         engine.normal_form_raw([(ctx.pack((5000, 0)), 1)],
                                engine._Basis(ctx, basis), ctx)
+
+
+def test_content_stripping_matches_reference(monkeypatch):
+    # a small threshold makes both engines strip content in the middle of
+    # reductions, with and without an output term ahead of the lead
+    monkeypatch.setattr(engine, "STRIP_BITS", 16)
+    monkeypatch.setattr(ref, "STRIP_BITS", 16)
+    strips = {"output": 0, "head": 0}
+    strip = engine._strip_content
+
+    def counting(out, acc, head=0):
+        if acc:
+            strips["output" if out else "head"] += 1
+        return strip(out, acc, head)
+    monkeypatch.setattr(engine, "_strip_content", counting)
+    rng = random.Random("strip")
+    for name, order in ORDERS[:2] + [("weighted", GREVLEX)]:
+        weights = (1, 3, 2) if name == "weighted" else None
+        for homogeneous in (False, True):
+            for _ in range(8):
+                ctx, rctx = _contexts(3, order, None, weights=weights)
+                gens = [_random_element(rng, 3, 1, 3, 2, None, homogeneous)
+                        for _ in range(3)]
+                pairs = [_both(g, ctx, rctx) for g in gens]
+                gb = engine.groebner_raw([p for p, _ in pairs], ctx)
+                rgb = ref.groebner_raw([t for _, t in pairs], rctx)
+                assert [_unpack(p, ctx) for p in gb] == [_unpack_ref(t) for t in rgb]
+                for _ in range(3):
+                    f = _random_element(rng, 3, 1, 6, 4, None)
+                    p, t = _both(f, ctx, rctx)
+                    nf, (num, den) = engine.normal_form_raw(
+                        p, engine._Basis(ctx, gb), ctx)
+                    rnf, (rnum, rden) = ref.normal_form_raw(t, rgb, rctx)
+                    exact = [(e, Fraction(co * den, num)) for _, e, co in _unpack(nf, ctx)]
+                    rexact = [(e, Fraction(co * rden, rnum))
+                              for _, e, co in _unpack_ref(rnf)]
+                    assert exact == rexact
+    assert strips["output"] and strips["head"]
+
+
+def _record_steps(monkeypatch, module, lead_of):
+    """Log every S-polynomial formed and basis element added by
+    ``module``, as the leads involved."""
+    log = []
+    spoly, add = module._spoly, module._Basis.add
+
+    def logged_spoly(ei, ej, *rest):
+        log.append(("spoly", lead_of(ei[0]), lead_of(ej[0])))
+        return spoly(ei, ej, *rest)
+
+    def logged_add(self, terms, sugar):
+        log.append(("add", lead_of(terms), sugar))
+        return add(self, terms, sugar)
+    monkeypatch.setattr(module, "_spoly", logged_spoly)
+    monkeypatch.setattr(module._Basis, "add", logged_add)
+    return log
+
+
+@pytest.mark.parametrize("mod", FIELDS)
+def test_s_pair_sequence_matches_reference(monkeypatch, mod):
+    rng = random.Random(f"pairs-{mod}")
+    setups = [(1, {}), (1, {"weights": (1, 3, 2)}),
+              (3, {"comp_rank": (0, 2, 1), "comp_offsets": (1, 0, 2)})]
+    for ncomps, kw in setups:
+        ctx, rctx = _contexts(3, GREVLEX, mod, ncomps, **kw)
+        log = _record_steps(monkeypatch, engine,
+                            lambda terms: (ctx.comp(terms[0][0]), ctx.exps(terms[0][0])))
+        rlog = _record_steps(monkeypatch, ref,
+                             lambda terms: (terms[0][1][0], terms[0][1][1:]))
+        formed = 0
+        for homogeneous in (False, True):
+            for _ in range(10):
+                gens = [_random_element(rng, 3, ncomps, rng.randint(2, 3), 3,
+                                        mod, homogeneous)
+                        for _ in range(rng.randint(2, 4))]
+                pairs = [_both(g, ctx, rctx) for g in gens]
+                del log[:], rlog[:]
+                engine.groebner_raw([p for p, _ in pairs], ctx)
+                ref.groebner_raw([t for _, t in pairs], rctx)
+                assert log == rlog
+                formed += sum(step[0] == "spoly" for step in log)
+        assert formed >= 20
+        monkeypatch.undo()
+
+
+def test_find_reducer_takes_the_first_divisor_by_lead_key():
+    rng = random.Random(6)
+    for _, order in ORDERS:
+        ctx = EngineContext(3, order, ncomps=2, comp_rank=(1, 0))
+        leads = [(rng.randrange(2), _random_exps(rng, 3, 4)) for _ in range(12)]
+        leads += leads[:3]          # equal leads: the lower index comes first
+        basis = engine._Basis(ctx, [[(ctx.pack_comp(c, e), 1)] for c, e in leads])
+        by_key = sorted(range(len(leads)),
+                        key=lambda i: (ctx.pack_comp(*leads[i]), i))
+        for _ in range(200):
+            c, e = rng.randrange(2), _random_exps(rng, 3, 6)
+            skip = rng.choice([-1, rng.randrange(len(leads))])
+            want = next((i for i in by_key if i != skip and leads[i][0] == c
+                         and mono_divides(leads[i][1], e)), None)
+            got = basis.find_reducer(ctx.pack_comp(c, e), skip)
+            assert got is (None if want is None else basis.entries[want])
