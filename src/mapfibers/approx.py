@@ -22,6 +22,7 @@ Z_1, and their coordinates are read off the nullspace basis of Hom(Z_2, R).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,9 +36,8 @@ from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
 from . import linalg
 
-# exterior-algebra bases for K_2 and K_3 on four generators
-PAIRS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-TRIPLES: Tuple[Tuple[int, int, int], ...] = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+# exterior-algebra basis of K_2 on four generators
+PAIRS: Tuple[Tuple[int, int], ...] = tuple(combinations(range(4), 2))
 
 
 @dataclass
@@ -75,50 +75,33 @@ def koszul_cycles(forms: Sequence[Polynomial]) -> KoszulData:
     d = degs.pop()
 
     zero = Polynomial.zero(ring)
-    K = [FreeModule(ring, (0,)),
-         FreeModule(ring, (d,) * 4),
-         FreeModule(ring, (2 * d,) * 6),
-         FreeModule(ring, (3 * d,) * 4),
-         FreeModule(ring, (4 * d,))]
+    K = [FreeModule(ring, (q * d,) * comb(4, q)) for q in range(5)]
+    # d_q(e_J) = Σ_k (−1)^k f_{J[k]} e_{J∖J[k]} on the bases J of K_q,
+    # the q-subsets of {0..3} in lexicographic order
+    bases = [list(combinations(range(4), q)) for q in range(5)]
+    diffs = []
+    for q in range(1, 5):
+        row_of = {J: r for r, J in enumerate(bases[q - 1])}
+        matrix = [[zero] * len(bases[q]) for _ in bases[q - 1]]
+        for c, J in enumerate(bases[q]):
+            for k, j in enumerate(J):
+                f = forms[j] if k % 2 == 0 else -forms[j]
+                matrix[row_of[J[:k] + J[k + 1:]]][c] = f
+        diffs.append(FreeModuleMap(K[q], K[q - 1], matrix))
 
-    d1 = FreeModuleMap(K[1], K[0], [list(forms)])
-
-    m2 = [[zero] * 6 for _ in range(4)]
-    for p, (j, k) in enumerate(PAIRS):
-        m2[k][p] = forms[j]
-        m2[j][p] = -forms[k]
-    d2 = FreeModuleMap(K[2], K[1], m2)
-
-    pair_index = {jk: p for p, jk in enumerate(PAIRS)}
-    m3 = [[zero] * 4 for _ in range(6)]
-    for t, (j, k, l) in enumerate(TRIPLES):
-        m3[pair_index[(k, l)]][t] = forms[j]
-        m3[pair_index[(j, l)]][t] = -forms[k]
-        m3[pair_index[(j, k)]][t] = forms[l]
-    d3 = FreeModuleMap(K[3], K[2], m3)
-
-    triple_index = {t: i for i, t in enumerate(TRIPLES)}
-    m4 = [[zero] for _ in range(4)]
-    signs = [1, -1, 1, -1]
-    for i in range(4):
-        rest = tuple(j for j in range(4) if j != i)
-        m4[triple_index[rest]][0] = forms[i] if signs[i] > 0 else -forms[i]
-    d4 = FreeModuleMap(K[4], K[3], m4)
-
-    for dq in (d1, d2, d3, d4):
+    for dq in diffs:
         if not dq.check_homogeneous():
             raise ArithmeticError("Koszul differential is not homogeneous")
-    for hi, lo in ((d2, d1), (d3, d2), (d4, d3)):
+    for lo, hi in zip(diffs, diffs[1:]):
         for c in range(hi.source.rank):
             if not vec_is_zero(lo.apply(hi.column(c))):
                 raise ArithmeticError("Koszul differentials do not compose to zero")
 
-    cycles = {q: kernel_of_free_map(dq) for q, dq in ((1, d1), (2, d2), (3, d3))}
+    cycles = {q: kernel_of_free_map(diffs[q - 1]) for q in (1, 2, 3)}
     covers = {q: generator_map(gens, K[q]) for q, gens in cycles.items()}
     syzygies = {q: generator_map(kernel_of_free_map(c), c.source)
                 for q, c in covers.items()}
-    return KoszulData(ring, d, forms, K, [d1, d2, d3, d4], cycles, covers,
-                      syzygies)
+    return KoszulData(ring, d, forms, K, diffs, cycles, covers, syzygies)
 
 
 def contract(i: int, vec: Vector, ring: RingDescriptor) -> Vector:
@@ -147,7 +130,6 @@ class HomPiece:
     `coords` indexes the coordinate space: one slot per (generator j, monomial
     of degree δ_j + e), and each basis element is a coefficient vector over it.
     """
-    e: int
     gen_degrees: Tuple[int, ...]
     coords: List[Tuple[int, tuple]]
     basis: List[List]
@@ -198,7 +180,7 @@ def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
     the kernel of Hom(syzygies, R) in degree e."""
     ring = syzygies.target.ring
     rows, ncols, _ = dual_map_rows(syzygies, e)
-    return HomPiece(e, syzygies.target.shifts,
+    return HomPiece(syzygies.target.shifts,
                     hom_basis(syzygies.target.shifts, e, ring.nvars),
                     linalg.nullspace(rows, ncols, ring.field))
 
@@ -221,14 +203,6 @@ class PresentationData:
     stable_value: Optional[int]            # common value on [n, n+2], if constant
     annihilator: Ideal                     # ann_B(coker) — same radical as Fitt_0
     fitting_ideal: Optional[Ideal]         # literal maximal minors when affordable
-
-    @property
-    def n(self) -> int:
-        return self.ranks[2]
-
-    @property
-    def mrank(self) -> int:
-        return self.ranks[1]
 
 
 # minors of an n×mrank matrix are only expanded when the subset count is modest

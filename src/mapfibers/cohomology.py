@@ -202,12 +202,11 @@ def _strand_table(power: Callable[[int], Ideal], d: int, mu: int,
     return table
 
 
-def n_table(pmap, s_range: Sequence[int],
-            cross_check: bool = True) -> CohomologyTable:
+def n_table(pmap, s_range: Sequence[int]) -> CohomologyTable:
     """The strand μ = −m of a map's base ideal: N_s = dim H^m_𝔪(Iˢ)_{sd−m},
-    on the powers (and their saturations) the map already holds."""
-    return _strand_table(pmap.power, pmap.d, -pmap.m, s_range, pmap.m,
-                         cross_check)
+    on the powers (and their saturations) the map already holds, with the
+    duality cross-check."""
+    return _strand_table(pmap.power, pmap.d, -pmap.m, s_range, pmap.m, True)
 
 
 @dataclass

@@ -4,12 +4,12 @@ A polynomial (or module element) is a list of ``(key, coeff)`` pairs
 sorted by descending key.  The key is the monomial itself, packed into
 one integer: EXP_BITS-wide fields, one per variable plus the order's
 total-degree fields, laid out so that comparing keys compares monomials.
-Variable fields hold ``e`` (lex) or ``EXP_CAP - e`` (the reverse-lex
-orders); under non-unit variable weights one wider field below them
-holds the weighted degree, which breaks no tie because the fields above
-it already fix the monomial; for modules the component's rank sits in
-the bits above the scalar fields (position over term).  Scalar
-polynomials are the component-0 case.
+Variable fields hold ``EXP_CAP - e``, since every supported order is
+reverse-lex below its total-degree fields; under non-unit variable
+weights one wider field below them holds the weighted degree, which
+breaks no tie because the fields above it already fix the monomial; for
+modules the component's rank sits in the bits above the scalar fields
+(position over term).  Scalar polynomials are the component-0 case.
 
 Every field is affine in the exponent vector, hence so is the key:
 
@@ -87,8 +87,6 @@ class EngineContext:
         # set of variables whose total degree the field holds
         if order.kind == "grevlex":
             fields = [every, *rev]
-        elif order.kind == "lex":
-            fields = [*var_order, every]
         elif order.kind == "elim":
             block = order.block or frozenset()
             fields = [block, *(i for i in rev if i in block),
@@ -102,7 +100,6 @@ class EngineContext:
         # weighted degree, wide enough that max(w) · EXP_CAP stays below
         # its guard bit; the fields above it decide the order on their own
         low = EXP_BITS + max(w).bit_length() if any(x != 1 for x in w) else 0
-        self.reverse = reverse = order.kind != "lex"
         cols = [0] * nv           # key(e) = one + Σ e_i · cols[i]
         one = guards = var_guards = 0
         var_shift = [0] * nv
@@ -114,11 +111,8 @@ class EngineContext:
             if isinstance(f, int):
                 var_guards |= guard
                 var_shift[f] = shift
-                if reverse:
-                    one += EXP_CAP << shift
-                    cols[f] -= 1 << shift
-                else:
-                    cols[f] += 1 << shift
+                one += EXP_CAP << shift
+                cols[f] -= 1 << shift
             else:
                 total_shifts.append(shift)
                 for i in f:
@@ -153,12 +147,9 @@ class EngineContext:
         self.pack = pack
 
         shifts = tuple(var_shift)
-        if reverse:
-            def exps(k):
-                return tuple(EXP_CAP - ((k >> s) & _MASK) for s in shifts)
-        else:
-            def exps(k):
-                return tuple((k >> s) & _MASK for s in shifts)
+
+        def exps(k):
+            return tuple(EXP_CAP - ((k >> s) & _MASK) for s in shifts)
         self.exps = exps
 
         if len(total_shifts) == 1:
@@ -183,12 +174,9 @@ class EngineContext:
             self.wdeg = deg
 
         g, t, v = guards, self.test_mask, var_guards
-        if reverse:
-            def divides(a, b):
-                return ((a - b + g) & t) == v
-        else:
-            def divides(a, b):
-                return ((b - a + g) & t) == v
+
+        def divides(a, b):
+            return ((a - b + g) & t) == v
         self.divides = divides
 
     def pack_comp(self, c, e):
@@ -293,20 +281,12 @@ class _Basis:
         ctx = self.ctx
         test, want = ctx.test_mask, ctx.var_guards
         # a divisor's key never exceeds the multiple's key
-        if ctx.reverse:
-            base = ctx.guards - key
-            for lk, idx in self.by_key:
-                if lk > key:
-                    return None
-                if ((lk + base) & test) == want and idx != skip:
-                    return self.entries[idx]
-        else:
-            base = key + ctx.guards
-            for lk, idx in self.by_key:
-                if lk > key:
-                    return None
-                if ((base - lk) & test) == want and idx != skip:
-                    return self.entries[idx]
+        base = ctx.guards - key
+        for lk, idx in self.by_key:
+            if lk > key:
+                return None
+            if ((lk + base) & test) == want and idx != skip:
+                return self.entries[idx]
         return None
 
 

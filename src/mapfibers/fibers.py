@@ -244,15 +244,12 @@ class FiberIdeals:
     `rees_fiber` defines the honest fiber π⁻¹(y).  `sym_fiber` specializes
     the syzygy forms 𝔓₁ (the symmetric-algebra fiber); it agrees with the
     Rees fiber after saturation wherever the base locus is locally a complete
-    intersection.  `proportionality` is (f_j - p_j f_i : j ≠ i), whose zero
-    locus is the fiber together with the whole base locus — the gcd of its
-    generators is the fiber's unmixed divisor.
+    intersection.
     """
     point: PointProjective
     pivot: int
     rees_fiber: Ideal
     sym_fiber: Ideal
-    proportionality: Ideal
 
     def dimension(self) -> int:
         """Projective dimension of the fiber; -1 when empty."""
@@ -292,10 +289,8 @@ def fiber_ideal(pmap: ParameterizedMap, y: PointProjective) -> FiberIdeals:
                 out.append(restrict_polynomial(sp, R, keep))
         return out
 
-    i = _pivot(y)
-    return FiberIdeals(y, i, Ideal(R, specialize(rd.rees.generators)),
-                       Ideal(R, specialize(rd.linear_part)),
-                       Ideal(R, _differences(pmap, y, i)))
+    return FiberIdeals(y, _pivot(y), Ideal(R, specialize(rd.rees.generators)),
+                       Ideal(R, specialize(rd.linear_part)))
 
 
 def fibers_agree(pmap: ParameterizedMap, y: PointProjective) -> bool:
@@ -416,7 +411,6 @@ class FiberRecord:
     divisor_degree: int
     fiber_dimension: int
     route: str = ""
-    cofactors: Optional[List[Polynomial]] = None
 
 
 @dataclass
@@ -424,7 +418,6 @@ class FiberSearch:
     """Result of the fiber inventory: records plus a completeness verdict."""
     records: List[FiberRecord]
     complete: bool
-    base_locus_empty: bool
     route_a: Dict[int, dict] = field(default_factory=dict)
     route_b_ran: bool = False
     route_b_points_complete: Optional[bool] = None
@@ -469,7 +462,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
     d = pmap.d
     m = pmap.m
     base_empty = pmap.locus[1] == 0
-    result = FiberSearch([], False, base_empty)
+    result = FiberSearch([], False)
 
     found: Dict[tuple, FiberRecord] = {}
 
@@ -580,7 +573,6 @@ class FactorizationVerdict:
     """The two ideal identities behind a divisor record."""
     ideal_matches: bool            # I = (f_i) + h_y·(g_j : j ≠ i)
     saturation_contained: bool     # I^sat ⊆ (f_i, h_y)
-    cofactors: List[Polynomial]
 
     @property
     def passes(self) -> bool:
@@ -601,8 +593,7 @@ def check_fiber_factorization(pmap: ParameterizedMap,
     rebuilt = Ideal(R, [fi] + [rec.divisor * g for g in cofactors])
     ideal_match = I == rebuilt
     contained = I.saturation().is_subideal_of(Ideal(R, [fi, rec.divisor]))
-    rec.cofactors = cofactors
-    return FactorizationVerdict(ideal_match, contained, cofactors)
+    return FactorizationVerdict(ideal_match, contained)
 
 
 def brute_force_fiber_oracle(pmap: ParameterizedMap) -> List[FiberRecord]:

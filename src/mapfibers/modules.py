@@ -4,11 +4,12 @@ Module elements are tuples of Polynomial, one per free-module component,
 and a submodule's Gröbner basis is `groebner.GroebnerBasis` with the free
 module's shifts.  Orders are position-over-term with a configurable
 component priority and grevlex underneath.  This module holds the one copy
-of each graded-module primitive the package uses: minimal generators (one
-Gröbner basis per degree; `Ideal.minimal_basis` is the rank-one call), the
-generator map ⊕_j R(−deg g_j) → F of a list of vectors, and the graph
-submodule {(M(e_c), e_c)} of target ⊕ source, whose basis gives both
-kernels (by elimination of the target components) and lifts through a map
+of each graded-module primitive the package uses: minimal generators (a
+Gröbner basis per degree, rebuilt only when the kept set has grown;
+`Ideal.minimal_basis` is the rank-one call), the generator map
+⊕_j R(−deg g_j) → F of a list of vectors, and the graph submodule
+{(M(e_c), e_c)} of target ⊕ source, whose basis gives both kernels (by
+elimination of the target components) and lifts through a map
 (`FreeModuleMap.lift`, by normal form).  A lift keeps its graph basis on
 the map for later lifts; `kernel_of_free_map` keeps none.
 """
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groebner import GroebnerBasis, Vector
 from .poly import Polynomial
-from .rings import GREVLEX, RingDescriptor, TermOrder
+from .rings import GREVLEX, RingDescriptor
 
 
 class FreeModule:
@@ -127,9 +128,9 @@ class FreeModuleMap:
 
 
 def module_groebner(vectors: Sequence[Vector], free: FreeModule,
-                    comp_rank=None, order: TermOrder = GREVLEX) -> GroebnerBasis:
+                    comp_rank=None) -> GroebnerBasis:
     return GroebnerBasis([v for v in vectors if not vec_is_zero(v)], free.ring,
-                         order, free.shifts, comp_rank)
+                         GREVLEX, free.shifts, comp_rank)
 
 
 def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vector]:
@@ -142,7 +143,8 @@ def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vect
     lower degrees is k-linear and vanishes exactly on their submodule, so a
     degree-t vector is generated by the earlier ones iff its normal form lies
     in the span of the normal forms of the degree-t vectors kept before it,
-    and the kept vectors are the pivot columns of the normal forms.
+    and the kept vectors are the pivot columns of the normal forms.  The
+    basis is rebuilt only at a degree after one that kept a vector.
     """
     by_degree: Dict[int, List[Vector]] = {}
     for v in vectors:
@@ -150,13 +152,12 @@ def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vect
             by_degree.setdefault(vector_degree(v, free.shifts), []).append(v)
     zero = free.ring.field.zero()
     chosen: List[Vector] = []
+    gb, basis_size = None, 0    # gb is the basis of chosen[:basis_size]
     for t in sorted(by_degree):
         vecs = by_degree[t]
-        if chosen:
-            gb = module_groebner(chosen, free)
-            forms = [gb.normal_form(v) for v in vecs]
-        else:
-            forms = vecs
+        if len(chosen) > basis_size:
+            gb, basis_size = module_groebner(chosen, free), len(chosen)
+        forms = vecs if gb is None else [gb.normal_form(v) for v in vecs]
         coords = sorted({(c, m) for f in forms
                          for c, p in enumerate(f) for m in p.terms})
         rows = [[f[c].terms.get(m, zero) for f in forms] for c, m in coords]

@@ -1,9 +1,9 @@
 """Graded polynomial ring descriptors, monomials, and term orders.
 
 Monomials are exponent tuples, one entry per ring variable.  A ring
-carries a per-variable weight vector so the same machinery covers the
-standard grading (every variable has weight (1,)) and the bigraded
-source-times-target ring (weights (1,0) and (0,1)).
+carries a per-variable weight vector: the standard grading gives every
+variable weight (1,), and the Rees ring k[X, T] keeps weight (1,) on
+the source variables and gives each target variable T weight (d+1,).
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class TermOrder:
-    """A monomial order: graded reverse-lex, lex, or a block order.
+    """A monomial order: graded reverse-lex or a block order.
 
-    ``kind`` is one of "grevlex", "lex", "elim".  ``var_order`` lists
+    ``kind`` is one of "grevlex", "elim".  ``var_order`` lists
     variable indices from most to least significant (defaults to the
     ring order).  For "elim", ``block`` is the set of variable indices
     to be eliminated: monomials are compared grevlex on the block
@@ -67,7 +67,6 @@ class TermOrder:
 
 
 GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
 
 
 def elimination_order(block) -> TermOrder:

@@ -4,13 +4,14 @@ Chart-by-chart: set the first k coordinates to zero, the next to one,
 solve the affine system by per-variable eliminants, take rational (or
 exhaustive finite-field) roots, and verify candidates by evaluation.
 A completeness flag records whether every geometric point was captured:
-it is true exactly when all squarefree eliminants split into linear
-factors over the coefficient field.
+it is true exactly when every eliminant splits into linear factors over
+the coefficient field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
@@ -74,103 +75,18 @@ def _uni_trim(c: List) -> List:
     return c
 
 
-def _uni_derivative(c: List, field: Field) -> List:
-    return _uni_trim([field.mul(c[i], field.from_int(i)) for i in range(1, len(c))])
+# Trial division stops here; a root missed for it only clears the
+# completeness flag.
+_DIVISOR_SEARCH = 10 ** 7
 
 
-def _uni_mod(a: List, b: List, field: Field) -> List:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = field.div(a[-1], lb)
-        shift = len(a) - 1 - db
-        for i in range(len(b)):
-            a[shift + i] = field.sub(a[shift + i], field.mul(q, b[i]))
-        _uni_trim(a)
-    return a
-
-
-def uni_gcd(a: List, b: List, field: Field) -> List:
-    a, b = _uni_trim(list(a)), _uni_trim(list(b))
-    while b:
-        a, b = b, _uni_mod(a, b, field)
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(c, inv) for c in a]
-    return a
-
-
-def _uni_divexact(a: List, b: List, field: Field) -> List:
-    a = _uni_trim(list(a))
-    q = [field.zero()] * max(len(a) - len(b) + 1, 0)
-    while a and len(a) >= len(b):
-        t = field.div(a[-1], b[-1])
-        shift = len(a) - len(b)
-        q[shift] = t
-        for i in range(len(b)):
-            a[shift + i] = field.sub(a[shift + i], field.mul(t, b[i]))
-        _uni_trim(a)
-    if a:
-        raise ArithmeticError("inexact univariate division")
-    return _uni_trim(q)
-
-
-def _uni_monic(c: List, field: Field) -> List:
-    if not c:
-        return c
-    inv = field.inv(c[-1])
-    return [field.mul(x, inv) for x in c]
-
-
-def _uni_mul(a: List, b: List, field: Field) -> List:
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _uni_trim(out)
-
-
-def squarefree_part(c: List, field: Field) -> List:
-    """Monic product of the distinct irreducible factors.
-
-    Over GF(p) the factors whose multiplicity is divisible by p hide in
-    a p-th power; they are recovered through the Frobenius p-th root.
-    """
-    c = _uni_monic(_uni_trim(list(c)), field)
-    if len(c) <= 1:
-        return c
-    d = _uni_derivative(c, field)
-    if not d:
-        p = field.p  # type: ignore[attr-defined]
-        root = [c[i] for i in range(0, len(c), p)]
-        return squarefree_part(root, field)
-    g = uni_gcd(c, d, field)
-    if len(g) == 1:
-        return c
-    w = _uni_monic(_uni_divexact(c, g, field), field)
-    rest = g
-    gw = uni_gcd(rest, w, field)
-    while len(gw) > 1:
-        rest = _uni_divexact(rest, gw, field)
-        gw = uni_gcd(rest, w, field)
-    if len(rest) > 1:
-        # rest is a p-th power holding the remaining factors
-        p = field.p  # type: ignore[attr-defined]
-        rest = _uni_monic(rest, field)
-        root = [rest[i] for i in range(0, len(rest), p)]
-        return _uni_monic(_uni_mul(w, squarefree_part(root, field), field), field)
-    return w
-
-
-def _int_divisors(n: int, bound: int = 10 ** 7) -> List[int]:
+def _int_divisors(n: int) -> List[int]:
     n = abs(n)
     if n == 0:
         return []
     out = set()
     i = 1
-    while i * i <= n and i <= bound:
+    while i * i <= n and i <= _DIVISOR_SEARCH:
         if n % i == 0:
             out.add(i)
             out.add(n // i)
@@ -227,13 +143,28 @@ def prime_field_roots(coeffs: List[int], p: int) -> List[int]:
     return roots
 
 
-def field_roots(coeffs: List, field: Field) -> Tuple[List, int]:
-    """(rational roots, number of distinct roots over the closure)."""
-    sf = squarefree_part(coeffs, field)
-    nbar = len(sf) - 1
+def field_roots(coeffs: List, field: Field) -> Tuple[List, bool]:
+    """(roots in the field, whether the polynomial splits over it).
+
+    It splits when dividing out each root as often as it divides leaves
+    a constant, that is, when every root in the closure lies in the field.
+    """
+    c = _uni_trim(list(coeffs))
     if isinstance(field, PrimeField):
-        return prime_field_roots([int(c) for c in sf], field.p), nbar
-    return rational_roots(sf), nbar
+        roots = prime_field_roots([int(x) for x in c], field.p)
+    else:
+        roots = rational_roots(c)
+    for r in roots:
+        while True:
+            # synthetic division by (x − r), highest coefficient first
+            acc, quot = field.zero(), []
+            for x in reversed(c):
+                acc = field.add(field.mul(acc, r), x)
+                quot.append(acc)
+            if not field.is_zero(quot.pop()):
+                break
+            c = quot[::-1]
+    return roots, len(c) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +198,11 @@ def _affine_points(gens: List[Polynomial], ring: RingDescriptor) -> Tuple[List[T
         if not eli.generators:
             raise NotZeroDimensionalError("no eliminant in a variable")
         coeffs = univariate_coeffs(eli.generators[0], 0)
-        roots, nbar = field_roots(coeffs, F)
-        if len(roots) < nbar:
-            complete = False
+        roots, splits = field_roots(coeffs, F)
+        complete = complete and splits
         candidates.append(roots)
-    points = []
-    def rec(i, partial):
-        if i == n:
-            points.append(tuple(partial))
-            return
-        for r in candidates[i]:
-            rec(i + 1, partial + [r])
-    rec(0, [])
-    out = [pt for pt in points if all(F.is_zero(g.evaluate(pt)) for g in live)]
+    out = [pt for pt in product(*candidates)
+           if all(F.is_zero(g.evaluate(pt)) for g in live)]
     return out, complete
 
 
@@ -291,29 +214,19 @@ def rational_points_zero_dim(J: Ideal) -> Tuple[List[PointProjective], bool]:
     found: List[PointProjective] = []
     complete = True
     for k in range(n):
-        # chart: X_0 = … = X_{k-1} = 0, X_k = 1
+        # chart: X_0 = … = X_{k-1} = 0, X_k = 1; charts are disjoint
+        assign = {i: Polynomial.zero(ring) for i in range(k)}
+        assign[k] = Polynomial.constant(ring, F.one())
         rest = list(range(k + 1, n))
-        assigns = [{i: Polynomial.zero(ring) for i in range(k)} for _ in J.generators]
-        for a in assigns:
-            a[k] = Polynomial.constant(ring, F.one())
-        substituted = [g.substitute(a) for g, a in zip(J.generators, assigns)]
-        if rest:
-            small = ring.subring(rest)
-            chart_gens = [restrict_polynomial(h, small, rest) for h in substituted]
-            pts, comp = _affine_points(chart_gens, small)
-        else:
-            pts, comp = ([()], True) if all(h.is_zero() for h in substituted) else ([], True)
+        small = ring.subring(rest)
+        chart_gens = [restrict_polynomial(g.substitute(assign), small, rest)
+                      for g in J.generators]
+        pts, comp = _affine_points(chart_gens, small)
         complete = complete and comp
         for pt in pts:
             coords = [F.zero()] * k + [F.one()] + list(pt)
             found.append(PointProjective(coords, F))
-    seen = set()
-    unique = []
-    for p in found:
-        if p.coords not in seen:
-            seen.add(p.coords)
-            unique.append(p)
-    return unique, complete
+    return found, complete
 
 
 def projective_points(field: PrimeField, dim: int) -> Iterable[PointProjective]:

@@ -135,3 +135,39 @@ def test_no_module_level_caches(module):
             if name in CACHE_DECORATORS:
                 found.append(f"{node.name} (line {dec.lineno})")
     assert not found, f"{module} caches process-wide: {', '.join(found)}"
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """No dataclass field in the package is write-only: each field of a
+    ``@dataclass`` under ``src/mapfibers`` is loaded as an attribute, or
+    named as an identifier string, somewhere in ``src/``, ``tests/`` or
+    ``perfbench/``."""
+    fields = {}
+    read = set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                read.add(node.value)
+        if os.path.dirname(os.path.abspath(path)) != os.path.abspath(SRC):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) \
+                            and isinstance(stmt.target, ast.Name):
+                        fields[f"{node.name}.{stmt.target.id}"] = \
+                            f"{os.path.basename(path)}:{stmt.lineno}"
+    unread = sorted(f"{name} ({where})" for name, where in fields.items()
+                    if name.split(".", 1)[1] not in read)
+    assert not unread, f"dataclass fields never read: {', '.join(unread)}"

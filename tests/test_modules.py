@@ -88,10 +88,11 @@ def test_minimal_generators_builds_one_basis_per_later_degree(monkeypatch):
 
     monkeypatch.setattr(groebner.GroebnerBasis, "__init__", counting_init)
     free = FreeModule(R, (0,))
-    # three degrees, three vectors kept: a basis after every kept vector
-    # would make three
+    # four degrees, three vectors kept, none in degrees 3 and 4: a basis
+    # after every kept vector would make three, and so would a basis at
+    # every degree after the first
     vecs = [(x * z,), (x,), (z * z,), (y,), (x + y,), (y * z,), (z ** 3,),
-            (x * y * z,)]
+            (x * y * z,), (y * z ** 3,)]
     chosen = minimal_generators(vecs, free)
     assert [str(v[0]) for v in chosen] == ["x", "y", "z^2"]
     assert len(built) <= 2
