@@ -6,17 +6,27 @@ trick (put the variable last in a graded reverse-lex order, then strip
 its content from each reduced basis element); saturation by a general
 element falls back to the inverse-adjunction trick in an extended ring.
 Both require / preserve homogeneity where documented.
+
+Saturation by the irrelevant ideal 𝔪 = (X_0, …, X_n) of an ideal with
+homogeneous generators tries one variable at a time and keeps the first
+J_i = I : X_i^∞ whose Hilbert polynomial equals that of R/I, which
+certifies J_i = I^sat (the four-line proof is in `saturate_irrelevant`).
+The certificate needs no generic coordinates and no random choice, so it
+is exact over any field.  When no variable passes, the per-variable
+saturations already computed are intersected.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, normal_form, reduced_groebner
-from .hilbert import HilbertData, hilbert_series_quotient
+from .hilbert import (HilbertData, hilbert_series_quotient,
+                      numerator_from_leads)
 from .modules import FreeModule, minimal_generators
 from .poly import Polynomial
 from .rings import (GREVLEX, Monomial, RingDescriptor, TermOrder,
@@ -206,6 +216,11 @@ def strip_variable_power(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.ring, terms)
 
 
+def _homogeneous(I: Ideal) -> bool:
+    """Every generator is homogeneous in total degree."""
+    return all(len({sum(m) for m in g.terms}) == 1 for g in I.generators)
+
+
 def saturate_variable(I: Ideal, i: int) -> Ideal:
     """(I : X_i^∞) for a homogeneous ideal, via reverse-lex-last order."""
     if I.is_zero():
@@ -213,7 +228,7 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     # Bayer–Stillman: grevlex compares unweighted total degree first, so the
     # trick needs every generator homogeneous in total degree (whatever the
     # ring's weights), and only that
-    if any(len({sum(m) for m in g.terms}) > 1 for g in I.generators):
+    if not _homogeneous(I):
         return saturate_element(I, Polynomial.variable(I.ring, i))
     order = grevlex_with_last(I.ring.nvars, i)
     gb = I.groebner(order)
@@ -233,11 +248,44 @@ def saturate_element(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
-    """(I : 𝔪^∞) where 𝔪 = (X_0,…,X_n): intersect per-variable saturations."""
+    """(I : 𝔪^∞) where 𝔪 = (X_0,…,X_n).
+
+    For homogeneous generators, J_i = I : X_i^∞ is tried for
+    i = n, n−1, …, 0, and the first J_i with HP(R/J_i) = HP(R/I) (the
+    whole polynomial, not just dimension and degree) is I^sat:
+
+        I^sat ⊆ J_i, because X_i ∈ 𝔪;
+        HP(R/I^sat) = HP(R/I), because I^sat/I has finite length;
+        so HP(R/J_i) = HP(R/I) makes J_i/I^sat of finite length,
+        and then J_i ⊆ I^sat : 𝔪^∞ = I^sat.
+
+    By Bayer–Stillman the stripped basis of J_i is a Gröbner basis in the
+    order with X_i last, so HS(R/J_i) is read off the leads of I's basis
+    in that order with X_i deleted, at no extra Gröbner basis; the first
+    try (X_n last) is I's own grevlex basis.  When no variable passes,
+    and for non-homogeneous input, the per-variable saturations are
+    intersected.
+    """
     if I.is_zero():
         return I
-    pieces = [saturate_variable(I, i) for i in range(I.ring.nvars)]
-    return intersect_many(pieces)
+    n = I.ring.nvars
+    if not _homogeneous(I):
+        return intersect_many([saturate_variable(I, i) for i in range(n)])
+    target = _hilbert_polynomial(I.hilbert())
+    pieces = []
+    for i in reversed(range(n)):
+        J = saturate_variable(I, i)
+        leads = [m[:i] + (0,) + m[i + 1:] for _, m in
+                 I.groebner(grevlex_with_last(n, i)).leading_terms()]
+        h = HilbertData(numerator_from_leads(leads, n), n)
+        if _hilbert_polynomial(h) == target:
+            return J
+        pieces.append(J)
+    return intersect_many(pieces[::-1])
+
+
+def _hilbert_polynomial(h: HilbertData) -> Tuple[int, List[Fraction]]:
+    return h.krull_dim, h.hp_coefficients()
 
 
 def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:

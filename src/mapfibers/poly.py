@@ -165,23 +165,39 @@ class Polynomial:
         return total
 
     def substitute(self, assignment: Dict[int, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for some variables (others stay)."""
+        """Substitute polynomials for some variables (others stay).
+
+        Terms are grouped by their exponents at the substituted variables,
+        and each group's remaining part is multiplied by the (memoized)
+        powers it needs, so a power multiplies a group, not each term.
+        """
         ring = self.ring
-        out = Polynomial.zero(ring)
-        powers = {}             # (i, e) -> assignment[i] ** e
+        F = ring.field
+        subs = sorted(assignment)
+        groups: Dict[tuple, Dict[Monomial, object]] = {}
         for m, c in self.terms.items():
-            piece = Polynomial.constant(ring, 1).scale(c)
             residual = list(m)
-            for i, e in enumerate(m):
-                if e and i in assignment:
-                    residual[i] = 0
+            for i in subs:
+                residual[i] = 0
+            groups.setdefault(tuple(m[i] for i in subs), {})[tuple(residual)] = c
+        powers = {}             # (i, e) -> assignment[i] ** e
+        out: Dict[Monomial, object] = {}
+        for exps, rest in groups.items():
+            piece = Polynomial(ring, rest)
+            for i, e in zip(subs, exps):
+                if e:
                     power = powers.get((i, e))
                     if power is None:
                         power = powers[(i, e)] = assignment[i] ** e
                     piece = piece * power
-            piece = piece.mul_term(tuple(residual), ring.field.one())
-            out = out + piece
-        return out
+            for m, c in piece.terms.items():
+                if m in out:
+                    c = F.add(out[m], c)
+                    if F.is_zero(c):
+                        del out[m]
+                        continue
+                out[m] = c
+        return Polynomial(ring, out)
 
     # -- comparisons / hashing ---------------------------------------
 

@@ -4,8 +4,9 @@ from mapfibers.ideals import (Ideal, colon, eliminate, exact_divide,
                               ideal_power, ideal_product, intersect, poly_gcd,
                               poly_gcd_list, saturate_element,
                               saturate_irrelevant, saturate_variable)
+from mapfibers.fields import PrimeField
 from mapfibers.poly import Polynomial
-from mapfibers.rings import standard_ring
+from mapfibers.rings import GREVLEX, grevlex_with_last, standard_ring
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -28,6 +29,25 @@ def test_irrelevant_saturation():
     # both components of (xy, xz) = (x) ∩ (y, z) are relevant: no-op
     J = Ideal(R, [x * y, x * z])
     assert saturate_irrelevant(J) == J
+
+
+def test_certificate_compares_the_whole_hilbert_polynomial():
+    """(x², xz) = (x) ∩ (x², z) is saturated.  Its first try,
+    (x², xz) : z^∞ = (x), has the same dimension and degree but Hilbert
+    polynomial t + 1 against t + 2, so it must be rejected."""
+    for ring in (R, standard_ring(("x", "y", "z"), PrimeField(7))):
+        a, _, c = (Polynomial.variable(ring, i) for i in range(3))
+        I = Ideal(ring, [a * a, a * c])
+        first = saturate_variable(I, 2)
+        assert first == Ideal(ring, [a])
+        assert first.dimension_degree() == I.dimension_degree()
+        assert saturate_irrelevant(I) == I
+
+
+def test_last_variable_saturation_shares_the_grevlex_basis():
+    I = Ideal(R, [x * x * y, y * y * z, z * z * x])
+    assert grevlex_with_last(3, 2) is GREVLEX
+    assert I.groebner(grevlex_with_last(3, 2)) is I.groebner()
 
 
 def test_saturation_is_idempotent_on_example():

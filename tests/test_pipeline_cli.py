@@ -4,13 +4,13 @@ import subprocess
 import sys
 
 import mapfibers
-from mapfibers import build_map, standard_ring
+from mapfibers import build_map, ideals, standard_ring
 from mapfibers.cli import main
 from mapfibers.ideals import saturate_irrelevant
 from mapfibers.fibers import lci_proxy_check
 from mapfibers.approx import presentation_matrix_N
 from mapfibers.poly import Polynomial
-from mapfibers.mapfile import parse_map_file
+from mapfibers.mapfile import load_map_file, parse_map_file
 from mapfibers.pipeline import PipelineOptions, run_pipeline
 from mapfibers.report import SCHEMA_VERSION, dumps, render_text
 from mapfibers.solve import rational_points_zero_dim
@@ -178,6 +178,15 @@ def test_cli_source_target_name_clash_exits_one(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def _rebind(monkeypatch, fn, wrapper):
+    """Rebind fn to wrapper in every mapfibers module that holds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "mapfibers":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
 def _count_calls(monkeypatch, fn, key=lambda *args: None):
     """Rebind fn in every mapfibers module that holds it to a wrapper that
     logs key(*args) per call; returns the log."""
@@ -187,11 +196,7 @@ def _count_calls(monkeypatch, fn, key=lambda *args: None):
         log.append(key(*args))
         return fn(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "mapfibers":
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+    _rebind(monkeypatch, fn, counted)
     return log
 
 
@@ -214,3 +219,39 @@ def test_pipeline_derives_each_object_once(monkeypatch):
     assert len(proxies) <= 1 and len(presentations) <= 1
     assert len(supports) == 1
 
+
+def test_saturation_intersects_only_with_base_points_on_every_line(monkeypatch):
+    """The four base points of this map avoid z = 0, so every saturation
+    is certified at its first variable.  The quintic has base points on
+    every coordinate line and falls back to the intersection, with the
+    golden initial degrees."""
+    inside = []
+
+    def tracked_saturation(I):
+        inside.append(I)
+        try:
+            return saturate_irrelevant(I)
+        finally:
+            inside.pop()
+
+    _rebind(monkeypatch, saturate_irrelevant, tracked_saturation)
+    intersections = _count_calls(monkeypatch, ideals.intersect,
+                                 key=lambda *args: bool(inside))
+    R = standard_ring(("x", "y", "z"))
+    x, y, z = (Polynomial.variable(R, i) for i in range(3))
+    u, v = (x - z) * (x - z.scale(2)), (y - z) * (y - z.scale(2))
+    result = run_pipeline(build_map([x * u, y * v, z * u, z * v]),
+                          PipelineOptions(s_max=3))
+    assert result.report["hypotheses"]["base_locus"]["degree"] == 4
+    assert not any(intersections)
+
+    quintic = run_pipeline(load_map_file(map_path("quintic_surface.map")),
+                           PipelineOptions(s_max=4))
+    assert quintic.exit_code == 0 and any(intersections)
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    current = json.loads(dumps(quintic.report))
+    assert current["hypotheses"]["indeg_sat"] == \
+        golden["hypotheses"]["indeg_sat"] == 5
+    for key in ("fibers", "divisor_bound"):
+        assert current[key] == golden[key]

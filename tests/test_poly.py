@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from mapfibers.fields import PrimeField
+from mapfibers.fields import QQ, PrimeField
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 
@@ -40,6 +41,59 @@ def test_evaluate_and_substitute():
     assert f.evaluate(vals) == Fraction(1)
     g = f.substitute({0: y + z})          # x -> y + z, same ring
     assert g == (y + z) * (y + z) - y * z
+
+
+def _substitute_term_at_a_time(f, assignment):
+    """The reference for `Polynomial.substitute`: multiply out each term on
+    its own and add it into the running sum."""
+    ring = f.ring
+    out = Polynomial.zero(ring)
+    for m, c in f.terms.items():
+        piece = Polynomial.constant(ring, 1).scale(c)
+        residual = list(m)
+        for i, e in enumerate(m):
+            if e and i in assignment:
+                residual[i] = 0
+                piece = piece * assignment[i] ** e
+        out = out + piece.mul_term(tuple(residual), ring.field.one())
+    return out
+
+
+def _random_poly(rng, ring, nterms, maxdeg):
+    F = ring.field
+    items = [(tuple(rng.randint(0, maxdeg) for _ in range(ring.nvars)),
+              F.from_int(rng.randint(-4, 4))) for _ in range(nterms)]
+    return Polynomial.from_terms(ring, items)
+
+
+def test_substitute_matches_term_at_a_time():
+    """Seeded: partial assignments over QQ and GF(7).  Odd cases reuse the
+    substituted variables in the values (a -> a + b) and one value for
+    several variables; even cases add (X_i - value)·B, whose image is zero,
+    so groups must cancel."""
+    rng = random.Random(20261018)
+    for field in (QQ, PrimeField(7)):
+        ring = standard_ring(("a", "b", "c", "d"), field)
+        for k in range(40):
+            f = _random_poly(rng, ring, rng.randint(0, 12), 3)
+            keys = rng.sample(range(4), rng.randint(1, 3))
+            if k % 2:
+                shared = _random_poly(rng, ring, rng.randint(1, 3), 2)
+                assignment = {i: shared if rng.random() < 0.3 else
+                              _random_poly(rng, ring, rng.randint(0, 3), 2)
+                              for i in keys}
+            else:
+                assignment = {}
+                for i in keys:
+                    value = _random_poly(rng, ring, rng.randint(1, 3), 2)
+                    assignment[i] = Polynomial(ring, {
+                        m: c for m, c in value.terms.items()
+                        if all(m[j] == 0 for j in keys)})
+                i = rng.choice(keys)
+                B = _random_poly(rng, ring, rng.randint(1, 4), 2)
+                f = f + (Polynomial.variable(ring, i) - assignment[i]) * B
+            assert f.substitute(assignment) == \
+                _substitute_term_at_a_time(f, assignment)
 
 
 def test_string_form_is_parseable():

@@ -3,9 +3,10 @@
 Each suite draws at least 100 random cases across GF(7) and GF(11) from a
 fixed seed, so failures are reproducible.  The properties are the algebraic
 identities the rest of the package leans on: gcd/lcm arithmetic, saturation
-idempotence, variable saturation by its two routes in the Rees ring's
-weights (over GF(7) and QQ), the two independent routes to local cohomology
-dimensions,
+idempotence, irrelevant saturation by the Hilbert-polynomial certificate
+against the intersection route (over GF(7) and QQ), variable saturation by
+its two routes in the Rees ring's weights (over GF(7) and QQ), the two
+independent routes to local cohomology dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
 concurrent recomputation, and minimal generators of submodules (over GF(7)
 and QQ) against the per-generator greedy loop.
@@ -17,9 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from mapfibers import QQ, Ideal, PrimeField, standard_ring
 from mapfibers.cohomology import hdim_difference, hdim_duality
 from mapfibers.groebner import normal_form, reduced_groebner
+from mapfibers import ideals
 from mapfibers.ideals import (colon, degree_monomials, exact_divide,
-                              intersect, poly_gcd, saturate_element,
-                              saturate_irrelevant, saturate_variable)
+                              intersect, intersect_many, poly_gcd,
+                              saturate_element, saturate_irrelevant,
+                              saturate_variable)
 from mapfibers.modules import (FreeModule, minimal_generators,
                                module_groebner, vec_add, vec_is_zero,
                                vec_scale, vector_degree)
@@ -31,6 +34,7 @@ FIELDS = (PrimeField(7), PrimeField(11))
 # per-field case counts; every suite covers at least 100 cases total
 N_GCD = 60
 N_SAT = 50
+N_CERT = 15
 N_VAR_SAT = 50
 N_COH = 50
 N_NF = 50
@@ -97,6 +101,71 @@ def test_saturation_idempotent_and_stable():
             for i in range(1, len(R.variables)):
                 stab = intersect(stab, colon(S, Polynomial.variable(R, i)))
             assert _ideals_equal(S, stab)
+
+
+def _saturate_by_intersection(I):
+    """The reference route for `saturate_irrelevant`: the intersection of
+    the saturations by every variable."""
+    return intersect_many([saturate_variable(I, i) for i in range(I.ring.nvars)])
+
+
+def _form_through(rng, R, points):
+    """Product of one random linear form through each point of P^2."""
+    F = R.field
+    f = Polynomial.constant(R, 1)
+    for p in points:
+        w = (0, 0, 0)
+        while all(F.is_zero(c) for c in w):
+            u = [F.from_int(rng.randint(-3, 3)) for _ in range(3)]
+            # u × p is orthogonal to p: the form it defines vanishes at p
+            w = tuple(F.sub(F.mul(u[(i + 1) % 3], p[(i + 2) % 3]),
+                            F.mul(u[(i + 2) % 3], p[(i + 1) % 3]))
+                      for i in range(3))
+        f = f * Polynomial.from_terms(R, [(R.var_mono(i), w[i]) for i in range(3)])
+    return f
+
+
+def test_certified_saturation_matches_intersection(monkeypatch):
+    """`saturate_irrelevant` returns one variable's saturation when the
+    Hilbert polynomial certifies it and intersects otherwise.  Base points
+    planted on every coordinate line force the intersection; base points
+    off them let the certificate pass.  Both outcomes must be reached, and
+    both must give the reduced basis of the intersection route."""
+    intersections = []
+
+    def counted(A, B):
+        intersections.append(1)
+        return intersect(A, B)
+
+    monkeypatch.setattr(ideals, "intersect", counted)
+    rng = random.Random(SEED + 6)
+    for field in (PrimeField(7), QQ):
+        R = _ring(field)
+        F = field
+        outcomes = {"certified": 0, "intersected": 0}
+        for k in range(N_CERT):
+            coord = lambda: F.from_int(rng.randint(1, 6))
+            points = [tuple(coord() for _ in range(3))
+                      for _ in range(rng.randint(1, 2))]
+            if k % 2:
+                for i in range(3):      # one base point on each line X_i = 0
+                    p = [coord() for _ in range(3)]
+                    p[i] = F.zero()
+                    points.append(tuple(p))
+            gens = [_form_through(rng, R, points)
+                    for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.3:      # an irrelevant component
+                gens = [g * Polynomial.variable(R, i)
+                        for g in gens for i in range(3)]
+            if rng.random() < 0.3:      # a common line: dimension two
+                h = _form_through(rng, R, [tuple(coord() for _ in range(3))])
+                gens = [g * h for g in gens]
+            J = Ideal(R, gens)
+            del intersections[:]
+            S = saturate_irrelevant(J)
+            outcomes["intersected" if intersections else "certified"] += 1
+            assert S == _saturate_by_intersection(J)
+        assert outcomes["certified"] and outcomes["intersected"], outcomes
 
 
 def _rand_biform(rng, ring, nx, a, b):
