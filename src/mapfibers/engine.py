@@ -146,7 +146,7 @@ class EngineContext:
             return k
         self.pack = pack
 
-        shifts = tuple(var_shift)
+        shifts = self.var_shift = tuple(var_shift)
 
         def exps(k):
             return tuple(EXP_CAP - ((k >> s) & _MASK) for s in shifts)
@@ -469,6 +469,25 @@ def groebner_raw(gens, ctx):
             update_pairs(basis.add(_normalize(nf, ctx.mod), sugar))
 
     return _interreduce([e[0] for e in ents], ctx)
+
+
+def strip_variable(polys, ctx, i):
+    """Divide each term list by the largest power of x_i dividing it.
+
+    Division by x_i^e is one shift of every key by e · (key(x_i) − key(1));
+    the exponent e is read off the field of x_i, whose value is
+    ``EXP_CAP - e``, so no term is unpacked.
+    """
+    s = ctx.var_shift[i]
+    step = ctx.pack(tuple(int(j == i) for j in range(ctx.nvars))) - ctx.one
+    out = []
+    for p in polys:
+        e = EXP_CAP - max((k >> s) & _MASK for k, _ in p)
+        if e:
+            d = e * step
+            p = [(k - d, c) for k, c in p]
+        out.append(p)
+    return out
 
 
 def _interreduce(polys, ctx):

@@ -90,11 +90,32 @@ class GroebnerBasis:
     def __init__(self, vectors: Iterable[Vector], ring: RingDescriptor,
                  order: TermOrder = GREVLEX, shifts: Sequence[int] = (0,),
                  comp_rank=None):
+        ctx = _context(ring, order, shifts, comp_rank)
+        self._hold(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx),
+                   ctx, ring)
+
+    def _hold(self, raw: list, ctx: EngineContext, ring: RingDescriptor):
+        """Take ``raw``, a reduced basis in the engine's term lists."""
         self.ring = ring
-        self.order = order
-        self.ctx = ctx = _context(ring, order, shifts, comp_rank)
-        self._raw = engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx)
-        self.vectors: List[Vector] = [from_raw(t, ctx, ring) for t in self._raw]
+        self.order = ctx.order
+        self.ctx = ctx
+        self._raw = raw
+        self.vectors: List[Vector] = [from_raw(t, ctx, ring) for t in raw]
+
+    def saturate_last(self, i: int) -> "GroebnerBasis":
+        """Reduced basis of (this ideal) : x_i^∞ in the same order, when the
+        elements are homogeneous and x_i is the order's last variable.
+
+        Bayer–Stillman: a homogeneous element is divisible by x_i^e exactly
+        when its reverse-lex lead is, so the elements divided by their
+        x_i-powers are already a Gröbner basis of the colon.  Only their
+        interreduction is left; no S-pair is formed.
+        """
+        ctx = self.ctx
+        out = GroebnerBasis.__new__(GroebnerBasis)
+        out._hold(engine._interreduce(engine.strip_variable(self._raw, ctx, i),
+                                      ctx), ctx, self.ring)
+        return out
 
     @cached_property
     def polys(self) -> List[Polynomial]:

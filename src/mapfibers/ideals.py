@@ -2,10 +2,13 @@
 saturations, elimination, multivariate gcd, the monomials of a degree.
 
 Everything is exact.  Saturation by a variable uses the reverse-lex
-trick (put the variable last in a graded reverse-lex order, then strip
-its content from each reduced basis element); saturation by a general
-element falls back to the inverse-adjunction trick in an extended ring.
-Both require / preserve homogeneity where documented.
+trick (put the variable last in a graded reverse-lex order, divide each
+reduced basis element by its power of that variable, and interreduce:
+by Bayer–Stillman the quotients are already a Gröbner basis, so the
+result is the colon's reduced basis in that order, at no S-pair);
+saturation by a general element falls back to the inverse-adjunction
+trick in an extended ring.  Both require / preserve homogeneity where
+documented.
 
 Saturation by the irrelevant ideal 𝔪 = (X_0, …, X_n) of an ideal with
 homogeneous generators tries one variable at a time and keeps the first
@@ -13,7 +16,8 @@ J_i = I : X_i^∞ whose Hilbert polynomial equals that of R/I, which
 certifies J_i = I^sat (the four-line proof is in `saturate_irrelevant`).
 The certificate needs no generic coordinates and no random choice, so it
 is exact over any field.  When no variable passes, the per-variable
-saturations already computed are intersected.
+saturations already computed are intersected, each as its reduced
+basis.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .rings import (GREVLEX, Monomial, RingDescriptor, TermOrder,
 class Ideal:
     """A finitely generated ideal with cached reduced bases and saturation."""
 
-    __slots__ = ("ring", "generators", "_gb", "_sat")
+    __slots__ = ("ring", "generators", "_gb", "_sat", "_hilbert")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -48,6 +52,7 @@ class Ideal:
         self.generators = gens
         self._gb: Dict[TermOrder, GroebnerBasis] = {}
         self._sat: Optional[Ideal] = None
+        self._hilbert: Optional[HilbertData] = None
 
     def groebner(self, order: TermOrder = GREVLEX) -> GroebnerBasis:
         gb = self._gb.get(order)
@@ -63,9 +68,13 @@ class Ideal:
         return self._sat
 
     def contains(self, f: Polynomial) -> bool:
+        """Membership by the normal form against a reduced basis this ideal
+        holds (grevlex first; any order decides membership), else grevlex."""
         if f.is_zero():
             return True
-        return normal_form(f, self.groebner()).is_zero()
+        gb = (self._gb.get(GREVLEX) or next(iter(self._gb.values()), None)
+              or self.groebner())
+        return normal_form(f, gb).is_zero()
 
     def is_subideal_of(self, other: "Ideal") -> bool:
         return all(other.contains(g) for g in self.generators)
@@ -79,7 +88,10 @@ class Ideal:
         return self.groebner().polys == other.groebner().polys
 
     def hilbert(self) -> HilbertData:
-        return hilbert_series_quotient(self.groebner())
+        """Hilbert data of R/I, computed once."""
+        if self._hilbert is None:
+            self._hilbert = hilbert_series_quotient(self.groebner())
+        return self._hilbert
 
     def dimension_degree(self) -> Tuple[int, int]:
         h = self.hilbert()
@@ -205,24 +217,19 @@ def colon(I: Ideal, f: Polynomial) -> Ideal:
     return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
 
 
-def strip_variable_power(f: Polynomial, i: int) -> Polynomial:
-    """Divide f by the largest power of X_i that divides it."""
-    if f.is_zero():
-        return f
-    k = min(m[i] for m in f.terms)
-    if k == 0:
-        return f
-    terms = {m[:i] + (m[i] - k,) + m[i + 1:]: c for m, c in f.terms.items()}
-    return Polynomial(f.ring, terms)
-
-
 def _homogeneous(I: Ideal) -> bool:
     """Every generator is homogeneous in total degree."""
     return all(len({sum(m) for m in g.terms}) == 1 for g in I.generators)
 
 
 def saturate_variable(I: Ideal, i: int) -> Ideal:
-    """(I : X_i^∞) for a homogeneous ideal, via reverse-lex-last order."""
+    """(I : X_i^∞), generated by its reduced basis in the order with X_i
+    last, which the result holds (for X_n that is its grevlex basis).
+
+    For a homogeneous ideal the basis comes from I's basis in that order
+    by `GroebnerBasis.saturate_last`: strip each element's X_i power and
+    interreduce.  Otherwise through `saturate_element`.
+    """
     if I.is_zero():
         return I
     # Bayer–Stillman: grevlex compares unweighted total degree first, so the
@@ -231,8 +238,10 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     if not _homogeneous(I):
         return saturate_element(I, Polynomial.variable(I.ring, i))
     order = grevlex_with_last(I.ring.nvars, i)
-    gb = I.groebner(order)
-    return Ideal(I.ring, [strip_variable_power(p, i) for p in gb.polys])
+    gb = I.groebner(order).saturate_last(i)
+    J = Ideal(I.ring, gb.polys)
+    J._gb[order] = gb
+    return J
 
 
 def saturate_element(I: Ideal, f: Polynomial) -> Ideal:
@@ -259,12 +268,12 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
         so HP(R/J_i) = HP(R/I) makes J_i/I^sat of finite length,
         and then J_i ⊆ I^sat : 𝔪^∞ = I^sat.
 
-    By Bayer–Stillman the stripped basis of J_i is a Gröbner basis in the
-    order with X_i last, so HS(R/J_i) is read off the leads of I's basis
-    in that order with X_i deleted, at no extra Gröbner basis; the first
-    try (X_n last) is I's own grevlex basis.  When no variable passes,
-    and for non-homogeneous input, the per-variable saturations are
-    intersected.
+    `saturate_variable` hands J_i over with its reduced basis in the
+    order with X_i last, so HS(R/J_i) is read off its leads (and kept on
+    J_i) at no extra Gröbner basis; the first try (X_n last) starts from
+    I's own grevlex basis.  When no variable passes, and for
+    non-homogeneous input, the per-variable saturations are intersected
+    in the order they were built.
     """
     if I.is_zero():
         return I
@@ -275,13 +284,12 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     pieces = []
     for i in reversed(range(n)):
         J = saturate_variable(I, i)
-        leads = [m[:i] + (0,) + m[i + 1:] for _, m in
-                 I.groebner(grevlex_with_last(n, i)).leading_terms()]
-        h = HilbertData(numerator_from_leads(leads, n), n)
-        if _hilbert_polynomial(h) == target:
+        leads = [m for _, m in J.groebner(grevlex_with_last(n, i)).leading_terms()]
+        J._hilbert = HilbertData(numerator_from_leads(leads, n), n)
+        if _hilbert_polynomial(J._hilbert) == target:
             return J
         pieces.append(J)
-    return intersect_many(pieces[::-1])
+    return intersect_many(pieces)
 
 
 def _hilbert_polynomial(h: HilbertData) -> Tuple[int, List[Fraction]]:

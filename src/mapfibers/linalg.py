@@ -19,9 +19,10 @@ def _int_rows(rows: Sequence[Sequence]) -> List[List[int]]:
     for row in rows:
         den = 1
         for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-        r = [int(Fraction(x) * den) for x in row]
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        r = [x.numerator * (den // x.denominator) for x in row]
         g = 0
         for x in r:
             g = gcd(g, x)

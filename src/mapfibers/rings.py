@@ -79,8 +79,9 @@ def grevlex_with_last(nvars: int, last: int) -> TermOrder:
 
     Used for saturating with respect to a single variable: dividing the
     reduced basis elements by their trailing-variable power then yields
-    the colon by that variable's powers.  For the last variable this is
-    GREVLEX itself, so an ideal's grevlex basis is built once and shared.
+    a Gröbner basis of the colon by that variable's powers.  For the last
+    variable this is GREVLEX itself, so an ideal's grevlex basis is built
+    once and shared.
     """
     if last == nvars - 1:
         return GREVLEX

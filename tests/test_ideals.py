@@ -1,12 +1,14 @@
 import pytest
 
+from mapfibers import ideals
 from mapfibers.ideals import (Ideal, colon, eliminate, exact_divide,
                               ideal_power, ideal_product, intersect, poly_gcd,
                               poly_gcd_list, saturate_element,
                               saturate_irrelevant, saturate_variable)
 from mapfibers.fields import PrimeField
 from mapfibers.poly import Polynomial
-from mapfibers.rings import GREVLEX, grevlex_with_last, standard_ring
+from mapfibers.rings import (GREVLEX, elimination_order, grevlex_with_last,
+                             standard_ring)
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -48,6 +50,55 @@ def test_last_variable_saturation_shares_the_grevlex_basis():
     I = Ideal(R, [x * x * y, y * y * z, z * z * x])
     assert grevlex_with_last(3, 2) is GREVLEX
     assert I.groebner(grevlex_with_last(3, 2)) is I.groebner()
+    # and the saturation by X_n comes with its own grevlex basis
+    assert GREVLEX in saturate_variable(I, 2)._gb
+
+
+def test_fallback_intersects_reduced_pieces(monkeypatch, quintic_ideal):
+    """The quintic has a base point at each coordinate point, so the
+    saturation of I⁴ intersects all three pieces I⁴ : X_i^∞.  Handed over
+    as reduced bases they hold 5, 8 and 8 generators (built as J_2, J_1,
+    J_0); the stripped bases they come from hold 35, 43 and 43."""
+    pieces = []
+
+    original = ideals.intersect_many
+
+    def recorded(ideal_list):
+        pieces.append([len(J.generators) for J in ideal_list])
+        return original(ideal_list)
+
+    monkeypatch.setattr(ideals, "intersect_many", recorded)
+    P = ideal_power(quintic_ideal, 4)
+    saturate_irrelevant(P)
+    assert pieces == [[5, 8, 8]]
+    assert [len(P.groebner(grevlex_with_last(3, i)).polys)
+            for i in (2, 1, 0)] == [35, 43, 43]
+
+
+def test_membership_does_not_depend_on_the_basis_held():
+    """`contains` reduces against any reduced basis the ideal holds, so the
+    answer is the same whether it holds grevlex, another grevlex with a
+    different last variable, an elimination order, or nothing yet."""
+    gens = [x * x * y - z * z * z, y * y * z + x * z * z, x * y * z]
+    probes = [g * h for g in gens for h in (x, y + z)]
+    probes += [x * y, x * x * y, y * y * z - x * z * z, x * x * x * z,
+               x * y * y * z, Polynomial.constant(R, 1)]
+    answers = {}
+    for order in (None, GREVLEX, grevlex_with_last(3, 0),
+                  elimination_order(frozenset({0}))):
+        I = Ideal(R, gens)
+        if order is not None:
+            I.groebner(order)
+        answers[order] = [I.contains(p) for p in probes]
+        # no basis is built beyond the one held
+        assert list(I._gb) == [order if order is not None else GREVLEX]
+    assert len(set(map(tuple, answers.values()))) == 1
+    assert any(answers[None]) and not all(answers[None])
+
+
+def test_hilbert_data_is_computed_once():
+    I = Ideal(R, [x * x * y, y * y * z, z * z * x])
+    assert I.hilbert() is I.hilbert()
 
 
 def test_saturation_is_idempotent_on_example():

@@ -5,7 +5,9 @@ fixed seed, so failures are reproducible.  The properties are the algebraic
 identities the rest of the package leans on: gcd/lcm arithmetic, saturation
 idempotence, irrelevant saturation by the Hilbert-polynomial certificate
 against the intersection route (over GF(7) and QQ), variable saturation by
-its two routes in the Rees ring's weights (over GF(7) and QQ), the two
+its two routes in the Rees ring's weights (over GF(7) and QQ), the reduced
+basis variable saturation hands over against one computed from scratch
+(over GF(7) and QQ), the two
 independent routes to local cohomology dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
 concurrent recomputation, and minimal generators of submodules (over GF(7)
@@ -18,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from mapfibers import QQ, Ideal, PrimeField, standard_ring
 from mapfibers.cohomology import hdim_difference, hdim_duality
 from mapfibers.groebner import normal_form, reduced_groebner
+from mapfibers.hilbert import hilbert_series_quotient
 from mapfibers import ideals
 from mapfibers.ideals import (colon, degree_monomials, exact_divide,
                               intersect, intersect_many, poly_gcd,
@@ -27,6 +30,7 @@ from mapfibers.modules import (FreeModule, minimal_generators,
                                module_groebner, vec_add, vec_is_zero,
                                vec_scale, vector_degree)
 from mapfibers.poly import Polynomial
+from mapfibers.rings import grevlex_with_last
 
 SEED = 20260815
 FIELDS = (PrimeField(7), PrimeField(11))
@@ -36,6 +40,7 @@ N_GCD = 60
 N_SAT = 50
 N_CERT = 15
 N_VAR_SAT = 50
+N_STRIP = 30
 N_COH = 50
 N_NF = 50
 N_GB_CASES = 25          # times 4 parallel runs each
@@ -103,10 +108,31 @@ def test_saturation_idempotent_and_stable():
             assert _ideals_equal(S, stab)
 
 
+def strip_variable_power(f, i):
+    """Divide f by the largest power of X_i that divides it."""
+    if f.is_zero():
+        return f
+    k = min(m[i] for m in f.terms)
+    if k == 0:
+        return f
+    terms = {m[:i] + (m[i] - k,) + m[i + 1:]: c for m, c in f.terms.items()}
+    return Polynomial(f.ring, terms)
+
+
+def _stripped_basis(I, i):
+    """I's reduced basis with X_i last, computed from scratch, with each
+    element's X_i power stripped: a Gröbner basis of I : X_i^∞ for
+    homogeneous I (Bayer–Stillman), but not a reduced one."""
+    order = grevlex_with_last(I.ring.nvars, i)
+    gb = reduced_groebner(list(I.generators), order=order, ring=I.ring)
+    return [strip_variable_power(p, i) for p in gb.polys]
+
+
 def _saturate_by_intersection(I):
     """The reference route for `saturate_irrelevant`: the intersection of
-    the saturations by every variable."""
-    return intersect_many([saturate_variable(I, i) for i in range(I.ring.nvars)])
+    the strip-only saturations by every variable."""
+    return intersect_many([Ideal(I.ring, _stripped_basis(I, i))
+                           for i in range(I.ring.nvars)])
 
 
 def _form_through(rng, R, points):
@@ -165,7 +191,48 @@ def test_certified_saturation_matches_intersection(monkeypatch):
             S = saturate_irrelevant(J)
             outcomes["intersected" if intersections else "certified"] += 1
             assert S == _saturate_by_intersection(J)
+            # the series the certificate kept on S is that of its grevlex basis
+            assert S.hilbert().numerator == \
+                hilbert_series_quotient(S.groebner()).numerator
         assert outcomes["certified"] and outcomes["intersected"], outcomes
+
+
+def _rand_signed_form(rng, ring, deg):
+    """Random nonzero form with small signed coefficients, over any field."""
+    monos = degree_monomials(ring.nvars, deg)
+    F = ring.field
+    return Polynomial.from_terms(ring, [
+        (m, F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))))
+        for m in rng.sample(list(monos), rng.randint(1, min(4, len(monos))))])
+
+
+def test_variable_saturation_hands_over_its_reduced_basis():
+    """`saturate_variable(I, i)` is generated by, and holds, the reduced
+    basis in the order with X_i last of the strip-only route's elements,
+    computed here from scratch.  Random forms, often times a power of a
+    variable, make many of the colons strictly larger than I."""
+    rng = random.Random(SEED + 7)
+    for field in (PrimeField(7), QQ):
+        for nvars in (3, 4):
+            R = _ring(field, nvars)
+            larger = 0
+            for _ in range(N_STRIP // 2):
+                gens = [_rand_signed_form(rng, R, rng.randint(1, 3))
+                        for _ in range(rng.randint(2, 4))]
+                if rng.random() < 0.6:
+                    v = Polynomial.variable(R, rng.randrange(nvars))
+                    gens = [g * v ** rng.randint(1, 2) if rng.random() < 0.7
+                            else g for g in gens]
+                I = Ideal(R, gens)
+                i = rng.randrange(nvars)
+                order = grevlex_with_last(nvars, i)
+                want = reduced_groebner(_stripped_basis(I, i), order=order,
+                                        ring=R).polys
+                J = saturate_variable(I, i)
+                assert list(J.generators) == want
+                assert J._gb[order].polys == want
+                larger += not J.is_subideal_of(I)
+            assert larger, (field, nvars)
 
 
 def _rand_biform(rng, ring, nx, a, b):
