@@ -6,7 +6,8 @@
     mapfibers image      <file>
     mapfibers bounds     <file>
 
-Exit codes: 0 success, 1 usage/parse error, 2 hypothesis failure (not
+Exit codes: 0 success, 1 usage, I/O or parse error (a missing argument,
+a value argparse rejects, ``--s-max`` below 1), 2 hypothesis failure (not
 generically finite, or the forms share a factor), 3 analysis finished but
 completeness is not certified.
 """
@@ -22,6 +23,26 @@ from .mapfile import MapFileError, load_map_file
 from .pipeline import (EXIT_HYPOTHESIS, EXIT_OK, PipelineOptions,
                        run_pipeline)
 from .report import render_text, write_json
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1: 2 means a hypothesis
+    failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _power_bound(text: str) -> int:
+    """``--s-max``: the largest power examined, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load(path: str):
@@ -103,7 +124,7 @@ def _cmd_image(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mapfibers",
         description="Exact fiber analysis for rational maps between "
                     "projective spaces.")
@@ -113,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "bounds, module table")
     p.add_argument("file")
     p.add_argument("--json", metavar="OUT", help="also write the JSON report")
-    p.add_argument("--s-max", type=int, default=4, dest="s_max",
+    p.add_argument("--s-max", type=_power_bound, default=4, dest="s_max",
                    help="largest power of the base ideal to examine")
     p.set_defaults(func=_cmd_analyze)
 
@@ -125,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mu", type=int, required=True,
                    help="strand offset: degree s*d + mu")
-    p.add_argument("--s-max", type=int, default=4, dest="s_max")
+    p.add_argument("--s-max", type=_power_bound, default=4, dest="s_max")
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("image", help="implicit equations of the image")

@@ -38,6 +38,26 @@ pseudo-reduction, multiplying the factor into the dict and the output
 and stripping the content once the lead passes STRIP_BITS; over GF(p)
 coefficients are reduced mod p only when popped, and basis elements are
 kept monic.
+
+Hilbert-driven Buchberger (Traverso, *Hilbert functions and the
+Buchberger algorithm*, JSC 22, 1997).  `groebner_raw` may be handed the
+numerator of the quotient's Hilbert series over ∏_i (1 − z^{w_i}) in the
+sugar grading (``ctx.wdeg``), for a scalar ideal whose generators are
+homogeneous in it.  Pairs then come out by degree, and LT(G) ⊆ LT(I)
+gives HF_{LT(G)}(δ) ≥ HF_I(δ), with equality exactly when every element
+of I of degree δ reduces to zero.  At the first pair of degree δ the
+engine computes that deficit; each new lead of degree δ lowers it by
+exactly one (its only multiple of degree δ is itself).  At deficit 0 the
+rest of degree δ is dropped, and once LT(G) has the hinted numerator the
+loop stops, since then LT(G) = LT(I).  The numerator of LT(G) is kept
+current at one colon numerator per new lead,
+
+    N(J + (m)) = N(J) − z^{deg m} · N(J : m),
+
+and at the end it must equal the hint, else ArithmeticError.  So a hint
+below the true series always raises; one above it raises when a deficit
+turns negative or the leads end elsewhere, and could otherwise pass with
+a wrong basis, which is why callers hint only certified series.
 """
 
 from __future__ import annotations
@@ -46,6 +66,8 @@ import heapq
 from bisect import insort
 from itertools import chain, islice
 from math import gcd as igcd
+
+from .hilbert import numerator_from_leads
 
 EXP_BITS = 16
 # The top bit of each field is a guard for the divisibility test, so an
@@ -398,11 +420,79 @@ def _spoly(ei, ej, lcm, ctx):
     return acc, heap
 
 
-def groebner_raw(gens, ctx):
+class _HilbertTracker:
+    """Traverso's criterion: the numerator of LT(G) against a hinted one.
+
+    ``diff`` is N(LT(G)) − hint as {degree: coefficient}, zeros dropped, so
+    LT(G) has the hinted series exactly when it is empty.  ``deficit`` is
+    HF_{LT(G)}(δ) − HF_I(δ) for the degree δ of the pairs being reduced.
+    """
+
+    def __init__(self, ctx, hint):
+        if ctx.ncomps != 1 or min(ctx.weights, default=1) < 1:
+            raise ValueError("a Hilbert hint needs a scalar ideal and "
+                             "positive weights")
+        self.weights = ctx.weights
+        self.diff = {}
+        self._bump(0, 1)                      # N((0)) = 1
+        for k, c in hint.items():
+            self._bump(k, -c)
+        self.leads = []
+        self.counts = [1]       # monomials of each weighted degree
+        self.degree = None
+        self.deficit = 0
+
+    def _bump(self, k, c):
+        c += self.diff.get(k, 0)
+        if c:
+            self.diff[k] = c
+        else:
+            self.diff.pop(k, None)
+
+    def add(self, lead, d):
+        """Account for a new lead monomial of weighted degree ``d``."""
+        colon = [tuple(a - b if a > b else 0 for a, b in zip(g, lead))
+                 for g in self.leads]
+        self.leads.append(lead)
+        for k, c in numerator_from_leads(colon, len(lead),
+                                         self.weights).items():
+            self._bump(k + d, -c)
+        if d == self.degree:
+            self.deficit -= 1
+
+    def _hf(self, delta):
+        """Σ_k diff_k · #(monomials of degree δ − k)."""
+        counts = self.counts
+        if len(counts) <= delta:
+            # coefficients of 1 / ∏_i (1 − z^{w_i}) up to degree δ
+            counts = self.counts = [1] + [0] * delta
+            for w in self.weights:
+                for t in range(w, delta + 1):
+                    counts[t] += counts[t - w]
+        return sum(c * counts[delta - k] for k, c in self.diff.items()
+                   if k <= delta)
+
+    def saturated(self, delta):
+        """True when every element of degree δ already reduces to zero."""
+        if delta != self.degree:
+            self.degree = delta
+            self.deficit = self._hf(delta)
+            if self.deficit < 0:
+                raise ArithmeticError(
+                    f"Hilbert hint exceeds the leading ideal in degree {delta}")
+        return self.deficit == 0
+
+
+def groebner_raw(gens, ctx, hint=None):
     """Buchberger with Gebauer–Möller pair elimination and sugar selection.
 
-    ``gens``: raw term lists (normalized or not).  Returns the reduced
-    basis as a list of normalized term lists sorted by ascending lead key.
+    ``gens``: raw term lists (normalized or not).  ``hint``: the numerator
+    {degree: coefficient} of the Hilbert series of the quotient over
+    ∏_i (1 − z^{w_i}) in the sugar grading, for homogeneous generators of a
+    scalar ideal; it turns on Traverso's criterion (module docstring) and
+    raises ArithmeticError unless the leads end with that numerator.
+    Returns the reduced basis as a list of normalized term lists sorted by
+    ascending lead key.
     """
     basis = _Basis(ctx)
     ents = basis.entries
@@ -452,22 +542,41 @@ def groebner_raw(gens, ctx):
             live[(i, h)] = L
             heapq.heappush(pairs, (wi if wi > wj else wj, L, i, h))
 
+    tracker = None
+    if hint is not None:
+        tracker = _HilbertTracker(ctx, hint)
+        if any(len({wdeg(k) for k, _ in g}) > 1 for g in gens):
+            raise ValueError("a Hilbert hint needs homogeneous generators")
+
+    def add(nf, sugar):
+        h = basis.add(_normalize(nf, ctx.mod), sugar)
+        update_pairs(h)
+        if tracker is not None:
+            tracker.add(ents[h][6], ents[h][5])
+
     for g in gens:
         if not g:
             continue
         g = _normalize(sorted(g, key=lambda t: t[0], reverse=True), ctx.mod)
         nf, sugar, _ = _reduce_full(g, ctx.sugar(g[0][0]), basis, ctx)
         if nf:
-            update_pairs(basis.add(_normalize(nf, ctx.mod), sugar))
+            add(nf, sugar)
 
     while pairs:
+        if tracker is not None and not tracker.diff:
+            break                   # LT(G) = LT(I)
         sg, L, i, j = heapq.heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
+        if tracker is not None and tracker.saturated(sg):
+            continue
         nf, sugar, _ = _reduce(*_spoly(ents[i], ents[j], L, ctx), sg, basis, ctx)
         if nf:
-            update_pairs(basis.add(_normalize(nf, ctx.mod), sugar))
+            add(nf, sugar)
 
+    if tracker is not None and tracker.diff:
+        raise ArithmeticError("the leading ideal misses the hinted Hilbert "
+                              "series")
     return _interreduce([e[0] for e in ents], ctx)
 
 

@@ -19,13 +19,15 @@ realizes it.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approx import PresentationData, presentation_matrix_N
 from .groebner import normal_form
 from .ideals import (Ideal, eliminate, exact_divide,
                      extend_polynomial, ideal_power, poly_gcd_list,
-                     restrict_polynomial, saturate_variable)
+                     restrict_polynomial, saturate_variable,
+                     with_grevlex_basis)
 from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
 from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
@@ -178,6 +180,13 @@ class ReesData:
 def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     """𝔓 = (T_j - t·f_j : j) ∩ k[X, T], eliminating the auxiliary t.
 
+    The elimination is Hilbert-driven: in lex with the T_j first the
+    generators T_j − t·f_j have the pairwise coprime leads T_j, so they
+    form a regular sequence of forms of degree d+1 and
+    k[X, T, t]/(T_j − t·f_j) ≅ k[X, t], whose series is ∏_j (1 − z^{d+1})
+    over the ring's ∏_i (1 − z^{w_i}).  𝔓 comes out holding its grevlex
+    basis (`eliminate`).
+
     The linear part 𝔓_(*,1) is computed independently from the syzygies of
     (f_0 .. f_n); both a containment and a substitution T_j ↦ f_j check
     guard the elimination.
@@ -190,12 +199,14 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
         aux += "_"
     big = S.extend((aux,), (1,))
     t = Polynomial.variable(big, big.nvars - 1)
-    gens = [Polynomial.variable(big, nx + j) - t * extend_polynomial(f, big)
-            for j, f in enumerate(pmap.forms)]
-    P_small, small = eliminate(Ideal(big, gens), drop=(big.nvars - 1,))
+    graph = Ideal(big, [Polynomial.variable(big, nx + j)
+                        - t * extend_polynomial(f, big)
+                        for j, f in enumerate(pmap.forms)])
+    graph._series = {k * (pmap.d + 1): (-1) ** k * comb(nt, k)
+                     for k in range(nt + 1)}
+    P, small = eliminate(graph, drop=(big.nvars - 1,))
     if small != S:
         raise ArithmeticError("elimination returned an unexpected ring")
-    P = Ideal(S, [Polynomial(S, dict(g.terms)) for g in P_small.generators])
 
     row = FreeModuleMap(FreeModule(R, (pmap.d,) * nt), FreeModule(R, (0,)),
                         [list(pmap.forms)])
@@ -226,12 +237,18 @@ class ImageData:
 
 
 def image_ideal(pmap: ParameterizedMap) -> ImageData:
-    """𝔓 ∩ k[T]; the map is generically finite iff the image has dimension m."""
+    """𝔓 ∩ k[T]; the map is generically finite iff the image has dimension m.
+
+    𝔓 holds its grevlex basis, so the elimination is Hilbert-driven by the
+    series of that basis, and the image comes out holding its own.
+    """
     nx = pmap.source.nvars
     elim, _ = eliminate(pmap.rees.rees, drop=tuple(range(nx)))
-    # re-grade in the standard target ring so Hilbert data uses degree 1
+    # re-grade in the standard target ring so Hilbert data uses degree 1;
+    # grevlex does not see the weights, so the basis carries over
     B = pmap.target
-    img = Ideal(B, [Polynomial(B, dict(g.terms)) for g in elim.generators])
+    img = with_grevlex_basis(B, [Polynomial(B, dict(g.terms))
+                                 for g in elim.generators])
     cone_dim, deg = img.dimension_degree()
     dim = cone_dim - 1
     return ImageData(img, dim, deg, dim == pmap.m)

@@ -89,10 +89,25 @@ class GroebnerBasis:
 
     def __init__(self, vectors: Iterable[Vector], ring: RingDescriptor,
                  order: TermOrder = GREVLEX, shifts: Sequence[int] = (0,),
-                 comp_rank=None):
+                 comp_rank=None, *, hint=None):
+        """``hint``: the certified Hilbert numerator `engine.groebner_raw`
+        takes, for homogeneous generators of an ideal."""
         ctx = _context(ring, order, shifts, comp_rank)
-        self._hold(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx),
-                   ctx, ring)
+        self._hold(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx,
+                                       hint), ctx, ring)
+
+    @classmethod
+    def of_reduced(cls, polys: Sequence[Polynomial], ring: RingDescriptor,
+                   order: TermOrder = GREVLEX) -> "GroebnerBasis":
+        """Hold ``polys``: monic, already the reduced basis of their ideal in
+        ``order``, and listed by ascending lead.  No S-pair is formed, and
+        the engine's term lists are built only when first needed."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.order = order
+        out.ctx = _context(ring, order)
+        out.vectors = [(p,) for p in polys]
+        return out
 
     def _hold(self, raw: list, ctx: EngineContext, ring: RingDescriptor):
         """Take ``raw``, a reduced basis in the engine's term lists."""
@@ -101,6 +116,12 @@ class GroebnerBasis:
         self.ctx = ctx
         self._raw = raw
         self.vectors: List[Vector] = [from_raw(t, ctx, ring) for t in raw]
+
+    @cached_property
+    def _raw(self) -> list:
+        """The elements as engine term lists (set up front unless the basis
+        was handed over by `of_reduced`)."""
+        return [to_raw(v, self.ctx) for v in self.vectors]
 
     def saturate_last(self, i: int) -> "GroebnerBasis":
         """Reduced basis of (this ideal) : x_i^∞ in the same order, when the

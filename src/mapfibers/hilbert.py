@@ -8,12 +8,17 @@ the classic pivot recursion: for a monomial pivot p,
 coming from 0 → R/(I:p)(−deg p) → R/I → R/(I+(p)) → 0.  Everything
 downstream (Hilbert function, polynomial, dimension, multiplicity) is
 derived from the numerator over (1 − t)^nvars.
+
+`numerator_from_leads` also takes variable weights w: then deg p is the
+weighted degree and the numerator is over ∏_i (1 − t^{w_i}), the series
+the Gröbner engine's Hilbert-driven criterion compares against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import le
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -22,19 +27,27 @@ def _minimalize(monos: Sequence[tuple]) -> List[tuple]:
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     out = []
     for m in monos:
-        if not any(all(g[i] <= m[i] for i in range(len(m))) for g in out):
+        for g in out:
+            if all(map(le, g, m)):
+                break
+        else:
             out.append(m)
     return out
 
 
-def _numerator(monos: Tuple[tuple, ...],
-               memo: Dict[tuple, Dict[int, int]]) -> Dict[int, int]:
-    """Numerator of HS(R/(monos)) over (1−t)^nvars, monos minimal; ``memo``
-    holds the numerators already found in this recursion."""
+def _degree(m: tuple, weights) -> int:
+    return sum(m) if weights is None else sum(e * w for e, w in zip(m, weights))
+
+
+def _numerator(monos: Tuple[tuple, ...], memo: Dict[tuple, Dict[int, int]],
+               weights=None) -> Dict[int, int]:
+    """Numerator of HS(R/(monos)) over ∏_i (1 − t^{w_i}) (over (1−t)^nvars
+    when ``weights`` is None), monos minimal; ``memo`` holds the numerators
+    already found in this recursion."""
     if not monos:
         return {0: 1}
     if len(monos) == 1:
-        return {0: 1, sum(monos[0]): -1}
+        return {0: 1, _degree(monos[0], weights): -1}
     cached = memo.get(monos)
     if cached is not None:
         return cached
@@ -51,7 +64,7 @@ def _numerator(monos: Tuple[tuple, ...],
     if coprime:
         out = {0: 1}
         for m in monos:
-            d = sum(m)
+            d = _degree(m, weights)
             nxt = dict(out)
             for k, c in out.items():
                 nxt[k + d] = nxt.get(k + d, 0) - c
@@ -71,21 +84,25 @@ def _numerator(monos: Tuple[tuple, ...],
     plus = _minimalize(list(monos) + [pivot])
     # I : p
     colon = _minimalize([tuple(max(0, m[i] - pivot[i]) for i in range(nv)) for m in monos])
-    np = _numerator(tuple(plus), memo)
-    nc = _numerator(tuple(colon), memo)
+    np = _numerator(tuple(plus), memo, weights)
+    nc = _numerator(tuple(colon), memo, weights)
+    shift = e if weights is None else e * weights[v]
     out = dict(np)
     for k, c in nc.items():
-        out[k + e] = out.get(k + e, 0) + c
+        out[k + shift] = out.get(k + shift, 0) + c
     out = {k: c for k, c in out.items() if c}
     memo[monos] = out
     return out
 
 
-def numerator_from_leads(lead_monos: Sequence[tuple], nvars: int) -> Dict[int, int]:
+def numerator_from_leads(lead_monos: Sequence[tuple], nvars: int,
+                         weights=None) -> Dict[int, int]:
+    """Numerator of HS(R/(lead_monos)) over (1−t)^nvars, or over
+    ∏_i (1 − t^{w_i}) for positive variable weights w."""
     monos = _minimalize([tuple(m) for m in lead_monos])
-    if monos and any(sum(m) == 0 for m in monos):
+    if monos and not any(monos[0]):
         return {}          # unit ideal: quotient is 0
-    return _numerator(tuple(monos), {})
+    return _numerator(tuple(monos), {}, weights)
 
 
 def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:

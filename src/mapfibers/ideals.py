@@ -18,6 +18,17 @@ The certificate needs no generic coordinates and no random choice, so it
 is exact over any field.  When no variable passes, the per-variable
 saturations already computed are intersected, each as its reduced
 basis.
+
+Elimination hands over the basis it already has: the reduced basis of I
+in `elimination_order(block)` restricted to the block-free elements is
+the reduced grevlex basis of I ∩ k[kept variables] (on block-free
+monomials the elimination order is grevlex on the kept variables, in
+ring order), so `eliminate` returns the eliminated ideal holding it,
+and the Rees ideal, the image and every intersection build no second
+basis.  And an ideal that holds a basis in one order knows the Hilbert
+series of its quotient, so its basis in any other order is computed
+Hilbert-driven (`engine.groebner_raw`'s hint), as is the Rees
+elimination, whose series `fibers.rees_ideal` knows by a theorem.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groebner import GroebnerBasis, normal_form, reduced_groebner
+from .groebner import GroebnerBasis, normal_form
 from .hilbert import (HilbertData, hilbert_series_quotient,
                       numerator_from_leads)
 from .modules import FreeModule, minimal_generators
@@ -41,7 +52,7 @@ from .rings import (GREVLEX, Monomial, RingDescriptor, TermOrder,
 class Ideal:
     """A finitely generated ideal with cached reduced bases and saturation."""
 
-    __slots__ = ("ring", "generators", "_gb", "_sat", "_hilbert")
+    __slots__ = ("ring", "generators", "_gb", "_sat", "_hilbert", "_series")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -53,13 +64,33 @@ class Ideal:
         self._gb: Dict[TermOrder, GroebnerBasis] = {}
         self._sat: Optional[Ideal] = None
         self._hilbert: Optional[HilbertData] = None
+        # numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights
+        self._series: Optional[Dict[int, int]] = None
 
     def groebner(self, order: TermOrder = GREVLEX) -> GroebnerBasis:
         gb = self._gb.get(order)
         if gb is None:
-            gb = reduced_groebner(list(self.generators), order=order, ring=self.ring)
+            gb = GroebnerBasis([(g,) for g in self.generators], self.ring,
+                               order, hint=self._known_series())
             self._gb[order] = gb
         return gb
+
+    def _known_series(self) -> Optional[Dict[int, int]]:
+        """The numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's
+        weights, when it is known without a new basis: set by a caller who
+        knows it by a theorem, or read off a basis this ideal holds when its
+        generators are homogeneous in those weights; else None."""
+        if self._series is None and self._gb:
+            gb = next(iter(self._gb.values()))
+            weights = gb.ctx.weights
+            if _homogeneous(self, weights):
+                if all(w == 1 for w in weights):
+                    self._series = self.hilbert().numerator
+                else:
+                    self._series = numerator_from_leads(
+                        [m for _, m in gb.leading_terms()], len(weights),
+                        weights)
+        return self._series
 
     def saturation(self) -> "Ideal":
         """`saturate_irrelevant` of this ideal, computed once."""
@@ -88,9 +119,13 @@ class Ideal:
         return self.groebner().polys == other.groebner().polys
 
     def hilbert(self) -> HilbertData:
-        """Hilbert data of R/I, computed once."""
+        """Hilbert data of R/I, computed once: from the grevlex basis, or for
+        homogeneous generators from any basis held (same series)."""
         if self._hilbert is None:
-            self._hilbert = hilbert_series_quotient(self.groebner())
+            gb = self._gb.get(GREVLEX)
+            if gb is None and self._gb and _homogeneous(self):
+                gb = next(iter(self._gb.values()))
+            self._hilbert = hilbert_series_quotient(gb or self.groebner())
         return self._hilbert
 
     def dimension_degree(self) -> Tuple[int, int]:
@@ -166,8 +201,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one = Polynomial.constant(big, R.field.one())
     gens = [t * extend_polynomial(g, big) for g in I.generators]
     gens += [(one - t) * extend_polynomial(g, big) for g in J.generators]
-    out, _ = eliminate(Ideal(big, gens), (big.nvars - 1,))
-    return Ideal(R, out.generators)
+    return eliminate(Ideal(big, gens), (big.nvars - 1,))[0]
 
 
 def intersect_many(ideals: Sequence[Ideal]) -> Ideal:
@@ -217,9 +251,10 @@ def colon(I: Ideal, f: Polynomial) -> Ideal:
     return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
 
 
-def _homogeneous(I: Ideal) -> bool:
-    """Every generator is homogeneous in total degree."""
-    return all(len({sum(m) for m in g.terms}) == 1 for g in I.generators)
+def _homogeneous(I: Ideal, weights: Optional[Sequence[int]] = None) -> bool:
+    """Every generator is homogeneous in total degree, or in ``weights``."""
+    deg = sum if weights is None else (lambda m: sum(map(mul, m, weights)))
+    return all(len({deg(m) for m in g.terms}) == 1 for g in I.generators)
 
 
 def saturate_variable(I: Ideal, i: int) -> Ideal:
@@ -252,8 +287,7 @@ def saturate_element(I: Ideal, f: Polynomial) -> Ideal:
     one = Polynomial.constant(big, R.field.one())
     gens = [extend_polynomial(g, big) for g in I.generators]
     gens.append(w * extend_polynomial(f, big) - one)
-    out, _ = eliminate(Ideal(big, gens), (big.nvars - 1,))
-    return Ideal(R, out.generators)
+    return eliminate(Ideal(big, gens), (big.nvars - 1,))[0]
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
@@ -297,7 +331,12 @@ def _hilbert_polynomial(h: HilbertData) -> Tuple[int, List[Fraction]]:
 
 
 def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:
-    """Generators of I ∩ k[kept variables]; returns (ideal, small ring)."""
+    """I ∩ k[kept variables] and the small ring.
+
+    The result is generated by, and holds, its reduced grevlex basis: the
+    block-free elements of I's reduced basis in `elimination_order`, which
+    compares block-free monomials by grevlex on the kept variables.
+    """
     R = I.ring
     block = frozenset(drop)
     keep = [i for i in range(R.nvars) if i not in block]
@@ -305,7 +344,16 @@ def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:
     gb = I.groebner(elimination_order(block))
     out = [restrict_polynomial(p, small, keep) for p in gb.polys
            if all(all(m[i] == 0 for i in block) for m in p.terms)]
-    return Ideal(small, out), small
+    return with_grevlex_basis(small, out), small
+
+
+def with_grevlex_basis(ring: RingDescriptor,
+                       polys: Sequence[Polynomial]) -> Ideal:
+    """The ideal generated by ``polys``, which are monic, already its
+    reduced grevlex basis and listed by ascending lead, holding that basis."""
+    J = Ideal(ring, polys)
+    J._gb[GREVLEX] = GroebnerBasis.of_reduced(J.generators, ring)
+    return J
 
 
 # ---------------------------------------------------------------------------

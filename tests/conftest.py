@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -11,6 +12,28 @@ MAPS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "maps")
 
 def map_path(name: str) -> str:
     return os.path.join(MAPS_DIR, name)
+
+
+def rebind(monkeypatch, fn, wrapper):
+    """Rebind fn to wrapper in every mapfibers module that holds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "mapfibers":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def count_calls(monkeypatch, fn, key=lambda *args: None):
+    """Rebind fn in every mapfibers module that holds it to a wrapper that
+    logs key(*args) per call; returns the log."""
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(key(*args))
+        return fn(*args, **kwargs)
+
+    rebind(monkeypatch, fn, counted)
+    return log
 
 
 @pytest.fixture(scope="session")

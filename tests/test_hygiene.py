@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every function, method or class the package defines is named somewhere, and
-no function carries a process-wide cache decorator.
+every function, method or class the package defines is named somewhere, no
+function carries a process-wide cache decorator, and no module reads the
+environment.
 
 Stdlib only: each ``src/mapfibers/*.py`` is parsed with ``ast``.  The
 package ``__init__`` is exempt from the import check because its imports
@@ -171,3 +172,24 @@ def test_every_dataclass_field_is_read():
     unread = sorted(f"{name} ({where})" for name, where in fields.items()
                     if name.split(".", 1)[1] not in read)
     assert not unread, f"dataclass fields never read: {', '.join(unread)}"
+
+
+ENV_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_environment_reads(module):
+    """The package reads no environment variable: what it computes depends
+    on its inputs and options alone, and no variable can switch a code path
+    (such as the Hilbert-driven criterion) on or off."""
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS \
+                and getattr(node.value, "id", None) == "os":
+            found.append(f"os.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"from os import {a.name} (line {node.lineno})"
+                      for a in node.names if a.name in ENV_READERS]
+    assert not found, f"{module} reads the environment: {', '.join(found)}"

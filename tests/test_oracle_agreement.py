@@ -9,6 +9,9 @@ a random degree-3 map from P^2 can be checked two ways:
 
 Each record is also pushed through the factorization check and the degree
 bounds deg h_y < d and d * deg h_y <= deg of the base locus.
+
+On the first sampled map, a generic one, the Hilbert-driven eliminations
+are held to S-pair counts below those of plain Buchberger.
 """
 
 import random
@@ -16,12 +19,14 @@ import random
 import pytest
 
 from mapfibers import (PrimeField, base_locus, brute_force_fiber_oracle,
-                       build_map, check_fiber_factorization,
+                       build_map, check_fiber_factorization, engine, fibers,
                        find_one_dim_fibers, image_ideal, standard_ring)
 from mapfibers.fibers import PointProjective
 from mapfibers.ideals import degree_monomials
 from mapfibers.poly import Polynomial
 from mapfibers.solve import projective_points
+
+from conftest import count_calls, rebind
 
 SEED = 733
 F7 = PrimeField(7)
@@ -127,3 +132,38 @@ def test_sample_is_not_vacuous():
     # enough of the sampled maps must actually carry one-dimensional fibers
     nonempty = sum(1 for idx in range(N_MAPS) if _search(idx).records)
     assert nonempty >= 5
+
+
+# S-pairs reduced on MAPS[0] by plain Buchberger (every basis built from its
+# generators alone, 𝔓 and the image rewrapped without their bases)
+PLAIN_SPAIRS = {"rees_ideal": 269, "image_ideal": 153, "lci_proxy_check": 255}
+
+
+def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
+    """The Rees elimination (series known by a theorem), the image
+    elimination (series of 𝔓's handed-over grevlex basis) and the second
+    and third bases of the lci proxy's J1 (series of the first) drop the
+    S-pairs Traverso's criterion proves useless."""
+    assert _candidate(random.Random(SEED), standard_ring(("x", "y", "z"), F7),
+                      False) == list(MAPS[0].forms)     # the generic one
+    pmap = build_map(list(MAPS[0].forms))               # nothing cached
+    inside = []
+
+    def labelled(name, fn):
+        def call(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
+
+    for name in PLAIN_SPAIRS:
+        fn = getattr(fibers, name)
+        rebind(monkeypatch, fn, labelled(name, fn))
+    spairs = count_calls(monkeypatch, engine._spoly,
+                         key=lambda *args: inside[-1] if inside else None)
+    assert pmap.image.generically_finite
+    fibers.lci_proxy_check(pmap)
+    counts = {name: spairs.count(name) for name in PLAIN_SPAIRS}
+    assert all(counts[n] < PLAIN_SPAIRS[n] for n in PLAIN_SPAIRS), counts

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import mapfibers
 from mapfibers import build_map, ideals, standard_ring
 from mapfibers.cli import main
@@ -15,7 +17,7 @@ from mapfibers.pipeline import PipelineOptions, run_pipeline
 from mapfibers.report import SCHEMA_VERSION, dumps, render_text
 from mapfibers.solve import rational_points_zero_dim
 
-from conftest import map_path
+from conftest import count_calls, map_path, rebind
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "quintic_report.json")
@@ -178,40 +180,18 @@ def test_cli_source_target_name_clash_exits_one(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def _rebind(monkeypatch, fn, wrapper):
-    """Rebind fn to wrapper in every mapfibers module that holds it."""
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "mapfibers":
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, wrapper)
-
-
-def _count_calls(monkeypatch, fn, key=lambda *args: None):
-    """Rebind fn in every mapfibers module that holds it to a wrapper that
-    logs key(*args) per call; returns the log."""
-    log = []
-
-    def counted(*args, **kwargs):
-        log.append(key(*args))
-        return fn(*args, **kwargs)
-
-    _rebind(monkeypatch, fn, counted)
-    return log
-
-
 def test_pipeline_derives_each_object_once(monkeypatch):
     R = standard_ring(("x", "y", "z"))
     x, y, z = (Polynomial.variable(R, i) for i in range(3))
     u, v = x * (x - z), y * (y - z)
     pmap = build_map([y * u, x * v, z * u, z * v])   # six base points
-    saturations = _count_calls(
+    saturations = count_calls(
         monkeypatch, saturate_irrelevant,
         key=lambda I: frozenset(tuple(sorted(g.terms.items()))
                                 for g in I.generators))
-    proxies = _count_calls(monkeypatch, lci_proxy_check)
-    presentations = _count_calls(monkeypatch, presentation_matrix_N)
-    supports = _count_calls(monkeypatch, rational_points_zero_dim)
+    proxies = count_calls(monkeypatch, lci_proxy_check)
+    presentations = count_calls(monkeypatch, presentation_matrix_N)
+    supports = count_calls(monkeypatch, rational_points_zero_dim)
     result = run_pipeline(pmap, PipelineOptions(s_max=3))
     assert result.exit_code == 0 and result.search.route_b_ran
     assert len(result.search.records) == 4
@@ -234,8 +214,8 @@ def test_saturation_intersects_only_with_base_points_on_every_line(monkeypatch):
         finally:
             inside.pop()
 
-    _rebind(monkeypatch, saturate_irrelevant, tracked_saturation)
-    intersections = _count_calls(monkeypatch, ideals.intersect,
+    rebind(monkeypatch, saturate_irrelevant, tracked_saturation)
+    intersections = count_calls(monkeypatch, ideals.intersect,
                                  key=lambda *args: bool(inside))
     R = standard_ring(("x", "y", "z"))
     x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -255,3 +235,34 @@ def test_saturation_intersects_only_with_base_points_on_every_line(monkeypatch):
         golden["hypotheses"]["indeg_sat"] == 5
     for key in ("fibers", "divisor_bound"):
         assert current[key] == golden[key]
+
+
+def _usage_exit(argv, capsys):
+    """Exit code and standard error of a command line argparse rejects."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code, capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_one(capsys):
+    """Exit 2 is reserved for a failed hypothesis, so argparse's usage
+    errors exit 1, with argparse's message."""
+    quintic = map_path("quintic_surface.map")
+    cases = [(["cohomology", quintic], "required: --mu"),
+             (["analyze"], "required: file"),
+             (["analyze", quintic, "--s-max", "x"], "invalid int value: 'x'"),
+             (["frobnicate", quintic], "invalid choice")]
+    for argv, message in cases:
+        code, err = _usage_exit(argv, capsys)
+        assert code == 1, argv
+        assert "usage: mapfibers" in err and message in err, err
+
+
+def test_cli_rejects_s_max_below_one(capsys):
+    """`--s-max` 0 or below would print an empty module table and exit 0."""
+    for cmd, extra in (("analyze", []), ("cohomology", ["--mu", "-2"])):
+        for bad in ("0", "-2"):
+            code, err = _usage_exit([cmd, map_path("base_point_free.map"),
+                                     *extra, "--s-max", bad], capsys)
+            assert code == 1
+            assert f"--s-max: must be at least 1, got {int(bad)}" in err

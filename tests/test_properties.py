@@ -10,8 +10,11 @@ basis variable saturation hands over against one computed from scratch
 (over GF(7) and QQ), the two
 independent routes to local cohomology dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
-concurrent recomputation, and minimal generators of submodules (over GF(7)
-and QQ) against the per-generator greedy loop.
+concurrent recomputation, minimal generators of submodules (over GF(7)
+and QQ) against the per-generator greedy loop, the Hilbert-driven engine
+against plain Buchberger in the standard and the Rees weights (over GF(7)
+and QQ), and the grevlex basis `eliminate` hands over against one
+computed from scratch (over GF(7) and QQ).
 """
 
 import random
@@ -19,18 +22,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 from mapfibers import QQ, Ideal, PrimeField, standard_ring
 from mapfibers.cohomology import hdim_difference, hdim_duality
-from mapfibers.groebner import normal_form, reduced_groebner
-from mapfibers.hilbert import hilbert_series_quotient
+from mapfibers import engine
+from mapfibers.groebner import (GroebnerBasis, _context, normal_form,
+                                reduced_groebner, to_raw)
+from mapfibers.hilbert import hilbert_series_quotient, numerator_from_leads
 from mapfibers import ideals
-from mapfibers.ideals import (colon, degree_monomials, exact_divide,
-                              intersect, intersect_many, poly_gcd,
-                              saturate_element, saturate_irrelevant,
+from mapfibers.ideals import (colon, degree_monomials, eliminate,
+                              exact_divide, extend_polynomial, intersect, intersect_many,
+                              poly_gcd, saturate_element, saturate_irrelevant,
                               saturate_variable)
 from mapfibers.modules import (FreeModule, minimal_generators,
                                module_groebner, vec_add, vec_is_zero,
                                vec_scale, vector_degree)
 from mapfibers.poly import Polynomial
-from mapfibers.rings import grevlex_with_last
+from mapfibers.rings import GREVLEX, elimination_order, grevlex_with_last
 
 SEED = 20260815
 FIELDS = (PrimeField(7), PrimeField(11))
@@ -45,6 +50,8 @@ N_COH = 50
 N_NF = 50
 N_GB_CASES = 25          # times 4 parallel runs each
 N_MINGEN = 200
+N_HINT = 30              # per field and ring shape
+N_ELIM = 20              # per field and elimination shape
 
 
 def _ring(field, nvars=3):
@@ -401,3 +408,151 @@ def test_minimal_generators_match_the_greedy_loop():
             assert chosen == _greedy_minimal_generators(vecs, free)
             dropped += len(vecs) - len(chosen)
     assert dropped >= N_MINGEN
+
+
+def _weighted_monomials(weights, deg):
+    """Exponent tuples of weighted degree ``deg``."""
+    if not weights:
+        return [()] if deg == 0 else []
+    w, rest = weights[0], weights[1:]
+    return [(e,) + m for e in range(deg // w + 1)
+            for m in _weighted_monomials(rest, deg - e * w)]
+
+
+def _rand_weighted_form(rng, ring, deg):
+    """Random nonzero form of weighted degree ``deg`` (small signed
+    coefficients), None when no monomial has that degree."""
+    monos = _weighted_monomials(tuple(sum(w) for w in ring.weights), deg)
+    if not monos:
+        return None
+    F = ring.field
+    return Polynomial.from_terms(ring, [
+        (m, F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))))
+        for m in rng.sample(monos, rng.randint(1, min(3, len(monos))))])
+
+
+def _hint_rings(field):
+    """(ring, orders): standard P^3, and the Rees weights X 1, T d + 1
+    (d = 1) without and with a trailing t of weight 1, each with orders
+    other than grevlex to run hinted."""
+    P3 = standard_ring(("x", "y", "z", "w"), field)
+    XT = standard_ring(("x", "y", "z"), field).extend(("T0", "T1"), (2,))
+    XTt = XT.extend(("t",), (1,))
+    return [(P3, [grevlex_with_last(4, 0), elimination_order({0})]),
+            (XT, [grevlex_with_last(5, 1), elimination_order({0, 1, 2})]),
+            (XTt, [elimination_order({5}), grevlex_with_last(6, 2)])]
+
+
+def _moved(hint, k):
+    """The hint with its coefficient of degree k moved to degree k + 1."""
+    out = dict(hint)
+    c = out.pop(k)
+    out[k + 1] = out.get(k + 1, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def test_hilbert_hint_leaves_the_basis_unchanged(monkeypatch):
+    """A homogeneous ideal's basis in one order, computed with the Hilbert
+    series of its grevlex basis as the hint, equals the plain Buchberger
+    result, in the standard and in the Rees weights; with one coefficient
+    of the hint moved, the engine raises or the basis differs (it never
+    passes unnoticed).  The criterion must drop S-pairs overall."""
+    spairs = []
+    spoly = engine._spoly
+    monkeypatch.setattr(engine, "_spoly",
+                        lambda *args: spairs.append(1) or spoly(*args))
+    rng = random.Random(SEED + 8)
+    plain_pairs = hinted_pairs = raised = 0
+    for field in (PrimeField(7), QQ):
+        for ring, orders in _hint_rings(field):
+            n = ring.nvars
+            weights = tuple(sum(w) for w in ring.weights)
+            for _ in range(N_HINT):
+                gens = []
+                while len(gens) < rng.randint(2, 4):
+                    g = _rand_weighted_form(rng, ring, rng.randint(1, 4))
+                    if g is not None:
+                        gens.append(g)
+                if "t" in ring.variables and rng.random() < 0.5:
+                    # the Rees generators T_j − t·f_j, f_j linear in X
+                    t = Polynomial.variable(ring, 5)
+                    X = ring.subring((0, 1, 2))
+                    gens += [Polynomial.variable(ring, 3 + j) - t *
+                             extend_polynomial(_rand_signed_form(rng, X, 1),
+                                               ring)
+                             for j in range(2)]
+                leads = [m for _, m in reduced_groebner(
+                    gens, ring=ring).leading_terms()]
+                hint = numerator_from_leads(leads, n, weights)
+                order = rng.choice(orders)
+                ctx = _context(ring, order)
+                raw = [to_raw((g,), ctx) for g in gens]
+                del spairs[:]
+                plain = engine.groebner_raw(raw, ctx)
+                plain_pairs += len(spairs)
+                del spairs[:]
+                assert engine.groebner_raw(raw, ctx, hint) == plain
+                hinted_pairs += len(spairs)
+                try:
+                    moved = engine.groebner_raw(
+                        raw, ctx, _moved(hint, rng.choice(sorted(hint))))
+                except ArithmeticError:
+                    raised += 1
+                else:
+                    assert moved != plain
+    assert hinted_pairs < plain_pairs and raised, (hinted_pairs, plain_pairs)
+
+
+def test_too_small_hint_raises():
+    """A hint below the true series, that of a strictly larger ideal,
+    raises ArithmeticError."""
+    for field in (PrimeField(7), QQ):
+        R = _ring(field)
+        x, y, z = (Polynomial.variable(R, i) for i in range(3))
+        gens = [x * x - y * z, x * y * z]
+        bigger = hilbert_series_quotient(
+            reduced_groebner(gens + [z ** 3], ring=R)).numerator
+        ctx = _context(R, grevlex_with_last(3, 0))
+        try:
+            engine.groebner_raw([to_raw((g,), ctx) for g in gens], ctx, bigger)
+        except ArithmeticError:
+            continue
+        raise AssertionError(f"a hint below the series passed over {field}")
+
+
+def _assert_holds_its_grevlex_basis(E, small):
+    fresh = reduced_groebner(list(E.generators), ring=small)
+    held = E._gb[GREVLEX]
+    assert list(E.generators) == held.polys == fresh.polys
+    assert held._raw == fresh._raw
+
+
+def test_eliminate_hands_over_the_grevlex_basis():
+    """The block-free part of an elimination basis is the reduced grevlex
+    basis of the eliminated ideal: for a trailing t (intersections of
+    random ideals, t·I + (1 − t)·J) and for the leading X block of a
+    weighted k[X, T] (graphs T_j − f_j of random quadrics, with extra
+    bihomogeneous forms)."""
+    rng = random.Random(SEED + 9)
+    nonzero = 0
+    for field in (PrimeField(7), QQ):
+        R = _ring(field)
+        for _ in range(N_ELIM):
+            I = Ideal(R, [_rand_signed_form(rng, R, rng.randint(1, 2))
+                          for _ in range(rng.randint(1, 3))])
+            J = Ideal(R, [_rand_signed_form(rng, R, rng.randint(1, 2))
+                          for _ in range(rng.randint(1, 3))])
+            meet = intersect(I, J)
+            _assert_holds_its_grevlex_basis(meet, meet.ring)
+        XT = standard_ring(("x", "y"), field).extend(
+            ("T0", "T1", "T2", "T3"), (2,))
+        for _ in range(N_ELIM):
+            gens = [Polynomial.variable(XT, 2 + j) - extend_polynomial(
+                        _rand_signed_form(rng, XT.subring((0, 1)), 2), XT)
+                    for j in range(rng.randint(3, 4))]
+            if rng.random() < 0.5:
+                gens.append(_rand_weighted_form(rng, XT, 3))
+            E, small = eliminate(Ideal(XT, gens), range(2))
+            _assert_holds_its_grevlex_basis(E, small)
+            nonzero += not E.is_zero()
+    assert nonzero
