@@ -162,20 +162,19 @@ class CohomologyTable:
                 return
 
 
-def m_mu_dims(I: Ideal, d: int, mu: int, s_range: Sequence[int],
-              m: Optional[int] = None, cross_check: bool = False) -> CohomologyTable:
-    """dim H^m_𝔪(Iˢ)_{μ+sd} per s, via H^{m−1}_𝔪(R/Iˢ).
+def m_mu_dims(I: Ideal, d: int, mu: int,
+              s_range: Sequence[int]) -> CohomologyTable:
+    """dim H^m_𝔪(Iˢ)_{μ+sd} per s, via H^{m−1}_𝔪(R/Iˢ), for I in m+1
+    variables.
 
     The identification uses 0 → Iˢ → R → R/Iˢ → 0 and the vanishing of
     H^{m−1}_𝔪(R) and H^m_𝔪(R) (depth m+1).  For m = 2 the difference
-    route is used (with an optional duality cross-check, recorded in
-    `cross_values`); higher m goes through duality alone.  Each power is
-    built for its own step and dropped after it.
+    route is used; higher m goes through duality alone.  Nothing is
+    cross-checked (`n_table` is).  Each power is built for its own step
+    and dropped after it.
     """
-    if m is None:
-        m = I.ring.nvars - 1
     return _strand_table(lambda s: ideal_power(I, s) if s > 1 else I,
-                         d, mu, s_range, m, cross_check)
+                         d, mu, s_range, I.ring.nvars - 1, False)
 
 
 def _strand_table(power: Callable[[int], Ideal], d: int, mu: int,

@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .approx import PresentationData, presentation_matrix_N
 from .groebner import normal_form
 from .ideals import (Ideal, eliminate, exact_divide,
-                     extend_polynomial, ideal_power, poly_gcd_list,
-                     restrict_polynomial, saturate_variable,
-                     with_grevlex_basis)
+                     extend_polynomial, ideal_power, poly_gcd_list, regraded,
+                     restrict_polynomial, saturate_variable)
 from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
 from .poly import Polynomial
 from .rings import RingDescriptor, standard_ring
@@ -193,17 +192,17 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     """
     R = pmap.source
     nx, nt = R.nvars, len(pmap.forms)
-    S = R.extend(pmap.target.variables, (pmap.d + 1,))
+    S = R.extend(pmap.target.variables, pmap.d + 1)
     aux = "t_aux"
     while aux in S.variables:
         aux += "_"
-    big = S.extend((aux,), (1,))
+    big = S.extend((aux,))
     t = Polynomial.variable(big, big.nvars - 1)
     graph = Ideal(big, [Polynomial.variable(big, nx + j)
                         - t * extend_polynomial(f, big)
                         for j, f in enumerate(pmap.forms)])
-    graph._series = {k * (pmap.d + 1): (-1) ** k * comb(nt, k)
-                     for k in range(nt + 1)}
+    graph.set_known_series({k * (pmap.d + 1): (-1) ** k * comb(nt, k)
+                            for k in range(nt + 1)})
     P, small = eliminate(graph, drop=(big.nvars - 1,))
     if small != S:
         raise ArithmeticError("elimination returned an unexpected ring")
@@ -240,37 +239,15 @@ def image_ideal(pmap: ParameterizedMap) -> ImageData:
     """𝔓 ∩ k[T]; the map is generically finite iff the image has dimension m.
 
     𝔓 holds its grevlex basis, so the elimination is Hilbert-driven by the
-    series of that basis, and the image comes out holding its own.
+    series of that basis, and the image comes out holding its own, moved
+    into the standard target ring so that Hilbert data uses degree 1.
     """
     nx = pmap.source.nvars
     elim, _ = eliminate(pmap.rees.rees, drop=tuple(range(nx)))
-    # re-grade in the standard target ring so Hilbert data uses degree 1;
-    # grevlex does not see the weights, so the basis carries over
-    B = pmap.target
-    img = with_grevlex_basis(B, [Polynomial(B, dict(g.terms))
-                                 for g in elim.generators])
+    img = regraded(elim, pmap.target)
     cone_dim, deg = img.dimension_degree()
     dim = cone_dim - 1
     return ImageData(img, dim, deg, dim == pmap.m)
-
-
-@dataclass
-class FiberIdeals:
-    """Specializations of the graph at a target point.
-
-    `rees_fiber` defines the honest fiber π⁻¹(y).  `sym_fiber` specializes
-    the syzygy forms 𝔓₁ (the symmetric-algebra fiber); it agrees with the
-    Rees fiber after saturation wherever the base locus is locally a complete
-    intersection.
-    """
-    point: PointProjective
-    pivot: int
-    rees_fiber: Ideal
-    sym_fiber: Ideal
-
-    def dimension(self) -> int:
-        """Projective dimension of the fiber; -1 when empty."""
-        return self.rees_fiber.dimension_degree()[0] - 1
 
 
 def _pivot(y: PointProjective) -> int:
@@ -288,33 +265,37 @@ def _differences(pmap: ParameterizedMap, y: PointProjective,
             for j, fj in enumerate(pmap.forms) if j != i]
 
 
-def fiber_ideal(pmap: ParameterizedMap, y: PointProjective) -> FiberIdeals:
-    """Specialize 𝔓 at T = y (the fiber of the graph projection) and also
-    return the symmetric-algebra specialization for comparison."""
+def _specialize(pmap: ParameterizedMap, y: PointProjective,
+                gens: Sequence[Polynomial]) -> List[Polynomial]:
+    """The nonzero forms g(X, y) in k[X] for g in k[X, T]."""
     R = pmap.source
     nx = R.nvars
-    rd = pmap.rees
-    S = rd.ambient
+    S = pmap.rees.ambient
     subs = {nx + j: Polynomial.constant(S, c) for j, c in enumerate(y.coords)}
-    keep = list(range(nx))
+    out = []
+    for g in gens:
+        sp = g.substitute(subs)
+        if not sp.is_zero():
+            out.append(restrict_polynomial(sp, R, range(nx)))
+    return out
 
-    def specialize(gens):
-        out = []
-        for g in gens:
-            sp = g.substitute(subs)
-            if not sp.is_zero():
-                out.append(restrict_polynomial(sp, R, keep))
-        return out
 
-    return FiberIdeals(y, _pivot(y), Ideal(R, specialize(rd.rees.generators)),
-                       Ideal(R, specialize(rd.linear_part)))
+def fiber_ideal(pmap: ParameterizedMap, y: PointProjective) -> Ideal:
+    """𝔓 specialized at T = y: the ideal of the fiber π⁻¹(y) of the graph
+    projection."""
+    return Ideal(pmap.source, _specialize(pmap, y, pmap.rees.rees.generators))
+
+
+def fiber_dimension(pmap: ParameterizedMap, y: PointProjective) -> int:
+    """Projective dimension of the fiber π⁻¹(y); -1 when it is empty."""
+    return fiber_ideal(pmap, y).dimension_degree()[0] - 1
 
 
 def fibers_agree(pmap: ParameterizedMap, y: PointProjective) -> bool:
-    """Do the graph fiber and the symmetric-algebra fiber agree at y
-    (after saturating the irrelevant ideal away)?"""
-    fi = fiber_ideal(pmap, y)
-    return fi.rees_fiber.saturation() == fi.sym_fiber.saturation()
+    """Do the graph fiber and the symmetric-algebra fiber (𝔓₁ specialized)
+    agree at y (after saturating the irrelevant ideal away)?"""
+    sym = Ideal(pmap.source, _specialize(pmap, y, pmap.rees.linear_part))
+    return fiber_ideal(pmap, y).saturation() == sym.saturation()
 
 
 def unmixed_part(pmap: ParameterizedMap, y: PointProjective) -> Polynomial:
@@ -492,7 +473,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         h = unmixed_part(pmap, y)
         if h.degree() < 1:
             return
-        dim = fiber_ideal(pmap, y).dimension()
+        dim = fiber_dimension(pmap, y)
         if dim != m - 1:
             return
         found[key] = FiberRecord(y, _pivot(y), h, h.degree(), dim, route)
@@ -511,8 +492,9 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         if nu >= s * d:
             continue
         # the degree-ν elements of the reduced basis span (I^s)^sat_ν
-        G = poly_gcd_list([g for g in Jsat.groebner().polys
-                           if g.degree() == nu])
+        gb = Jsat.groebner()
+        G = poly_gcd_list([g for (g,) in gb.select(
+            lambda k: gb.ctx.deg(k) == nu)])
         entry["gcd_degree"] = G.degree()
         if G.degree() < 1:
             continue
@@ -633,7 +615,7 @@ def brute_force_fiber_oracle(pmap: ParameterizedMap) -> List[FiberRecord]:
         images.setdefault(y.coords, y)
     records = []
     for y in images.values():
-        if fiber_ideal(pmap, y).dimension() == m - 1:
+        if fiber_dimension(pmap, y) == m - 1:
             h = unmixed_part(pmap, y)
             records.append(FiberRecord(y, _pivot(y), h, h.degree(), m - 1,
                                        "oracle"))

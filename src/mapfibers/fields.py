@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# A prime modulus must lie below this: primality is tested by trial division
+# and `solve` finds roots over GF(p) by trying every element.
+PRIME_CAP = 1 << 16
+
 
 class Field:
     """Common interface for exact coefficient arithmetic."""
@@ -111,6 +115,8 @@ class PrimeField(Field):
     """Integers mod a prime p, residues normalized to [0, p)."""
 
     def __init__(self, p: int):
+        if p >= PRIME_CAP:
+            raise ValueError(f"modulus {p} is not below the cap {PRIME_CAP}")
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -7,6 +7,11 @@ with shifts ``(0,)``.  This module converts vectors to and from the
 engine's integer term lists, keeps the reducer index of a basis for
 repeated normal forms, recovers exact remainders over QQ, and
 normalizes basis elements monic.
+
+A `GroebnerBasis` holds only the engine's reduced term lists; leads,
+normal forms and hand-overs into another ring work on them.  Elements
+become polynomials on first read of ``polys``, and `select` converts
+only the elements a caller picks by their lead keys.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ Vector = Tuple[Polynomial, ...]
 def _context(ring: RingDescriptor, order: TermOrder, shifts: Sequence[int] = (0,),
              comp_rank=None) -> EngineContext:
     mod = ring.field.p if isinstance(ring.field, PrimeField) else None
-    weights = tuple(sum(w) for w in ring.weights)
     return EngineContext(ring.nvars, order, mod=mod, ncomps=len(shifts),
-                         comp_rank=comp_rank, weights=weights,
+                         comp_rank=comp_rank, weights=ring.weights,
                          comp_offsets=tuple(shifts))
 
 
@@ -87,41 +91,51 @@ class GroebnerBasis:
     ideal when the shifts are ``(0,)``): unique for (submodule, order,
     component ranking), elements monic."""
 
-    def __init__(self, vectors: Iterable[Vector], ring: RingDescriptor,
-                 order: TermOrder = GREVLEX, shifts: Sequence[int] = (0,),
-                 comp_rank=None, *, hint=None):
-        """``hint``: the certified Hilbert numerator `engine.groebner_raw`
-        takes, for homogeneous generators of an ideal."""
-        ctx = _context(ring, order, shifts, comp_rank)
-        self._hold(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx,
-                                       hint), ctx, ring)
+    def __init__(self, raw: list, ctx: EngineContext, ring: RingDescriptor):
+        """Hold ``raw``, a reduced basis in ``ctx``'s term lists, ascending
+        by lead."""
+        self.raw = raw
+        self.ctx = ctx
+        self.ring = ring
 
     @classmethod
-    def of_reduced(cls, polys: Sequence[Polynomial], ring: RingDescriptor,
-                   order: TermOrder = GREVLEX) -> "GroebnerBasis":
-        """Hold ``polys``: monic, already the reduced basis of their ideal in
-        ``order``, and listed by ascending lead.  No S-pair is formed, and
-        the engine's term lists are built only when first needed."""
-        out = cls.__new__(cls)
-        out.ring = ring
-        out.order = order
-        out.ctx = _context(ring, order)
-        out.vectors = [(p,) for p in polys]
-        return out
-
-    def _hold(self, raw: list, ctx: EngineContext, ring: RingDescriptor):
-        """Take ``raw``, a reduced basis in the engine's term lists."""
-        self.ring = ring
-        self.order = ctx.order
-        self.ctx = ctx
-        self._raw = raw
-        self.vectors: List[Vector] = [from_raw(t, ctx, ring) for t in raw]
+    def compute(cls, vectors: Iterable[Vector], ring: RingDescriptor,
+                order: TermOrder = GREVLEX, shifts: Sequence[int] = (0,),
+                comp_rank=None, *, hint=None) -> "GroebnerBasis":
+        """The reduced basis of the submodule the ``vectors`` generate.
+        ``hint``: the certified Hilbert numerator `engine.groebner_raw`
+        takes, for homogeneous generators of an ideal."""
+        ctx = _context(ring, order, shifts, comp_rank)
+        return cls(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx,
+                                       hint), ctx, ring)
 
     @cached_property
-    def _raw(self) -> list:
-        """The elements as engine term lists (set up front unless the basis
-        was handed over by `of_reduced`)."""
-        return [to_raw(v, self.ctx) for v in self.vectors]
+    def polys(self) -> List[Polynomial]:
+        """The elements of a rank-one basis as polynomials."""
+        return [from_raw(t, self.ctx, self.ring)[0] for t in self.raw]
+
+    def select(self, lead_test) -> List[Vector]:
+        """The elements whose lead key passes ``lead_test``, as vectors;
+        only those are converted."""
+        return [from_raw(t, self.ctx, self.ring) for t in self.raw
+                if lead_test(t[0][0])]
+
+    def carried(self, ring: RingDescriptor, keep: Sequence[int],
+                lead_test=None) -> "GroebnerBasis":
+        """The elements whose lead key passes ``lead_test`` (all when None)
+        as a grevlex basis of ``ring``, whose variables are the variables
+        ``keep`` of this ring, by re-packing each key.  Valid when those
+        elements involve only the kept variables and this order compares
+        their monomials by grevlex in ring order."""
+        exps, ctx = self.ctx.exps, _context(ring, GREVLEX)
+        pack = ctx.pack
+
+        def move(k):
+            e = exps(k)
+            return pack(tuple(e[i] for i in keep))
+        return GroebnerBasis([[(move(k), c) for k, c in t] for t in self.raw
+                              if lead_test is None or lead_test(t[0][0])],
+                             ctx, ring)
 
     def saturate_last(self, i: int) -> "GroebnerBasis":
         """Reduced basis of (this ideal) : x_i^∞ in the same order, when the
@@ -133,28 +147,21 @@ class GroebnerBasis:
         interreduction is left; no S-pair is formed.
         """
         ctx = self.ctx
-        out = GroebnerBasis.__new__(GroebnerBasis)
-        out._hold(engine._interreduce(engine.strip_variable(self._raw, ctx, i),
-                                      ctx), ctx, self.ring)
-        return out
-
-    @cached_property
-    def polys(self) -> List[Polynomial]:
-        """The elements of a rank-one basis as polynomials."""
-        return [p for (p,) in self.vectors]
+        return GroebnerBasis(engine._interreduce(
+            engine.strip_variable(self.raw, ctx, i), ctx), ctx, self.ring)
 
     def leading_terms(self) -> list:
         """(component, exponent tuple) of each element's leading term."""
         ctx = self.ctx
-        return [(ctx.comp(t[0][0]), ctx.exps(t[0][0])) for t in self._raw]
+        return [(ctx.comp(t[0][0]), ctx.exps(t[0][0])) for t in self.raw]
 
     @cached_property
     def _reducer(self) -> engine._Basis:
-        return engine._Basis(self.ctx, self._raw)
+        return engine._Basis(self.ctx, self.raw)
 
     def normal_form(self, vec: Vector) -> Vector:
         """Remainder of division by the basis; exact."""
-        if not self._raw or all(p.is_zero() for p in vec):
+        if not self.raw or all(p.is_zero() for p in vec):
             return vec
         ctx = self.ctx
         nf, (num, den) = engine.normal_form_raw(to_raw(vec, ctx), self._reducer,
@@ -170,7 +177,7 @@ class GroebnerBasis:
         return all(p.is_zero() for p in self.normal_form(vec))
 
     def __repr__(self):
-        return f"<GroebnerBasis of {len(self.vectors)} elements in {self.ring!r}>"
+        return f"<GroebnerBasis of {len(self.raw)} elements in {self.ring!r}>"
 
 
 def reduced_groebner(gens: Iterable[Polynomial], order: TermOrder = GREVLEX,
@@ -183,7 +190,7 @@ def reduced_groebner(gens: Iterable[Polynomial], order: TermOrder = GREVLEX,
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    return GroebnerBasis([(g,) for g in gens], ring, order)
+    return GroebnerBasis.compute([(g,) for g in gens], ring, order)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

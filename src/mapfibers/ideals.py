@@ -25,10 +25,14 @@ the reduced grevlex basis of I ∩ k[kept variables] (on block-free
 monomials the elimination order is grevlex on the kept variables, in
 ring order), so `eliminate` returns the eliminated ideal holding it,
 and the Rees ideal, the image and every intersection build no second
-basis.  And an ideal that holds a basis in one order knows the Hilbert
-series of its quotient, so its basis in any other order is computed
-Hilbert-driven (`engine.groebner_raw`'s hint), as is the Rees
-elimination, whose series `fibers.rees_ideal` knows by a theorem.
+basis; those elements are picked on their lead keys and carried over as
+term lists, so only the result's generators become polynomials.  And an
+ideal that holds a basis in one order knows the Hilbert series of its
+quotient, so its basis in any other order is computed Hilbert-driven
+(`engine.groebner_raw`'s hint), as is the Rees elimination, whose series
+`fibers.rees_ideal` knows by a theorem (`Ideal.set_known_series`).  Only
+this module touches an ideal's caches, and `_holding` builds every ideal
+that holds a handed-over basis.
 """
 
 from __future__ import annotations
@@ -70,15 +74,22 @@ class Ideal:
     def groebner(self, order: TermOrder = GREVLEX) -> GroebnerBasis:
         gb = self._gb.get(order)
         if gb is None:
-            gb = GroebnerBasis([(g,) for g in self.generators], self.ring,
-                               order, hint=self._known_series())
+            gb = GroebnerBasis.compute([(g,) for g in self.generators],
+                                       self.ring, order,
+                                       hint=self._known_series())
             self._gb[order] = gb
         return gb
 
+    def set_known_series(self, numerator: Dict[int, int]) -> None:
+        """Drive every basis of this ideal by ``numerator``, that of
+        HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights, which must be
+        certified (a theorem): a wrong one can pass with a wrong basis."""
+        self._series = dict(numerator)
+
     def _known_series(self) -> Optional[Dict[int, int]]:
         """The numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's
-        weights, when it is known without a new basis: set by a caller who
-        knows it by a theorem, or read off a basis this ideal holds when its
+        weights, when it is known without a new basis: given by
+        `set_known_series`, or read off a basis this ideal holds when its
         generators are homogeneous in those weights; else None."""
         if self._series is None and self._gb:
             gb = next(iter(self._gb.values()))
@@ -116,7 +127,7 @@ class Ideal:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ideal) or self.ring != other.ring:
             return NotImplemented
-        return self.groebner().polys == other.groebner().polys
+        return self.groebner().raw == other.groebner().raw
 
     def hilbert(self) -> HilbertData:
         """Hilbert data of R/I, computed once: from the grevlex basis, or for
@@ -133,11 +144,10 @@ class Ideal:
         return h.krull_dim, h.degree
 
     def initial_degree(self) -> Optional[int]:
-        """Least t with a nonzero element of degree t, None for (0)."""
-        polys = self.groebner().polys
-        if not polys:
-            return None
-        return min(p.degree() for p in polys)
+        """Least t with a nonzero element of degree t (the least degree of
+        a grevlex lead), None for (0)."""
+        gb = self.groebner()
+        return min((gb.ctx.deg(t[0][0]) for t in gb.raw), default=None)
 
     def minimal_basis(self) -> List[Polynomial]:
         """The homogeneous generators, sorted by (degree, text), with each
@@ -272,11 +282,8 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     # ring's weights), and only that
     if not _homogeneous(I):
         return saturate_element(I, Polynomial.variable(I.ring, i))
-    order = grevlex_with_last(I.ring.nvars, i)
-    gb = I.groebner(order).saturate_last(i)
-    J = Ideal(I.ring, gb.polys)
-    J._gb[order] = gb
-    return J
+    return _holding(I.groebner(grevlex_with_last(I.ring.nvars, i))
+                    .saturate_last(i))
 
 
 def saturate_element(I: Ideal, f: Polynomial) -> Ideal:
@@ -303,8 +310,8 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
         and then J_i ⊆ I^sat : 𝔪^∞ = I^sat.
 
     `saturate_variable` hands J_i over with its reduced basis in the
-    order with X_i last, so HS(R/J_i) is read off its leads (and kept on
-    J_i) at no extra Gröbner basis; the first try (X_n last) starts from
+    order with X_i last, so `J_i.hilbert()` reads HS(R/J_i) off its leads
+    at no extra Gröbner basis; the first try (X_n last) starts from
     I's own grevlex basis.  When no variable passes, and for
     non-homogeneous input, the per-variable saturations are intersected
     in the order they were built.
@@ -318,9 +325,7 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     pieces = []
     for i in reversed(range(n)):
         J = saturate_variable(I, i)
-        leads = [m for _, m in J.groebner(grevlex_with_last(n, i)).leading_terms()]
-        J._hilbert = HilbertData(numerator_from_leads(leads, n), n)
-        if _hilbert_polynomial(J._hilbert) == target:
+        if _hilbert_polynomial(J.hilbert()) == target:
             return J
         pieces.append(J)
     return intersect_many(pieces)
@@ -334,26 +339,31 @@ def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:
     """I ∩ k[kept variables] and the small ring.
 
     The result is generated by, and holds, its reduced grevlex basis: the
-    block-free elements of I's reduced basis in `elimination_order`, which
-    compares block-free monomials by grevlex on the kept variables.
+    elements of I's reduced basis in `elimination_order` with a block-free
+    lead (hence block-free), which that order compares by grevlex on the
+    kept variables.
     """
     R = I.ring
     block = frozenset(drop)
     keep = [i for i in range(R.nvars) if i not in block]
     small = R.subring(keep)
     gb = I.groebner(elimination_order(block))
-    out = [restrict_polynomial(p, small, keep) for p in gb.polys
-           if all(all(m[i] == 0 for i in block) for m in p.terms)]
-    return with_grevlex_basis(small, out), small
+    exps = gb.ctx.exps
+    return _holding(gb.carried(small, keep, lambda k: not any(
+        exps(k)[i] for i in block))), small
 
 
-def with_grevlex_basis(ring: RingDescriptor,
-                       polys: Sequence[Polynomial]) -> Ideal:
-    """The ideal generated by ``polys``, which are monic, already its
-    reduced grevlex basis and listed by ascending lead, holding that basis."""
-    J = Ideal(ring, polys)
-    J._gb[GREVLEX] = GroebnerBasis.of_reduced(J.generators, ring)
+def _holding(gb: GroebnerBasis) -> Ideal:
+    """The ideal generated by the reduced basis ``gb``, holding it."""
+    J = Ideal(gb.ring, gb.polys)
+    J._gb[gb.ctx.order] = gb
     return J
+
+
+def regraded(I: Ideal, ring: RingDescriptor) -> Ideal:
+    """I in ``ring``, its variables regraded, holding I's grevlex basis
+    (grevlex does not see the weights)."""
+    return _holding(I.groebner().carried(ring, range(ring.nvars)))
 
 
 # ---------------------------------------------------------------------------

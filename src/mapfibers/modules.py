@@ -129,8 +129,8 @@ class FreeModuleMap:
 
 def module_groebner(vectors: Sequence[Vector], free: FreeModule,
                     comp_rank=None) -> GroebnerBasis:
-    return GroebnerBasis([v for v in vectors if not vec_is_zero(v)], free.ring,
-                         GREVLEX, free.shifts, comp_rank)
+    return GroebnerBasis.compute([v for v in vectors if not vec_is_zero(v)],
+                                 free.ring, GREVLEX, free.shifts, comp_rank)
 
 
 def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vector]:
@@ -189,10 +189,11 @@ def _graph_basis(M: FreeModuleMap) -> GroebnerBasis:
 
 def kernel_of_free_map(M: FreeModuleMap) -> List[Vector]:
     """Minimal homogeneous generators of ker(M): the graph-basis elements
-    with vanishing target part."""
+    with vanishing target part, which are those with a lead in a source
+    component (the target components dominate)."""
     tr = M.target.rank
-    kernel = [tuple(v[tr:]) for v in _graph_basis(M).vectors
-              if all(v[i].is_zero() for i in range(tr))]
+    gb = _graph_basis(M)
+    kernel = [v[tr:] for v in gb.select(lambda k: gb.ctx.comp(k) >= tr)]
     return minimal_generators(kernel, M.source) if kernel else []
 
 
@@ -239,14 +240,10 @@ def submodule_colon_component(vectors: Sequence[Vector], free: FreeModule, j: in
     """Generators of (U : e_j) = {b : b·e_j ∈ U} for U = ⟨vectors⟩.
 
     Uses a component-elimination order with component j least significant,
-    so basis elements supported entirely on component j cut out U ∩ R·e_j.
+    so the basis elements with a lead in component j, which are supported
+    entirely on it, cut out U ∩ R·e_j.
     """
     rank = free.rank
     comp_rank = tuple(0 if c == j else (rank - c) for c in range(rank))
     gb = module_groebner(vectors, free, comp_rank=comp_rank)
-    out = []
-    for v in gb.vectors:
-        if all(v[c].is_zero() for c in range(rank) if c != j):
-            if not v[j].is_zero():
-                out.append(v[j])
-    return out
+    return [v[j] for v in gb.select(lambda k: gb.ctx.comp(k) == j)]

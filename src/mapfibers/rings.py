@@ -1,9 +1,9 @@
 """Graded polynomial ring descriptors, monomials, and term orders.
 
 Monomials are exponent tuples, one entry per ring variable.  A ring
-carries a per-variable weight vector: the standard grading gives every
-variable weight (1,), and the Rees ring k[X, T] keeps weight (1,) on
-the source variables and gives each target variable T weight (d+1,).
+carries one integer weight per variable: the standard grading gives
+every variable weight 1, and the Rees ring k[X, T] keeps weight 1 on
+the source variables and gives each target variable T weight d+1.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class RingDescriptor:
 
     variables: tuple
     field: Field
-    weights: tuple  # per-variable degree vectors, all the same length
+    weights: tuple  # one integer weight per variable
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -107,17 +107,8 @@ class RingDescriptor:
     def nvars(self) -> int:
         return len(self.variables)
 
-    @property
-    def grading_length(self) -> int:
-        return len(self.weights[0]) if self.weights else 1
-
-    def weighted_degree(self, mono: Monomial) -> tuple:
-        deg = [0] * self.grading_length
-        for e, w in zip(mono, self.weights):
-            if e:
-                for k in range(len(w)):
-                    deg[k] += e * w[k]
-        return tuple(deg)
+    def weighted_degree(self, mono: Monomial) -> int:
+        return sum(e * w for e, w in zip(mono, self.weights))
 
     def zero_mono(self) -> Monomial:
         return (0,) * self.nvars
@@ -127,13 +118,13 @@ class RingDescriptor:
         e[i] = power
         return tuple(e)
 
-    def extend(self, extra_names, extra_weight=None) -> "RingDescriptor":
-        """New ring with extra variables appended."""
-        w = extra_weight if extra_weight is not None else (1,) * self.grading_length
+    def extend(self, extra_names, extra_weight: int = 1) -> "RingDescriptor":
+        """New ring with extra variables appended, each of weight
+        ``extra_weight``."""
         return RingDescriptor(
             self.variables + tuple(extra_names),
             self.field,
-            self.weights + tuple(w for _ in extra_names),
+            self.weights + (extra_weight,) * len(extra_names),
         )
 
     def subring(self, keep_indices) -> "RingDescriptor":
@@ -150,4 +141,4 @@ class RingDescriptor:
 
 def standard_ring(names, field: Field = QQ) -> RingDescriptor:
     names = tuple(names)
-    return RingDescriptor(names, field, ((1,),) * len(names))
+    return RingDescriptor(names, field, (1,) * len(names))

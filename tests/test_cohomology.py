@@ -1,6 +1,7 @@
 from mapfibers.cohomology import (check_module_degree_formula, hdim_difference,
                                   hdim_duality, hypersurface_hdim, m_mu_dims,
                                   n_table)
+from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
@@ -42,7 +43,7 @@ def test_degree_formula_requires_stabilization():
     # two constant entries are fewer than the three-run certification window
     R2 = standard_ring(("x", "y"))
     a = Polynomial.variable(R2, 0)
-    t = m_mu_dims(Ideal(R2, [a ** 5]), 5, -3, range(1, 3), m=1)
+    t = m_mu_dims(Ideal(R2, [a ** 5]), 5, -3, range(1, 3))
     t.detect_stabilization()
     assert t.stable_value is None
     verdict = check_module_degree_formula([1, 1], t, 1)
@@ -54,8 +55,7 @@ def test_cross_table_only_when_a_second_route_ran():
     # m = 1 has only the duality route: nothing is cross-checked
     R2 = standard_ring(("x", "y"))
     a, b = (Polynomial.variable(R2, i) for i in range(2))
-    t = m_mu_dims(Ideal(R2, [a ** 3, b ** 3]), 3, -1, range(1, 3),
-                  cross_check=True)
+    t = n_table(build_map([a ** 3, b ** 3]), range(1, 3))
     assert t.values and t.cross_values == {}
 
 

@@ -5,7 +5,7 @@ import pytest
 from mapfibers.fields import QQ, PrimeField
 from mapfibers.fibers import (NotGenericallyFiniteError, base_locus,
                               brute_force_fiber_oracle, build_map,
-                              check_fiber_factorization, fiber_ideal,
+                              check_fiber_factorization, fiber_dimension,
                               fibers_agree, find_one_dim_fibers, image_ideal,
                               linear_factors, recover_points_from_divisor,
                               rees_ideal, unmixed_part)
@@ -93,13 +93,12 @@ def test_linear_factor_extraction():
 def test_fiber_dimension_and_agreement(quintic_map):
     y = PointProjective((Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
                         QQ)
-    fi = fiber_ideal(quintic_map, y)
-    assert fi.dimension() == 1
+    assert fiber_dimension(quintic_map, y) == 1
     assert fibers_agree(quintic_map, y)
     # a generic image point has a zero-dimensional fiber
     generic = PointProjective((Fraction(1), Fraction(1), Fraction(1),
                                Fraction(1)), QQ)
-    assert fiber_ideal(quintic_map, generic).dimension() <= 0
+    assert fiber_dimension(quintic_map, generic) <= 0
 
 
 def test_factorization_identity(quintic_result):

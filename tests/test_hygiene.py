@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, method or class the package defines is named somewhere, no
-function carries a process-wide cache decorator, and no module reads the
-environment.
+function carries a process-wide cache decorator, no module reads the
+environment, and only `ideals` touches an ideal's caches.
 
 Stdlib only: each ``src/mapfibers/*.py`` is parsed with ``ast``.  The
 package ``__init__`` is exempt from the import check because its imports
@@ -193,3 +193,20 @@ def test_no_environment_reads(module):
             found += [f"from os import {a.name} (line {node.lineno})"
                       for a in node.names if a.name in ENV_READERS]
     assert not found, f"{module} reads the environment: {', '.join(found)}"
+
+
+IDEAL_CACHES = ("_gb", "_sat", "_hilbert", "_series")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ideals.py"])
+def test_only_ideals_touches_an_ideals_caches(module):
+    """An `Ideal`'s cached bases, saturation, Hilbert data and series are
+    read and written in `ideals.py` alone; other modules go through its
+    methods (`groebner`, `saturation`, `hilbert`, `set_known_series`)."""
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)
+                   for name in (getattr(node, "attr", None),
+                                getattr(node, "id", None))
+                   if name in IDEAL_CACHES)
+    assert not found, f"{module} names an ideal's cache: {', '.join(found)}"

@@ -1,6 +1,6 @@
 import pytest
 
-from mapfibers import ideals
+from mapfibers import groebner, ideals
 from mapfibers.ideals import (Ideal, colon, eliminate, exact_divide,
                               ideal_power, ideal_product, intersect, poly_gcd,
                               poly_gcd_list, saturate_element,
@@ -9,6 +9,8 @@ from mapfibers.fields import PrimeField
 from mapfibers.poly import Polynomial
 from mapfibers.rings import (GREVLEX, elimination_order, grevlex_with_last,
                              standard_ring)
+
+from conftest import count_calls
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -188,3 +190,26 @@ def test_minimal_basis_keeps_the_sorted_greedy_choice():
         == ["x", "x + y"]
     with pytest.raises(ValueError):
         Ideal(R, [x, y * y + x]).minimal_basis()
+
+
+def test_a_basis_converts_nothing_until_an_element_is_read(monkeypatch,
+                                                           quintic_map):
+    """A basis holds the engine's term lists; its polynomials are built
+    on first read, once."""
+    conversions = count_calls(monkeypatch, groebner.from_raw)
+    I = Ideal(quintic_map.source, list(quintic_map.forms))
+    gb = I.groebner(grevlex_with_last(3, 0))
+    assert conversions == [] and gb.raw
+    polys = gb.polys
+    assert gb.polys is polys and len(conversions) == len(polys) == len(gb.raw)
+
+
+def test_eliminate_converts_only_the_result(monkeypatch, quintic_map):
+    """`eliminate` picks the block-free elements of the elimination basis
+    on their lead keys and converts only those: one conversion per
+    generator of the result."""
+    I = Ideal(quintic_map.source, list(quintic_map.forms))
+    conversions = count_calls(monkeypatch, groebner.from_raw)
+    E, _ = eliminate(I, (0,))
+    assert len(conversions) == len(E.generators) > 0
+    assert len(I.groebner(elimination_order({0})).raw) > len(E.generators)

@@ -8,6 +8,7 @@ import pytest
 import mapfibers
 from mapfibers import build_map, ideals, standard_ring
 from mapfibers.cli import main
+from mapfibers.fields import PRIME_CAP
 from mapfibers.ideals import saturate_irrelevant
 from mapfibers.fibers import lci_proxy_check
 from mapfibers.approx import presentation_matrix_N
@@ -159,6 +160,26 @@ def test_cli_exponent_past_the_cap_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "line 2, column 8" in proc.stderr and "32767" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_prime_field_past_the_cap_exits_one(tmp_path):
+    """GF(2^61 − 1) hung in the trial-division primality test and
+    GF(1000000007) in the root search over every field element; both
+    moduli are past `fields.PRIME_CAP`, so the map file is a parse error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapfibers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for k, (cmd, p) in enumerate((("image", 2305843009213693951),
+                                  ("fibers", 1000000007))):
+        bad = tmp_path / f"big{k}.map"
+        bad.write_text(f"field = GF {p}\nsource = x y z\nf0 = x^3\n"
+                       f"f1 = y^3\nf2 = z^3\nf3 = x*y*z\n")
+        proc = subprocess.run([sys.executable, "-m", "mapfibers.cli", cmd,
+                               str(bad)], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 1, (cmd, proc.stderr)
+        assert "line 1" in proc.stderr and str(PRIME_CAP) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_source_target_name_clash_exits_one(tmp_path):
