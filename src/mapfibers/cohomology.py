@@ -114,18 +114,6 @@ def hdim_duality(J: Ideal, i: int, t: int) -> int:
     return dim_j - rk_out - rk_in
 
 
-def hypersurface_hdim(d_f: int, mu: int, m: int) -> int:
-    """dim H^m_𝔪(R/(f))_μ for a degree-d_f form in m+1 variables."""
-    if d_f < 1:
-        raise ValueError("hypersurface degree must be positive")
-    t = d_f - m - 1 - mu
-    if mu > d_f - m - 1:
-        return 0
-    full = comb(t + m, m)
-    cut = comb(t - d_f + m, m) if t - d_f + m >= 0 else 0
-    return full - cut
-
-
 # ---------------------------------------------------------------------------
 # the fiber-counting table
 

@@ -201,10 +201,6 @@ class EngineContext:
             return ((a - b + g) & t) == v
         self.divides = divides
 
-    def pack_comp(self, c, e):
-        """Key of the monomial x^e in component c."""
-        return self.rank_bits[c] + self.pack(e)
-
     def comp(self, k):
         return self.comp_of_rank[k >> self.cshift]
 

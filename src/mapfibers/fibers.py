@@ -29,7 +29,7 @@ from .ideals import (Ideal, eliminate, exact_divide,
                      restrict_polynomial, saturate_variable)
 from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
 from .poly import Polynomial
-from .rings import RingDescriptor, standard_ring
+from .rings import RingDescriptor, elimination_order, standard_ring
 from .solve import (NotZeroDimensionalError, PointProjective, _affine_points,
                     rational_points_zero_dim)
 
@@ -187,8 +187,12 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     basis (`eliminate`).
 
     The linear part 𝔓_(*,1) is computed independently from the syzygies of
-    (f_0 .. f_n); both a containment and a substitution T_j ↦ f_j check
-    guard the elimination.
+    (f_0 .. f_n).  Two containments guard the elimination: 𝔓 lies in the
+    ideal (T_j − f_j : j) of the graph, and 𝔓_(*,1) lies in 𝔓.  The first
+    is tested against the basis of (T_j − f_j) in the elimination order of
+    the T block, which is the binomials themselves (their leads T_j are
+    pairwise coprime, so no S-pair is formed); the normal form of g there
+    is g(X, f).
     """
     R = pmap.source
     nx, nt = R.nvars, len(pmap.forms)
@@ -216,13 +220,13 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
             lin = lin + extend_polynomial(zj, S) * Polynomial.variable(S, nx + j)
         linear.append(lin)
 
-    subs = {nx + j: extend_polynomial(f, S) for j, f in enumerate(pmap.forms)}
-    for g in P.generators:
-        if not g.substitute(subs).is_zero():
-            raise ArithmeticError("Rees generator does not vanish on the graph")
-    for lin in linear:
-        if not P.contains(lin):
-            raise ArithmeticError("syzygy form missing from the Rees ideal")
+    on_graph = Ideal(S, [Polynomial.variable(S, nx + j) - extend_polynomial(f, S)
+                         for j, f in enumerate(pmap.forms)])
+    on_graph.groebner(elimination_order(range(nx, nx + nt)))
+    if not P.is_subideal_of(on_graph):
+        raise ArithmeticError("Rees generator does not vanish on the graph")
+    if not Ideal(S, linear).is_subideal_of(P):
+        raise ArithmeticError("syzygy form missing from the Rees ideal")
     return ReesData(S, P, linear)
 
 
@@ -289,13 +293,6 @@ def fiber_ideal(pmap: ParameterizedMap, y: PointProjective) -> Ideal:
 def fiber_dimension(pmap: ParameterizedMap, y: PointProjective) -> int:
     """Projective dimension of the fiber π⁻¹(y); -1 when it is empty."""
     return fiber_ideal(pmap, y).dimension_degree()[0] - 1
-
-
-def fibers_agree(pmap: ParameterizedMap, y: PointProjective) -> bool:
-    """Do the graph fiber and the symmetric-algebra fiber (𝔓₁ specialized)
-    agree at y (after saturating the irrelevant ideal away)?"""
-    sym = Ideal(pmap.source, _specialize(pmap, y, pmap.rees.linear_part))
-    return fiber_ideal(pmap, y).saturation() == sym.saturation()
 
 
 def unmixed_part(pmap: ParameterizedMap, y: PointProjective) -> Polynomial:
@@ -550,9 +547,6 @@ class DivisorBoundVerdict:
     applicable: bool
     holds: Optional[bool]
     prior_bound: int              # informational: ⌊d/2⌋·d - 1
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return self.nu, self.divisor_sum, self.sd
 
 
 def check_divisor_degree_bound(pmap: ParameterizedMap, s: int,

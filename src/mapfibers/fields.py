@@ -169,7 +169,3 @@ class PrimeField(Field):
 
 
 QQ = RationalField()
-
-
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)

@@ -177,10 +177,6 @@ class HilbertData:
             val = val * t + c
         return val
 
-    def stabilization_bound(self) -> int:
-        """A degree from which HF provably equals HP."""
-        return (max(self.numerator) + 1) if self.numerator else 0
-
     def __repr__(self):
         terms = " + ".join(f"{c}t^{k}" for k, c in sorted(self.numerator.items()))
         return f"<HilbertData ({terms}) / (1-t)^{self.nvars}, dim {self.krull_dim}, deg {self.degree}>"

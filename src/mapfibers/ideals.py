@@ -1,14 +1,13 @@
-"""Ideal-level operations: products, powers, intersections, colons,
-saturations, elimination, multivariate gcd, the monomials of a degree.
+"""Ideal-level operations: powers, intersections, saturations,
+elimination, multivariate gcd, the monomials of a degree.
 
-Everything is exact.  Saturation by a variable uses the reverse-lex
-trick (put the variable last in a graded reverse-lex order, divide each
-reduced basis element by its power of that variable, and interreduce:
-by Bayer–Stillman the quotients are already a Gröbner basis, so the
-result is the colon's reduced basis in that order, at no S-pair);
-saturation by a general element falls back to the inverse-adjunction
-trick in an extended ring.  Both require / preserve homogeneity where
-documented.
+Everything is exact.  Saturation takes generators homogeneous in total
+degree and raises ValueError otherwise.  Saturation by a variable uses
+the reverse-lex trick (put the variable last in a graded reverse-lex
+order, divide each reduced basis element by its power of that variable,
+and interreduce: by Bayer–Stillman the quotients are already a Gröbner
+basis, so the result is the colon's reduced basis in that order, at no
+S-pair).
 
 Saturation by the irrelevant ideal 𝔪 = (X_0, …, X_n) of an ideal with
 homogeneous generators tries one variable at a time and keeps the first
@@ -184,9 +183,6 @@ def restrict_polynomial(f: Polynomial, small: RingDescriptor, keep: Sequence[int
 # ---------------------------------------------------------------------------
 # core constructions
 
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.ring, [g * h for g in I.generators for h in J.generators])
-
 def ideal_power(I: Ideal, s: int) -> Ideal:
     """I^s from the products of s generators taken with repetition, in
     lexicographic index order; products that coincide are kept once."""
@@ -253,56 +249,44 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(R, quot)
 
 
-def colon(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f) = { g : g·f ∈ I }."""
-    if f.is_zero():
-        raise ZeroDivisionError("colon by zero")
-    inter = intersect(I, Ideal(I.ring, [f]))
-    return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
-
-
 def _homogeneous(I: Ideal, weights: Optional[Sequence[int]] = None) -> bool:
     """Every generator is homogeneous in total degree, or in ``weights``."""
     deg = sum if weights is None else (lambda m: sum(map(mul, m, weights)))
     return all(len({deg(m) for m in g.terms}) == 1 for g in I.generators)
 
 
+def _require_homogeneous(I: Ideal) -> None:
+    # Bayer–Stillman and the Hilbert-polynomial certificate compare
+    # unweighted total degree first, so saturation needs every generator
+    # homogeneous in total degree (whatever the ring's weights), and only that
+    if not _homogeneous(I):
+        raise ValueError("saturation needs generators homogeneous in "
+                         "total degree")
+
+
 def saturate_variable(I: Ideal, i: int) -> Ideal:
-    """(I : X_i^∞), generated by its reduced basis in the order with X_i
+    """(I : X_i^∞) for generators homogeneous in total degree (else
+    ValueError), generated by its reduced basis in the order with X_i
     last, which the result holds (for X_n that is its grevlex basis).
 
-    For a homogeneous ideal the basis comes from I's basis in that order
-    by `GroebnerBasis.saturate_last`: strip each element's X_i power and
-    interreduce.  Otherwise through `saturate_element`.
+    The basis comes from I's basis in that order by
+    `GroebnerBasis.saturate_last`: strip each element's X_i power and
+    interreduce.
     """
     if I.is_zero():
         return I
-    # Bayer–Stillman: grevlex compares unweighted total degree first, so the
-    # trick needs every generator homogeneous in total degree (whatever the
-    # ring's weights), and only that
-    if not _homogeneous(I):
-        return saturate_element(I, Polynomial.variable(I.ring, i))
+    _require_homogeneous(I)
     return _holding(I.groebner(grevlex_with_last(I.ring.nvars, i))
                     .saturate_last(i))
 
 
-def saturate_element(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^∞) via the inverse-adjunction trick in R[w]."""
-    R = I.ring
-    big = R.extend(("_w",))
-    w = Polynomial.variable(big, big.nvars - 1)
-    one = Polynomial.constant(big, R.field.one())
-    gens = [extend_polynomial(g, big) for g in I.generators]
-    gens.append(w * extend_polynomial(f, big) - one)
-    return eliminate(Ideal(big, gens), (big.nvars - 1,))[0]
-
-
 def saturate_irrelevant(I: Ideal) -> Ideal:
-    """(I : 𝔪^∞) where 𝔪 = (X_0,…,X_n).
+    """(I : 𝔪^∞) where 𝔪 = (X_0,…,X_n), for generators homogeneous in
+    total degree (else ValueError).
 
-    For homogeneous generators, J_i = I : X_i^∞ is tried for
-    i = n, n−1, …, 0, and the first J_i with HP(R/J_i) = HP(R/I) (the
-    whole polynomial, not just dimension and degree) is I^sat:
+    J_i = I : X_i^∞ is tried for i = n, n−1, …, 0, and the first J_i with
+    HP(R/J_i) = HP(R/I) (the whole polynomial, not just dimension and
+    degree) is I^sat:
 
         I^sat ⊆ J_i, because X_i ∈ 𝔪;
         HP(R/I^sat) = HP(R/I), because I^sat/I has finite length;
@@ -312,18 +296,15 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     `saturate_variable` hands J_i over with its reduced basis in the
     order with X_i last, so `J_i.hilbert()` reads HS(R/J_i) off its leads
     at no extra Gröbner basis; the first try (X_n last) starts from
-    I's own grevlex basis.  When no variable passes, and for
-    non-homogeneous input, the per-variable saturations are intersected
-    in the order they were built.
+    I's own grevlex basis.  When no variable passes, the per-variable
+    saturations are intersected in the order they were built.
     """
     if I.is_zero():
         return I
-    n = I.ring.nvars
-    if not _homogeneous(I):
-        return intersect_many([saturate_variable(I, i) for i in range(n)])
+    _require_homogeneous(I)
     target = _hilbert_polynomial(I.hilbert())
     pieces = []
-    for i in reversed(range(n)):
+    for i in reversed(range(I.ring.nvars)):
         J = saturate_variable(I, i)
         if _hilbert_polynomial(J.hilbert()) == target:
             return J

@@ -16,7 +16,7 @@ the map for later lifts; `kernel_of_free_map` keeps none.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import linalg
 from .groebner import GroebnerBasis, Vector
@@ -207,14 +207,6 @@ class FreeResolution:
     @property
     def length(self) -> int:
         return len(self.modules) - 1
-
-    def betti(self) -> List[List[Tuple[int, int]]]:
-        """Per homological position, sorted (shift, multiplicity) pairs."""
-        from collections import Counter
-        out = []
-        for fm in self.modules:
-            out.append(sorted(Counter(fm.shifts).items()))
-        return out
 
     def __repr__(self):
         return " <- ".join(repr(fm) for fm in self.modules)

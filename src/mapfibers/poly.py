@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from .rings import Monomial, RingDescriptor, mono_mul
+from .rings import GREVLEX, Monomial, RingDescriptor, mono_mul
 
 
 class Polynomial:
@@ -32,8 +32,8 @@ class Polynomial:
         return cls(ring, {ring.zero_mono(): c})
 
     @classmethod
-    def variable(cls, ring: RingDescriptor, i: int, power: int = 1) -> "Polynomial":
-        return cls(ring, {ring.var_mono(i, power): ring.field.one()})
+    def variable(cls, ring: RingDescriptor, i: int) -> "Polynomial":
+        return cls(ring, {ring.var_mono(i): ring.field.one()})
 
     @classmethod
     def from_terms(cls, ring: RingDescriptor, items: Iterable) -> "Polynomial":
@@ -132,12 +132,6 @@ class Polynomial:
             return Polynomial(self.ring, {})
         return Polynomial(self.ring, {m: F.mul(v, c) for m, v in self.terms.items()})
 
-    def mul_term(self, mono: Monomial, c) -> "Polynomial":
-        F = self.ring.field
-        if F.is_zero(c):
-            return Polynomial(self.ring, {})
-        return Polynomial(self.ring, {mono_mul(m, mono): F.mul(v, c) for m, v in self.terms.items()})
-
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -165,38 +159,35 @@ class Polynomial:
         return total
 
     def substitute(self, assignment: Dict[int, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for some variables (others stay).
+        """Substitute polynomials for some variables at once (others stay).
 
-        Terms are grouped by their exponents at the substituted variables,
-        and each group's remaining part is multiplied by the (memoized)
-        powers it needs, so a power multiplies a group, not each term.
+        One pass over the terms into a dict accumulator; each power of a
+        value is computed once per call.
         """
         ring = self.ring
         F = ring.field
         subs = sorted(assignment)
-        groups: Dict[tuple, Dict[Monomial, object]] = {}
+        powers = {}             # (i, e) -> assignment[i] ** e
+        out: Dict[Monomial, object] = {}
         for m, c in self.terms.items():
             residual = list(m)
             for i in subs:
                 residual[i] = 0
-            groups.setdefault(tuple(m[i] for i in subs), {})[tuple(residual)] = c
-        powers = {}             # (i, e) -> assignment[i] ** e
-        out: Dict[Monomial, object] = {}
-        for exps, rest in groups.items():
-            piece = Polynomial(ring, rest)
-            for i, e in zip(subs, exps):
+            piece = Polynomial(ring, {tuple(residual): c})
+            for i in subs:
+                e = m[i]
                 if e:
                     power = powers.get((i, e))
                     if power is None:
                         power = powers[(i, e)] = assignment[i] ** e
                     piece = piece * power
-            for m, c in piece.terms.items():
-                if m in out:
-                    c = F.add(out[m], c)
-                    if F.is_zero(c):
-                        del out[m]
+            for mm, cc in piece.terms.items():
+                if mm in out:
+                    cc = F.add(out[mm], cc)
+                    if F.is_zero(cc):
+                        del out[mm]
                         continue
-                out[m] = c
+                out[mm] = cc
         return Polynomial(ring, out)
 
     # -- comparisons / hashing ---------------------------------------
@@ -209,10 +200,8 @@ class Polynomial:
 
     # -- display -----------------------------------------------------
 
-    def sorted_terms(self, key=None):
-        if key is None:
-            from .rings import GREVLEX
-            key = GREVLEX.key_function(self.ring.nvars)
+    def sorted_terms(self):
+        key = GREVLEX.key_function(self.ring.nvars)
         return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
 
     def __str__(self):

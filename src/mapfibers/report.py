@@ -174,9 +174,13 @@ def render_text(report: Dict) -> str:
                        f" from s = {mod['stable_from']}")
         df = mod.get("degree_formula")
         if df:
-            out.append(f"  deg N = sum C(deg h_y + 1, 2): expected"
+            m = len(inp["source"]) - 1
+            shift = f" + {m - 1}" if m > 1 else ""
+            verdict = (f"inconclusive ({df['detail']})" if df["inconclusive"]
+                       else _verdict(df["holds"]))
+            out.append(f"  deg N = sum C(deg h_y{shift}, {m}): expected"
                        f" {df['expected']}, stabilized {df['stabilized']}:"
-                       f" {_verdict(df['holds'])}")
+                       f" {verdict}")
 
     pres = report.get("presentation")
     if pres:

@@ -34,10 +34,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order: graded reverse-lex or a block order.
@@ -113,9 +109,9 @@ class RingDescriptor:
     def zero_mono(self) -> Monomial:
         return (0,) * self.nvars
 
-    def var_mono(self, i: int, power: int = 1) -> Monomial:
+    def var_mono(self, i: int) -> Monomial:
         e = [0] * self.nvars
-        e[i] = power
+        e[i] = 1
         return tuple(e)
 
     def extend(self, extra_names, extra_weight: int = 1) -> "RingDescriptor":

@@ -1,10 +1,10 @@
 from mapfibers.cohomology import (check_module_degree_formula, hdim_difference,
-                                  hdim_duality, hypersurface_hdim, m_mu_dims,
-                                  n_table)
+                                  hdim_duality, m_mu_dims, n_table)
 from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+from references import hypersurface_hdim
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))

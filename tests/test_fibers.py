@@ -1,17 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from mapfibers import fibers
 from mapfibers.fields import QQ, PrimeField
 from mapfibers.fibers import (NotGenericallyFiniteError, base_locus,
                               brute_force_fiber_oracle, build_map,
                               check_fiber_factorization, fiber_dimension,
-                              fibers_agree, find_one_dim_fibers, image_ideal,
+                              find_one_dim_fibers, image_ideal,
                               linear_factors, recover_points_from_divisor,
                               rees_ideal, unmixed_part)
+from mapfibers.ideals import Ideal, extend_polynomial
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from mapfibers.solve import PointProjective
+from references import fibers_agree, substitute_term_at_a_time
 
 R = standard_ring(("X0", "X1", "X2"))
 X0, X1, X2 = (Polynomial.variable(R, i) for i in range(3))
@@ -40,6 +44,79 @@ def test_rees_ideal_of_identity_map():
     rd = rees_ideal(pm)
     gb = sorted(str(g) for g in rd.rees.groebner().polys)
     assert gb == ["X1*T0 - X0*T1", "X2*T0 - X0*T2", "X2*T1 - X1*T2"]
+
+
+def _rees_claiming(monkeypatch, pm, gens, syzygies=True):
+    """Run `rees_ideal` on ``pm`` with the elimination handing back the
+    ideal generated by ``gens`` in place of 𝔓; with ``syzygies`` off the
+    syzygy forms are empty, so only the graph guard can object."""
+    S = pm.rees.ambient
+    monkeypatch.setattr(fibers, "eliminate",
+                        lambda I, drop: (Ideal(S, gens), S))
+    if not syzygies:
+        monkeypatch.setattr(fibers, "kernel_of_free_map", lambda M: [])
+    return rees_ideal(pm)
+
+
+def test_rees_guard_rejects_an_element_off_the_graph(monkeypatch):
+    """𝔓 plus T0 − T1, which becomes X0² − X0·X1 on the graph, must not pass
+    as the Rees ideal."""
+    pm = build_map([X0 * X0, X0 * X1, X1 * X1, X2 * X2])
+    S, nx = pm.rees.ambient, pm.source.nvars
+    extra = Polynomial.variable(S, nx) - Polynomial.variable(S, nx + 1)
+    with pytest.raises(ArithmeticError, match="does not vanish"):
+        _rees_claiming(monkeypatch, pm,
+                       list(pm.rees.rees.generators) + [extra])
+
+
+def _random_map(rng, R, d):
+    F = R.field
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    while True:
+        forms = [Polynomial.from_terms(R, [
+            (m, F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))))
+            for m in rng.sample(monos, rng.randint(2, 4))]) for _ in range(4)]
+        try:
+            pm = build_map(forms)
+        except ValueError:
+            continue
+        if pm.common_factor is None:
+            return pm
+
+
+def test_rees_guard_agrees_with_substitution(monkeypatch):
+    """Seeded, over GF(7) and QQ: on random P^2 -> P^3 maps of degree 2 and
+    3, the graph guard accepts each generator of 𝔓, and each generator
+    plus a random term of its bidegree, exactly when the substitution
+    T_j ↦ f_j (the term-at-a-time reference) sends it to zero."""
+    rng = random.Random(20261019)
+    for field in (PrimeField(7), QQ):
+        Rf = standard_ring(("X0", "X1", "X2"), field)
+        for d in (2, 3):
+            pm = _random_map(rng, Rf, d)
+            S, nx = pm.rees.ambient, pm.source.nvars
+            subs = {nx + j: extend_polynomial(f, S)
+                    for j, f in enumerate(pm.forms)}
+            verdicts = set()
+            for g in pm.rees.rees.generators:
+                m = next(iter(g.terms))
+                a, b = sum(m[:nx]), sum(m[nx:])
+                xs = [rng.randrange(nx) for _ in range(a)]
+                ts = [rng.randrange(len(pm.forms)) for _ in range(b)]
+                term = tuple(xs.count(i) for i in range(nx)) + \
+                    tuple(ts.count(j) for j in range(len(pm.forms)))
+                for h in (g, g + Polynomial(S, {term: field.from_int(
+                        rng.choice((-2, -1, 1, 2)))})):
+                    on_graph = substitute_term_at_a_time(h, subs).is_zero()
+                    try:
+                        _rees_claiming(monkeypatch, pm, [h], syzygies=False)
+                        passed = True
+                    except ArithmeticError:
+                        passed = False
+                    assert passed == on_graph
+                    verdicts.add(on_graph)
+                monkeypatch.undo()
+            assert verdicts == {True, False}
 
 
 def test_image_of_veronese_type_map():

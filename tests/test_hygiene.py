@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-every function, method or class the package defines is named somewhere, no
-function carries a process-wide cache decorator, no module reads the
-environment, and only `ideals` touches an ideal's caches.
+every function, method or class the package defines is named by the
+package or the benchmark, no function carries a process-wide cache
+decorator, no module reads the environment, and only `ideals` touches an
+ideal's caches.
 
 Stdlib only: each ``src/mapfibers/*.py`` is parsed with ``ast``.  The
 package ``__init__`` is exempt from the import check because its imports
@@ -9,6 +10,7 @@ are re-exports.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -67,8 +69,8 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCANNED = ("src", "tests", "perfbench")
 
 
-def _trees():
-    for top in SCANNED:
+def _trees(scanned=SCANNED):
+    for top in scanned:
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
             for f in sorted(files):
                 if f.endswith(".py"):
@@ -93,21 +95,41 @@ def _references(tree):
             yield node.value
 
 
+def _overrides(path, tree):
+    """The method definitions that override a method of a base class (such
+    as ``argparse.ArgumentParser.error``): their caller is the base."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            module = importlib.import_module(
+                "mapfibers." + os.path.basename(path)[:-3])
+            bases = getattr(module, node.name).__mro__[1:]
+            out |= {item for item in node.body
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and any(hasattr(b, item.name) for b in bases)}
+    return out
+
+
 def test_every_definition_is_referenced():
-    """No function, method or class in the package is dead: each non-dunder
-    ``def`` or ``class`` under ``src/mapfibers`` is named somewhere in
-    ``src/``, ``tests/`` or ``perfbench/`` besides its own definition."""
+    """No function, method or class in the package is dead or test-only:
+    each non-dunder ``def`` or ``class`` under ``src/mapfibers`` is named
+    somewhere in ``src/`` or ``perfbench/`` besides its own definition.
+    References the tests keep live in ``tests/``.  A method that overrides
+    a base-class method is exempt."""
     defined = {}
     referenced = set()
-    for path, tree in _trees():
+    for path, tree in _trees(("src", "perfbench")):
         referenced.update(_references(tree))
         if os.path.dirname(os.path.abspath(path)) != os.path.abspath(SRC):
             continue
+        exempt = _overrides(path, tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)) \
                     and not (node.name.startswith("__")
-                             and node.name.endswith("__")):
+                             and node.name.endswith("__")) \
+                    and node not in exempt:
                 defined.setdefault(node.name, f"{os.path.basename(path)}:"
                                               f"{node.lineno}")
     dead = sorted(f"{name} ({where})" for name, where in defined.items()

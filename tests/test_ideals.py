@@ -1,9 +1,8 @@
 import pytest
 
 from mapfibers import groebner, ideals
-from mapfibers.ideals import (Ideal, colon, eliminate, exact_divide,
-                              ideal_power, ideal_product, intersect, poly_gcd,
-                              poly_gcd_list, saturate_element,
+from mapfibers.ideals import (Ideal, eliminate, exact_divide, ideal_power,
+                              intersect, poly_gcd, poly_gcd_list,
                               saturate_irrelevant, saturate_variable)
 from mapfibers.fields import PrimeField
 from mapfibers.poly import Polynomial
@@ -11,6 +10,7 @@ from mapfibers.rings import (GREVLEX, elimination_order, grevlex_with_last,
                              standard_ring)
 
 from conftest import count_calls
+from references import colon, saturate_element
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -21,6 +21,18 @@ def test_variable_saturation_strips_powers():
     S = saturate_variable(I, 0)
     assert S == Ideal(R, [y, z * z])
     assert saturate_element(I, x) == S
+
+
+def test_saturation_needs_homogeneous_generators():
+    """Both saturations, and `Ideal.saturation()` through them, take only
+    generators homogeneous in total degree."""
+    I = Ideal(R, [x * x - y, x * z])
+    with pytest.raises(ValueError, match="homogeneous"):
+        saturate_variable(I, 0)
+    with pytest.raises(ValueError, match="homogeneous"):
+        saturate_irrelevant(I)
+    with pytest.raises(ValueError, match="homogeneous"):
+        I.saturation()
 
 
 def test_irrelevant_saturation():
@@ -119,8 +131,6 @@ def test_intersection_and_colon():
 
 
 def test_sum_product_power():
-    A, B = Ideal(R, [x]), Ideal(R, [y])
-    assert ideal_product(A, B) == Ideal(R, [x * y])
     sq = ideal_power(Ideal(R, [x, y]), 2)
     assert sq == Ideal(R, [x * x, x * y, y * y])
 
@@ -129,7 +139,7 @@ def _ordered_product_power(I, s):
     """I^s as all n^s ordered products, first occurrence of each value kept."""
     out = I
     for _ in range(s - 1):
-        out = ideal_product(out, I)
+        out = Ideal(R, [g * h for g in out.generators for h in I.generators])
     seen, gens = set(), []
     for g in out.generators:
         key = tuple(sorted(g.terms.items()))

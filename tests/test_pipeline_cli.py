@@ -86,6 +86,22 @@ def test_render_text_contains_key_lines(quintic_result):
     assert "inventory complete" in text
     assert "sum deg h_y = 8 <= nu = 8 < sd = 10: holds" in text
     assert "ranks l = 15, m = 23, n = 8" in text
+    assert "  deg N = sum C(deg h_y + 1, 2): expected 8, stabilized 8: holds\n" \
+        in text
+
+
+def test_render_text_degree_formula_on_a_curve_map(tmp_path, capsys):
+    """P^1 -> P^2: the formula is Σ C(deg h_y, 1), and a table that never
+    stabilizes gives an inconclusive verdict with its cause, as in the JSON."""
+    path = tmp_path / "twisted.map"
+    path.write_text("field = QQ\nsource = x y\nf0 = x^3\nf1 = y^3\n"
+                    "f2 = x^2*y\n")
+    assert main(["analyze", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "  deg N = sum C(deg h_y, 1): expected 0, stabilized None:" \
+        " inconclusive (no stabilization observed in the computed window)\n" \
+        in out
+    assert "FAILS" not in out
 
 
 def test_cli_image(capsys):

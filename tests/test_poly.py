@@ -6,6 +6,7 @@ import pytest
 from mapfibers.fields import QQ, PrimeField
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+from references import substitute_term_at_a_time
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -43,22 +44,6 @@ def test_evaluate_and_substitute():
     assert g == (y + z) * (y + z) - y * z
 
 
-def _substitute_term_at_a_time(f, assignment):
-    """The reference for `Polynomial.substitute`: multiply out each term on
-    its own and add it into the running sum."""
-    ring = f.ring
-    out = Polynomial.zero(ring)
-    for m, c in f.terms.items():
-        piece = Polynomial.constant(ring, 1).scale(c)
-        residual = list(m)
-        for i, e in enumerate(m):
-            if e and i in assignment:
-                residual[i] = 0
-                piece = piece * assignment[i] ** e
-        out = out + piece.mul_term(tuple(residual), ring.field.one())
-    return out
-
-
 def _random_poly(rng, ring, nterms, maxdeg):
     F = ring.field
     items = [(tuple(rng.randint(0, maxdeg) for _ in range(ring.nvars)),
@@ -68,9 +53,9 @@ def _random_poly(rng, ring, nterms, maxdeg):
 
 def test_substitute_matches_term_at_a_time():
     """Seeded: partial assignments over QQ and GF(7).  Odd cases reuse the
-    substituted variables in the values (a -> a + b) and one value for
-    several variables; even cases add (X_i - value)·B, whose image is zero,
-    so groups must cancel."""
+    substituted variables in the values (a -> a + b), which must not be
+    substituted again, and one value for several variables; even cases add
+    (X_i - value)·B, whose image is zero, so terms must cancel."""
     rng = random.Random(20261018)
     for field in (QQ, PrimeField(7)):
         ring = standard_ring(("a", "b", "c", "d"), field)
@@ -93,7 +78,7 @@ def test_substitute_matches_term_at_a_time():
                 B = _random_poly(rng, ring, rng.randint(1, 4), 2)
                 f = f + (Polynomial.variable(ring, i) - assignment[i]) * B
             assert f.substitute(assignment) == \
-                _substitute_term_at_a_time(f, assignment)
+                substitute_term_at_a_time(f, assignment)
 
 
 def test_string_form_is_parseable():
@@ -101,9 +86,3 @@ def test_string_form_is_parseable():
     f = x ** 3 - (x * y * z).scale(2) + z ** 3
     g = parse_polynomial(str(f), R)
     assert g == f
-
-
-def test_mul_term():
-    f = x + y
-    assert f.mul_term((1, 0, 1), R.field.from_int(3)) == \
-        (x * x * z + x * y * z).scale(3)

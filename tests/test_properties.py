@@ -27,15 +27,15 @@ from mapfibers.groebner import (GroebnerBasis, _context, normal_form,
                                 reduced_groebner, to_raw)
 from mapfibers.hilbert import hilbert_series_quotient, numerator_from_leads
 from mapfibers import ideals
-from mapfibers.ideals import (colon, degree_monomials, eliminate,
-                              exact_divide, extend_polynomial, intersect, intersect_many,
-                              poly_gcd, saturate_element, saturate_irrelevant,
-                              saturate_variable)
+from mapfibers.ideals import (degree_monomials, eliminate, exact_divide,
+                              extend_polynomial, intersect, intersect_many,
+                              poly_gcd, saturate_irrelevant, saturate_variable)
 from mapfibers.modules import (FreeModule, minimal_generators,
                                module_groebner, vec_add, vec_is_zero,
                                vec_scale, vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import GREVLEX, elimination_order, grevlex_with_last
+from references import colon, saturate_element
 
 SEED = 20260815
 FIELDS = (PrimeField(7), PrimeField(11))
