@@ -6,7 +6,10 @@ R/J of dimension ≤ 1 only H⁰ and H¹ survive, so both are read off from
 Hilbert data of J and its saturation.  Route two is graded local
 duality: dim H^i_𝔪(M)_t = dim Ext^{c−i}(M, R(−c))_{−t} with c = #vars,
 computed from a minimal free resolution by transposing matrices and
-taking homology dimensions degree by degree.
+taking homology dimensions degree by degree.  The resolution is a
+Schreyer resolution of J's generators, pruned to a minimal one
+(`modules.free_resolution`); it reads only J's generators and ring, never
+the bases, series or saturation the difference route uses.
 
 The table N_s = dim H^m_𝔪(Iˢ)_{sd−m} counts fiber divisors: its
 stabilized value equals Σ_y binom(deg h_y + m − 1, m) over the points

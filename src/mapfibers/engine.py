@@ -11,6 +11,13 @@ breaks no tie because the fields above it already fix the monomial; for
 modules the component's rank sits in the bits above the scalar fields
 (position over term).  Scalar polynomials are the component-0 case.
 
+Schreyer's induced orders are one more layout: an index field of
+``index_bits`` bits below every other field.  The key of x^a·e_i is
+key(x^a·lm(g_i)) with i in the index field, so a shift is still one add,
+and divisibility is still one mask test, which also asks the index
+fields to be equal (`schreyer_syzygies`).  A key of the plain layout
+shifted up by ``index_bits`` is the same monomial's key at index 0.
+
 Every field is affine in the exponent vector, hence so is the key:
 
     key(x^u · m) = key(m) + key(x^u) − key(1)
@@ -86,7 +93,7 @@ class EngineContext:
     """Packed monomial keys plus coefficient arithmetic for one computation."""
 
     def __init__(self, nvars, order, mod=None, ncomps=1, comp_rank=None,
-                 weights=None, comp_offsets=None):
+                 weights=None, comp_offsets=None, index_bits=0):
         self.nvars = nvars
         self.order = order
         self.mod = mod            # None → fraction-free integers (field = QQ)
@@ -96,6 +103,7 @@ class EngineContext:
         self.comp_rank = tuple(comp_rank)
         self.weights = tuple(weights) if weights is not None else (1,) * nvars
         self.comp_offsets = tuple(comp_offsets) if comp_offsets is not None else (0,) * ncomps
+        self.index_bits = index_bits
         # coprime (product) criterion is only valid for scalar ideals
         self.use_coprime = ncomps == 1
         self._layout(order)
@@ -118,10 +126,13 @@ class EngineContext:
         w = self.weights
         if any(x < 0 for x in w):
             raise ValueError(f"negative variable weight in {w}")
-        # under non-unit weights the least significant field holds the
-        # weighted degree, wide enough that max(w) · EXP_CAP stays below
-        # its guard bit; the fields above it decide the order on their own
-        low = EXP_BITS + max(w).bit_length() if any(x != 1 for x in w) else 0
+        # under non-unit weights the least significant field above the
+        # index field holds the weighted degree, wide enough that
+        # max(w) · EXP_CAP stays below its guard bit; the fields above it
+        # decide the order on their own
+        ib = self.index_bits
+        wlow = EXP_BITS + max(w).bit_length() if any(x != 1 for x in w) else 0
+        low = ib + wlow
         cols = [0] * nv           # key(e) = one + Σ e_i · cols[i]
         one = guards = var_guards = 0
         var_shift = [0] * nv
@@ -139,9 +150,9 @@ class EngineContext:
                 total_shifts.append(shift)
                 for i in f:
                     cols[i] += 1 << shift
-        if low:
+        if wlow:
             guards |= 1 << (low - 1)
-            cols = [c + x for c, x in zip(cols, w)]
+            cols = [c + (x << ib) for c, x in zip(cols, w)]
         # position over term: component rank dominates the scalar key
         cshift = self.cshift = low + EXP_BITS * (nv + 3)
         self.rank_bits = tuple(r << cshift for r in self.comp_rank)
@@ -150,8 +161,11 @@ class EngineContext:
         self.guards = guards
         self.var_guards = var_guards
         # a nonzero rank difference shows in these bits of (a + guards − b)
+        # and a nonzero index difference in the index field
         width = max(self.comp_rank, default=0).bit_length() + 1
-        self.test_mask = var_guards | (((1 << width) - 1) << cshift)
+        self.index_mask = (1 << ib) - 1
+        self.test_mask = (var_guards | (((1 << width) - 1) << cshift)
+                          | self.index_mask)
 
         cols = tuple(cols)
 
@@ -186,11 +200,11 @@ class EngineContext:
                 return ((k >> s0) & _MASK) + ((k >> s1) & _MASK)
         self.deg = deg
 
-        if low:
-            wmask = (1 << low) - 1
+        if wlow:
+            wmask = (1 << wlow) - 1
 
             def wdeg(k):
-                return k & wmask
+                return (k >> ib) & wmask
             self.wdeg = wdeg
         else:
             self.wdeg = deg
@@ -574,6 +588,81 @@ def groebner_raw(gens, ctx, hint=None):
         raise ArithmeticError("the leading ideal misses the hinted Hilbert "
                               "series")
     return _interreduce([e[0] for e in ents], ctx)
+
+
+def schreyer_frame(leads, ctx):
+    """The Schreyer frame of a Gröbner basis with lead keys ``leads``.
+
+    For each j, the pairs (i < j) of leads in the same component (index
+    included) whose lcm is minimal among the lcms with lead j, one pair per
+    distinct lcm, as (i, j, lcm key).  Their S-pair syzygies form a Gröbner
+    basis of the syzygy module under the induced order, with the lead
+    (lcm / lead_j) · e_j.
+    """
+    exps, deg, pack, one = ctx.exps, ctx.deg, ctx.pack, ctx.one
+    # the bits that name a key's component and index
+    place = ctx.index_mask | ~((1 << ctx.cshift) - 1)
+    divides = ctx.divides
+    xs = [exps(k) for k in leads]
+    frame = []
+    for j, kj in enumerate(leads):
+        xj, comp = xs[j], kj & place
+        quotients = {}      # lcm / lead_j, keyed, -> the first i giving it
+        for i in range(j):
+            if leads[i] & place == comp:
+                q = pack(tuple(a - b if a > b else 0
+                               for a, b in zip(xs[i], xj)))
+                quotients.setdefault(q, i)
+        # distinct quotients: a strict divisor has lower degree
+        minimal = []
+        for d, q in sorted((deg(q), q) for q in quotients):
+            if not any(divides(m, q) for m in minimal):
+                minimal.append(q)
+                frame.append((quotients[q], j, kj + q - one))
+    return frame
+
+
+def schreyer_syzygies(elems, ctx):
+    """One level of Schreyer's algorithm.
+
+    ``ctx`` has an index field and two components ranked 1 (F) and 0
+    (F′); ``elems`` is a Gröbner basis g_1, …, g_r of a submodule of F,
+    monic over GF(p), whose keys carry the F-basis index of each term in
+    the index field.  F′ = ⊕ R·e_i has the induced order: the key of
+    x^a·e_i is key(x^a·lm(g_i)) in component F′ with i in the index field,
+    so a shift is one add and a divisibility test one mask, as in F.
+
+    The elements are first sorted by lead index, then lead exponents in
+    ascending lex order, which is Schreyer's condition for each level's
+    leads to miss one more variable (so at most nvars levels), and which
+    makes comparing i alone agree with the induced order.  Each frame
+    S-pair of g_i + e_i and g_j + e_j is reduced to zero by the g_l + e_l:
+    the F′ part lies below F and never holds a lead, so it collects the
+    cofactors, fraction-free scaling included, and ends as a syzygy with
+    lead (lcm / lm_j)·e_j.  Returns (the sorted elements, the syzygies as
+    normalized F′ term lists).  Raises ArithmeticError if an S-pair leaves
+    a remainder in F (the elements are not a Gröbner basis) or an index
+    outgrows its field.
+    """
+    imask = ctx.index_mask
+    top = ctx.rank_bits[0]
+    elems = sorted(elems, key=lambda g: (g[0][0] & imask, ctx.exps(g[0][0])))
+    if len(elems) > imask:
+        raise ArithmeticError(f"{len(elems)} basis elements overflow the "
+                              f"index field of the induced order")
+    basis = _Basis(ctx)
+    for i, g in enumerate(elems):
+        k = g[0][0]
+        basis.add(g + [(k - top - (k & imask) + i, 1)], 0)
+    ents = basis.entries
+    out = []
+    for i, j, L in schreyer_frame([g[0][0] for g in elems], ctx):
+        nf, _, _ = _reduce(*_spoly(ents[i], ents[j], L, ctx), 0, basis, ctx)
+        if not nf or nf[0][0] >= top:
+            raise ArithmeticError("an S-pair of the frame does not reduce "
+                                  "to zero: not a Gröbner basis")
+        out.append(_normalize(nf, ctx.mod))
+    return elems, out
 
 
 def strip_variable(polys, ctx, i):

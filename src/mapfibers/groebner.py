@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import engine
@@ -31,11 +31,20 @@ Vector = Tuple[Polynomial, ...]
 
 
 def _context(ring: RingDescriptor, order: TermOrder, shifts: Sequence[int] = (0,),
-             comp_rank=None) -> EngineContext:
+             comp_rank=None, index_bits=0) -> EngineContext:
     mod = ring.field.p if isinstance(ring.field, PrimeField) else None
     return EngineContext(ring.nvars, order, mod=mod, ncomps=len(shifts),
                          comp_rank=comp_rank, weights=ring.weights,
-                         comp_offsets=tuple(shifts))
+                         comp_offsets=tuple(shifts), index_bits=index_bits)
+
+
+def induced_context(ring: RingDescriptor, index_bits: int) -> EngineContext:
+    """The layout of a Schreyer resolution's induced orders over ``ring``:
+    grevlex, a component F ranked above a component F′, and an index
+    field of ``index_bits`` bits below every monomial field
+    (`engine.schreyer_syzygies`)."""
+    return _context(ring, GREVLEX, (0, 0), comp_rank=(1, 0),
+                    index_bits=index_bits)
 
 
 def _denominator(vec: Vector) -> int:
@@ -43,7 +52,7 @@ def _denominator(vec: Vector) -> int:
     den = 1
     for p in vec:
         for c in p.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
+            den = lcm(den, c.denominator)
     return den
 
 
@@ -61,7 +70,8 @@ def to_raw(vec: Vector, ctx: EngineContext) -> list:
         den = _denominator(vec)
         for p, off in zip(vec, ctx.rank_bits):
             if p.terms:
-                out += [(off + pack(m), int(c * den)) for m, c in p.terms.items()]
+                out += [(off + pack(m), c.numerator * (den // c.denominator))
+                        for m, c in p.terms.items()]
     out.sort(key=lambda t: t[0], reverse=True)
     return out
 
@@ -84,6 +94,30 @@ def from_raw(terms: list, ctx: EngineContext, ring: RingDescriptor,
             for (k, c) in terms:
                 comps[comp_of_rank[k >> cshift]][exps(k)] = c * scale
     return tuple(Polynomial(ring, d) for d in comps)
+
+
+def induced_matrix(columns: Sequence[dict], ctx: EngineContext,
+                   ring: RingDescriptor, rows: dict, bases: dict,
+                   scales: dict) -> List[List[Polynomial]]:
+    """The matrix of a map whose columns are {key: coeff} dicts in an
+    induced (Schreyer) layout of ``ctx``: the index field of a key names
+    the target basis element r, ``rows[r]`` its row, and the key is that
+    of x^a · bases[r], so the entry gains the term x^a.  Over QQ the
+    entries of row ``rows[r]`` are divided by ``scales[r]`` (1 when r has
+    none)."""
+    exps, imask, mod = ctx.exps, ctx.index_mask, ctx.mod
+    out = [[{} for _ in columns] for _ in rows]
+    for c, col in enumerate(columns):
+        for k, v in col.items():
+            r = k & imask
+            mono = tuple(a - b for a, b in zip(exps(k), bases[r]))
+            if mod is not None:
+                v %= mod
+            else:
+                s = scales.get(r)
+                v = Fraction(v) if s is None else v / s
+            out[rows[r]][c][mono] = v
+    return [[Polynomial(ring, t) for t in row] for row in out]
 
 
 class GroebnerBasis:

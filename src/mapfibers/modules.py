@@ -12,14 +12,23 @@ Gröbner basis per degree, rebuilt only when the kept set has grown;
 elimination of the target components) and lifts through a map
 (`FreeModuleMap.lift`, by normal form).  A lift keeps its graph basis on
 the map for later lifts; `kernel_of_free_map` keeps none.
+
+Resolutions of R/(gens) do not iterate kernels: `free_resolution` runs
+Schreyer's algorithm on the ideal's reduced grevlex basis, in the
+engine's induced-order layout (one Buchberger run, then S-pair
+reductions only), prunes the frame's unit entries to reach the minimal
+resolution, and certifies it by the Hilbert numerator.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence
 
-from . import linalg
-from .groebner import GroebnerBasis, Vector
+from . import engine, linalg
+from .groebner import GroebnerBasis, Vector, induced_context, induced_matrix
+from .hilbert import numerator_from_leads
 from .poly import Polynomial
 from .rings import GREVLEX, RingDescriptor
 
@@ -212,20 +221,173 @@ class FreeResolution:
         return " <- ".join(repr(fm) for fm in self.modules)
 
 
+# Room in the index field of the induced orders for the basis elements of
+# one module of a Schreyer resolution.
+INDEX_BITS = 24
+
+
 def free_resolution(gens: Sequence[Polynomial]) -> FreeResolution:
-    """Minimal graded free resolution of R/(gens) via iterated kernels."""
+    """Minimal graded free resolution of R/(gens), by Schreyer's algorithm.
+
+    F_1 = ⊕ R(−deg g_i) maps onto the reduced grevlex basis G of (gens),
+    computed here with no Hilbert hint and nothing shared with the
+    ideal's own bases; each further module is the Schreyer frame of the
+    previous one (`engine.schreyer_syzygies`), whose syzygies are already
+    a Gröbner basis, so no Buchberger run follows the first.  The frame is
+    then pruned of its unit entries (`_prune`), which leaves the minimal
+    resolution.  Certificate: Σ_k (−1)^k Σ_c z^{shift} over the pruned
+    modules must equal the Hilbert numerator of R/(gens) read off G's
+    leads, else ArithmeticError.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
-    F0 = FreeModule(ring, (0,))
-    maps = [generator_map(minimal_generators([(g,) for g in gens], F0), F0)]
-    while len(maps) < ring.nvars:
-        ker = kernel_of_free_map(maps[-1])
-        if not ker:
+    if any(len({sum(m) for m in g.terms}) > 1 for g in gens):
+        raise ValueError("a graded resolution needs homogeneous generators")
+    gb = GroebnerBasis.compute([(g,) for g in gens], ring)
+    ctx = induced_context(ring, INDEX_BITS)
+    top, imask = ctx.rank_bits[0], ctx.index_mask
+    # the index field lies below every field of the plain layout, so a
+    # plain key shifted past it is the same monomial's key at index 0
+    elems = [[((k << INDEX_BITS) + top, c) for k, c in t] for t in gb.raw]
+    levels = []         # levels[k - 1]: the columns of d_k in F_k's order
+    while elems:
+        if len(levels) == ring.nvars:
+            raise ArithmeticError("the Schreyer frame is longer than the "
+                                  "number of variables")
+        elems, syz = engine.schreyer_syzygies(elems, ctx)
+        levels.append(elems)
+        elems = [[(k + top, c) for k, c in s] for s in syz]
+    # basis element c of F_k stands for the monomial of the lead of column
+    # c of d_k; F_0's one element for 1
+    bases = [[ctx.one]] + [[g[0][0] - top - (g[0][0] & imask) for g in lev]
+                           for lev in levels]
+    cols = [[{}]] + [[{k - top: c for k, c in g} for g in lev]
+                     for lev in levels]
+    scales = _prune(cols, bases, ctx)
+
+    modules = [FreeModule(ring, (0,))]
+    maps = []
+    for k in range(1, len(cols)):
+        keep = [c for c, col in enumerate(cols[k]) if col is not None]
+        if not keep:
             break
-        maps.append(generator_map(ker, maps[-1].source))
-    return FreeResolution([F0] + [phi.source for phi in maps], maps)
+        rows = {r: i for i, r in enumerate(
+            c for c, col in enumerate(cols[k - 1]) if col is not None)}
+        source = FreeModule(ring, [ctx.deg(bases[k][c]) for c in keep])
+        matrix = induced_matrix(
+            [cols[k][c] for c in keep], ctx, ring, rows,
+            {r: ctx.exps(bases[k - 1][r]) for r in rows}, scales[k - 1])
+        maps.append(FreeModuleMap(source, modules[-1], matrix))
+        modules.append(source)
+
+    euler: Dict[int, int] = {}
+    for k, fm in enumerate(modules):
+        for a in fm.shifts:
+            euler[a] = euler.get(a, 0) + (-1) ** k
+    want = numerator_from_leads([lead for _, lead in gb.leading_terms()],
+                                ring.nvars)
+    if {a: c for a, c in euler.items() if c} != want:
+        raise ArithmeticError("the Betti numbers of the resolution miss the "
+                              "Hilbert numerator of R/(gens)")
+    return FreeResolution(modules, maps)
+
+
+def _prune(cols: List[List[Optional[dict]]], bases: List[List[int]],
+           ctx) -> List[Dict[int, Fraction]]:
+    """Prune a free resolution of its unit entries, in place.
+
+    ``cols[k]`` holds the columns of d_k as {key: coeff} in the induced
+    layout (a key's index field names its row, the basis element r of
+    F_{k−1}, and the key is that of x^a · bases[k−1][r]).  A unit entry u
+    at (r, c) of d_k splits off R·e_c → R·d(e_c): every other column loses
+    its row-r entries by column operations with column c, then column c
+    and row r of d_k, column r of d_{k−1} and row c of d_{k+1} go; a
+    deleted column is set to None.  No unit appears in a column already
+    passed over (it would have had one at row r), so one pass per map
+    leaves a minimal resolution.  d_1 keeps its columns: G has no unit
+    entry unless (gens) = R, whose resolution R ← R stays as it is.
+
+    Over QQ the columns stay integral: eliminating with u·col′ − β·x^w·col
+    replaces e_c′ by a multiple of itself, and the returned
+    ``scales[k][c′]`` is the number by which row c′ of d_{k+1} must then
+    be divided.
+    """
+    mod, imask = ctx.mod, ctx.index_mask
+    scales: List[Dict[int, Fraction]] = [{} for _ in cols]
+    for k in range(2, len(cols)):
+        Dk, base = cols[k], bases[k - 1]
+        dead = {r for r, col in enumerate(cols[k - 1]) if col is None}
+        rowcols: Dict[int, set] = {}
+        for c, col in enumerate(Dk):
+            for key in [key for key in col if key & imask in dead]:
+                del col[key]
+            for key in col:
+                rowcols.setdefault(key & imask, set()).add(c)
+        for c, col in enumerate(Dk):
+            piv = next((key for key in col
+                        if key - (key & imask) == base[key & imask]), None)
+            if piv is None:
+                continue
+            r, u = piv & imask, col[piv]
+            for c2 in rowcols.pop(r) - {c}:
+                col2 = Dk[c2]
+                if col2 is None:
+                    continue
+                hits = [(key - piv, v) for key, v in col2.items()
+                        if key & imask == r]
+                if not hits:
+                    continue
+                a = _eliminate(col2, col, u, hits, mod)
+                if a != 1:
+                    scales[k][c2] = scales[k].get(c2, 1) * a
+                for key in col:
+                    rowcols.setdefault(key & imask, set()).add(c2)
+            Dk[c] = None
+            cols[k - 1][r] = None
+    return scales
+
+
+def _eliminate(col2: dict, col: dict, u: int, hits, mod) -> Fraction:
+    """col2 −= Σ (β/u)·x^w·col over the (key of x^w, β) in ``hits``, in
+    place; over QQ col2 is first multiplied by a = u / gcd(u, β…), which
+    keeps it integral, and then by 1 / its content.  Returns the factor
+    col2 was multiplied by (1 over GF(p)).  col2 may end zero: its basis
+    element then lies in the image of the next map, which has a unit in
+    its row."""
+    get, pop = col2.get, col2.pop
+    if mod is not None:
+        inv = pow(u, mod - 2, mod)
+        for d, beta in hits:
+            f = beta * inv % mod
+            for key, v in col.items():
+                key += d
+                w = (get(key, 0) - f * v) % mod
+                if w:
+                    col2[key] = w
+                else:
+                    pop(key, None)
+        return 1
+    g = gcd(u, *(beta for _, beta in hits))
+    a = u // g
+    if a != 1:
+        for key in col2:
+            col2[key] *= a
+    for d, beta in hits:
+        b = beta // g
+        for key, v in col.items():
+            key += d
+            w = get(key, 0) - b * v
+            if w:
+                col2[key] = w
+            else:
+                pop(key, None)
+    content = gcd(*col2.values())
+    if content > 1:
+        for key in col2:
+            col2[key] //= content
+    return Fraction(a, content or 1)
 
 
 def submodule_colon_component(vectors: Sequence[Vector], free: FreeModule, j: int) -> List[Polynomial]:

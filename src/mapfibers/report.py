@@ -178,9 +178,10 @@ def render_text(report: Dict) -> str:
             shift = f" + {m - 1}" if m > 1 else ""
             verdict = (f"inconclusive ({df['detail']})" if df["inconclusive"]
                        else _verdict(df["holds"]))
+            stab = ("not stabilized" if df["stabilized"] is None
+                    else f"stabilized {df['stabilized']}")
             out.append(f"  deg N = sum C(deg h_y{shift}, {m}): expected"
-                       f" {df['expected']}, stabilized {df['stabilized']}:"
-                       f" {verdict}")
+                       f" {df['expected']}, {stab}: {verdict}")
 
     pres = report.get("presentation")
     if pres:

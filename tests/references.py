@@ -9,6 +9,8 @@ from math import comb
 from mapfibers.fibers import _specialize, fiber_ideal
 from mapfibers.ideals import (Ideal, eliminate, exact_divide,
                               extend_polynomial, intersect)
+from mapfibers.modules import (FreeModule, FreeResolution, generator_map,
+                               kernel_of_free_map, minimal_generators)
 from mapfibers.poly import Polynomial
 
 
@@ -71,3 +73,19 @@ def fibers_agree(pmap, y):
     agree at y (after saturating the irrelevant ideal away)?"""
     sym = Ideal(pmap.source, _specialize(pmap, y, pmap.rees.linear_part))
     return fiber_ideal(pmap, y).saturation() == sym.saturation()
+
+
+def iterated_kernel_resolution(gens):
+    """Minimal graded free resolution of R/(gens) by iterated kernels: the
+    minimal generators of (gens), then the minimal generators of each
+    kernel, read off a position-over-term graph basis."""
+    gens = [g for g in gens if not g.is_zero()]
+    ring = gens[0].ring
+    F0 = FreeModule(ring, (0,))
+    maps = [generator_map(minimal_generators([(g,) for g in gens], F0), F0)]
+    while len(maps) < ring.nvars:
+        ker = kernel_of_free_map(maps[-1])
+        if not ker:
+            break
+        maps.append(generator_map(ker, maps[-1].source))
+    return FreeResolution([F0] + [phi.source for phi in maps], maps)

@@ -6,13 +6,15 @@ run) happen once per session in conftest fixtures and stay far below every
 budget.
 """
 
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
 from mapfibers import (PipelineOptions, check_divisor_degree_bound,
-                       run_pipeline, saturate_irrelevant)
+                       format_map_file, run_pipeline, saturate_irrelevant)
+from mapfibers.cli import main
 from mapfibers.cohomology import hdim_difference
 from mapfibers.ideals import ideal_power
 from mapfibers.modules import free_resolution
@@ -194,3 +196,19 @@ def test_criterion_9_degenerate_inputs(bpf_map, ngf_map):
     res2 = run_pipeline(ngf_map, PipelineOptions(s_max=2))
     assert res2.exit_code == 2
     assert "fibers" not in res2.report
+
+
+def test_analyze_finishes_on_the_first_generic_bench_cubic(tmp_path):
+    # `analyze` on the oracle generator's first map (seed 733, a generic
+    # GF(7) cubic) with its duality cross-check, which once ran for minutes
+    import test_oracle_agreement as oa
+    assert oa.SEED == 733
+    path = tmp_path / "cubic_00_generic.map"
+    path.write_text(format_map_file(oa.MAPS[0]))
+    out = tmp_path / "report.json"
+    with _budget(60):
+        code = main(["analyze", str(path), "--json", str(out)])
+    with open(out, encoding="utf-8") as fh:
+        module = json.load(fh)["module"]
+    assert module["cross_table"] == module["table"]
+    assert code == main(["fibers", str(path)])

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 from mapfibers.cohomology import (check_module_degree_formula, hdim_difference,
                                   hdim_duality, m_mu_dims, n_table)
 from mapfibers.fibers import build_map
-from mapfibers.ideals import Ideal
+from mapfibers.ideals import Ideal, ideal_power
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from references import hypersurface_hdim
@@ -66,3 +68,25 @@ def test_degree_formula_on_stable_table(bpf_map):
     verdict = check_module_degree_formula([], table, 2)
     assert verdict.holds and not verdict.inconclusive
     assert verdict.divisor_sum == 0
+
+
+def test_duality_route_reads_only_the_generators(monkeypatch, quintic_ideal):
+    # the cross-check shares nothing with the difference route but the
+    # ideal: with every held basis, series and saturation of an ideal made
+    # unreachable, duality gives the same values from generators and ring
+    powers = {s: ideal_power(quintic_ideal, s) if s > 1 else quintic_ideal
+              for s in range(1, 5)}
+    points = [(s, i, 5 * s - 2 + dt) for s in powers for i in (1, 2)
+              for dt in (0, 1)]
+    before = [hdim_duality(powers[s], i, t) for s, i, t in points]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the duality route read the ideal's bases")
+
+    for name in ("groebner", "hilbert", "saturation"):
+        monkeypatch.setattr(Ideal, name, unreachable)
+    bare = {s: SimpleNamespace(ring=J.ring, generators=J.generators)
+            for s, J in powers.items()}
+    assert [hdim_duality(bare[s], i, t) for s, i, t in points] == before
+    assert [v for (s, i, t), v in zip(points, before)
+            if i == 1 and t == 5 * s - 2] == [8, 10, 9, 8]

@@ -1,10 +1,14 @@
-from mapfibers import groebner
+import pytest
+
+from mapfibers import engine, groebner
 from mapfibers.modules import (FreeModule, FreeModuleMap, free_resolution,
                                generator_map, kernel_of_free_map,
                                minimal_generators, module_groebner,
                                vector_degree)
+from mapfibers.ideals import ideal_power
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+from references import iterated_kernel_resolution
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -53,6 +57,12 @@ def test_quintic_resolution_shifts(quintic_ideal):
     res = free_resolution(list(quintic_ideal.generators))
     assert sorted(res.modules[1].shifts) == [5, 5, 5, 5]
     assert sorted(res.modules[2].shifts) == [6, 6, 8]
+    # the powers' Betti tables are those of the iterated-kernel reference
+    for s in (2, 3):
+        gens = list(ideal_power(quintic_ideal, s).generators)
+        assert ([sorted(fm.shifts) for fm in free_resolution(gens).modules]
+                == [sorted(fm.shifts) for fm in
+                    iterated_kernel_resolution(gens).modules])
 
 
 def test_lift_through_generators():
@@ -94,3 +104,34 @@ def test_minimal_generators_builds_one_basis_per_later_degree(monkeypatch):
     chosen = minimal_generators(vecs, free)
     assert [str(v[0]) for v in chosen] == ["x", "y", "z^2"]
     assert len(built) <= 2
+
+
+def test_resolution_of_a_non_minimal_basis_is_pruned():
+    # the basis xy, x^2 − y^2, y^3 of a complete intersection gives a frame
+    # R ← R(−2)^2 ⊕ R(−3) ← R(−3) ⊕ R(−4); its unit entry goes, leaving
+    # R ← R(−2)^2 ← R(−4) with no constant entry
+    gens = [x * x - y * y, x * y]
+    assert len(groebner.reduced_groebner(gens).polys) == 3
+    res = free_resolution(gens)
+    assert [sorted(fm.shifts) for fm in res.modules] == [[0], [2, 2], [4]]
+    assert all(p.is_zero() or not p.is_constant()
+               for phi in res.maps for row in phi.matrix for p in row)
+    inner, outer = res.maps[1], res.maps[0]
+    assert all(e.is_zero() for e in outer.apply(inner.column(0)))
+
+
+def test_dropping_a_frame_syzygy_breaks_the_certificate(monkeypatch,
+                                                         quintic_ideal):
+    # without one syzygy of the last frame the resolution is no longer
+    # exact, and its Betti numbers miss the Hilbert numerator
+    real = engine.schreyer_syzygies
+
+    def drop_one_at_the_end(elems, ctx):
+        elems, syz = real(elems, ctx)
+        if syz and not engine.schreyer_frame([s[0][0] for s in syz], ctx):
+            syz = syz[:-1]
+        return elems, syz
+
+    monkeypatch.setattr(engine, "schreyer_syzygies", drop_one_at_the_end)
+    with pytest.raises(ArithmeticError, match="Hilbert numerator"):
+        free_resolution(list(quintic_ideal.generators))

@@ -98,10 +98,10 @@ def test_render_text_degree_formula_on_a_curve_map(tmp_path, capsys):
                     "f2 = x^2*y\n")
     assert main(["analyze", str(path)]) == 3
     out = capsys.readouterr().out
-    assert "  deg N = sum C(deg h_y, 1): expected 0, stabilized None:" \
+    assert "  deg N = sum C(deg h_y, 1): expected 0, not stabilized:" \
         " inconclusive (no stabilization observed in the computed window)\n" \
         in out
-    assert "FAILS" not in out
+    assert "FAILS" not in out and "None" not in out
 
 
 def test_cli_image(capsys):
