@@ -9,7 +9,8 @@ computed from a minimal free resolution by transposing matrices and
 taking homology dimensions degree by degree.  The resolution is a
 Schreyer resolution of J's generators, pruned to a minimal one
 (`modules.free_resolution`); it reads only J's generators and ring, never
-the bases, series or saturation the difference route uses.
+the bases, series or saturation the difference route uses.  One
+resolution serves every (i, t) of its ideal (`resolution_hdim`).
 
 The table N_s = dim H^m_𝔪(Iˢ)_{sd−m} counts fiber divisors: its
 stabilized value equals Σ_y binom(deg h_y + m − 1, m) over the points
@@ -24,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .ideals import Ideal, degree_monomials, ideal_power
-from .modules import FreeModuleMap, free_resolution
+from .modules import FreeModuleMap, FreeResolution, free_resolution
 from .rings import mono_mul
 
 
@@ -90,14 +91,22 @@ def dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[List], int, int]:
 
 
 def hdim_duality(J: Ideal, i: int, t: int) -> int:
-    """dim H^i_𝔪(R/J)_t by local duality; valid in any dimension."""
-    ring = J.ring
+    """dim H^i_𝔪(R/J)_t by local duality; valid in any dimension.
+
+    Builds the resolution of J's generators for this one value; a caller
+    asking several (i, t) of one ideal builds it once with
+    `free_resolution` and asks `resolution_hdim`.
+    """
+    return resolution_hdim(free_resolution(list(J.generators)), i, t)
+
+
+def resolution_hdim(res: FreeResolution, i: int, t: int) -> int:
+    """dim H^i_𝔪(R/J)_t by local duality from ``res``, a minimal graded
+    free resolution of R/J."""
+    ring = res.modules[0].ring
     c = ring.nvars
     j = c - i
-    if j < 0:
-        return 0
-    res = free_resolution(list(J.generators))
-    if j > res.length:
+    if j < 0 or j > res.length:
         return 0
     e = -t - c
     F = ring.field

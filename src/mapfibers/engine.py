@@ -26,7 +26,9 @@ A shift by x^u is one integer add of ``delta = key(x^u·m) − key(m)``,
 divisibility is one subtract-and-mask test on the top (guard) bit of
 each field, the weighted degree is one mask, and exponents are unpacked
 only to cache each basis lead's exponents (for the lcms of its pairs)
-and at the conversion boundary in `groebner`.  This holds while every
+and at the conversion boundary in `groebner`.  The same identity makes a
+product of polynomials a sum of key pairs (`multiply`) and moves a key
+into another layout field by field (`repack`).  This holds while every
 field stays within [0, EXP_CAP] (the weighted field within max weight ·
 EXP_CAP), so the total degree of each monomial the engine forms is
 capped at EXP_CAP: packing raises ArithmeticError past it, and every
@@ -681,6 +683,73 @@ def strip_variable(polys, ctx, i):
             d = e * step
             p = [(k - d, c) for k, c in p]
         out.append(p)
+    return out
+
+
+def multiply(a, b, ctx):
+    """Product of two scalar term lists, sorted by descending key.
+
+    A product of monomials is ``key_a + key_b − key(1)``.  The total
+    degree of the product is checked against EXP_CAP before any key is
+    added, since a field past the cap would borrow from its neighbour and
+    give a wrong key silently.  Coefficients are multiplied as integers
+    and reduced mod p over GF(p); terms that cancel are dropped.
+    """
+    if not a or not b:
+        return []
+    deg = ctx.deg
+    d = max(deg(k) for k, _ in a) + max(deg(k) for k, _ in b)
+    if d > EXP_CAP:
+        raise _over_cap("total degree", d)
+    one = ctx.one
+    acc = {}
+    get = acc.get
+    for kb, cb in b:
+        delta = kb - one
+        for ka, ca in a:
+            k = ka + delta
+            old = get(k)
+            acc[k] = ca * cb if old is None else old + ca * cb
+    mod = ctx.mod
+    if mod is not None:
+        out = [(k, c % mod) for k, c in acc.items() if c % mod]
+    else:
+        out = [(k, c) for k, c in acc.items() if c]
+    out.sort(reverse=True)
+    return out
+
+
+def repack(polys, src, dst, place=None):
+    """Scalar term lists of layout ``src`` in the layout ``dst``, each
+    sorted by descending key.
+
+    ``place[i]`` is the variable of ``dst`` that variable i of ``src``
+    becomes, None for a variable the lists must not involve (default: the
+    same index); variables of ``dst`` named by no ``place`` get exponent
+    0.  The key is affine in the exponents, so one key is
+    ``base − Σ_i field_i · col_i`` over the ``src`` fields, with no tuple
+    unpacked.
+    """
+    one = dst.one
+    if place is None:
+        place = range(src.nvars)
+    cols = []
+    for i, j in enumerate(place):
+        if j is not None:
+            unit = [0] * dst.nvars
+            unit[j] = 1
+            cols.append((src.var_shift[i], dst.pack(unit) - one))
+    base = one + EXP_CAP * sum(c for _, c in cols)
+    out = []
+    for p in polys:
+        q = []
+        for k, c in p:
+            m = base
+            for s, col in cols:
+                m -= ((k >> s) & _MASK) * col
+            q.append((m, c))
+        q.sort(reverse=True)
+        out.append(q)
     return out
 
 

@@ -11,7 +11,9 @@ normalizes basis elements monic.
 A `GroebnerBasis` holds only the engine's reduced term lists; leads,
 normal forms and hand-overs into another ring work on them.  Elements
 become polynomials on first read of ``polys``, and `select` converts
-only the elements a caller picks by their lead keys.
+only the elements a caller picks by their lead keys.  An ideal's
+generators are packed once (`pack_generators`) and each basis re-packs
+their keys into its own order (`GroebnerBasis.from_terms`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ def _context(ring: RingDescriptor, order: TermOrder, shifts: Sequence[int] = (0,
     return EngineContext(ring.nvars, order, mod=mod, ncomps=len(shifts),
                          comp_rank=comp_rank, weights=ring.weights,
                          comp_offsets=tuple(shifts), index_bits=index_bits)
+
+
+def grevlex_context(ring: RingDescriptor) -> EngineContext:
+    """The grevlex layout of a scalar polynomial of ``ring``."""
+    return _context(ring, GREVLEX)
 
 
 def induced_context(ring: RingDescriptor, index_bits: int) -> EngineContext:
@@ -74,6 +81,26 @@ def to_raw(vec: Vector, ctx: EngineContext) -> list:
                         for m, c in p.terms.items()]
     out.sort(key=lambda t: t[0], reverse=True)
     return out
+
+
+def pack_generators(polys: Sequence[Polynomial], ring: RingDescriptor):
+    """Nonzero polynomials of ``ring`` → (grevlex context, [(terms,
+    scale)]) with each polynomial equal to scale · terms: over QQ the terms
+    are primitive integers with a positive lead and the scale a Fraction,
+    over GF(p) the coefficients lie in [0, p) and the scale is 1.  Either
+    way equal polynomials give equal pairs, and a product of two packed
+    polynomials is packed the same way (Gauss's lemma over QQ)."""
+    ctx = grevlex_context(ring)
+    out = []
+    for p in polys:
+        terms = to_raw((p,), ctx)
+        if ctx.mod is not None:
+            out.append((terms, 1))
+            continue
+        primitive = engine._normalize(terms, None)
+        out.append((primitive, Fraction(terms[0][1] // primitive[0][1],
+                                        _denominator((p,)))))
+    return ctx, out
 
 
 def from_raw(terms: list, ctx: EngineContext, ring: RingDescriptor,
@@ -143,6 +170,19 @@ class GroebnerBasis:
         return cls(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx,
                                        hint), ctx, ring)
 
+    @classmethod
+    def from_terms(cls, terms: Sequence[list], src: EngineContext,
+                   ring: RingDescriptor, order: TermOrder, *,
+                   hint=None) -> "GroebnerBasis":
+        """The reduced basis in ``order`` of the ideal generated by the
+        scalar term lists ``terms`` of layout ``src`` over ``ring``, which
+        are re-packed into that order's keys unless ``src`` already has
+        them.  ``hint`` as for `compute`."""
+        ctx = _context(ring, order)
+        if src.order != order:
+            terms = engine.repack(terms, src, ctx)
+        return cls(engine.groebner_raw(terms, ctx, hint), ctx, ring)
+
     @cached_property
     def polys(self) -> List[Polynomial]:
         """The elements of a rank-one basis as polynomials."""
@@ -161,15 +201,13 @@ class GroebnerBasis:
         ``keep`` of this ring, by re-packing each key.  Valid when those
         elements involve only the kept variables and this order compares
         their monomials by grevlex in ring order."""
-        exps, ctx = self.ctx.exps, _context(ring, GREVLEX)
-        pack = ctx.pack
-
-        def move(k):
-            e = exps(k)
-            return pack(tuple(e[i] for i in keep))
-        return GroebnerBasis([[(move(k), c) for k, c in t] for t in self.raw
-                              if lead_test is None or lead_test(t[0][0])],
-                             ctx, ring)
+        ctx = grevlex_context(ring)
+        place = [None] * self.ctx.nvars
+        for j, i in enumerate(keep):
+            place[i] = j
+        return GroebnerBasis(engine.repack(
+            [t for t in self.raw if lead_test is None or lead_test(t[0][0])],
+            self.ctx, ctx, place), ctx, ring)
 
     def saturate_last(self, i: int) -> "GroebnerBasis":
         """Reduced basis of (this ideal) : x_i^∞ in the same order, when the

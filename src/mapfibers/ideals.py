@@ -32,17 +32,27 @@ quotient, so its basis in any other order is computed Hilbert-driven
 `fibers.rees_ideal` knows by a theorem (`Ideal.set_known_series`).  Only
 this module touches an ideal's caches, and `_holding` builds every ideal
 that holds a handed-over basis.
+
+An ideal packs its generators into engine term lists once, each as an
+exact scale times a canonical term list (primitive with a positive lead
+over QQ), and every basis re-packs those keys into its order.  Powers
+and intersections are built on the term lists alone: a product of
+monomials is one key add (`engine.multiply`), I^s extends the product
+table of I^{s−1} that I keeps from its last power by one multiplication
+per generator, and t·g, (1−t)·g come from the pieces' packed generators.
+Their polynomials are built only when ``generators`` is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement
-from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groebner import GroebnerBasis, normal_form
+from . import engine
+from .engine import EngineContext
+from .groebner import (GroebnerBasis, from_raw, grevlex_context,
+                       normal_form, pack_generators)
 from .hilbert import (HilbertData, hilbert_series_quotient,
                       numerator_from_leads)
 from .modules import FreeModule, minimal_generators
@@ -53,9 +63,17 @@ from .rings import (GREVLEX, Monomial, RingDescriptor, TermOrder,
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced bases and saturation."""
+    """A finitely generated ideal with cached reduced bases and saturation.
 
-    __slots__ = ("ring", "generators", "_gb", "_sat", "_hilbert", "_series")
+    The generators are held as polynomials, as engine term lists, or both:
+    an ideal built from polynomials packs them once, on first use
+    (`groebner.pack_generators`), and an ideal built from term lists
+    (`ideal_power`, `intersect`, `_holding`) converts them to polynomials
+    on first read of ``generators``.
+    """
+
+    __slots__ = ("ring", "_polys", "_terms", "_gb", "_sat", "_hilbert",
+                 "_series", "_products")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -63,19 +81,39 @@ class Ideal:
             if g.ring is not ring and g.ring != ring:
                 raise ValueError("generator from a different ring")
         self.ring = ring
-        self.generators = gens
+        self._polys: Optional[Tuple[Polynomial, ...]] = gens
+        # (engine context, [(terms, scale)]): generator = scale · terms
+        self._terms: Optional[Tuple[EngineContext, list]] = None
         self._gb: Dict[TermOrder, GroebnerBasis] = {}
         self._sat: Optional[Ideal] = None
         self._hilbert: Optional[HilbertData] = None
         # numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights
         self._series: Optional[Dict[int, int]] = None
+        # (s, {index combination of length s: packed product}): the last
+        # power `ideal_power` built, for the next one
+        self._products: Optional[Tuple[int, dict]] = None
+
+    @property
+    def generators(self) -> Tuple[Polynomial, ...]:
+        if self._polys is None:
+            ctx, packed = self._terms
+            self._polys = tuple(from_raw(t, ctx, self.ring, scale=c)[0]
+                                for t, c in packed)
+        return self._polys
+
+    def _packed(self) -> Tuple[EngineContext, list]:
+        """The generators as (context, [(terms, scale)]), packed once."""
+        if self._terms is None:
+            self._terms = pack_generators(self._polys, self.ring)
+        return self._terms
 
     def groebner(self, order: TermOrder = GREVLEX) -> GroebnerBasis:
         gb = self._gb.get(order)
         if gb is None:
-            gb = GroebnerBasis.compute([(g,) for g in self.generators],
-                                       self.ring, order,
-                                       hint=self._known_series())
+            ctx, packed = self._packed()
+            gb = GroebnerBasis.from_terms([t for t, _ in packed], ctx,
+                                          self.ring, order,
+                                          hint=self._known_series())
             self._gb[order] = gb
         return gb
 
@@ -93,7 +131,7 @@ class Ideal:
         if self._series is None and self._gb:
             gb = next(iter(self._gb.values()))
             weights = gb.ctx.weights
-            if _homogeneous(self, weights):
+            if _homogeneous(self, weighted=True):
                 if all(w == 1 for w in weights):
                     self._series = self.hilbert().numerator
                 else:
@@ -121,7 +159,8 @@ class Ideal:
         return all(other.contains(g) for g in self.generators)
 
     def is_zero(self) -> bool:
-        return not self.generators
+        return not (self._polys if self._polys is not None
+                    else self._terms[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ideal) or self.ring != other.ring:
@@ -185,29 +224,72 @@ def restrict_polynomial(f: Polynomial, small: RingDescriptor, keep: Sequence[int
 
 def ideal_power(I: Ideal, s: int) -> Ideal:
     """I^s from the products of s generators taken with repetition, in
-    lexicographic index order; products that coincide are kept once."""
+    lexicographic index order; products that coincide are kept once.
+
+    The products are engine term lists in the layout of I's packed
+    generators (`engine.multiply`), each with the product of its factors'
+    scales, so equal polynomials give equal pairs.  They are built
+    incrementally: the product of an index combination (i_1 ≤ … ≤ i_s) is
+    that of its prefix times generator i_s, read from the table of
+    I^{s−1} that I holds from its last power (rebuilt from the generators
+    when that table is for a higher power).  The power holds its
+    generators as term lists and converts them to polynomials only on
+    first read of ``generators``.
+    """
     if s < 1:
         raise ValueError("power must be >= 1")
+    ctx, packed = I._packed()
+    level, table = I._products or (1, None)
+    if table is None or level > s:
+        level, table = 1, {(i,): g for i, g in enumerate(packed)}
+    while level < s:
+        level += 1
+        longer = {}
+        for combo in combinations_with_replacement(range(len(packed)), level):
+            (f, a), (g, b) = table[combo[:-1]], packed[combo[-1]]
+            longer[combo] = engine.multiply(f, g, ctx), a * b
+        table = longer
+    I._products = (level, table)
     seen = set()
     gens = []
-    for combo in combinations_with_replacement(I.generators, s):
-        g = reduce(mul, combo)
-        key = tuple(sorted(g.terms.items()))
+    for g in table.values():
+        key = (tuple(g[0]), g[1])
         if key not in seen:
             seen.add(key)
             gens.append(g)
-    return Ideal(I.ring, gens)
+    return _packed_ideal(I.ring, ctx, gens)
+
+
+def _packed_ideal(ring: RingDescriptor, ctx: EngineContext,
+                  packed: list) -> Ideal:
+    """The ideal generated by the packed polynomials (terms, scale) of
+    layout ``ctx``; its polynomials are built on first read."""
+    J = Ideal(ring, ())
+    J._polys = None
+    J._terms = (ctx, packed)
+    return J
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J by eliminating an auxiliary scalar t from t·I + (1−t)·J."""
+    """I ∩ J by eliminating an auxiliary scalar t from t·I + (1−t)·J.
+
+    The generators t·g and (1−t)·g are formed on I's and J's packed term
+    lists, moved into the grevlex layout of the ring with t.
+    """
     R = I.ring
     big = R.extend(("_t",))
-    t = Polynomial.variable(big, big.nvars - 1)
-    one = Polynomial.constant(big, R.field.one())
-    gens = [t * extend_polynomial(g, big) for g in I.generators]
-    gens += [(one - t) * extend_polynomial(g, big) for g in J.generators]
-    return eliminate(Ideal(big, gens), (big.nvars - 1,))[0]
+    n = R.nvars
+    ctx = grevlex_context(big)
+    t_key = ctx.pack((0,) * n + (1,))
+    minus_one = ctx.mod - 1 if ctx.mod is not None else -1
+    factors = ([(t_key, 1)], [(t_key, minus_one), (ctx.one, 1)])
+    gens = []
+    for K, factor in zip((I, J), factors):
+        src, packed = K._packed()
+        moved = engine.repack([p for p, _ in packed], src, ctx)
+        gens += [(engine.multiply(p, factor, ctx), c)
+                 for p, (_, c) in zip(moved, packed)]
+    return eliminate(_packed_ideal(big, ctx, gens), (n,))[0]
 
 
 def intersect_many(ideals: Sequence[Ideal]) -> Ideal:
@@ -249,10 +331,16 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(R, quot)
 
 
-def _homogeneous(I: Ideal, weights: Optional[Sequence[int]] = None) -> bool:
-    """Every generator is homogeneous in total degree, or in ``weights``."""
-    deg = sum if weights is None else (lambda m: sum(map(mul, m, weights)))
-    return all(len({deg(m) for m in g.terms}) == 1 for g in I.generators)
+def _homogeneous(I: Ideal, weighted: bool = False) -> bool:
+    """Every generator is homogeneous in total degree, or with
+    ``weighted`` in the ring's weights; read off the packed keys."""
+    ctx, packed = I._packed()
+    deg = ctx.wdeg if weighted else ctx.deg
+    for terms, _ in packed:
+        d = deg(terms[0][0])
+        if any(deg(k) != d for k, _ in terms):
+            return False
+    return True
 
 
 def _require_homogeneous(I: Ideal) -> None:
@@ -338,6 +426,10 @@ def _holding(gb: GroebnerBasis) -> Ideal:
     """The ideal generated by the reduced basis ``gb``, holding it."""
     J = Ideal(gb.ring, gb.polys)
     J._gb[gb.ctx.order] = gb
+    if gb.ctx.mod is None:
+        J._terms = (gb.ctx, [(t, Fraction(1, t[0][1])) for t in gb.raw])
+    else:
+        J._terms = (gb.ctx, [(t, 1) for t in gb.raw])
     return J
 
 
@@ -351,7 +443,7 @@ def regraded(I: Ideal, ring: RingDescriptor) -> Ideal:
 # gcd via lattice of principal ideals
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Multivariate gcd: f·g / lcm, with lcm generating (f) ∩ (g)."""
+    """Multivariate gcd: f / (L / g), with L generating (f) ∩ (g)."""
     if f.is_zero():
         return _normalize_poly(g)
     if g.is_zero():
@@ -361,7 +453,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     gens = inter.generators
     if len(gens) != 1:
         raise ArithmeticError("principal intersection expected")
-    return _normalize_poly(exact_divide(f * g, gens[0]))
+    return _normalize_poly(exact_divide(f, exact_divide(gens[0], g)))
 
 
 def poly_gcd_list(polys: Sequence[Polynomial]) -> Polynomial:

@@ -1,11 +1,13 @@
 from types import SimpleNamespace
 
+from mapfibers import groebner
 from mapfibers.cohomology import (check_module_degree_formula, hdim_difference,
                                   hdim_duality, m_mu_dims, n_table)
 from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal, ideal_power
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+from conftest import count_calls
 from references import hypersurface_hdim
 
 R = standard_ring(("x", "y", "z"))
@@ -90,3 +92,21 @@ def test_duality_route_reads_only_the_generators(monkeypatch, quintic_ideal):
     assert [hdim_duality(bare[s], i, t) for s, i, t in points] == before
     assert [v for (s, i, t), v in zip(points, before)
             if i == 1 and t == 5 * s - 2] == [8, 10, 9, 8]
+
+
+def test_the_strand_multiplies_no_polynomials(monkeypatch, quintic_map):
+    """`m_mu_dims` builds every power, saturation and intersection on the
+    engine's term lists: no polynomial is multiplied, and the only
+    polynomials packed into term lists are the base ideal's generators,
+    once each."""
+    I = Ideal(quintic_map.source, list(quintic_map.forms))
+    packed = count_calls(monkeypatch, groebner.to_raw,
+                         key=lambda vec, ctx: vec)
+
+    def refuse(*args):
+        raise AssertionError("a polynomial product")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    table = m_mu_dims(I, quintic_map.d, -2, range(1, 6))
+    assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
+    assert packed == [(g,) for g in I.generators]

@@ -217,14 +217,17 @@ def test_no_environment_reads(module):
     assert not found, f"{module} reads the environment: {', '.join(found)}"
 
 
-IDEAL_CACHES = ("_gb", "_sat", "_hilbert", "_series")
+IDEAL_CACHES = ("_gb", "_sat", "_hilbert", "_series", "_polys", "_terms",
+                "_products")
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "ideals.py"])
 def test_only_ideals_touches_an_ideals_caches(module):
-    """An `Ideal`'s cached bases, saturation, Hilbert data and series are
-    read and written in `ideals.py` alone; other modules go through its
-    methods (`groebner`, `saturation`, `hilbert`, `set_known_series`)."""
+    """An `Ideal`'s cached bases, saturation, Hilbert data and series, its
+    generators as polynomials and as packed term lists, and the product
+    table of its last power are read and written in `ideals.py` alone;
+    other modules go through its methods (`generators`, `groebner`,
+    `saturation`, `hilbert`, `set_known_series`) and `ideal_power`."""
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     found = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)

@@ -1,10 +1,16 @@
+import random
+from math import comb
+
 import pytest
 
-from mapfibers import groebner, ideals
-from mapfibers.ideals import (Ideal, eliminate, exact_divide, ideal_power,
-                              intersect, poly_gcd, poly_gcd_list,
-                              saturate_irrelevant, saturate_variable)
-from mapfibers.fields import PrimeField
+from mapfibers import engine, groebner, ideals
+from mapfibers.engine import EXP_CAP
+from mapfibers.groebner import reduced_groebner
+from mapfibers.ideals import (Ideal, degree_monomials, eliminate,
+                              exact_divide, ideal_power, intersect, poly_gcd,
+                              poly_gcd_list, saturate_irrelevant,
+                              saturate_variable)
+from mapfibers.fields import QQ, PrimeField
 from mapfibers.poly import Polynomial
 from mapfibers.rings import (GREVLEX, elimination_order, grevlex_with_last,
                              standard_ring)
@@ -139,7 +145,8 @@ def _ordered_product_power(I, s):
     """I^s as all n^s ordered products, first occurrence of each value kept."""
     out = I
     for _ in range(s - 1):
-        out = Ideal(R, [g * h for g in out.generators for h in I.generators])
+        out = Ideal(I.ring, [g * h for g in out.generators
+                             for h in I.generators])
     seen, gens = set(), []
     for g in out.generators:
         key = tuple(sorted(g.terms.items()))
@@ -157,6 +164,68 @@ def test_power_matches_ordered_products(gens):
     I = Ideal(R, gens)
     for s in range(1, 5):
         assert ideal_power(I, s).generators == _ordered_product_power(I, s)
+
+
+def _rand_power_generators(rng, ring):
+    """Two or three sparse forms of degree 2 or 3 with small coefficients,
+    over QQ with denominators up to 3; half the time three of them are
+    c·a², b²/c and a·b for variables a, b, whose products x²·y² = (x·y)²
+    coincide."""
+    F = ring.field
+
+    def coeff():
+        return F.div(F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))),
+                     F.from_int(rng.randint(1, 3)))
+
+    gens = []
+    if rng.random() < 0.5:
+        a, b = (Polynomial.variable(ring, i)
+                for i in rng.sample(range(ring.nvars), 2))
+        c = coeff()
+        gens = [(a * a).scale(c), (b * b).scale(F.inv(c)), a * b]
+    while len(gens) < rng.randint(2, 3):
+        monos = rng.sample(degree_monomials(ring.nvars, rng.randint(2, 3)),
+                           rng.randint(1, 3))
+        gens.append(Polynomial.from_terms(ring, [(m, coeff()) for m in monos]))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_packed_powers_match_ordered_products():
+    """Seeded: `ideal_power`'s packed products equal the ordered products
+    of polynomials, and its basis in each order with one variable last
+    equals the reduced basis of those products computed from scratch, over
+    QQ and GF(7) in 3 and 4 variables."""
+    rng = random.Random(20261019)
+    coincided = 0
+    for field in (QQ, PrimeField(7)):
+        for nvars in (3, 4):
+            ring = standard_ring(tuple("xyzw"[:nvars]), field)
+            for _ in range(5):
+                I = Ideal(ring, _rand_power_generators(rng, ring))
+                for s in range(1, 5):
+                    want = _ordered_product_power(I, s)
+                    P = ideal_power(I, s)
+                    assert P.generators == want
+                    coincided += len(want) < comb(len(I.generators) + s - 1, s)
+                    for i in range(nvars):
+                        order = grevlex_with_last(nvars, i)
+                        assert P.groebner(order).polys == reduced_groebner(
+                            want, order=order, ring=ring).polys
+    assert coincided
+
+
+def test_a_power_past_the_cap_raises():
+    """A power whose degree passes the cap raises ArithmeticError naming it
+    before any key is formed, whatever the generator's terms."""
+    half = (EXP_CAP + 1) // 2
+    for gens in ([x ** half], [x ** (EXP_CAP - 3) + y * z, y]):
+        I = Ideal(R, gens)
+        with pytest.raises(ArithmeticError, match=str(EXP_CAP)):
+            ideal_power(I, 2)
+    ctx, ((terms, _),) = Ideal(R, [x ** half])._packed()
+    with pytest.raises(ArithmeticError, match=str(EXP_CAP)):
+        engine.multiply(terms, terms, ctx)
 
 
 def test_equality_is_by_value_and_ideals_are_unhashable():
