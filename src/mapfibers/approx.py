@@ -14,11 +14,14 @@ l = dim Hom(Z_3, R)_{-3d-1}.  The entry P[a][b] is Σ_i (D_i)[b][a]·T_i with
 D_i: Hom(Z_1,R)_{-d-1} → Hom(Z_2,R)_{-2d-1} given by composition with the
 contraction e_i ⌟ (-): Z_2 → Z_1.
 
-Everything here is exact linear algebra over the coefficient field.  A Hom
-piece Hom(Z_q, R)_e is the kernel, in degree e, of the dual of the syzygy
-map of the chosen generators of Z_q (`cohomology.dual_map_rows`), the
-contraction compositions are computed by lifting through the cover map of
-Z_1, and their coordinates are read off the nullspace basis of Hom(Z_2, R).
+Z_1 = Syz(f_0..f_3), which also gives the Rees ideal's linear part, is the
+map's own `syzygies`.  Everything here is exact linear algebra over the
+coefficient field.  A Hom piece Hom(Z_q, R)_e is the kernel, in degree e,
+of the dual of the syzygy map of the chosen generators of Z_q
+(`cohomology.dual_map_rows`), the contraction compositions are computed by
+lifting through the cover map of Z_1 (against the graph basis that also
+gives its syzygy map), and their coordinates are read off the nullspace
+basis of Hom(Z_2, R).
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ from .modules import (FreeModule, FreeModuleMap, Vector, generator_map,
                       submodule_colon_component, vec_is_zero)
 from .hilbert import hilbert_series_quotient
 from .poly import Polynomial
-from .rings import RingDescriptor, standard_ring
+from .rings import RingDescriptor
 from . import linalg
 
 # exterior-algebra basis of K_2 on four generators
@@ -53,26 +56,14 @@ class KoszulData:
     syzygies: Dict[int, FreeModuleMap]     # q -> syzygy map of the cover: coker = Z_q
 
 
-def koszul_cycles(forms: Sequence[Polynomial]) -> KoszulData:
-    """Build the Koszul complex on four equal-degree forms in three variables
-    and compute minimal generators of the cycle modules Z_1, Z_2, Z_3."""
-    forms = tuple(forms)
-    if len(forms) != 4:
-        raise ValueError(f"expected 4 forms, got {len(forms)}: the construction "
-                         "covers maps from P^2 to P^3 only")
-    ring = forms[0].ring
-    if ring.nvars != 3:
-        raise ValueError(f"expected a polynomial ring in 3 variables, got {ring.nvars}")
-    degs = set()
-    for f in forms:
-        if f.ring != ring:
-            raise ValueError("forms live in different rings")
-        if f.is_zero() or not f.is_homogeneous():
-            raise ValueError("forms must be nonzero and homogeneous")
-        degs.add(f.degree())
-    if len(degs) != 1:
-        raise ValueError(f"forms must share one degree, got degrees {sorted(degs)}")
-    d = degs.pop()
+def koszul_cycles(pmap) -> KoszulData:
+    """The Koszul complex on the forms of a map P^2 ⇢ P^3 and minimal
+    generators of its cycle modules: Z_1 is the map's `syzygies`, and Z_2
+    and Z_3 are computed here."""
+    forms, ring, d = pmap.forms, pmap.source, pmap.d
+    if len(forms) != 4 or ring.nvars != 3 or any(f.is_zero() for f in forms):
+        raise ValueError("the construction needs four nonzero forms in three "
+                         "variables: a map from P^2 to P^3")
 
     zero = Polynomial.zero(ring)
     K = [FreeModule(ring, (q * d,) * comb(4, q)) for q in range(5)]
@@ -89,15 +80,13 @@ def koszul_cycles(forms: Sequence[Polynomial]) -> KoszulData:
                 matrix[row_of[J[:k] + J[k + 1:]]][c] = f
         diffs.append(FreeModuleMap(K[q], K[q - 1], matrix))
 
-    for dq in diffs:
-        if not dq.check_homogeneous():
-            raise ArithmeticError("Koszul differential is not homogeneous")
     for lo, hi in zip(diffs, diffs[1:]):
         for c in range(hi.source.rank):
             if not vec_is_zero(lo.apply(hi.column(c))):
                 raise ArithmeticError("Koszul differentials do not compose to zero")
 
-    cycles = {q: kernel_of_free_map(diffs[q - 1]) for q in (1, 2, 3)}
+    cycles = {1: pmap.syzygies, 2: kernel_of_free_map(diffs[1]),
+              3: kernel_of_free_map(diffs[2])}
     covers = {q: generator_map(gens, K[q]) for q, gens in cycles.items()}
     syzygies = {q: generator_map(kernel_of_free_map(c), c.source)
                 for q, c in covers.items()}
@@ -229,15 +218,14 @@ def _poly_det(M: List[List[Polynomial]], ring: RingDescriptor,
     return acc
 
 
-def presentation_matrix_N(I: Ideal,
-                          target_names: Sequence[str] = ("T0", "T1", "T2", "T3")
-                          ) -> PresentationData:
+def presentation_matrix_N(pmap) -> PresentationData:
     """Compute the linear presentation matrix of N = ⊕_s H^1_m(R/I^s)_{sd-2}
-    over B = k[T], its graded cokernel dimensions, and the support ideal.
-    I is generated by the four forms, in order.  The ranks (l, mrank, n)
-    are the dimensions of Hom(Z_q, R)_{-qd-1} for q = 3, 2, 1, and n is
-    cross-checked against dim H^1_m(R/I)_{d-2} by the difference route."""
-    kd = koszul_cycles(I.generators)
+    over the map's target ring B = k[T], its graded cokernel dimensions,
+    and the support ideal, for the base ideal I of a map P^2 ⇢ P^3.  The
+    ranks (l, mrank, n) are the dimensions of Hom(Z_q, R)_{-qd-1} for
+    q = 3, 2, 1, and n is cross-checked against dim H^1_m(R/I)_{d-2} by
+    the difference route."""
+    kd = koszul_cycles(pmap)
     ring, d = kd.ring, kd.d
     F = ring.field
     e1, e2 = -d - 1, -2 * d - 1
@@ -248,7 +236,7 @@ def presentation_matrix_N(I: Ideal,
     l = dual_hdim(kd, 3, 3 * d - 2)
     n, mrank = W1.dim, W2.dim
 
-    n_check = hdim_difference(I, 1, d - 2)
+    n_check = hdim_difference(pmap.base_ideal, 1, d - 2)
     if n_check != n:
         raise ArithmeticError(
             f"presentation rank n={n} disagrees with H^1_m(R/I)_{d - 2}={n_check}")
@@ -278,7 +266,7 @@ def presentation_matrix_N(I: Ideal,
             for b in range(mrank):
                 D[i][b][a] = lam[b]
 
-    B = standard_ring(tuple(target_names), field=F)
+    B = pmap.target
     unit = lambda i: tuple(1 if v == i else 0 for v in range(4))
     P = [[Polynomial(B, {unit(i): D[i][b][a]
                          for i in range(4) if not F.is_zero(D[i][b][a])})
@@ -306,7 +294,6 @@ def presentation_matrix_N(I: Ideal,
 
     fitt = None
     if n <= mrank and comb(mrank, n) <= _MINor_SUBSET_LIMIT:
-        from itertools import combinations
         memo: Dict[Tuple[int, ...], Polynomial] = {}
         minors = []
         for cols in combinations(range(mrank), n):

@@ -56,6 +56,13 @@ def _load(path: str):
         return None
 
 
+def _shares_a_factor(pmap) -> bool:
+    """Report a common factor of the forms, a hypothesis failure."""
+    if pmap.common_factor is not None:
+        print(f"error: forms share the factor {pmap.common_factor}", file=sys.stderr)
+    return pmap.common_factor is not None
+
+
 def _cmd_analyze(args) -> int:
     pmap = _load(args.file)
     if pmap is None:
@@ -94,9 +101,7 @@ def _cmd_cohomology(args) -> int:
     pmap = _load(args.file)
     if pmap is None:
         return 1
-    if pmap.common_factor is not None and pmap.common_factor.degree() >= 1:
-        print(f"error: forms share the factor {pmap.common_factor}",
-              file=sys.stderr)
+    if _shares_a_factor(pmap):
         return EXIT_HYPOTHESIS
     table = m_mu_dims(pmap.base_ideal, pmap.d, args.mu, range(1, args.s_max + 1))
     print(f"dim H^{pmap.m}(I^s) in degree s*d + ({args.mu}):")
@@ -111,9 +116,7 @@ def _cmd_image(args) -> int:
     pmap = _load(args.file)
     if pmap is None:
         return 1
-    if pmap.common_factor is not None and pmap.common_factor.degree() >= 1:
-        print(f"error: forms share the factor {pmap.common_factor}",
-              file=sys.stderr)
+    if _shares_a_factor(pmap):
         return EXIT_HYPOTHESIS
     img = pmap.image
     print(f"image: dimension {img.dimension}, degree {img.degree}, "

@@ -7,7 +7,7 @@ Hilbert data of J and its saturation.  Route two is graded local
 duality: dim H^i_𝔪(M)_t = dim Ext^{c−i}(M, R(−c))_{−t} with c = #vars,
 computed from a minimal free resolution by transposing matrices and
 taking homology dimensions degree by degree.  The resolution is a
-Schreyer resolution of J's generators, pruned to a minimal one
+Schreyer resolution of J's packed generators, pruned to a minimal one
 (`modules.free_resolution`); it reads only J's generators and ring, never
 the bases, series or saturation the difference route uses.  One
 resolution serves every (i, t) of its ideal (`resolution_hdim`).
@@ -97,7 +97,7 @@ def hdim_duality(J: Ideal, i: int, t: int) -> int:
     asking several (i, t) of one ideal builds it once with
     `free_resolution` and asks `resolution_hdim`.
     """
-    return resolution_hdim(free_resolution(list(J.generators)), i, t)
+    return resolution_hdim(free_resolution(J), i, t)
 
 
 def resolution_hdim(res: FreeResolution, i: int, t: int) -> int:

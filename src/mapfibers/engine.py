@@ -8,8 +8,8 @@ Variable fields hold ``EXP_CAP - e``, since every supported order is
 reverse-lex below its total-degree fields; under non-unit variable
 weights one wider field below them holds the weighted degree, which
 breaks no tie because the fields above it already fix the monomial; for
-modules the component's rank sits in the bits above the scalar fields
-(position over term).  Scalar polynomials are the component-0 case.
+modules the rank ncomps − 1 − c of component c sits above the scalar
+fields (position over term, component 0 first); scalars are component 0.
 
 Schreyer's induced orders are one more layout: an index field of
 ``index_bits`` bits below every other field.  The key of x^a·e_i is
@@ -94,15 +94,12 @@ def _over_cap(what, value):
 class EngineContext:
     """Packed monomial keys plus coefficient arithmetic for one computation."""
 
-    def __init__(self, nvars, order, mod=None, ncomps=1, comp_rank=None,
-                 weights=None, comp_offsets=None, index_bits=0):
+    def __init__(self, nvars, order, mod=None, ncomps=1, weights=None,
+                 comp_offsets=None, index_bits=0):
         self.nvars = nvars
         self.order = order
         self.mod = mod            # None → fraction-free integers (field = QQ)
         self.ncomps = ncomps
-        if comp_rank is None:
-            comp_rank = tuple(ncomps - 1 - c for c in range(ncomps))
-        self.comp_rank = tuple(comp_rank)
         self.weights = tuple(weights) if weights is not None else (1,) * nvars
         self.comp_offsets = tuple(comp_offsets) if comp_offsets is not None else (0,) * ncomps
         self.index_bits = index_bits
@@ -157,14 +154,14 @@ class EngineContext:
             cols = [c + (x << ib) for c, x in zip(cols, w)]
         # position over term: component rank dominates the scalar key
         cshift = self.cshift = low + EXP_BITS * (nv + 3)
-        self.rank_bits = tuple(r << cshift for r in self.comp_rank)
-        self.comp_of_rank = {r: c for c, r in enumerate(self.comp_rank)}
+        self.rank_bits = tuple((self.ncomps - 1 - c) << cshift
+                               for c in range(self.ncomps))
         self.one = one
         self.guards = guards
         self.var_guards = var_guards
         # a nonzero rank difference shows in these bits of (a + guards − b)
         # and a nonzero index difference in the index field
-        width = max(self.comp_rank, default=0).bit_length() + 1
+        width = (self.ncomps - 1).bit_length() + 1
         self.index_mask = (1 << ib) - 1
         self.test_mask = (var_guards | (((1 << width) - 1) << cshift)
                           | self.index_mask)
@@ -218,7 +215,7 @@ class EngineContext:
         self.divides = divides
 
     def comp(self, k):
-        return self.comp_of_rank[k >> self.cshift]
+        return self.ncomps - 1 - (k >> self.cshift)
 
     def lcm(self, k, ea, eb):
         """Key of lcm(x^ea, x^eb) in the component of key ``k``."""

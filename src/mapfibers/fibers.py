@@ -27,7 +27,7 @@ from .groebner import normal_form
 from .ideals import (Ideal, eliminate, exact_divide,
                      extend_polynomial, ideal_power, poly_gcd_list, regraded,
                      restrict_polynomial, saturate_variable)
-from .modules import FreeModule, FreeModuleMap, kernel_of_free_map
+from .modules import FreeModule, FreeModuleMap, Vector, kernel_of_free_map
 from .poly import Polynomial
 from .rings import RingDescriptor, elimination_order, standard_ring
 from .solve import (NotZeroDimensionalError, PointProjective, _affine_points,
@@ -82,6 +82,15 @@ class ParameterizedMap:
         return self._powers[s]
 
     @cached_property
+    def syzygies(self) -> List[Vector]:
+        """Syz(f_0, …, f_n): minimal generators of the kernel of
+        ⊕_j R(−d) → R, e_j ↦ f_j.  They give both the linear part 𝔓_(*,1)
+        of the Rees ideal and the first Koszul cycle module Z_1."""
+        return kernel_of_free_map(FreeModuleMap(
+            FreeModule(self.source, (self.d,) * len(self.forms)),
+            FreeModule(self.source, (0,)), [list(self.forms)]))
+
+    @cached_property
     def rees(self) -> "ReesData":
         return rees_ideal(self)
 
@@ -109,8 +118,7 @@ class ParameterizedMap:
                 f.is_zero() for f in self.forms):
             return None, None
         try:
-            return presentation_matrix_N(
-                self.base_ideal, target_names=self.target.variables), None
+            return presentation_matrix_N(self), None
         except ArithmeticError as exc:
             return None, str(exc)
 
@@ -186,8 +194,8 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     over the ring's ∏_i (1 − z^{w_i}).  𝔓 comes out holding its grevlex
     basis (`eliminate`).
 
-    The linear part 𝔓_(*,1) is computed independently from the syzygies of
-    (f_0 .. f_n).  Two containments guard the elimination: 𝔓 lies in the
+    The linear part 𝔓_(*,1) comes independently from the map's syzygies
+    of (f_0 .. f_n).  Two containments guard the elimination: 𝔓 lies in the
     ideal (T_j − f_j : j) of the graph, and 𝔓_(*,1) lies in 𝔓.  The first
     is tested against the basis of (T_j − f_j) in the elimination order of
     the T block, which is the binomials themselves (their leads T_j are
@@ -211,10 +219,8 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     if small != S:
         raise ArithmeticError("elimination returned an unexpected ring")
 
-    row = FreeModuleMap(FreeModule(R, (pmap.d,) * nt), FreeModule(R, (0,)),
-                        [list(pmap.forms)])
     linear = []
-    for z in kernel_of_free_map(row):
+    for z in pmap.syzygies:
         lin = Polynomial.zero(S)
         for j, zj in enumerate(z):
             lin = lin + extend_polynomial(zj, S) * Polynomial.variable(S, nx + j)

@@ -33,11 +33,11 @@ Vector = Tuple[Polynomial, ...]
 
 
 def _context(ring: RingDescriptor, order: TermOrder, shifts: Sequence[int] = (0,),
-             comp_rank=None, index_bits=0) -> EngineContext:
+             index_bits=0) -> EngineContext:
     mod = ring.field.p if isinstance(ring.field, PrimeField) else None
     return EngineContext(ring.nvars, order, mod=mod, ncomps=len(shifts),
-                         comp_rank=comp_rank, weights=ring.weights,
-                         comp_offsets=tuple(shifts), index_bits=index_bits)
+                         weights=ring.weights, comp_offsets=tuple(shifts),
+                         index_bits=index_bits)
 
 
 def grevlex_context(ring: RingDescriptor) -> EngineContext:
@@ -50,8 +50,7 @@ def induced_context(ring: RingDescriptor, index_bits: int) -> EngineContext:
     grevlex, a component F ranked above a component F′, and an index
     field of ``index_bits`` bits below every monomial field
     (`engine.schreyer_syzygies`)."""
-    return _context(ring, GREVLEX, (0, 0), comp_rank=(1, 0),
-                    index_bits=index_bits)
+    return _context(ring, GREVLEX, (0, 0), index_bits=index_bits)
 
 
 def _denominator(vec: Vector) -> int:
@@ -108,18 +107,18 @@ def from_raw(terms: list, ctx: EngineContext, ring: RingDescriptor,
     """Engine term list → vector, monic unless a ``scale`` is given."""
     comps = [{} for _ in range(ctx.ncomps)]
     if terms:
-        exps, comp_of_rank, cshift = ctx.exps, ctx.comp_of_rank, ctx.cshift
+        exps, last, cshift = ctx.exps, ctx.ncomps - 1, ctx.cshift
         if ctx.mod is not None:
             p = ctx.mod
             if scale is None:
                 scale = pow(terms[0][1], p - 2, p)
             for (k, c) in terms:
-                comps[comp_of_rank[k >> cshift]][exps(k)] = (c * scale) % p
+                comps[last - (k >> cshift)][exps(k)] = (c * scale) % p
         else:
             if scale is None:
                 scale = Fraction(1, terms[0][1])
             for (k, c) in terms:
-                comps[comp_of_rank[k >> cshift]][exps(k)] = c * scale
+                comps[last - (k >> cshift)][exps(k)] = c * scale
     return tuple(Polynomial(ring, d) for d in comps)
 
 
@@ -149,8 +148,8 @@ def induced_matrix(columns: Sequence[dict], ctx: EngineContext,
 
 class GroebnerBasis:
     """Reduced Gröbner basis of a submodule of ⊕_c R(−shifts[c]) (of an
-    ideal when the shifts are ``(0,)``): unique for (submodule, order,
-    component ranking), elements monic."""
+    ideal when the shifts are ``(0,)``): unique for (submodule, order),
+    elements monic.  The order is position over term, component 0 first."""
 
     def __init__(self, raw: list, ctx: EngineContext, ring: RingDescriptor):
         """Hold ``raw``, a reduced basis in ``ctx``'s term lists, ascending
@@ -161,14 +160,12 @@ class GroebnerBasis:
 
     @classmethod
     def compute(cls, vectors: Iterable[Vector], ring: RingDescriptor,
-                order: TermOrder = GREVLEX, shifts: Sequence[int] = (0,),
-                comp_rank=None, *, hint=None) -> "GroebnerBasis":
-        """The reduced basis of the submodule the ``vectors`` generate.
-        ``hint``: the certified Hilbert numerator `engine.groebner_raw`
-        takes, for homogeneous generators of an ideal."""
-        ctx = _context(ring, order, shifts, comp_rank)
-        return cls(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx,
-                                       hint), ctx, ring)
+                order: TermOrder = GREVLEX,
+                shifts: Sequence[int] = (0,)) -> "GroebnerBasis":
+        """The reduced basis of the submodule the ``vectors`` generate."""
+        ctx = _context(ring, order, shifts)
+        return cls(engine.groebner_raw([to_raw(v, ctx) for v in vectors], ctx),
+                   ctx, ring)
 
     @classmethod
     def from_terms(cls, terms: Sequence[list], src: EngineContext,
@@ -177,7 +174,8 @@ class GroebnerBasis:
         """The reduced basis in ``order`` of the ideal generated by the
         scalar term lists ``terms`` of layout ``src`` over ``ring``, which
         are re-packed into that order's keys unless ``src`` already has
-        them.  ``hint`` as for `compute`."""
+        them.  ``hint``: the certified Hilbert numerator
+        `engine.groebner_raw` takes."""
         ctx = _context(ring, order)
         if src.order != order:
             terms = engine.repack(terms, src, ctx)

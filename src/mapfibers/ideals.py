@@ -25,8 +25,8 @@ monomials the elimination order is grevlex on the kept variables, in
 ring order), so `eliminate` returns the eliminated ideal holding it,
 and the Rees ideal, the image and every intersection build no second
 basis; those elements are picked on their lead keys and carried over as
-term lists, so only the result's generators become polynomials.  And an
-ideal that holds a basis in one order knows the Hilbert series of its
+term lists; the result's generators become polynomials only when read.
+And an ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
 (`engine.groebner_raw`'s hint), as is the Rees elimination, whose series
 `fibers.rees_ideal` knows by a theorem (`Ideal.set_known_series`).  Only
@@ -101,7 +101,7 @@ class Ideal:
                                 for t, c in packed)
         return self._polys
 
-    def _packed(self) -> Tuple[EngineContext, list]:
+    def packed(self) -> Tuple[EngineContext, list]:
         """The generators as (context, [(terms, scale)]), packed once."""
         if self._terms is None:
             self._terms = pack_generators(self._polys, self.ring)
@@ -110,7 +110,7 @@ class Ideal:
     def groebner(self, order: TermOrder = GREVLEX) -> GroebnerBasis:
         gb = self._gb.get(order)
         if gb is None:
-            ctx, packed = self._packed()
+            ctx, packed = self.packed()
             gb = GroebnerBasis.from_terms([t for t, _ in packed], ctx,
                                           self.ring, order,
                                           hint=self._known_series())
@@ -238,7 +238,7 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
     """
     if s < 1:
         raise ValueError("power must be >= 1")
-    ctx, packed = I._packed()
+    ctx, packed = I.packed()
     level, table = I._products or (1, None)
     if table is None or level > s:
         level, table = 1, {(i,): g for i, g in enumerate(packed)}
@@ -285,7 +285,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     factors = ([(t_key, 1)], [(t_key, minus_one), (ctx.one, 1)])
     gens = []
     for K, factor in zip((I, J), factors):
-        src, packed = K._packed()
+        src, packed = K.packed()
         moved = engine.repack([p for p, _ in packed], src, ctx)
         gens += [(engine.multiply(p, factor, ctx), c)
                  for p, (_, c) in zip(moved, packed)]
@@ -334,7 +334,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 def _homogeneous(I: Ideal, weighted: bool = False) -> bool:
     """Every generator is homogeneous in total degree, or with
     ``weighted`` in the ring's weights; read off the packed keys."""
-    ctx, packed = I._packed()
+    ctx, packed = I.packed()
     deg = ctx.wdeg if weighted else ctx.deg
     for terms, _ in packed:
         d = deg(terms[0][0])
@@ -423,13 +423,12 @@ def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:
 
 
 def _holding(gb: GroebnerBasis) -> Ideal:
-    """The ideal generated by the reduced basis ``gb``, holding it."""
-    J = Ideal(gb.ring, gb.polys)
+    """The ideal generated by the reduced basis ``gb``, holding it; its
+    polynomials are built on first read."""
+    J = _packed_ideal(gb.ring, gb.ctx, [
+        (t, 1 if gb.ctx.mod is not None else Fraction(1, t[0][1]))
+        for t in gb.raw])
     J._gb[gb.ctx.order] = gb
-    if gb.ctx.mod is None:
-        J._terms = (gb.ctx, [(t, Fraction(1, t[0][1])) for t in gb.raw])
-    else:
-        J._terms = (gb.ctx, [(t, 1) for t in gb.raw])
     return J
 
 

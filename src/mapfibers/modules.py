@@ -2,27 +2,28 @@
 
 Module elements are tuples of Polynomial, one per free-module component,
 and a submodule's Gröbner basis is `groebner.GroebnerBasis` with the free
-module's shifts.  Orders are position-over-term with a configurable
-component priority and grevlex underneath.  This module holds the one copy
-of each graded-module primitive the package uses: minimal generators (a
-Gröbner basis per degree, rebuilt only when the kept set has grown;
+module's shifts.  There is one order: position over term, component 0
+first, with grevlex underneath.  This module holds the one copy of each
+graded-module primitive the package uses: minimal generators (a Gröbner
+basis per degree, rebuilt only when the kept set has grown;
 `Ideal.minimal_basis` is the rank-one call), the generator map
 ⊕_j R(−deg g_j) → F of a list of vectors, and the graph submodule
-{(M(e_c), e_c)} of target ⊕ source, whose basis gives both kernels (by
-elimination of the target components) and lifts through a map
-(`FreeModuleMap.lift`, by normal form).  A lift keeps its graph basis on
-the map for later lifts; `kernel_of_free_map` keeps none.
+{(M(e_c), e_c)} of target ⊕ source.  A map builds its graph basis once
+(`FreeModuleMap.graph`), and it gives both the kernel (by elimination of
+the target components, `kernel_of_free_map`) and lifts through the map
+(`FreeModuleMap.lift`, by normal form).
 
-Resolutions of R/(gens) do not iterate kernels: `free_resolution` runs
-Schreyer's algorithm on the ideal's reduced grevlex basis, in the
-engine's induced-order layout (one Buchberger run, then S-pair
-reductions only), prunes the frame's unit entries to reach the minimal
-resolution, and certifies it by the Hilbert numerator.
+Resolutions of R/J do not iterate kernels: `free_resolution` runs
+Schreyer's algorithm on the reduced grevlex basis of J's packed
+generators, in the engine's induced-order layout (one Buchberger run,
+then S-pair reductions only), prunes the frame's unit entries to reach
+the minimal resolution, and certifies it by the Hilbert numerator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Optional, Sequence
 
@@ -94,7 +95,6 @@ class FreeModuleMap:
         self.matrix = [list(row) for row in matrix]
         if len(self.matrix) != target.rank or any(len(r) != source.rank for r in self.matrix):
             raise ValueError("matrix shape does not match module ranks")
-        self._graph: Optional[GroebnerBasis] = None
 
     def column(self, c: int) -> Vector:
         return tuple(self.matrix[r][c] for r in range(self.target.rank))
@@ -110,36 +110,28 @@ class FreeModuleMap:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.matrix for p in row)
 
+    @cached_property
+    def graph(self) -> GroebnerBasis:
+        """The basis of the graph {(M(e_c), e_c)} ⊆ target ⊕ source,
+        built once for the kernel and every lift."""
+        return _graph_basis(self)
+
     def lift(self, vec: Vector) -> Optional[List[Polynomial]]:
         """Coefficients c with vec = Σ_j c_j·column(j), or None if vec is
-        not in the image: a normal form against the graph basis, which is
-        built on the first lift and kept for the later ones."""
-        if self._graph is None:
-            self._graph = _graph_basis(self)
+        not in the image: a normal form against the graph basis."""
         tr = self.target.rank
-        nf = self._graph.normal_form(tuple(vec) + self.source.zero())
+        nf = self.graph.normal_form(tuple(vec) + self.source.zero())
         if not vec_is_zero(nf[:tr]):
             return None
         return [-c for c in nf[tr:]]
-
-    def check_homogeneous(self) -> bool:
-        for r in range(self.target.rank):
-            for c in range(self.source.rank):
-                p = self.matrix[r][c]
-                if p.is_zero():
-                    continue
-                if not p.is_homogeneous() or p.degree() != self.source.shifts[c] - self.target.shifts[r]:
-                    return False
-        return True
 
     def __repr__(self):
         return f"<FreeModuleMap {self.source!r} -> {self.target!r}>"
 
 
-def module_groebner(vectors: Sequence[Vector], free: FreeModule,
-                    comp_rank=None) -> GroebnerBasis:
+def module_groebner(vectors: Sequence[Vector], free: FreeModule) -> GroebnerBasis:
     return GroebnerBasis.compute([v for v in vectors if not vec_is_zero(v)],
-                                 free.ring, GREVLEX, free.shifts, comp_rank)
+                                 free.ring, GREVLEX, free.shifts)
 
 
 def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vector]:
@@ -183,25 +175,24 @@ def generator_map(gens: Sequence[Vector], free: FreeModule) -> FreeModuleMap:
 
 
 def _graph_basis(M: FreeModuleMap) -> GroebnerBasis:
-    """Gröbner basis of the graph {(M(e_c), e_c)} ⊆ target ⊕ source, in an
-    order where the target components dominate the source components."""
+    """Gröbner basis of the graph {(M(e_c), e_c)} ⊆ target ⊕ source; the
+    target components come first, so they dominate."""
     ring = M.source.ring
-    tr, sr = M.target.rank, M.source.rank
+    sr = M.source.rank
     combined = FreeModule(ring, M.target.shifts + M.source.shifts)
     one = Polynomial.constant(ring, 1)
     zero = Polynomial.zero(ring)
     graph = [M.column(c) + tuple(one if i == c else zero for i in range(sr))
              for c in range(sr)]
-    comp_rank = tuple(range(tr + sr - 1, sr - 1, -1)) + tuple(range(sr - 1, -1, -1))
-    return module_groebner(graph, combined, comp_rank=comp_rank)
+    return module_groebner(graph, combined)
 
 
 def kernel_of_free_map(M: FreeModuleMap) -> List[Vector]:
-    """Minimal homogeneous generators of ker(M): the graph-basis elements
-    with vanishing target part, which are those with a lead in a source
-    component (the target components dominate)."""
+    """Minimal homogeneous generators of ker(M): the elements of M's graph
+    basis with vanishing target part, which are those with a lead in a
+    source component (the target components dominate)."""
     tr = M.target.rank
-    gb = _graph_basis(M)
+    gb = M.graph
     kernel = [v[tr:] for v in gb.select(lambda k: gb.ctx.comp(k) >= tr)]
     return minimal_generators(kernel, M.source) if kernel else []
 
@@ -226,26 +217,28 @@ class FreeResolution:
 INDEX_BITS = 24
 
 
-def free_resolution(gens: Sequence[Polynomial]) -> FreeResolution:
-    """Minimal graded free resolution of R/(gens), by Schreyer's algorithm.
+def free_resolution(J) -> FreeResolution:
+    """Minimal graded free resolution of R/J for an `Ideal` J with
+    homogeneous generators, by Schreyer's algorithm.
 
-    F_1 = ⊕ R(−deg g_i) maps onto the reduced grevlex basis G of (gens),
-    computed here with no Hilbert hint and nothing shared with the
-    ideal's own bases; each further module is the Schreyer frame of the
-    previous one (`engine.schreyer_syzygies`), whose syzygies are already
-    a Gröbner basis, so no Buchberger run follows the first.  The frame is
-    then pruned of its unit entries (`_prune`), which leaves the minimal
+    F_1 = ⊕ R(−deg g_i) maps onto the reduced grevlex basis G of J,
+    computed here from J's packed generators (`Ideal.packed`) with no
+    Hilbert hint and nothing shared with J's own bases; each further
+    module is the Schreyer frame of the previous one
+    (`engine.schreyer_syzygies`), whose syzygies are already a Gröbner
+    basis, so no Buchberger run follows the first.  The frame is then
+    pruned of its unit entries (`_prune`), which leaves the minimal
     resolution.  Certificate: Σ_k (−1)^k Σ_c z^{shift} over the pruned
-    modules must equal the Hilbert numerator of R/(gens) read off G's
-    leads, else ArithmeticError.
+    modules must equal the Hilbert numerator of R/J read off G's leads,
+    else ArithmeticError.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    ring = J.ring
+    src, packed = J.packed()
+    if not packed:
         raise ValueError("no nonzero generators")
-    ring = gens[0].ring
-    if any(len({sum(m) for m in g.terms}) > 1 for g in gens):
+    if any(src.deg(k) != src.deg(t[0][0]) for t, _ in packed for k, _ in t):
         raise ValueError("a graded resolution needs homogeneous generators")
-    gb = GroebnerBasis.compute([(g,) for g in gens], ring)
+    gb = GroebnerBasis.from_terms([t for t, _ in packed], src, ring, GREVLEX)
     ctx = induced_context(ring, INDEX_BITS)
     top, imask = ctx.rank_bits[0], ctx.index_mask
     # the index field lies below every field of the plain layout, so a
@@ -290,7 +283,7 @@ def free_resolution(gens: Sequence[Polynomial]) -> FreeResolution:
                                 ring.nvars)
     if {a: c for a, c in euler.items() if c} != want:
         raise ArithmeticError("the Betti numbers of the resolution miss the "
-                              "Hilbert numerator of R/(gens)")
+                              "Hilbert numerator of R/J")
     return FreeResolution(modules, maps)
 
 
@@ -393,11 +386,12 @@ def _eliminate(col2: dict, col: dict, u: int, hits, mod) -> Fraction:
 def submodule_colon_component(vectors: Sequence[Vector], free: FreeModule, j: int) -> List[Polynomial]:
     """Generators of (U : e_j) = {b : b·e_j ∈ U} for U = ⟨vectors⟩.
 
-    Uses a component-elimination order with component j least significant,
-    so the basis elements with a lead in component j, which are supported
-    entirely on it, cut out U ∩ R·e_j.
+    Component j is moved last, where position over term ranks it least,
+    so the basis elements with a lead in it, which are supported entirely
+    on it, cut out U ∩ R·e_j.
     """
-    rank = free.rank
-    comp_rank = tuple(0 if c == j else (rank - c) for c in range(rank))
-    gb = module_groebner(vectors, free, comp_rank=comp_rank)
-    return [v[j] for v in gb.select(lambda k: gb.ctx.comp(k) == j)]
+    order = [c for c in range(free.rank) if c != j] + [j]
+    moved = FreeModule(free.ring, [free.shifts[c] for c in order])
+    gb = module_groebner([tuple(v[c] for c in order) for v in vectors], moved)
+    last = free.rank - 1
+    return [v[last] for v in gb.select(lambda k: gb.ctx.comp(k) == last)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Optional
 
+from .approx import check_surface_bounds
 from .cohomology import (ModuleDegreeVerdict, check_module_degree_formula,
                          n_table)
 from .fibers import (FiberSearch, ParameterizedMap,
@@ -75,8 +76,7 @@ def run_pipeline(pmap: ParameterizedMap,
     m, d = pmap.m, pmap.d
 
     with _Step(timings, "hypotheses"):
-        gcd_ok = (pmap.common_factor is None
-                  or pmap.common_factor.degree() < 1)
+        gcd_ok = pmap.common_factor is None
         img = pmap.image
         sat, cone_dim, bdeg = pmap.locus
         base_empty = cone_dim <= 0
@@ -192,7 +192,6 @@ def run_pipeline(pmap: ParameterizedMap,
             incomplete = True
 
     if opt.surface_bounds and pres is not None:
-        from .approx import check_surface_bounds
         with _Step(timings, "surface_bounds"):
             sb = check_surface_bounds(pres, d,
                                       base_degree=None if base_empty else bdeg,

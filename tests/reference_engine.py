@@ -33,15 +33,12 @@ STRIP_BITS = 2048
 class EngineContext:
     """Monomial-order keys plus coefficient arithmetic for one computation."""
 
-    def __init__(self, nvars, order, mod=None, ncomps=1, comp_rank=None,
-                 weights=None, comp_offsets=None):
+    def __init__(self, nvars, order, mod=None, ncomps=1, weights=None,
+                 comp_offsets=None):
         self.nvars = nvars
         self.order = order
         self.mod = mod            # None → fraction-free integers (field = QQ)
         self.ncomps = ncomps
-        if comp_rank is None:
-            comp_rank = tuple(ncomps - 1 - c for c in range(ncomps))
-        self.comp_rank = tuple(comp_rank)
         self.weights = tuple(weights) if weights is not None else (1,) * nvars
         self.comp_offsets = tuple(comp_offsets) if comp_offsets is not None else (0,) * ncomps
         self.skey = self._scalar_key_closure()
@@ -100,11 +97,12 @@ class EngineContext:
             def key(em, _skey=skey):
                 return _skey(em[1:])
             return key
-        rank = self.comp_rank
-        # position over term: component rank dominates the scalar key
+        top = self.ncomps - 1
+        # position over term: component rank dominates the scalar key,
+        # component 0 first
         shift = EXP_BITS * (self.nvars + 3)
-        def key(em, _skey=skey, _rank=rank, _shift=shift):
-            return (_rank[em[0]] << _shift) | _skey(em[1:])
+        def key(em, _skey=skey, _top=top, _shift=shift):
+            return ((_top - em[0]) << _shift) | _skey(em[1:])
         return key
 
     def wdeg(self, em):

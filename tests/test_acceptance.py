@@ -64,7 +64,7 @@ def test_criterion_2_fiber_inventory(quintic_result):
 
 def test_criterion_3_resolution_shifts(quintic_ideal):
     with _budget(60):
-        res = free_resolution(list(quintic_ideal.generators))
+        res = free_resolution(quintic_ideal)
         assert sorted(res.modules[1].shifts) == [5, 5, 5, 5]
         assert sorted(res.modules[2].shifts) == [6, 6, 8]
 

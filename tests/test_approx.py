@@ -5,11 +5,13 @@ import pytest
 from mapfibers import modules
 from mapfibers.approx import (check_surface_bounds, contract, dual_hdim,
                               hom_piece, koszul_cycles, presentation_matrix_N)
-from mapfibers.ideals import Ideal
+from mapfibers.fibers import build_map
+from mapfibers.mapfile import load_map_file
 from mapfibers.modules import (FreeModule, generator_map, kernel_of_free_map,
                                vec_is_zero, vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+from conftest import count_calls, map_path
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -17,14 +19,14 @@ x, y, z = (Polynomial.variable(R, i) for i in range(3))
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        koszul_cycles([x, y, z])                      # needs 4 forms
+        koszul_cycles(build_map([x, y, z]))           # needs 4 forms
     with pytest.raises(ValueError):
-        koszul_cycles([x, y, z, x + y * y])           # mixed degrees
+        koszul_cycles(build_map([x, y, z, Polynomial.zero(R)]))  # a zero form
 
 
 @pytest.fixture(scope="module")
 def quintic_koszul(quintic_map):
-    return koszul_cycles(list(quintic_map.forms))
+    return koszul_cycles(quintic_map)
 
 
 def test_cycle_generator_degrees(quintic_koszul):
@@ -76,8 +78,11 @@ def test_hom_coordinates_reject_values_outside_hom():
         W.coordinates([x * x, x * y])       # degree 1, not degree 0
 
 
-def test_presentation_builds_few_graph_bases(quintic_ideal, monkeypatch):
-    # three Koszul kernels, three cover syzygy maps, one lift basis for Z_1
+def test_presentation_builds_few_graph_bases(monkeypatch):
+    """On a fresh map the Rees ideal and the presentation build six graph
+    bases: the forms' row (Z_1 and the Rees linear part), the Koszul
+    kernels Z_2 and Z_3, and the three cover syzygy maps, of which Z_1's
+    also serves its lifts.  The forms' row is taken apart once."""
     built = []
     real = modules._graph_basis
 
@@ -86,9 +91,14 @@ def test_presentation_builds_few_graph_bases(quintic_ideal, monkeypatch):
         return real(M)
 
     monkeypatch.setattr(modules, "_graph_basis", counting)
-    pres = presentation_matrix_N(quintic_ideal)
+    rows = count_calls(monkeypatch, kernel_of_free_map,
+                       key=lambda M: M.target.rank == 1)
+    pmap = load_map_file(map_path("quintic_surface.map"))
+    assert pmap.rees.linear_part and pmap.lci_proxy
+    pres = presentation_matrix_N(pmap)
     assert pres.ranks == (15, 23, 8)
-    assert len(built) <= 7
+    assert len(built) == 6
+    assert rows.count(True) == 1
 
 
 def test_presentation_matrix_is_linear(quintic_result):
@@ -109,7 +119,7 @@ def test_coker_dims_match_strand(quintic_result):
 
 
 def test_zero_module_edge_case():
-    pres = presentation_matrix_N(Ideal(R, [x * x, y * y, z * z, x * y]))
+    pres = presentation_matrix_N(build_map([x * x, y * y, z * z, x * y]))
     assert pres.ranks[2] == 0
     assert all(v == 0 for v in pres.coker_dims.values())
     assert pres.annihilator.contains(Polynomial.constant(pres.base_ring, 1))

@@ -75,7 +75,8 @@ def test_degree_formula_on_stable_table(bpf_map):
 def test_duality_route_reads_only_the_generators(monkeypatch, quintic_ideal):
     # the cross-check shares nothing with the difference route but the
     # ideal: with every held basis, series and saturation of an ideal made
-    # unreachable, duality gives the same values from generators and ring
+    # unreachable, duality gives the same values from the packed
+    # generators and the ring
     powers = {s: ideal_power(quintic_ideal, s) if s > 1 else quintic_ideal
               for s in range(1, 5)}
     points = [(s, i, 5 * s - 2 + dt) for s in powers for i in (1, 2)
@@ -87,7 +88,7 @@ def test_duality_route_reads_only_the_generators(monkeypatch, quintic_ideal):
 
     for name in ("groebner", "hilbert", "saturation"):
         monkeypatch.setattr(Ideal, name, unreachable)
-    bare = {s: SimpleNamespace(ring=J.ring, generators=J.generators)
+    bare = {s: SimpleNamespace(ring=J.ring, packed=J.packed)
             for s, J in powers.items()}
     assert [hdim_duality(bare[s], i, t) for s, i, t in points] == before
     assert [v for (s, i, t), v in zip(points, before)

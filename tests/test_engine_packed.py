@@ -121,8 +121,7 @@ def test_module_bases_match_reference(mod):
     for homogeneous in (False, True):
         for _ in range(15):
             _compare(rng, 3, GREVLEX, mod, ncomps=3, ngens=4,
-                     homogeneous=homogeneous, comp_rank=(0, 2, 1),
-                     comp_offsets=(1, 0, 2))
+                     homogeneous=homogeneous, comp_offsets=(1, 0, 2))
 
 
 WEIGHTS = [None, (1, 3, 2), (40, 1, 0)]
@@ -132,8 +131,7 @@ def test_pack_unpack_round_trip_and_key_order():
     for weights in WEIGHTS:
         rng = random.Random(3 if weights is None else str(weights))
         for _, order in ORDERS + [("var_order", TermOrder("grevlex", (2, 0, 1)))]:
-            ctx, rctx = _contexts(3, order, None, ncomps=2, comp_rank=(0, 1),
-                                  weights=weights)
+            ctx, rctx = _contexts(3, order, None, ncomps=2, weights=weights)
             w = weights or (1, 1, 1)
             for _ in range(200):
                 c1, c2 = rng.randrange(2), rng.randrange(2)
@@ -155,8 +153,7 @@ def test_divides_and_lcm_agree_with_tuple_monomials():
     for weights in WEIGHTS:
         rng = random.Random(4 if weights is None else str(weights))
         for _, order in ORDERS:
-            ctx = EngineContext(3, order, ncomps=3, comp_rank=(1, 0, 2),
-                                weights=weights)
+            ctx = EngineContext(3, order, ncomps=3, weights=weights)
             for _ in range(300):
                 a, b = _random_exps(rng, 3, 6), _random_exps(rng, 3, 6)
                 c = rng.randrange(3)
@@ -268,7 +265,7 @@ def _record_steps(monkeypatch, module, lead_of):
 def test_s_pair_sequence_matches_reference(monkeypatch, mod):
     rng = random.Random(f"pairs-{mod}")
     setups = [(1, {}), (1, {"weights": (1, 3, 2)}),
-              (3, {"comp_rank": (0, 2, 1), "comp_offsets": (1, 0, 2)})]
+              (3, {"comp_offsets": (1, 0, 2)})]
     for ncomps, kw in setups:
         ctx, rctx = _contexts(3, GREVLEX, mod, ncomps, **kw)
         log = _record_steps(monkeypatch, engine,
@@ -294,7 +291,7 @@ def test_s_pair_sequence_matches_reference(monkeypatch, mod):
 def test_find_reducer_takes_the_first_divisor_by_lead_key():
     rng = random.Random(6)
     for _, order in ORDERS:
-        ctx = EngineContext(3, order, ncomps=2, comp_rank=(1, 0))
+        ctx = EngineContext(3, order, ncomps=2)
         leads = [(rng.randrange(2), _random_exps(rng, 3, 4)) for _ in range(12)]
         leads += leads[:3]          # equal leads: the lower index comes first
         basis = engine._Basis(ctx, [[(_key(ctx, c, e), 1)] for c, e in leads])

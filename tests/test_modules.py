@@ -1,11 +1,15 @@
+import random
+from math import comb
+
 import pytest
 
-from mapfibers import engine, groebner
+from mapfibers import engine, groebner, linalg
+from mapfibers.fields import QQ, PrimeField
 from mapfibers.modules import (FreeModule, FreeModuleMap, free_resolution,
                                generator_map, kernel_of_free_map,
                                minimal_generators, module_groebner,
-                               vector_degree)
-from mapfibers.ideals import ideal_power
+                               submodule_colon_component, vector_degree)
+from mapfibers.ideals import Ideal, degree_monomials, ideal_power
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from references import iterated_kernel_resolution
@@ -41,7 +45,7 @@ def test_kernel_elements_map_to_zero(quintic_map):
 
 
 def test_resolution_of_two_variables():
-    res = free_resolution([x, y])
+    res = free_resolution(Ideal(R, [x, y]))
     assert [sorted(fm.shifts) for fm in res.modules[:3]] == [[0], [1, 1], [2]]
     # composition of consecutive maps vanishes
     for i in range(len(res.maps) - 1):
@@ -49,18 +53,19 @@ def test_resolution_of_two_variables():
         for c in range(inner.source.rank):
             img = inner.column(c)
             assert all(e.is_zero() for e in outer.apply(img))
-    # kernels keep no graph basis: only a lift caches one on its map
-    assert all(phi._graph is None for phi in res.maps)
+    # a map builds its graph basis only when a kernel or a lift asks
+    assert all("graph" not in vars(phi) for phi in res.maps)
 
 
 def test_quintic_resolution_shifts(quintic_ideal):
-    res = free_resolution(list(quintic_ideal.generators))
+    res = free_resolution(quintic_ideal)
     assert sorted(res.modules[1].shifts) == [5, 5, 5, 5]
     assert sorted(res.modules[2].shifts) == [6, 6, 8]
     # the powers' Betti tables are those of the iterated-kernel reference
     for s in (2, 3):
-        gens = list(ideal_power(quintic_ideal, s).generators)
-        assert ([sorted(fm.shifts) for fm in free_resolution(gens).modules]
+        power = ideal_power(quintic_ideal, s)
+        gens = list(power.generators)
+        assert ([sorted(fm.shifts) for fm in free_resolution(power).modules]
                 == [sorted(fm.shifts) for fm in
                     iterated_kernel_resolution(gens).modules])
 
@@ -112,7 +117,7 @@ def test_resolution_of_a_non_minimal_basis_is_pruned():
     # R ← R(−2)^2 ← R(−4) with no constant entry
     gens = [x * x - y * y, x * y]
     assert len(groebner.reduced_groebner(gens).polys) == 3
-    res = free_resolution(gens)
+    res = free_resolution(Ideal(R, gens))
     assert [sorted(fm.shifts) for fm in res.modules] == [[0], [2, 2], [4]]
     assert all(p.is_zero() or not p.is_constant()
                for phi in res.maps for row in phi.matrix for p in row)
@@ -134,4 +139,43 @@ def test_dropping_a_frame_syzygy_breaks_the_certificate(monkeypatch,
 
     monkeypatch.setattr(engine, "schreyer_syzygies", drop_one_at_the_end)
     with pytest.raises(ArithmeticError, match="Hilbert numerator"):
-        free_resolution(list(quintic_ideal.generators))
+        free_resolution(quintic_ideal)
+
+
+def test_submodule_colon_component_against_membership():
+    """Seeded, over GF(7) and QQ: for random graded submodules U of
+    R ⊕ R(−1) ⊕ R(−1) and each component j, every returned b has
+    b·e_j ∈ U, and in each degree t ≤ 7 the returned ideal has the
+    dimension of {b ∈ R_t : b·e_j ∈ U}, the kernel of b ↦ NF_U(b·e_j)."""
+    rng = random.Random(20261019)
+    for field in (PrimeField(7), QQ):
+        Rf = standard_ring(("x", "y", "z"), field)
+        free = FreeModule(Rf, (0, 1, 1))
+        nil = Polynomial.zero(Rf)
+
+        def form(deg):
+            monos = degree_monomials(3, deg)
+            return Polynomial(Rf, {m: field.from_int(rng.choice((-3, -1, 1, 2)))
+                                   for m in rng.sample(monos, min(3, len(monos)))})
+
+        for _ in range(3):
+            vectors = [tuple(form(D - a) for a in free.shifts)
+                       for D in (2, 2, 3, 3)]
+            U = module_groebner(vectors, free)
+            for j in range(free.rank):
+                def on_j(b):
+                    return tuple(b if c == j else nil for c in range(free.rank))
+
+                colon = submodule_colon_component(vectors, free, j)
+                assert all(U.contains(on_j(b)) for b in colon)
+                for t in range(8):
+                    nfs = [U.normal_form(on_j(Polynomial(Rf, {m: field.one()})))
+                           for m in degree_monomials(3, t)]
+                    coords = sorted({(c, m) for f in nfs
+                                     for c, p in enumerate(f) for m in p.terms})
+                    rows = [[f[c].terms.get(m, field.zero()) for f in nfs]
+                            for c, m in coords]
+                    inside = len(nfs) - (linalg.rank(rows, field) if rows else 0)
+                    want = (comb(t + 2, 2) - Ideal(Rf, colon).hilbert().hf(t)
+                            if colon else 0)
+                    assert inside == want

@@ -601,7 +601,7 @@ def test_schreyer_resolution_against_iterated_kernels():
                         if not g.is_zero()]
                 if not gens:
                     continue
-                res = free_resolution(gens)
+                res = free_resolution(Ideal(R, gens))
                 ref = iterated_kernel_resolution(gens)
                 assert ([sorted(fm.shifts) for fm in res.modules]
                         == [sorted(fm.shifts) for fm in ref.modules])
