@@ -56,14 +56,21 @@ class KoszulData:
     syzygies: Dict[int, FreeModuleMap]     # q -> syzygy map of the cover: coker = Z_q
 
 
+def presentation_applies(pmap) -> bool:
+    """Whether the construction is defined for the map: four nonzero forms
+    in three variables, a map P^2 ⇢ P^3."""
+    return (pmap.m == 2 and len(pmap.forms) == 4
+            and not any(f.is_zero() for f in pmap.forms))
+
+
 def koszul_cycles(pmap) -> KoszulData:
     """The Koszul complex on the forms of a map P^2 ⇢ P^3 and minimal
     generators of its cycle modules: Z_1 is the map's `syzygies`, and Z_2
     and Z_3 are computed here."""
-    forms, ring, d = pmap.forms, pmap.source, pmap.d
-    if len(forms) != 4 or ring.nvars != 3 or any(f.is_zero() for f in forms):
+    if not presentation_applies(pmap):
         raise ValueError("the construction needs four nonzero forms in three "
                          "variables: a map from P^2 to P^3")
+    forms, ring, d = pmap.forms, pmap.source, pmap.d
 
     zero = Polynomial.zero(ring)
     K = [FreeModule(ring, (q * d,) * comb(4, q)) for q in range(5)]
@@ -168,17 +175,19 @@ def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
     """Hom(M, R)_e for the module M presented by its generators' syzygy map:
     the kernel of Hom(syzygies, R) in degree e."""
     ring = syzygies.target.ring
-    rows, ncols, _ = dual_map_rows(syzygies, e)
+    rows, ncols = dual_map_rows(syzygies, e)
     return HomPiece(syzygies.target.shifts,
                     hom_basis(syzygies.target.shifts, e, ring.nvars),
                     linalg.nullspace(rows, ncols, ring.field))
 
 
 def dual_hdim(kd: KoszulData, q: int, t: int) -> int:
-    """dim_k H^3_m(Z_q)_t, computed by duality as dim Hom(Z_q, R)_{-t-3}."""
+    """dim_k H^3_m(Z_q)_t, computed by duality as dim Hom(Z_q, R)_{-t-3}:
+    the columns of the dual syzygy map in that degree less its rank."""
     if q not in kd.cycles:
         raise ValueError(f"no cycle module Z_{q}")
-    return hom_piece(kd.syzygies[q], -t - 3).dim
+    rows, ncols = dual_map_rows(kd.syzygies[q], -t - 3)
+    return ncols - linalg.rank(rows, kd.ring.field)
 
 
 @dataclass

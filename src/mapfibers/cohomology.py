@@ -65,29 +65,26 @@ def hom_basis(shifts: Sequence[int], e: int, nvars: int) -> List[Tuple[int, tupl
     return out
 
 
-def dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[List], int, int]:
-    """Matrix of Hom(−, R) applied to d, in degree e.
+def dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[dict], int]:
+    """Matrix of Hom(−, R) applied to d, in degree e, as `linalg` rows.
 
-    Source basis comes from Hom(target of d), image lands in
-    Hom(source of d); returns (rows, dim source, dim target).
+    Its columns are the basis of Hom(target of d)_e and its rows that of
+    Hom(source of d)_e (`hom_basis`); returns (rows, number of columns).
+    Row (b, m′) holds, at column (r, m), the coefficient of m′/m in
+    d[r][b], so each entry is one term of one matrix entry.
     """
-    ring = d.target.ring
-    nv = ring.nvars
-    F = ring.field
+    nv = d.target.ring.nvars
     src = hom_basis(d.target.shifts, e, nv)
     tgt = hom_basis(d.source.shifts, e, nv)
     tgt_index = {bm: k for k, bm in enumerate(tgt)}
-    rows = [[F.zero()] * len(src) for _ in tgt]
+    rows: List[dict] = [{} for _ in tgt]
     for col, (r, m) in enumerate(src):
-        for b in range(d.source.rank):
-            p = d.matrix[r][b]
-            if p.is_zero():
-                continue
+        for b, p in enumerate(d.matrix[r]):
             for mm, c in p.terms.items():
                 k = tgt_index.get((b, mono_mul(mm, m)))
                 if k is not None:
-                    rows[k][col] = F.add(rows[k][col], c)
-    return rows, len(src), len(tgt)
+                    rows[k][col] = c
+    return rows, len(src)
 
 
 def hdim_duality(J: Ideal, i: int, t: int) -> int:
@@ -113,16 +110,9 @@ def resolution_hdim(res: FreeResolution, i: int, t: int) -> int:
     dim_j = len(hom_basis(res.modules[j].shifts, e, c))
     if dim_j == 0:
         return 0
-    if j < res.length:
-        rows, ncols, _ = dual_map_rows(res.maps[j], e)
-        rk_out = linalg.rank(rows, F) if rows else 0
-    else:
-        rk_out = 0
-    if j >= 1:
-        rows_in, _, _ = dual_map_rows(res.maps[j - 1], e)
-        rk_in = linalg.rank(rows_in, F) if rows_in else 0
-    else:
-        rk_in = 0
+    rk_out = (linalg.rank(dual_map_rows(res.maps[j], e)[0], F)
+              if j < res.length else 0)
+    rk_in = linalg.rank(dual_map_rows(res.maps[j - 1], e)[0], F) if j else 0
     return dim_j - rk_out - rk_in
 
 

@@ -22,7 +22,8 @@ from functools import cached_property
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .approx import PresentationData, presentation_matrix_N
+from .approx import (PresentationData, presentation_applies,
+                     presentation_matrix_N)
 from .groebner import normal_form
 from .ideals import (Ideal, eliminate, exact_divide,
                      extend_polynomial, ideal_power, poly_gcd_list, regraded,
@@ -110,12 +111,12 @@ class ParameterizedMap:
 
     @cached_property
     def presentation(self) -> Tuple[Optional[PresentationData], Optional[str]]:
-        """(presentation of N, None) for m = 2 with four nonzero forms,
-        (None, message) when `presentation_matrix_N` raised ArithmeticError
-        (the map misses a hypothesis of the rank cross-check), and
-        (None, None) when the construction does not apply."""
-        if self.m != 2 or len(self.forms) != 4 or any(
-                f.is_zero() for f in self.forms):
+        """(presentation of N, None) when `presentation_applies` (m = 2
+        with four nonzero forms), (None, message) when
+        `presentation_matrix_N` raised ArithmeticError (the map misses a
+        hypothesis of the rank cross-check), and (None, None) when the
+        construction does not apply."""
+        if not presentation_applies(self):
             return None, None
         try:
             return presentation_matrix_N(self), None

@@ -1,161 +1,138 @@
-"""Exact dense linear algebra over QQ and GF(p).
+"""Exact sparse linear algebra over QQ and GF(p).
 
-Matrices are lists of rows.  Over the rationals, elimination is
-fraction-free on integer-cleared rows with per-row content stripping;
-back-substitution reintroduces Fractions only where vectors are needed.
+A matrix is a list of rows, and a row is a dict {column: field element}:
+absent columns are zero, and a column may be any sortable key.  There is
+one elimination (`_echelon`).  It makes each row integral (over GF(p)
+values in [0, p), over QQ cleared of denominators and content) and
+reduces it against the pivot rows kept so far, oldest first: mod p over
+GF(p), fraction-free with content stripping over QQ.  A row that does not
+reduce to zero becomes a pivot row.  Each function fixes its own pivot
+rule: `nullspace` and `independent` keep input order and pivot on the
+least column; `rank` takes the shortest rows first and pivots on the
+entry with the fewest bits, then on the column with the fewest entries,
+which keeps both the rows and their coefficients small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence
+from math import gcd, lcm
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .fields import Field, PrimeField
+from .fields import Field
+
+Row = Dict[object, object]
 
 
-def _int_rows(rows: Sequence[Sequence]) -> List[List[int]]:
-    out = []
+def _integral(row: Row, p: int) -> Dict[object, int]:
+    """``row`` with its zeros dropped and integer values: mod p when
+    p > 0, else cleared of denominators and content."""
+    if p:
+        out = {c: int(v) % p for c, v in row.items()}
+        return {c: v for c, v in out.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    out = {c: v.numerator * (den // v.denominator)
+           for c, v in row.items() if v}
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+def _echelon(rows: Sequence[Row], p: int,
+             pivot: Callable[[Dict[object, int]], object]
+             ) -> List[Tuple[int, object, Dict[object, int]]]:
+    """(index, pivot column, pivot row) for each row of ``rows`` that is
+    outside the span of the rows before it, in input order.
+
+    Each row is made integral (p = 0 for QQ) and reduced against the pivot
+    rows kept before it, oldest first; a pivot row is zero in the pivot
+    columns of the older ones, so one pass clears them all.  A nonzero
+    remainder is kept with the column ``pivot`` picks; over GF(p) it is
+    scaled so that its pivot entry is 1.
+    """
+    kept = []
+    for i, row in enumerate(rows):
+        row = _integral(row, p)
+        get, pop = row.get, row.pop
+        for _, c, piv in kept:
+            b = get(c)
+            if b is None:
+                continue
+            if p:
+                for k, v in piv.items():
+                    w = (get(k, 0) - b * v) % p
+                    if w:
+                        row[k] = w
+                    else:
+                        pop(k)
+                continue
+            # row ← a·row − b·piv with a·row[c] = b·piv[c], then its content
+            g = gcd(piv[c], b)
+            a, b = piv[c] // g, b // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in piv.items():
+                w = get(k, 0) - b * v
+                if w:
+                    row[k] = w
+                else:
+                    pop(k)
+            g = gcd(*row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+        if row:
+            c = pivot(row)
+            if p and row[c] != 1:
+                f = pow(row[c], -1, p)
+                for k in row:
+                    row[k] = row[k] * f % p
+            kept.append((i, c, row))
+    return kept
+
+
+def independent(rows: Sequence[Row], field: Field) -> List[int]:
+    """Ascending indices of the rows that are not in the span of the rows
+    before them."""
+    return [i for i, _, _ in _echelon(rows, field.characteristic(), min)]
+
+
+def rank(rows: Sequence[Row], field: Field) -> int:
+    count: Dict[object, int] = {}
     for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        r = [x.numerator * (den // x.denominator) for x in row]
-        g = 0
-        for x in r:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            r = [x // g for x in r]
-        out.append(r)
-    return out
+        for c in row:
+            count[c] = count.get(c, 0) + 1
+
+    def pivot(row):
+        return min(row, key=lambda c: (abs(row[c]).bit_length(), count[c]))
+
+    return len(_echelon(sorted(rows, key=len), field.characteristic(), pivot))
 
 
-def _strip_row(r: List[int]) -> List[int]:
-    g = 0
-    for x in r:
-        g = gcd(g, x)
-        if g == 1:
-            return r
-    if g > 1:
-        return [x // g for x in r]
-    return r
-
-
-def _echelon_qq(rows: List[List[int]]):
-    """Fraction-free echelon; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    done = []
-    col = 0
-    while rows and col < ncols:
-        pr = None
-        best = None
-        for i, r in enumerate(rows):
-            if r[col]:
-                sz = abs(r[col])
-                if best is None or sz < best:
-                    best = sz
-                    pr = i
-        if pr is None:
-            col += 1
-            continue
-        piv = rows.pop(pr)
-        pv = piv[col]
-        nxt = []
-        for r in rows:
-            if r[col]:
-                g = gcd(pv, r[col])
-                a, b = pv // g, r[col] // g
-                r = _strip_row([a * x - b * y for x, y in zip(r, piv)])
-                if any(r):
-                    nxt.append(r)
-            else:
-                nxt.append(r)
-        rows = nxt
-        done.append(piv)
-        pivots.append(col)
-        col += 1
-    return done, pivots
-
-
-def _echelon_gf(rows, p: int):
-    rows = [[int(x) % p for x in r] for r in rows]
-    rows = [r for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    done = []
-    col = 0
-    while rows and col < ncols:
-        pr = next((i for i, r in enumerate(rows) if r[col]), None)
-        if pr is None:
-            col += 1
-            continue
-        piv = rows.pop(pr)
-        inv = pow(piv[col], p - 2, p)
-        piv = [(x * inv) % p for x in piv]
-        rows = [[(x - r[col] * y) % p for x, y in zip(r, piv)] if r[col] else r for r in rows]
-        rows = [r for r in rows if any(r)]
-        done.append(piv)
-        pivots.append(col)
-        col += 1
-    return done, pivots
-
-
-def pivot_columns(rows: Sequence[Sequence], field: Field) -> List[int]:
-    """Ascending indices of the columns that are not in the span of the
-    columns before them (the pivot columns of the echelon form)."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return []
-    if isinstance(field, PrimeField):
-        return _echelon_gf(rows, field.p)[1]
-    return _echelon_qq(_int_rows(rows))[1]
-
-
-def rank(rows: Sequence[Sequence], field: Field) -> int:
-    return len(pivot_columns(rows, field))
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> List[List]:
-    """Basis of {x : A·x = 0} for the m×ncols matrix A."""
-    rows = [list(r) for r in rows]
-    if isinstance(field, PrimeField):
-        p = field.p
-        ech, pivots = _echelon_gf(rows, p) if rows else ([], [])
-        basis = []
-        free_cols = [c for c in range(ncols) if c not in pivots]
-        for fc in free_cols:
-            x = [0] * ncols
-            x[fc] = 1
-            for r, pc in reversed(list(zip(ech, pivots))):
-                s = sum(r[c] * x[c] for c in range(pc + 1, ncols)) % p
-                x[pc] = (-s) % p
-            basis.append(x)
-        return basis
-    ech, pivots = _echelon_qq(_int_rows(rows)) if rows else ([], [])
+def nullspace(rows: Sequence[Row], ncols: int, field: Field) -> List[List]:
+    """Basis of {x : A·x = 0} for the matrix A with columns 0..ncols−1, as
+    dense vectors: one per free column (a column in the span of the columns
+    before it), which is 1 there over GF(p) and the least positive integer
+    over QQ, and 0 at every other free column."""
+    p = field.characteristic()
+    # sorted by pivot column, the pivot rows are an echelon form, and back
+    # substitution for free column fc reads only those pivoting left of it
+    ech = sorted(((c, piv) for _, c, piv in _echelon(rows, p, min)),
+                 key=lambda t: t[0])
+    pivots = {c for c, _ in ech}
     basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, pc in reversed(list(zip(ech, pivots))):
-            s = sum((Fraction(r[c]) * x[c] for c in range(pc + 1, ncols) if x[c]), Fraction(0))
-            x[pc] = -s / r[pc]
-        # clear to a primitive integer vector for determinism
-        den = 1
-        for v in x:
-            den = den * v.denominator // gcd(den, v.denominator)
-        xi = [int(v * den) for v in x]
-        g = 0
-        for v in xi:
-            g = gcd(g, v)
-        if g > 1:
-            xi = [v // g for v in xi]
-        basis.append([Fraction(v) for v in xi])
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = {fc: field.one()}
+        for c, piv in reversed(ech):
+            if c < fc:
+                s = sum((v * x[k] for k, v in piv.items() if k in x),
+                        field.zero())
+                x[c] = -s % p if p else -s / piv[c]
+        if not p:
+            scale = Fraction(lcm(*(v.denominator for v in x.values())),
+                             gcd(*(v.numerator for v in x.values())))
+            x = {k: v * scale for k, v in x.items()}
+        basis.append([x.get(k, field.zero()) for k in range(ncols)])
     return basis
-

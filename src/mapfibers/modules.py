@@ -143,15 +143,15 @@ def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vect
     all degree-t vectors at once: the normal form modulo the vectors kept in
     lower degrees is k-linear and vanishes exactly on their submodule, so a
     degree-t vector is generated by the earlier ones iff its normal form lies
-    in the span of the normal forms of the degree-t vectors kept before it,
-    and the kept vectors are the pivot columns of the normal forms.  The
-    basis is rebuilt only at a degree after one that kept a vector.
+    in the span of the normal forms of the degree-t vectors before it.
+    `linalg.independent` picks those out, with each normal form a row keyed
+    by (component, monomial).  The basis is rebuilt only at a degree after
+    one that kept a vector.
     """
     by_degree: Dict[int, List[Vector]] = {}
     for v in vectors:
         if not vec_is_zero(v):
             by_degree.setdefault(vector_degree(v, free.shifts), []).append(v)
-    zero = free.ring.field.zero()
     chosen: List[Vector] = []
     gb, basis_size = None, 0    # gb is the basis of chosen[:basis_size]
     for t in sorted(by_degree):
@@ -159,10 +159,9 @@ def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vect
         if len(chosen) > basis_size:
             gb, basis_size = module_groebner(chosen, free), len(chosen)
         forms = vecs if gb is None else [gb.normal_form(v) for v in vecs]
-        coords = sorted({(c, m) for f in forms
-                         for c, p in enumerate(f) for m in p.terms})
-        rows = [[f[c].terms.get(m, zero) for f in forms] for c, m in coords]
-        chosen += [vecs[j] for j in linalg.pivot_columns(rows, free.ring.field)]
+        rows = [{(c, m): a for c, p in enumerate(f) for m, a in p.terms.items()}
+                for f in forms]
+        chosen += [vecs[j] for j in linalg.independent(rows, free.ring.field)]
     return chosen
 
 

@@ -4,8 +4,10 @@ Each one computes by a route independent of the code under test, or by
 the textbook definition, and none is used by the package itself.
 """
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
+from mapfibers.fields import PrimeField
 from mapfibers.fibers import _specialize, fiber_ideal
 from mapfibers.ideals import (Ideal, eliminate, exact_divide,
                               extend_polynomial, intersect)
@@ -89,3 +91,109 @@ def iterated_kernel_resolution(gens):
             break
         maps.append(generator_map(ker, maps[-1].source))
     return FreeResolution([F0] + [phi.source for phi in maps], maps)
+
+
+# dense exact elimination: the column-by-column echelon `linalg` used
+# before it went sparse; rows are lists of field elements
+
+def _int_rows(rows):
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        out.append(_strip_row([x.numerator * (den // x.denominator)
+                               for x in row]))
+    return out
+
+
+def _strip_row(r):
+    g = 0
+    for x in r:
+        g = gcd(g, x)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _echelon_qq(rows):
+    """Fraction-free echelon of integer rows, pivoting column by column
+    on the smallest entry; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    pivots, done = [], []
+    col = 0
+    while rows and col < ncols:
+        live = [i for i, r in enumerate(rows) if r[col]]
+        if not live:
+            col += 1
+            continue
+        piv = rows.pop(min(live, key=lambda i: abs(rows[i][col])))
+        pv = piv[col]
+        nxt = []
+        for r in rows:
+            if r[col]:
+                g = gcd(pv, r[col])
+                a, b = pv // g, r[col] // g
+                r = _strip_row([a * x - b * y for x, y in zip(r, piv)])
+            if any(r):
+                nxt.append(r)
+        rows = nxt
+        done.append(piv)
+        pivots.append(col)
+        col += 1
+    return done, pivots
+
+
+def _echelon_gf(rows, p):
+    rows = [r for r in ([int(x) % p for x in r] for r in rows) if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    pivots, done = [], []
+    col = 0
+    while rows and col < ncols:
+        pr = next((i for i, r in enumerate(rows) if r[col]), None)
+        if pr is None:
+            col += 1
+            continue
+        piv = rows.pop(pr)
+        inv = pow(piv[col], p - 2, p)
+        piv = [(x * inv) % p for x in piv]
+        rows = [[(x - r[col] * y) % p for x, y in zip(r, piv)]
+                if r[col] else r for r in rows]
+        rows = [r for r in rows if any(r)]
+        done.append(piv)
+        pivots.append(col)
+        col += 1
+    return done, pivots
+
+
+def _dense_echelon(rows, field):
+    if isinstance(field, PrimeField):
+        return _echelon_gf(rows, field.p)
+    return _echelon_qq(_int_rows(rows))
+
+
+def dense_pivot_columns(rows, field):
+    """Ascending indices of the columns of the dense matrix ``rows`` that
+    are not in the span of the columns before them."""
+    return _dense_echelon(rows, field)[1]
+
+
+def dense_rank_nullspace(rows, ncols, field):
+    """The rank of the dense matrix ``rows`` and a basis of {x : A·x = 0}
+    by back-substitution on its echelon: one vector per free column, 1
+    there over GF(p) and made a primitive integer vector over QQ."""
+    ech, pivots = _dense_echelon(rows, field)
+    p = field.p if isinstance(field, PrimeField) else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [0] * ncols if p else [Fraction(0)] * ncols
+        x[fc] = 1
+        for r, pc in reversed(list(zip(ech, pivots))):
+            s = sum(r[c] * x[c] for c in range(pc + 1, ncols))
+            x[pc] = -s % p if p else -Fraction(s) / r[pc]
+        if not p:
+            den = 1
+            for v in x:
+                den = den * v.denominator // gcd(den, v.denominator)
+            x = [Fraction(v) for v in _strip_row([int(v * den) for v in x])]
+        basis.append(x)
+    return len(pivots), basis

@@ -4,7 +4,8 @@ import pytest
 
 from mapfibers import modules
 from mapfibers.approx import (check_surface_bounds, contract, dual_hdim,
-                              hom_piece, koszul_cycles, presentation_matrix_N)
+                              hom_piece, koszul_cycles, presentation_applies,
+                              presentation_matrix_N)
 from mapfibers.fibers import build_map
 from mapfibers.mapfile import load_map_file
 from mapfibers.modules import (FreeModule, generator_map, kernel_of_free_map,
@@ -22,6 +23,12 @@ def test_input_validation():
         koszul_cycles(build_map([x, y, z]))           # needs 4 forms
     with pytest.raises(ValueError):
         koszul_cycles(build_map([x, y, z, Polynomial.zero(R)]))  # a zero form
+
+
+def test_presentation_needs_a_map_to_p3():
+    pmap = build_map([x * x, y * y, z * z, x * y, y * z])   # P^2 ⇢ P^4
+    assert not presentation_applies(pmap)
+    assert pmap.presentation == (None, None)
 
 
 @pytest.fixture(scope="module")

@@ -171,11 +171,9 @@ def test_submodule_colon_component_against_membership():
                 for t in range(8):
                     nfs = [U.normal_form(on_j(Polynomial(Rf, {m: field.one()})))
                            for m in degree_monomials(3, t)]
-                    coords = sorted({(c, m) for f in nfs
-                                     for c, p in enumerate(f) for m in p.terms})
-                    rows = [[f[c].terms.get(m, field.zero()) for f in nfs]
-                            for c, m in coords]
-                    inside = len(nfs) - (linalg.rank(rows, field) if rows else 0)
+                    rows = [{(c, m): a for c, p in enumerate(f)
+                             for m, a in p.terms.items()} for f in nfs]
+                    inside = len(nfs) - linalg.rank(rows, field)
                     want = (comb(t + 2, 2) - Ideal(Rf, colon).hilbert().hf(t)
                             if colon else 0)
                     assert inside == want
