@@ -99,21 +99,32 @@ def hdim_duality(J: Ideal, i: int, t: int) -> int:
 
 def resolution_hdim(res: FreeResolution, i: int, t: int) -> int:
     """dim H^i_𝔪(R/J)_t by local duality from ``res``, a minimal graded
-    free resolution of R/J."""
-    ring = res.modules[0].ring
-    c = ring.nvars
+    free resolution of R/J.
+
+    Adjacent i share a dual map (that of ``res.maps[j]`` in degree e is
+    the outgoing one for i = c − j and the incoming one for i = c − j − 1),
+    so each rank is kept on ``res.dual_ranks`` and computed once.
+    """
+    c = res.modules[0].ring.nvars
     j = c - i
     if j < 0 or j > res.length:
         return 0
     e = -t - c
-    F = ring.field
     dim_j = len(hom_basis(res.modules[j].shifts, e, c))
     if dim_j == 0:
         return 0
-    rk_out = (linalg.rank(dual_map_rows(res.maps[j], e)[0], F)
-              if j < res.length else 0)
-    rk_in = linalg.rank(dual_map_rows(res.maps[j - 1], e)[0], F) if j else 0
+    rk_out = _dual_rank(res, j, e) if j < res.length else 0
+    rk_in = _dual_rank(res, j - 1, e) if j else 0
     return dim_j - rk_out - rk_in
+
+
+def _dual_rank(res: FreeResolution, j: int, e: int) -> int:
+    """Rank of Hom(res.maps[j], R) in degree e, once per resolution."""
+    rank = res.dual_ranks.get((j, e))
+    if rank is None:
+        rank = res.dual_ranks[j, e] = linalg.rank(
+            dual_map_rows(res.maps[j], e)[0], res.modules[0].ring.field)
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,19 @@ the reverse-lex trick (put the variable last in a graded reverse-lex
 order, divide each reduced basis element by its power of that variable,
 and interreduce: by Bayer–Stillman the quotients are already a Gröbner
 basis, so the result is the colon's reduced basis in that order, at no
-S-pair).
+S-pair).  A power I^s built by `ideal_power` is saturated by X_i through
+its base, when it holds no basis in that order yet:
+
+    I^s : x^∞ = (I : x^∞)^s : x^∞.
+
+    ⊆: I^s ⊆ (I : x^∞)^s.
+    ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
+    so x^{se}·(I : x^∞)^s ⊆ I^s.
+
+When I : x^∞ needs no generator of higher degree than I (on the quintic,
+three quartics against four quintics), the basis of its power with X_i
+last is much cheaper than that of I^s; both strip to the colon's one
+reduced basis.
 
 Saturation by the irrelevant ideal 𝔪 = (X_0, …, X_n) of an ideal with
 homogeneous generators tries one variable at a time and keeps the first
@@ -73,7 +85,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "_polys", "_terms", "_gb", "_sat", "_hilbert",
-                 "_series", "_products")
+                 "_series", "_products", "_power_of")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -92,6 +104,8 @@ class Ideal:
         # (s, {index combination of length s: packed product}): the last
         # power `ideal_power` built, for the next one
         self._products: Optional[Tuple[int, dict]] = None
+        # (B, s) when `ideal_power` built this ideal as B^s
+        self._power_of: Optional[Tuple[Ideal, int]] = None
 
     @property
     def generators(self) -> Tuple[Polynomial, ...]:
@@ -235,6 +249,15 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
     when that table is for a higher power).  The power holds its
     generators as term lists and converts them to polynomials only on
     first read of ``generators``.
+
+    The power records that it is I^s, so `saturate_variable` saturates it
+    through I, for every variable x:
+
+        I^s : x^∞ = (I : x^∞)^s : x^∞.
+
+        ⊆: I^s ⊆ (I : x^∞)^s.
+        ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
+        so x^{se}·(I : x^∞)^s ⊆ I^s.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -257,7 +280,9 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
         if key not in seen:
             seen.add(key)
             gens.append(g)
-    return _packed_ideal(I.ring, ctx, gens)
+    P = _packed_ideal(I.ring, ctx, gens)
+    P._power_of = (I, s)
+    return P
 
 
 def _packed_ideal(ring: RingDescriptor, ctx: EngineContext,
@@ -357,15 +382,43 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     ValueError), generated by its reduced basis in the order with X_i
     last, which the result holds (for X_n that is its grevlex basis).
 
-    The basis comes from I's basis in that order by
+    The basis comes from a basis in that order by
     `GroebnerBasis.saturate_last`: strip each element's X_i power and
-    interreduce.
+    interreduce.  A power I = B^s (s ≥ 2, from `ideal_power`) that holds
+    no basis in that order is saturated through its base, by
+
+        B^s : x^∞ = (B : x^∞)^s : x^∞.
+
+        ⊆: B^s ⊆ (B : x^∞)^s.
+        ⊇: B : x^∞ has finitely many generators g_k, with x^e·g_k ∈ B,
+        so x^{se}·(B : x^∞)^s ⊆ B^s.
+
+    The route is taken when the basis of B : x^∞ has no element of higher
+    degree than B's generators, so that its power is generated in no
+    higher degree than B^s; then its basis is the cheaper one to strip.
+    (When the colon needs higher degrees, as for a complete intersection
+    of two quartics with base points on the line x = 0, whose colon has
+    basis degrees up to 6, the power of the colon is the costlier one.)
+    Both routes give the colon's one reduced basis.  Any other ideal
+    strips its own basis in that order.
     """
     if I.is_zero():
         return I
     _require_homogeneous(I)
-    return _holding(I.groebner(grevlex_with_last(I.ring.nvars, i))
-                    .saturate_last(i))
+    order = grevlex_with_last(I.ring.nvars, i)
+    if order not in I._gb and I._power_of and I._power_of[1] > 1:
+        base, s = I._power_of
+        colon = saturate_variable(base, i)
+        if _top_degree(colon) <= _top_degree(base):
+            I = ideal_power(colon, s)
+    return _holding(I.groebner(order).saturate_last(i))
+
+
+def _top_degree(I: Ideal) -> int:
+    """The largest total degree of a generator of I (homogeneous, nonzero),
+    read off the packed lead keys."""
+    ctx, packed = I.packed()
+    return max(ctx.deg(terms[0][0]) for terms, _ in packed)
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
@@ -384,8 +437,19 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     `saturate_variable` hands J_i over with its reduced basis in the
     order with X_i last, so `J_i.hilbert()` reads HS(R/J_i) off its leads
     at no extra Gröbner basis; the first try (X_n last) starts from
-    I's own grevlex basis.  When no variable passes, the per-variable
-    saturations are intersected in the order they were built.
+    I's own grevlex basis, which the target was read from.  The other
+    tries on a power I = B^s strip the basis of (B : X_i^∞)^s instead of
+    converting I's, when B : X_i^∞ needs no higher degree than B
+    (`saturate_variable`), by the identity
+
+        B^s : x^∞ = (B : x^∞)^s : x^∞.
+
+        ⊆: B^s ⊆ (B : x^∞)^s.
+        ⊇: B : x^∞ has finitely many generators g_k, with x^e·g_k ∈ B,
+        so x^{se}·(B : x^∞)^s ⊆ B^s.
+
+    When no variable passes, the per-variable saturations are intersected
+    in the order they were built.
     """
     if I.is_zero():
         return I

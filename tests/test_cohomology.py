@@ -1,10 +1,12 @@
 from types import SimpleNamespace
 
-from mapfibers import groebner
+from mapfibers import groebner, linalg
 from mapfibers.cohomology import (check_module_degree_formula, hdim_difference,
-                                  hdim_duality, m_mu_dims, n_table)
+                                  hdim_duality, hom_basis, m_mu_dims, n_table,
+                                  resolution_hdim)
 from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal, ideal_power
+from mapfibers.modules import free_resolution
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from conftest import count_calls
@@ -111,3 +113,21 @@ def test_the_strand_multiplies_no_polynomials(monkeypatch, quintic_map):
     table = m_mu_dims(I, quintic_map.d, -2, range(1, 6))
     assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
     assert packed == [(g,) for g in I.generators]
+
+
+def test_a_sweep_ranks_each_dual_map_once(monkeypatch, quintic_ideal):
+    """Adjacent i share a dual map: Hom(maps[j], R)_e is the outgoing map
+    for i = c − j and the incoming one for i = c − j − 1.  A sweep over
+    every i at one t ranks each (j, e) once, a second sweep ranks nothing,
+    and the values are those of a fresh resolution per call."""
+    c, t = 3, -1
+    e = -t - c
+    expected = [hdim_duality(quintic_ideal, i, t) for i in range(c + 1)]
+    res = free_resolution(quintic_ideal)
+    asked = [k for j in range(c + 1) if j <= res.length
+             and hom_basis(res.modules[j].shifts, e, c)
+             for k in (j, j - 1) if 0 <= k < res.length]
+    ranks = count_calls(monkeypatch, linalg.rank)
+    for _ in range(2):
+        assert [resolution_hdim(res, i, t) for i in range(c + 1)] == expected
+        assert len(ranks) == len(set(asked)) < len(asked)

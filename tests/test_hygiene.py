@@ -15,6 +15,8 @@ import os
 
 import pytest
 
+from mapfibers.ideals import Ideal
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mapfibers")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
@@ -217,17 +219,17 @@ def test_no_environment_reads(module):
     assert not found, f"{module} reads the environment: {', '.join(found)}"
 
 
-IDEAL_CACHES = ("_gb", "_sat", "_hilbert", "_series", "_polys", "_terms",
-                "_products")
+IDEAL_CACHES = tuple(slot for slot in Ideal.__slots__ if slot != "ring")
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "ideals.py"])
 def test_only_ideals_touches_an_ideals_caches(module):
-    """An `Ideal`'s cached bases, saturation, Hilbert data and series, its
-    generators as polynomials and as packed term lists, and the product
-    table of its last power are read and written in `ideals.py` alone;
-    other modules go through its methods (`generators`, `groebner`,
-    `saturation`, `hilbert`, `set_known_series`) and `ideal_power`."""
+    """Every slot of an `Ideal` but its ring (cached bases, saturation,
+    Hilbert data and series, the generators as polynomials and as packed
+    term lists, the product table of its last power, the base and exponent
+    of a power) is read and written in `ideals.py` alone; other modules go
+    through its methods (`generators`, `groebner`, `saturation`,
+    `hilbert`, `set_known_series`) and `ideal_power`."""
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     found = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)

@@ -78,7 +78,7 @@ def test_fallback_intersects_reduced_pieces(monkeypatch, quintic_ideal):
     """The quintic has a base point at each coordinate point, so the
     saturation of I⁴ intersects all three pieces I⁴ : X_i^∞.  Handed over
     as reduced bases they hold 5, 8 and 8 generators (built as J_2, J_1,
-    J_0); the stripped bases they come from hold 35, 43 and 43."""
+    J_0); I⁴'s own bases with X_i last hold 35, 43 and 43."""
     pieces = []
 
     original = ideals.intersect_many
@@ -93,6 +93,33 @@ def test_fallback_intersects_reduced_pieces(monkeypatch, quintic_ideal):
     assert pieces == [[5, 8, 8]]
     assert [len(P.groebner(grevlex_with_last(3, i)).polys)
             for i in (2, 1, 0)] == [35, 43, 43]
+
+
+def test_a_power_is_saturated_through_its_base(monkeypatch, quintic_map):
+    """`saturate_irrelevant(I⁴)` on the quintic tries every variable.  I⁴
+    gets its grevlex basis only (the certificate's target, and the X_2
+    strip); the only bases with X_i last (i < 2) built are those of the
+    base I and of (I : X_i^∞)⁴, whose 24 elements strip to I⁴ : X_i^∞
+    in place of the 43 of I⁴'s own basis in that order."""
+    built = []
+    groebner_of = Ideal.groebner
+
+    def logged(J, order=GREVLEX):
+        if order not in J._gb:
+            built.append((J, order))
+        return groebner_of(J, order)
+
+    monkeypatch.setattr(Ideal, "groebner", logged)
+    I = Ideal(quintic_map.source, list(quintic_map.forms))
+    P = ideal_power(I, 4)
+    saturate_irrelevant(P)
+    assert list(P._gb) == [GREVLEX]
+    for i in (0, 1):
+        order = grevlex_with_last(3, i)
+        base, power = [J for J, o in built if o == order]
+        assert base is I and power._power_of[1] == 4
+        assert len(power._gb[order].raw) == 24
+        assert power._power_of[0] == saturate_variable(I, i)
 
 
 def test_membership_does_not_depend_on_the_basis_held():

@@ -7,7 +7,8 @@ idempotence, irrelevant saturation by the Hilbert-polynomial certificate
 against the intersection route (over GF(7) and QQ), variable saturation by
 its two routes in the Rees ring's weights (over GF(7) and QQ), the reduced
 basis variable saturation hands over against one computed from scratch
-(over GF(7) and QQ), the two
+(over GF(7) and QQ), and the same for the saturation of a power through
+its base (over GF(7) and QQ), the two
 independent routes to local cohomology dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
 concurrent recomputation, minimal generators of submodules (over GF(7)
@@ -50,6 +51,7 @@ N_SAT = 50
 N_CERT = 15
 N_VAR_SAT = 50
 N_STRIP = 30
+N_POWER_SAT = 4          # per field, each at s = 2 and 3
 N_COH = 50
 N_NF = 50
 N_GB_CASES = 25          # times 4 parallel runs each
@@ -246,6 +248,67 @@ def test_variable_saturation_hands_over_its_reduced_basis():
                 assert J._gb[order].polys == want
                 larger += not J.is_subideal_of(I)
             assert larger, (field, nvars)
+
+
+def test_power_saturation_through_the_base_matches_the_power(monkeypatch):
+    """`saturate_variable` saturates a power B^s by X_i through B, as
+    (B : X_i^∞)^s : X_i^∞, when B : X_i^∞ needs no higher degree than B,
+    and strips B^s's own basis otherwise.  For s = 2, 3 and every i it
+    must hand over the reduced basis, with X_i last, of the strip-only
+    route on B^s's basis computed from scratch, and `saturate_irrelevant`
+    of the power must match the intersection of those three reduced
+    bases (the intersection route, on reduced pieces).  Base points planted
+    on every coordinate line in every other case force the intersection.
+    Both routes and both outcomes must be reached (over GF(7) and QQ)."""
+    intersections = []
+    powers = []
+
+    def counted(A, B):
+        intersections.append(1)
+        return intersect(A, B)
+
+    def logged(B, s):
+        powers.append(s)
+        return ideal_power(B, s)
+
+    monkeypatch.setattr(ideals, "intersect", counted)
+    monkeypatch.setattr(ideals, "ideal_power", logged)
+    rng = random.Random(SEED + 11)
+    for field in (PrimeField(7), QQ):
+        R = _ring(field)
+        F = field
+        outcomes = {"certified": 0, "intersected": 0}
+        routes = {"base": 0, "own": 0}
+        for k in range(N_POWER_SAT):
+            coord = lambda: F.from_int(rng.randint(1, 6))
+            if k % 2:
+                points = []
+                for i in range(3):      # one base point on each line X_i = 0
+                    p = [coord() for _ in range(3)]
+                    p[i] = F.zero()
+                    points.append(tuple(p))
+            else:
+                points = [tuple(coord() for _ in range(3))
+                          for _ in range(rng.randint(1, 2))]
+            B = Ideal(R, [_form_through(rng, R, points)
+                          for _ in range(rng.randint(2, 4))])
+            for s in (2, 3):
+                P = ideal_power(B, s)
+                pieces = []
+                for i in range(3):
+                    order = grevlex_with_last(3, i)
+                    want = reduced_groebner(_stripped_basis(P, i),
+                                            order=order, ring=R).polys
+                    del powers[:]
+                    assert saturate_variable(P, i)._gb[order].polys == want
+                    routes["base" if powers else "own"] += 1
+                    pieces.append(Ideal(R, want))
+                del intersections[:]
+                S = saturate_irrelevant(P)
+                outcomes["intersected" if intersections else "certified"] += 1
+                assert S == intersect_many(pieces)
+        assert all(outcomes.values()) and all(routes.values()), \
+            (outcomes, routes)
 
 
 def _rand_biform(rng, ring, nx, a, b):
