@@ -48,7 +48,6 @@ class KoszulData:
     """Koszul complex on four forms together with its cycle modules."""
     ring: RingDescriptor
     d: int
-    forms: Tuple[Polynomial, ...]
     modules: List[FreeModule]              # K_0 .. K_4
     differentials: List[FreeModuleMap]     # d_1 .. d_4, d_q: K_q -> K_{q-1}
     cycles: Dict[int, List[Vector]]        # q -> minimal generators of Z_q
@@ -97,7 +96,7 @@ def koszul_cycles(pmap) -> KoszulData:
     covers = {q: generator_map(gens, K[q]) for q, gens in cycles.items()}
     syzygies = {q: generator_map(kernel_of_free_map(c), c.source)
                 for q, c in covers.items()}
-    return KoszulData(ring, d, forms, K, diffs, cycles, covers, syzygies)
+    return KoszulData(ring, d, K, diffs, cycles, covers, syzygies)
 
 
 def contract(i: int, vec: Vector, ring: RingDescriptor) -> Vector:
@@ -181,15 +180,6 @@ def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
                     linalg.nullspace(rows, ncols, ring.field))
 
 
-def dual_hdim(kd: KoszulData, q: int, t: int) -> int:
-    """dim_k H^3_m(Z_q)_t, computed by duality as dim Hom(Z_q, R)_{-t-3}:
-    the columns of the dual syzygy map in that degree less its rank."""
-    if q not in kd.cycles:
-        raise ValueError(f"no cycle module Z_{q}")
-    rows, ncols = dual_map_rows(kd.syzygies[q], -t - 3)
-    return ncols - linalg.rank(rows, kd.ring.field)
-
-
 @dataclass
 class PresentationData:
     """Presentation of N over the target ring and derived invariants."""
@@ -242,7 +232,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
     z2 = kd.cycles[2]
     W1 = hom_piece(kd.syzygies[1], e1)
     W2 = hom_piece(kd.syzygies[2], e2)
-    l = dual_hdim(kd, 3, 3 * d - 2)
+    l = hom_piece(kd.syzygies[3], -3 * d - 1).dim
     n, mrank = W1.dim, W2.dim
 
     n_check = hdim_difference(pmap.base_ideal, 1, d - 2)

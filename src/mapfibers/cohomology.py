@@ -40,7 +40,7 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
     if h.krull_dim > 1:
         raise ValueError("difference route requires dim R/J ≤ 1")
     sat = J.saturation()
-    hs = sat.hilbert() if sat.generators else None
+    hs = None if sat.is_zero() else sat.hilbert()
     hf_sat = hs.hf(t) if hs else comb(t + J.ring.nvars - 1, J.ring.nvars - 1) if t >= 0 else 0
     if i == 0:
         return h.hf(t) - hf_sat

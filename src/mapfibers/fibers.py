@@ -26,7 +26,7 @@ from .approx import (PresentationData, presentation_applies,
                      presentation_matrix_N)
 from .groebner import normal_form
 from .ideals import (Ideal, eliminate, exact_divide,
-                     extend_polynomial, ideal_power, poly_gcd_list, regraded,
+                     extend_polynomial, ideal_power, poly_gcd_list,
                      restrict_polynomial, saturate_variable)
 from .modules import FreeModule, FreeModuleMap, Vector, kernel_of_free_map
 from .poly import Polynomial
@@ -254,8 +254,8 @@ def image_ideal(pmap: ParameterizedMap) -> ImageData:
     into the standard target ring so that Hilbert data uses degree 1.
     """
     nx = pmap.source.nvars
-    elim, _ = eliminate(pmap.rees.rees, drop=tuple(range(nx)))
-    img = regraded(elim, pmap.target)
+    img, _ = eliminate(pmap.rees.rees, drop=tuple(range(nx)),
+                       ring=pmap.target)
     cone_dim, deg = img.dimension_degree()
     dim = cone_dim - 1
     return ImageData(img, dim, deg, dim == pmap.m)
@@ -488,6 +488,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         result.notes.append("base locus empty: no fiber can contain a divisor")
         return result
 
+    seen = set()
     for s in range(1, s_max + 1):
         Jsat = pmap.power(s).saturation()
         nu = Jsat.initial_degree()
@@ -504,7 +505,6 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
             continue
         factors, complete_factorization = linear_factors(G)
         entry["factors_complete"] = complete_factorization
-        seen = set()
         for ell in factors:
             key = tuple(sorted(ell.terms.items()))
             if key in seen:

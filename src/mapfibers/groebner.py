@@ -193,9 +193,9 @@ class GroebnerBasis:
                 if lead_test(t[0][0])]
 
     def carried(self, ring: RingDescriptor, keep: Sequence[int],
-                lead_test=None) -> "GroebnerBasis":
-        """The elements whose lead key passes ``lead_test`` (all when None)
-        as a grevlex basis of ``ring``, whose variables are the variables
+                lead_test) -> "GroebnerBasis":
+        """The elements whose lead key passes ``lead_test`` as a grevlex
+        basis of ``ring``, whose variables are the variables
         ``keep`` of this ring, by re-packing each key.  Valid when those
         elements involve only the kept variables and this order compares
         their monomials by grevlex in ring order."""
@@ -204,7 +204,7 @@ class GroebnerBasis:
         for j, i in enumerate(keep):
             place[i] = j
         return GroebnerBasis(engine.repack(
-            [t for t in self.raw if lead_test is None or lead_test(t[0][0])],
+            [t for t in self.raw if lead_test(t[0][0])],
             self.ctx, ctx, place), ctx, ring)
 
     def saturate_last(self, i: int) -> "GroebnerBasis":

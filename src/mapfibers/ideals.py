@@ -2,13 +2,9 @@
 elimination, multivariate gcd, the monomials of a degree.
 
 Everything is exact.  Saturation takes generators homogeneous in total
-degree and raises ValueError otherwise.  Saturation by a variable uses
-the reverse-lex trick (put the variable last in a graded reverse-lex
-order, divide each reduced basis element by its power of that variable,
-and interreduce: by Bayer–Stillman the quotients are already a Gröbner
-basis, so the result is the colon's reduced basis in that order, at no
-S-pair).  A power I^s built by `ideal_power` is saturated by X_i through
-its base, when it holds no basis in that order yet:
+degree and raises ValueError otherwise.  A power I^s built by
+`ideal_power` is saturated by a variable x through its base, by the
+identity
 
     I^s : x^∞ = (I : x^∞)^s : x^∞.
 
@@ -16,29 +12,7 @@ its base, when it holds no basis in that order yet:
     ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
     so x^{se}·(I : x^∞)^s ⊆ I^s.
 
-When I : x^∞ needs no generator of higher degree than I (on the quintic,
-three quartics against four quintics), the basis of its power with X_i
-last is much cheaper than that of I^s; both strip to the colon's one
-reduced basis.
-
-Saturation by the irrelevant ideal 𝔪 = (X_0, …, X_n) of an ideal with
-homogeneous generators tries one variable at a time and keeps the first
-J_i = I : X_i^∞ whose Hilbert polynomial equals that of R/I, which
-certifies J_i = I^sat (the four-line proof is in `saturate_irrelevant`).
-The certificate needs no generic coordinates and no random choice, so it
-is exact over any field.  When no variable passes, the per-variable
-saturations already computed are intersected, each as its reduced
-basis.
-
-Elimination hands over the basis it already has: the reduced basis of I
-in `elimination_order(block)` restricted to the block-free elements is
-the reduced grevlex basis of I ∩ k[kept variables] (on block-free
-monomials the elimination order is grevlex on the kept variables, in
-ring order), so `eliminate` returns the eliminated ideal holding it,
-and the Rees ideal, the image and every intersection build no second
-basis; those elements are picked on their lead keys and carried over as
-term lists; the result's generators become polynomials only when read.
-And an ideal that holds a basis in one order knows the Hilbert series of its
+An ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
 (`engine.groebner_raw`'s hint), as is the Rees elimination, whose series
 `fibers.rees_ideal` knows by a theorem (`Ideal.set_known_series`).  Only
@@ -47,12 +21,9 @@ that holds a handed-over basis.
 
 An ideal packs its generators into engine term lists once, each as an
 exact scale times a canonical term list (primitive with a positive lead
-over QQ), and every basis re-packs those keys into its order.  Powers
-and intersections are built on the term lists alone: a product of
-monomials is one key add (`engine.multiply`), I^s extends the product
-table of I^{s−1} that I keeps from its last power by one multiplication
-per generator, and t·g, (1−t)·g come from the pieces' packed generators.
-Their polynomials are built only when ``generators`` is read.
+over QQ), and every basis re-packs those keys into its order.  Powers,
+intersections and handed-over bases are built on the term lists alone;
+their polynomials are built only when ``generators`` is read.
 """
 
 from __future__ import annotations
@@ -85,7 +56,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "_polys", "_terms", "_gb", "_sat", "_hilbert",
-                 "_series", "_products", "_power_of")
+                 "_series", "_power_of")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -101,9 +72,6 @@ class Ideal:
         self._hilbert: Optional[HilbertData] = None
         # numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights
         self._series: Optional[Dict[int, int]] = None
-        # (s, {index combination of length s: packed product}): the last
-        # power `ideal_power` built, for the next one
-        self._products: Optional[Tuple[int, dict]] = None
         # (B, s) when `ideal_power` built this ideal as B^s
         self._power_of: Optional[Tuple[Ideal, int]] = None
 
@@ -242,37 +210,23 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
 
     The products are engine term lists in the layout of I's packed
     generators (`engine.multiply`), each with the product of its factors'
-    scales, so equal polynomials give equal pairs.  They are built
-    incrementally: the product of an index combination (i_1 ≤ … ≤ i_s) is
-    that of its prefix times generator i_s, read from the table of
-    I^{s−1} that I holds from its last power (rebuilt from the generators
-    when that table is for a higher power).  The power holds its
-    generators as term lists and converts them to polynomials only on
-    first read of ``generators``.
-
-    The power records that it is I^s, so `saturate_variable` saturates it
-    through I, for every variable x:
-
-        I^s : x^∞ = (I : x^∞)^s : x^∞.
-
-        ⊆: I^s ⊆ (I : x^∞)^s.
-        ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
-        so x^{se}·(I : x^∞)^s ⊆ I^s.
+    scales, so equal polynomials give equal pairs.  The product of an
+    index combination (i_1 ≤ … ≤ i_k) is that of its prefix times
+    generator i_k, for k = 2..s.  The power holds its generators as term
+    lists, converted to polynomials only on first read of ``generators``,
+    and records that it is I^s, so that `saturate_variable` saturates it
+    through I (the identity in the module docstring).
     """
     if s < 1:
         raise ValueError("power must be >= 1")
     ctx, packed = I.packed()
-    level, table = I._products or (1, None)
-    if table is None or level > s:
-        level, table = 1, {(i,): g for i, g in enumerate(packed)}
-    while level < s:
-        level += 1
+    table = {(i,): g for i, g in enumerate(packed)}
+    for level in range(2, s + 1):
         longer = {}
         for combo in combinations_with_replacement(range(len(packed)), level):
             (f, a), (g, b) = table[combo[:-1]], packed[combo[-1]]
             longer[combo] = engine.multiply(f, g, ctx), a * b
         table = longer
-    I._products = (level, table)
     seen = set()
     gens = []
     for g in table.values():
@@ -334,7 +288,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     R = f.ring
     F = R.field
-    key = GREVLEX.key_function(R.nvars)
+    key = EngineContext(R.nvars, GREVLEX).pack
     lg = max(g.terms, key=key)
     cg = g.terms[lg]
     rem = dict(f.terms)
@@ -385,13 +339,8 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     The basis comes from a basis in that order by
     `GroebnerBasis.saturate_last`: strip each element's X_i power and
     interreduce.  A power I = B^s (s ≥ 2, from `ideal_power`) that holds
-    no basis in that order is saturated through its base, by
-
-        B^s : x^∞ = (B : x^∞)^s : x^∞.
-
-        ⊆: B^s ⊆ (B : x^∞)^s.
-        ⊇: B : x^∞ has finitely many generators g_k, with x^e·g_k ∈ B,
-        so x^{se}·(B : x^∞)^s ⊆ B^s.
+    no basis in that order is saturated through its base, as
+    (B : x^∞)^s : x^∞ (the identity in the module docstring).
 
     The route is taken when the basis of B : x^∞ has no element of higher
     degree than B's generators, so that its power is generated in no
@@ -438,16 +387,7 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     order with X_i last, so `J_i.hilbert()` reads HS(R/J_i) off its leads
     at no extra Gröbner basis; the first try (X_n last) starts from
     I's own grevlex basis, which the target was read from.  The other
-    tries on a power I = B^s strip the basis of (B : X_i^∞)^s instead of
-    converting I's, when B : X_i^∞ needs no higher degree than B
-    (`saturate_variable`), by the identity
-
-        B^s : x^∞ = (B : x^∞)^s : x^∞.
-
-        ⊆: B^s ⊆ (B : x^∞)^s.
-        ⊇: B : x^∞ has finitely many generators g_k, with x^e·g_k ∈ B,
-        so x^{se}·(B : x^∞)^s ⊆ B^s.
-
+    tries on a power I = B^s may go through its base (`saturate_variable`).
     When no variable passes, the per-variable saturations are intersected
     in the order they were built.
     """
@@ -468,18 +408,21 @@ def _hilbert_polynomial(h: HilbertData) -> Tuple[int, List[Fraction]]:
     return h.krull_dim, h.hp_coefficients()
 
 
-def eliminate(I: Ideal, drop: Sequence[int]) -> Tuple[Ideal, RingDescriptor]:
-    """I ∩ k[kept variables] and the small ring.
+def eliminate(I: Ideal, drop: Sequence[int],
+              ring: Optional[RingDescriptor] = None
+              ) -> Tuple[Ideal, RingDescriptor]:
+    """I ∩ k[kept variables] and the small ring: ``ring`` when given (the
+    kept variables, in ring order, with any weights), else the subring.
 
     The result is generated by, and holds, its reduced grevlex basis: the
     elements of I's reduced basis in `elimination_order` with a block-free
     lead (hence block-free), which that order compares by grevlex on the
-    kept variables.
+    kept variables; grevlex does not see the weights.
     """
     R = I.ring
     block = frozenset(drop)
     keep = [i for i in range(R.nvars) if i not in block]
-    small = R.subring(keep)
+    small = ring or R.subring(keep)
     gb = I.groebner(elimination_order(block))
     exps = gb.ctx.exps
     return _holding(gb.carried(small, keep, lambda k: not any(
@@ -494,12 +437,6 @@ def _holding(gb: GroebnerBasis) -> Ideal:
         for t in gb.raw])
     J._gb[gb.ctx.order] = gb
     return J
-
-
-def regraded(I: Ideal, ring: RingDescriptor) -> Ideal:
-    """I in ``ring``, its variables regraded, holding I's grevlex basis
-    (grevlex does not see the weights)."""
-    return _holding(I.groebner().carried(ring, range(ring.nvars)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +469,7 @@ def _normalize_poly(f: Polynomial) -> Polynomial:
     """Scale so the reverse-lex leading coefficient is one."""
     if f.is_zero():
         return f
-    key = GREVLEX.key_function(f.ring.nvars)
+    key = EngineContext(f.ring.nvars, GREVLEX).pack
     lead = max(f.terms, key=key)
     c = f.terms[lead]
     F = f.ring.field
@@ -556,6 +493,6 @@ def degree_monomials(nvars: int, t: int) -> Tuple[Monomial, ...]:
             for tail in gen(rem - e, slots - 1):
                 yield (e,) + tail
     monos = list(gen(t, nvars))
-    key = GREVLEX.key_function(nvars)
+    key = EngineContext(nvars, GREVLEX).pack
     monos.sort(key=key, reverse=True)
     return tuple(monos)

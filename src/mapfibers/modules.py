@@ -107,9 +107,6 @@ class FreeModuleMap:
                 out = vec_add(out, vec_scale(cols[c], p))
         return out
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.matrix for p in row)
-
     @cached_property
     def graph(self) -> GroebnerBasis:
         """The basis of the graph {(M(e_c), e_c)} ⊆ target ⊕ source,

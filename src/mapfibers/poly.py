@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+from .engine import EngineContext
 from .rings import GREVLEX, Monomial, RingDescriptor, mono_mul
 
 
@@ -201,7 +202,7 @@ class Polynomial:
     # -- display -----------------------------------------------------
 
     def sorted_terms(self):
-        key = GREVLEX.key_function(self.ring.nvars)
+        key = EngineContext(self.ring.nvars, GREVLEX).pack
         return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
 
     def __str__(self):

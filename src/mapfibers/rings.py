@@ -9,9 +9,8 @@ the source variables and gives each target variable T weight d+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .engine import EngineContext
 from .fields import Field, QQ
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -49,17 +48,6 @@ class TermOrder:
     kind: str = "grevlex"
     var_order: Optional[tuple] = None
     block: Optional[frozenset] = None
-
-    def key_function(self, nvars: int) -> Callable[[Monomial], int]:
-        """Return key(mono) such that key(u) > key(v) iff u > v.
-
-        The key is the engine's packed monomial, so exponents and total
-        degrees above `engine.EXP_CAP` raise ArithmeticError.
-        """
-        order = self.var_order if self.var_order is not None else tuple(range(nvars))
-        if len(order) != nvars:
-            raise ValueError("var_order length does not match variable count")
-        return EngineContext(nvars, self).pack
 
 
 GREVLEX = TermOrder("grevlex")

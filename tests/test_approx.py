@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 from mapfibers import modules
-from mapfibers.approx import (check_surface_bounds, contract, dual_hdim,
-                              hom_piece, koszul_cycles, presentation_applies,
+from mapfibers.approx import (check_surface_bounds, contract, hom_piece,
+                              koszul_cycles, presentation_applies,
                               presentation_matrix_N)
 from mapfibers.fibers import build_map
 from mapfibers.mapfile import load_map_file
@@ -59,8 +59,9 @@ def test_contraction_carries_cycles_to_cycles(quintic_koszul):
 
 def test_top_cycle_dual_dimension(quintic_koszul):
     # the top cycle module is free of rank one generated in degree 4d,
-    # so its dual dimension in degree 3d-2 is dim R_{d-1}
-    assert dual_hdim(quintic_koszul, 3, 3 * 5 - 2) == comb(5 + 1, 2)
+    # so dim Hom(Z_3, R)_{-3d-1} is dim R_{d-1}
+    assert hom_piece(quintic_koszul.syzygies[3], -3 * 5 - 1).dim == \
+        comb(5 + 1, 2)
 
 
 def test_hom_coordinates_read_off_the_nullspace(quintic_koszul):

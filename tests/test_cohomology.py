@@ -99,12 +99,13 @@ def test_duality_route_reads_only_the_generators(monkeypatch, quintic_ideal):
 
 def test_the_strand_multiplies_no_polynomials(monkeypatch, quintic_map):
     """`m_mu_dims` builds every power, saturation and intersection on the
-    engine's term lists: no polynomial is multiplied, and the only
+    engine's term lists: no polynomial is multiplied, the only
     polynomials packed into term lists are the base ideal's generators,
-    once each."""
+    once each, and no term list is converted back into a polynomial."""
     I = Ideal(quintic_map.source, list(quintic_map.forms))
     packed = count_calls(monkeypatch, groebner.to_raw,
                          key=lambda vec, ctx: vec)
+    unpacked = count_calls(monkeypatch, groebner.from_raw)
 
     def refuse(*args):
         raise AssertionError("a polynomial product")
@@ -113,6 +114,7 @@ def test_the_strand_multiplies_no_polynomials(monkeypatch, quintic_map):
     table = m_mu_dims(I, quintic_map.d, -2, range(1, 6))
     assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
     assert packed == [(g,) for g in I.generators]
+    assert unpacked == []
 
 
 def test_a_sweep_ranks_each_dual_map_once(monkeypatch, quintic_ideal):

@@ -168,15 +168,19 @@ def test_divides_and_lcm_agree_with_tuple_monomials():
 def test_unit_weights_keep_the_unweighted_layout():
     ctx = EngineContext(3, GREVLEX, weights=(1, 1, 1))
     assert ctx.cshift == EngineContext(3, GREVLEX).cshift
-    assert ctx.pack((2, 0, 1)) == GREVLEX.key_function(3)((2, 0, 1))
+    assert ctx.pack((2, 0, 1)) == EngineContext(3, GREVLEX).pack((2, 0, 1))
     with pytest.raises(ValueError, match="negative"):
         EngineContext(2, GREVLEX, weights=(1, -1))
 
 
 def test_scalar_key_is_the_term_order_key():
-    order = elimination_order({0})
-    ctx = EngineContext(3, order)
-    assert order.key_function(3)((2, 0, 1)) == ctx.pack((2, 0, 1))
+    # the elimination order's defining property, on the packed keys: a
+    # monomial containing X0 ranks above any X0-free monomial
+    ctx = EngineContext(3, elimination_order({0}))
+    monos = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    with_x0 = [ctx.pack(m) for m in monos if m[0]]
+    without = [ctx.pack(m) for m in monos if not m[0]]
+    assert min(with_x0) > max(without)
 
 
 def test_packing_past_the_cap_raises():

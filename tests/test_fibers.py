@@ -15,6 +15,7 @@ from mapfibers.ideals import Ideal, extend_polynomial
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from mapfibers.solve import PointProjective
+from conftest import count_calls
 from references import fibers_agree, substitute_term_at_a_time
 
 R = standard_ring(("X0", "X1", "X2"))
@@ -152,6 +153,17 @@ def test_recover_points_from_divisor(quintic_map):
     pts = recover_points_from_divisor(quintic_map, X1 - X2.scale(2))
     assert [p.coords for p in pts] == [(1, 0, Fraction(1, 2), 0)]
     assert recover_points_from_divisor(quintic_map, X0 + X1 + X2) == []
+
+
+def test_route_a_recovers_each_linear_factor_once(monkeypatch, quintic_map):
+    """The quintic's gcds at s = 2, 3, 4 repeat the linear factors of
+    s = 1..; each factor's points are recovered once over all s."""
+    calls = count_calls(monkeypatch, fibers.recover_points_from_divisor,
+                        key=lambda pmap, ell: str(ell))
+    search = fibers.find_one_dim_fibers(quintic_map, s_max=4)
+    assert len(calls) == len(set(calls)) == 8
+    assert len(search.records) == 8
+    assert all("A" in r.route for r in search.records)
 
 
 def test_linear_factor_extraction():

@@ -148,6 +148,40 @@ def test_cli_fibers(capsys):
     assert "0 point(s)" in out
 
 
+def test_cli_bounds(capsys):
+    """`bounds` checks the divisor bound and the numerical bounds, and
+    runs neither the module table nor the factorization certificates."""
+    rc = main(["bounds", map_path("quintic_surface.map")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "divisor bound s=1: not applicable (nu = 5 >= sd = 5)" in out
+    assert "divisor bound s=2: sum deg h_y = 8 <= nu = 8 < sd = 10: holds" \
+        in out
+    assert "numerical bounds:" in out
+    assert "module N dimensions" not in out and "factorization" not in out
+
+
+def test_cli_only_the_gcd_route_runs_beyond_surfaces(tmp_path, capsys):
+    """P^3 ⇢ P^4 has no presentation, so only route A runs: the inventory
+    is sound but not certified complete (exit 3, with the note), and with
+    m = 3 the N-table has no difference route to cross-check."""
+    path = tmp_path / "p3p4.map"
+    path.write_text("field = QQ\nsource = X0 X1 X2 X3\nf0 = X0^2\n"
+                    "f1 = X0*X1\nf2 = X0*X2\nf3 = X0*X3\nf4 = X1*X2\n")
+    out_path = str(tmp_path / "p3p4.json")
+    assert main(["analyze", str(path), "--json", out_path]) == 3
+    out = capsys.readouterr().out
+    assert "  note: only the gcd route ran: inventory is sound but may be " \
+        "incomplete\n" in out
+    with open(out_path) as fh:
+        doc = json.load(fh)
+    records = doc["fibers"]["records"]
+    assert [(r["point"], r["divisor"], r["route"]) for r in records] == \
+        [(["0", "0", "0", "0", "1"], "X0", "A")]
+    assert not doc["fibers"]["complete"]
+    assert "cross_table" not in doc["module"]
+
+
 def test_cli_missing_file(capsys):
     rc = main(["analyze", map_path("no_such.map")])
     err = capsys.readouterr().err
