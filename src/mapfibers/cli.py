@@ -63,37 +63,28 @@ def _shares_a_factor(pmap) -> bool:
     return pmap.common_factor is not None
 
 
-def _cmd_analyze(args) -> int:
+# the stages each pipeline command runs, as `PipelineOptions` keywords
+COMMAND_STAGES = {
+    "analyze": {},
+    "fibers": {"divisor_bound": False, "factorization": False,
+               "module_table": False, "presentation": False,
+               "surface_bounds": False},
+    "bounds": {"module_table": False, "factorization": False},
+}
+
+
+def _cmd_pipeline(args) -> int:
+    """`analyze`, `fibers` and `bounds`: run the command's stages and print
+    the text view; `analyze` also takes ``--s-max`` and ``--json``."""
     pmap = _load(args.file)
     if pmap is None:
         return 1
-    opt = PipelineOptions(s_max=args.s_max)
+    opt = PipelineOptions(**COMMAND_STAGES[args.command],
+                          s_max=getattr(args, "s_max", PipelineOptions.s_max))
     result = run_pipeline(pmap, opt, path=args.file)
     sys.stdout.write(render_text(result.report))
-    if args.json:
+    if getattr(args, "json", None):
         write_json(result.report, args.json)
-    return result.exit_code
-
-
-def _cmd_fibers(args) -> int:
-    pmap = _load(args.file)
-    if pmap is None:
-        return 1
-    opt = PipelineOptions(divisor_bound=False, factorization=False,
-                          module_table=False, presentation=False,
-                          surface_bounds=False)
-    result = run_pipeline(pmap, opt, path=args.file)
-    sys.stdout.write(render_text(result.report))
-    return result.exit_code
-
-
-def _cmd_bounds(args) -> int:
-    pmap = _load(args.file)
-    if pmap is None:
-        return 1
-    opt = PipelineOptions(module_table=False, factorization=False)
-    result = run_pipeline(pmap, opt, path=args.file)
-    sys.stdout.write(render_text(result.report))
     return result.exit_code
 
 
@@ -137,13 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
                                        "bounds, module table")
     p.add_argument("file")
     p.add_argument("--json", metavar="OUT", help="also write the JSON report")
-    p.add_argument("--s-max", type=_power_bound, default=4, dest="s_max",
+    p.add_argument("--s-max", type=_power_bound, default=PipelineOptions.s_max,
+                   dest="s_max",
                    help="largest power of the base ideal to examine")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("fibers", help="inventory of (m-1)-dimensional fibers")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_fibers)
+    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("cohomology", help="per-power local cohomology strand")
     p.add_argument("file")
@@ -158,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="divisor-degree and surface bounds")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_pipeline)
     return ap
 
 

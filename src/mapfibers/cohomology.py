@@ -39,9 +39,7 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
     h = J.hilbert()
     if h.krull_dim > 1:
         raise ValueError("difference route requires dim R/J ≤ 1")
-    sat = J.saturation()
-    hs = None if sat.is_zero() else sat.hilbert()
-    hf_sat = hs.hf(t) if hs else comb(t + J.ring.nvars - 1, J.ring.nvars - 1) if t >= 0 else 0
+    hf_sat = J.saturation().hilbert().hf(t)
     if i == 0:
         return h.hf(t) - hf_sat
     hp = h.hp(t)
@@ -219,10 +217,19 @@ class ModuleDegreeVerdict:
 
 
 def check_module_degree_formula(divisor_degrees: Sequence[int],
-                                table: CohomologyTable,
-                                m: int) -> ModuleDegreeVerdict:
-    """Stabilized N_s against Σ binom(deg h_y + m − 1, m)."""
+                                table: CohomologyTable, m: int,
+                                coker_stable: Optional[int] = None
+                                ) -> ModuleDegreeVerdict:
+    """Stabilized N_s against Σ binom(deg h_y + m − 1, m).  When the table
+    has not stabilized in its window, ``coker_stable``, the stable value of
+    the presentation cokernel (which stabilizes over a longer one), stands
+    in when given."""
     rhs = sum(comb(deg + m - 1, m) for deg in divisor_degrees)
+    if not table.stabilized and coker_stable is not None:
+        return ModuleDegreeVerdict(
+            coker_stable, rhs, coker_stable == rhs, False,
+            f"stabilized value {coker_stable} taken from the presentation "
+            f"cokernel vs divisor sum {rhs}")
     if not table.stabilized:
         return ModuleDegreeVerdict(None, rhs, False, True,
                                    "no stabilization observed in the computed window")

@@ -206,18 +206,15 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     R = pmap.source
     nx, nt = R.nvars, len(pmap.forms)
     S = R.extend(pmap.target.variables, pmap.d + 1)
-    aux = "t_aux"
-    while aux in S.variables:
-        aux += "_"
-    big = S.extend((aux,))
+    big = S.adjoin(("t_aux",))
     t = Polynomial.variable(big, big.nvars - 1)
     graph = Ideal(big, [Polynomial.variable(big, nx + j)
                         - t * extend_polynomial(f, big)
                         for j, f in enumerate(pmap.forms)])
     graph.set_known_series({k * (pmap.d + 1): (-1) ** k * comb(nt, k)
                             for k in range(nt + 1)})
-    P, small = eliminate(graph, drop=(big.nvars - 1,))
-    if small != S:
+    P = eliminate(graph, drop=(big.nvars - 1,))
+    if P.ring != S:
         raise ArithmeticError("elimination returned an unexpected ring")
 
     linear = []
@@ -254,8 +251,7 @@ def image_ideal(pmap: ParameterizedMap) -> ImageData:
     into the standard target ring so that Hilbert data uses degree 1.
     """
     nx = pmap.source.nvars
-    img, _ = eliminate(pmap.rees.rees, drop=tuple(range(nx)),
-                       ring=pmap.target)
+    img = eliminate(pmap.rees.rees, drop=tuple(range(nx)), ring=pmap.target)
     cone_dim, deg = img.dimension_degree()
     dim = cone_dim - 1
     return ImageData(img, dim, deg, dim == pmap.m)
@@ -355,7 +351,6 @@ def linear_factors(G: Polynomial) -> Tuple[List[Polynomial], bool]:
     into the rational linear forms found.
     """
     R = G.ring
-    F = R.field
     nv = R.nvars
     factors: List[Polynomial] = []
     work = G
@@ -368,7 +363,8 @@ def linear_factors(G: Polynomial) -> Tuple[List[Polynomial], bool]:
             candidates.append(Polynomial.variable(R, k))
         else:
             # work in R extended by the unknown ℓ-coefficients a_j
-            C = R.extend(tuple(f"a_{j}" for j in range(unknowns)))
+            C = R.adjoin(tuple(f"a_{j}" for j in range(unknowns)))
+            avars = C.subring(range(nv, C.nvars))
             plane = Polynomial.zero(C)
             for idx, v in enumerate(range(k + 1, nv)):
                 plane = plane - (Polynomial.variable(C, nv + idx)
@@ -376,8 +372,6 @@ def linear_factors(G: Polynomial) -> Tuple[List[Polynomial], bool]:
             restricted = extend_polynomial(G, C).substitute({k: plane})
             # coefficient of each X-monomial is a polynomial in the a's
             eqs: Dict[tuple, Polynomial] = {}
-            avars = standard_ring(tuple(f"a_{j}" for j in range(unknowns)),
-                                  field=F)
             for mono, c in restricted.terms.items():
                 xpart, apart = mono[:nv], mono[nv:]
                 if xpart not in eqs:
@@ -423,7 +417,6 @@ class FiberSearch:
     route_a: Dict[int, dict] = field(default_factory=dict)
     route_b_ran: bool = False
     route_b_points_complete: Optional[bool] = None
-    lci_proxy: Optional[bool] = None
     notes: List[str] = field(default_factory=list)
 
 
@@ -489,6 +482,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         return result
 
     seen = set()
+    factored: Dict[tuple, Tuple[List[Polynomial], bool]] = {}
     for s in range(1, s_max + 1):
         Jsat = pmap.power(s).saturation()
         nu = Jsat.initial_degree()
@@ -503,7 +497,10 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         entry["gcd_degree"] = G.degree()
         if G.degree() < 1:
             continue
-        factors, complete_factorization = linear_factors(G)
+        g_key = tuple(sorted(G.terms.items()))
+        if g_key not in factored:
+            factored[g_key] = linear_factors(G)
+        factors, complete_factorization = factored[g_key]
         entry["factors_complete"] = complete_factorization
         for ell in factors:
             key = tuple(sorted(ell.terms.items()))
@@ -519,8 +516,6 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         result.notes.append(f"support route unavailable: {pres_error}")
     if pres is not None:
         result.route_b_ran = True
-        proxy = pmap.lci_proxy
-        result.lci_proxy = proxy
         pts, pts_complete = pmap.support
         result.route_b_points_complete = pts_complete
         if pts is None:
@@ -528,7 +523,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         else:
             for y in pts:
                 try_point(y, "B")
-            result.complete = pts_complete and proxy
+            result.complete = pts_complete and pmap.lci_proxy
             if not pts_complete:
                 result.notes.append(
                     "support has components with no rational point: "
@@ -536,7 +531,7 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
     if not result.complete and not result.route_b_ran:
         result.notes.append(
             "only the gcd route ran: inventory is sound but may be incomplete")
-    if result.route_b_ran and result.lci_proxy is False:
+    if result.route_b_ran and not pmap.lci_proxy:
         result.notes.append(
             "lci proxy failed: support route results verified individually")
 

@@ -256,7 +256,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     lists, moved into the grevlex layout of the ring with t.
     """
     R = I.ring
-    big = R.extend(("_t",))
+    big = R.adjoin(("_t",))
     n = R.nvars
     ctx = grevlex_context(big)
     t_key = ctx.pack((0,) * n + (1,))
@@ -268,7 +268,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         moved = engine.repack([p for p, _ in packed], src, ctx)
         gens += [(engine.multiply(p, factor, ctx), c)
                  for p, (_, c) in zip(moved, packed)]
-    return eliminate(_packed_ideal(big, ctx, gens), (n,))[0]
+    return eliminate(_packed_ideal(big, ctx, gens), (n,))
 
 
 def intersect_many(ideals: Sequence[Ideal]) -> Ideal:
@@ -409,10 +409,9 @@ def _hilbert_polynomial(h: HilbertData) -> Tuple[int, List[Fraction]]:
 
 
 def eliminate(I: Ideal, drop: Sequence[int],
-              ring: Optional[RingDescriptor] = None
-              ) -> Tuple[Ideal, RingDescriptor]:
-    """I ∩ k[kept variables] and the small ring: ``ring`` when given (the
-    kept variables, in ring order, with any weights), else the subring.
+              ring: Optional[RingDescriptor] = None) -> Ideal:
+    """I ∩ k[kept variables], in ``ring`` when given (the kept variables,
+    in ring order, with any weights), else in the subring.
 
     The result is generated by, and holds, its reduced grevlex basis: the
     elements of I's reduced basis in `elimination_order` with a block-free
@@ -422,11 +421,10 @@ def eliminate(I: Ideal, drop: Sequence[int],
     R = I.ring
     block = frozenset(drop)
     keep = [i for i in range(R.nvars) if i not in block]
-    small = ring or R.subring(keep)
     gb = I.groebner(elimination_order(block))
     exps = gb.ctx.exps
-    return _holding(gb.carried(small, keep, lambda k: not any(
-        exps(k)[i] for i in block))), small
+    return _holding(gb.carried(ring or R.subring(keep), keep,
+                               lambda k: not any(exps(k)[i] for i in block)))
 
 
 def _holding(gb: GroebnerBasis) -> Ideal:

@@ -1,4 +1,5 @@
-"""Report documents: assembly helpers, JSON output, and the text view.
+"""Report documents: every block of the report, JSON output, and the text
+view.
 
 The report is a plain dict with a fixed, versioned key layout (see
 docs/report_schema.md).  Every number in it is exact: rational scalars are
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from .approx import PresentationData, SurfaceBoundsVerdict
+from .cohomology import CohomologyTable, ModuleDegreeVerdict
 from .fibers import (FiberRecord, FiberSearch, ImageData, ParameterizedMap,
                      DivisorBoundVerdict, FactorizationVerdict)
 from .solve import PointProjective
@@ -27,6 +30,10 @@ def field_tag(field) -> str:
     return "QQ" if p == 0 else f"GF {p}"
 
 
+def _common_factor(pmap: ParameterizedMap) -> str:
+    return "1" if pmap.common_factor is None else str(pmap.common_factor)
+
+
 def input_block(pmap: ParameterizedMap, path: Optional[str] = None) -> Dict:
     block = {
         "field": field_tag(pmap.source.field),
@@ -34,12 +41,33 @@ def input_block(pmap: ParameterizedMap, path: Optional[str] = None) -> Dict:
         "target": list(pmap.target.variables),
         "forms": [str(f) for f in pmap.forms],
         "degree": pmap.d,
-        "common_factor": str(pmap.common_factor)
-        if pmap.common_factor is not None else "1",
+        "common_factor": _common_factor(pmap),
     }
     if path is not None:
         block["path"] = path
     return block
+
+
+def hypotheses_block(pmap: ParameterizedMap) -> Dict:
+    """The verdicts that gate the analysis, read off the map's image, base
+    locus and lci proxy."""
+    sat, cone_dim, bdeg = pmap.locus
+    base_empty = cone_dim <= 0
+    indeg_sat = sat.initial_degree()
+    return {
+        "gcd_is_one": pmap.common_factor is None,
+        "common_factor": _common_factor(pmap),
+        "generically_finite": pmap.image.generically_finite,
+        "image_dimension": pmap.image.dimension,
+        "base_locus": {
+            "empty": base_empty,
+            "dimension": max(cone_dim - 1, -1),
+            "degree": 0 if base_empty else bdeg,
+        },
+        "indeg_sat": indeg_sat,
+        "indeg_equals_degree": indeg_sat == pmap.d,
+        "lci_proxy": pmap.lci_proxy,
+    }
 
 
 def image_block(img: ImageData) -> Dict:
@@ -94,6 +122,75 @@ def factorization_json(rec: FiberRecord, v: FactorizationVerdict) -> Dict:
         "ideal_matches": v.ideal_matches,
         "saturation_contained": v.saturation_contained,
         "passes": v.passes,
+    }
+
+
+def presentation_block(pmap: ParameterizedMap) -> Optional[Dict]:
+    """The presentation of N with its support, ``{"error": message}`` when
+    its construction raised, and None when it does not apply to the map."""
+    pres, error = pmap.presentation
+    if pres is None:
+        return None if error is None else {"error": error}
+    pts, supp_complete = pmap.support
+    l, mrank, n = pres.ranks
+    block = {
+        "ranks": {"l": l, "mrank": mrank, "n": n},
+        "matrix": [[str(e) for e in row] for row in pres.matrix],
+        "coker_dims": {str(s): v for s, v in sorted(pres.coker_dims.items())},
+        "stable_value": pres.stable_value,
+        "dimension": pres.coker_dim_deg[0],
+        "degree": pres.coker_dim_deg[1],
+        "annihilator": [str(g) for g in pres.annihilator.minimal_basis()],
+        "support_points": [point_json(p) for p in
+                           sorted(pts or [], key=lambda p: p.coords)],
+        "support_complete": supp_complete,
+    }
+    if pres.fitting_ideal is not None:
+        block["fitting"] = [str(g) for g in pres.fitting_ideal.minimal_basis()]
+    else:
+        block["fitting"] = None
+        block["fitting_note"] = ("minor expansion skipped: too many "
+                                 "column choices; support certified via "
+                                 "the annihilator (same radical)")
+    return block
+
+
+def module_block(table: CohomologyTable, verdict: ModuleDegreeVerdict,
+                 pres: Optional[PresentationData]) -> Dict:
+    """The N-table, its degree-formula verdict and, with a presentation,
+    its per-s agreement with the cokernel dimensions."""
+    block = {
+        "mu": table.mu,
+        "table": {str(s): v for s, v in sorted(table.values.items())},
+        "stable_value": table.stable_value,
+        "stable_from": table.stable_from,
+        "degree_formula": {
+            "expected": verdict.divisor_sum,
+            "stabilized": verdict.stabilized_value,
+            "holds": verdict.holds,
+            "inconclusive": verdict.inconclusive,
+            "detail": verdict.detail,
+        },
+    }
+    if table.cross_values:
+        block["cross_table"] = {str(s): v for s, v in
+                                sorted(table.cross_values.items())}
+    if pres is not None:
+        agree = {s: pres.coker_dims.get(s) == v
+                 for s, v in table.values.items() if s in pres.coker_dims}
+        block["two_sided"] = {
+            "per_s": {str(s): ok for s, ok in sorted(agree.items())},
+            "holds": all(agree.values()) if agree else None,
+        }
+    return block
+
+
+def surface_bounds_block(sb: SurfaceBoundsVerdict) -> Dict:
+    return {
+        "items": [{"name": it.name, "applicable": it.applicable,
+                   "holds": it.holds, "detail": it.detail}
+                  for it in sb.items],
+        "all_hold": sb.all_hold,
     }
 
 
@@ -184,7 +281,10 @@ def render_text(report: Dict) -> str:
                        f" {df['expected']}, {stab}: {verdict}")
 
     pres = report.get("presentation")
-    if pres:
+    if pres and "error" in pres:
+        out.append(f"presentation over target ring: unavailable"
+                   f" ({pres['error']})")
+    elif pres:
         r = pres["ranks"]
         out.append(f"presentation over target ring: ranks l = {r['l']},"
                    f" m = {r['mrank']}, n = {r['n']}")

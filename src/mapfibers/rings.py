@@ -111,6 +111,18 @@ class RingDescriptor:
             self.weights + (extra_weight,) * len(extra_names),
         )
 
+    def adjoin(self, names) -> "RingDescriptor":
+        """`extend` by fresh variables of weight 1, one per name: a name
+        the ring (or an earlier new variable) already has gets trailing
+        underscores until it is new, so auxiliary variables never collide
+        with the user's."""
+        fresh = []
+        for name in names:
+            while name in self.variables or name in fresh:
+                name += "_"
+            fresh.append(name)
+        return self.extend(fresh)
+
     def subring(self, keep_indices) -> "RingDescriptor":
         keep = tuple(keep_indices)
         return RingDescriptor(

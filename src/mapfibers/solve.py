@@ -194,7 +194,7 @@ def _affine_points(gens: List[Polynomial], ring: RingDescriptor) -> Tuple[List[T
     candidates: List[List] = []
     I = Ideal(ring, list(gb.polys))
     for i in range(n):
-        eli, small = eliminate(I, [j for j in range(n) if j != i])
+        eli = eliminate(I, [j for j in range(n) if j != i])
         if not eli.generators:
             raise NotZeroDimensionalError("no eliminant in a variable")
         coeffs = univariate_coeffs(eli.generators[0], 0)

@@ -54,7 +54,7 @@ def saturate_element(I, f):
     one = Polynomial.constant(big, R.field.one())
     gens = [extend_polynomial(g, big) for g in I.generators]
     gens.append(w * extend_polynomial(f, big) - one)
-    return eliminate(Ideal(big, gens), (big.nvars - 1,))[0]
+    return eliminate(Ideal(big, gens), (big.nvars - 1,))
 
 
 def hypersurface_hdim(d_f, mu, m):

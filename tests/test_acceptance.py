@@ -89,9 +89,9 @@ def test_criterion_4_hilbert_data_and_sandwiches(quintic_ideal,
         assert all(it["applicable"] for it in sb["items"])
 
 
-def test_criterion_5_module_table_two_sided(quintic_result):
+def test_criterion_5_module_table_two_sided(quintic_map, quintic_result):
     with _budget(900):
-        pres = quintic_result.presentation
+        pres = quintic_map.presentation[0]
         assert {s: pres.coker_dims[s] for s in (1, 2, 3, 4)} == \
             {1: 8, 2: 10, 3: 9, 4: 8}
         assert all(pres.coker_dims[s] == 8 for s in (8, 9, 10))
@@ -124,13 +124,13 @@ def _rank(rows):
     return rank
 
 
-def test_criterion_6_fitting_support(quintic_result):
+def test_criterion_6_fitting_support(quintic_map, quintic_result):
     # Fitt0 and the annihilator of a module generated by n elements satisfy
     # ann^n ⊆ Fitt0 ⊆ ann, so their vanishing loci coincide.  The inclusion
     # of the eight points in V(Fitt0) is certified directly: the evaluated
     # presentation matrix drops rank below n at each of them.
     with _budget(300):
-        pres = quintic_result.presentation
+        pres = quintic_map.presentation[0]
         ann = pres.annihilator
         assert ann.hilbert().krull_dim == 1  # cone over finitely many points
         fiber_pts = {tuple(r.point.coords)

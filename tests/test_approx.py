@@ -109,8 +109,8 @@ def test_presentation_builds_few_graph_bases(monkeypatch):
     assert rows.count(True) == 1
 
 
-def test_presentation_matrix_is_linear(quintic_result):
-    pres = quintic_result.presentation
+def test_presentation_matrix_is_linear(quintic_map):
+    pres = quintic_map.presentation[0]
     l, mrank, n = pres.ranks
     assert (l, mrank, n) == (15, 23, 8)
     for row in pres.matrix:
@@ -118,8 +118,8 @@ def test_presentation_matrix_is_linear(quintic_result):
             assert entry.is_zero() or entry.degree() == 1
 
 
-def test_coker_dims_match_strand(quintic_result):
-    pres = quintic_result.presentation
+def test_coker_dims_match_strand(quintic_map):
+    pres = quintic_map.presentation[0]
     assert [pres.coker_dims[s] for s in (1, 2, 3, 4)] == [8, 10, 9, 8]
     assert all(pres.coker_dims[s] == 8 for s in range(8, 11))
     assert pres.stable_value == 8
@@ -136,8 +136,8 @@ def test_zero_module_edge_case():
         Polynomial.constant(pres.base_ring, 1))
 
 
-def test_surface_bounds_gating(quintic_result):
-    pres = quintic_result.presentation
+def test_surface_bounds_gating(quintic_map):
+    pres = quintic_map.presentation[0]
     strict = check_surface_bounds(pres, 5, base_degree=18, lci=True,
                                   indeg_sat=5)
     assert strict.all_hold

@@ -12,10 +12,11 @@ from mapfibers.fibers import (NotGenericallyFiniteError, base_locus,
                               linear_factors, recover_points_from_divisor,
                               rees_ideal, unmixed_part)
 from mapfibers.ideals import Ideal, extend_polynomial
+from mapfibers.mapfile import load_map_file
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from mapfibers.solve import PointProjective
-from conftest import count_calls
+from conftest import count_calls, map_path
 from references import fibers_agree, substitute_term_at_a_time
 
 R = standard_ring(("X0", "X1", "X2"))
@@ -53,7 +54,7 @@ def _rees_claiming(monkeypatch, pm, gens, syzygies=True):
     map has no syzygies, so only the graph guard can object."""
     S = pm.rees.ambient
     monkeypatch.setattr(fibers, "eliminate",
-                        lambda I, drop: (Ideal(S, gens), S))
+                        lambda I, drop: Ideal(S, gens))
     if not syzygies:
         monkeypatch.setitem(vars(pm), "syzygies", [])
     return rees_ideal(pm)
@@ -164,6 +165,17 @@ def test_route_a_recovers_each_linear_factor_once(monkeypatch, quintic_map):
     assert len(calls) == len(set(calls)) == 8
     assert len(search.records) == 8
     assert all("A" in r.route for r in search.records)
+
+
+def test_route_a_factors_each_gcd_once(monkeypatch):
+    """On the quintic the gcd G is the same degree-8 form at s = 2, 3 and
+    4, so its linear factors are found once."""
+    calls = count_calls(monkeypatch, linear_factors, key=str)
+    search = find_one_dim_fibers(
+        load_map_file(map_path("quintic_surface.map")), s_max=4)
+    assert len(calls) == 1
+    assert [search.route_a[s]["gcd_degree"] for s in (2, 3, 4)] == [8, 8, 8]
+    assert len(search.records) == 8
 
 
 def test_linear_factor_extraction():

@@ -226,10 +226,10 @@ IDEAL_CACHES = tuple(slot for slot in Ideal.__slots__ if slot != "ring")
 def test_only_ideals_touches_an_ideals_caches(module):
     """Every slot of an `Ideal` but its ring (cached bases, saturation,
     Hilbert data and series, the generators as polynomials and as packed
-    term lists, the product table of its last power, the base and exponent
-    of a power) is read and written in `ideals.py` alone; other modules go
-    through its methods (`generators`, `groebner`, `saturation`,
-    `hilbert`, `set_known_series`) and `ideal_power`."""
+    term lists, the base and exponent of a power) is read and written in
+    `ideals.py` alone; other modules go through its methods (`generators`,
+    `groebner`, `saturation`, `hilbert`, `set_known_series`) and
+    `ideal_power`."""
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     found = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)

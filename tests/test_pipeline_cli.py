@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import mapfibers
 from mapfibers import build_map, ideals, standard_ring
-from mapfibers.cli import main
+from mapfibers.cli import COMMAND_STAGES, main
 from mapfibers.fields import PRIME_CAP
 from mapfibers.ideals import saturate_irrelevant
 from mapfibers.fibers import lci_proxy_check
@@ -22,6 +23,8 @@ from conftest import count_calls, map_path, rebind
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "quintic_report.json")
+SCHEMA_DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                          "report_schema.md")
 
 
 def test_exit_code_zero_and_schema(quintic_result):
@@ -337,3 +340,109 @@ def test_cli_rejects_s_max_below_one(capsys):
                                      *extra, "--s-max", bad], capsys)
             assert code == 1
             assert f"--s-max: must be at least 1, got {int(bad)}" in err
+
+
+def test_cli_fibers_with_the_names_of_auxiliary_variables(tmp_path, capsys):
+    """Source or target variables named like the ones `intersect` and
+    `linear_factors` adjoin (``_t``, ``a_j``) do not collide with them:
+    the quintic with renamed variables keeps its eight fibers."""
+    with open(map_path("quintic_surface.map"), encoding="utf-8") as fh:
+        quintic = fh.read()
+    cases = {"source_a.map": {"X0": "a_0", "X1": "a_1", "X2": "a_2"},
+             "source_t.map": {"X0": "_t"},
+             "target_t.map": {"T0": "_t"}}
+    for name, renames in cases.items():
+        text = quintic
+        for old, new in renames.items():
+            text = re.sub(rf"\b{old}\b", new, text)
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["fibers", str(path)]) == 0, name
+        out = capsys.readouterr().out
+        assert "fibers of dimension m-1: 8 point(s), inventory complete\n" \
+            in out, name
+        assert out.count("(degree 1, route A+B)") == 8, name
+
+
+def _presentation_error_report(monkeypatch, tmp_path, message):
+    """`analyze` on a freshly loaded quintic whose presentation raises
+    ArithmeticError(message): exit code and JSON report."""
+    def fails(pmap):
+        raise ArithmeticError(message)
+
+    rebind(monkeypatch, presentation_matrix_N, fails)
+    out_path = str(tmp_path / "error.json")
+    rc = main(["analyze", map_path("quintic_surface.map"), "--json",
+               out_path])
+    with open(out_path) as fh:
+        return rc, json.load(fh)
+
+
+def test_presentation_error_leaves_the_gcd_route(monkeypatch, tmp_path,
+                                                 capsys):
+    message = "rank cross-check failed"
+    rc, doc = _presentation_error_report(monkeypatch, tmp_path, message)
+    assert rc == 3
+    assert f"presentation over target ring: unavailable ({message})\n" \
+        in capsys.readouterr().out
+    assert doc["presentation"] == {"error": message}
+    assert doc["fibers"]["notes"] == [
+        "support route unavailable: " + message,
+        "only the gcd route ran: inventory is sound but may be incomplete"]
+    records = doc["fibers"]["records"]
+    assert len(records) == 8 and all(r["route"] == "A" for r in records)
+    assert "two_sided" not in doc["module"]
+    assert doc["module"]["degree_formula"]["inconclusive"] is True
+    assert "surface_bounds" not in doc
+
+
+@pytest.mark.parametrize("command, calls", [("fibers", 0), ("analyze", 1),
+                                            ("bounds", 1)])
+def test_presentation_is_built_only_where_read(monkeypatch, command, calls):
+    """The base-point-free map has no fiber route B would look for, so
+    `fibers` builds no presentation; `analyze` and `bounds` build it once,
+    in their `presentation` stage."""
+    built = count_calls(monkeypatch, presentation_matrix_N)
+    result = run_pipeline(load_map_file(map_path("base_point_free.map")),
+                          PipelineOptions(**COMMAND_STAGES[command]))
+    assert result.exit_code == 0
+    assert len(built) == calls
+    assert ("presentation" in result.report["timings"]) == bool(calls)
+
+
+PER_S_KEYS = ("table", "coker_dims", "cross_table", "per_s", "gcd")
+
+
+def _report_keys(node, parent=None):
+    """Every key of a report document but the per-s keys (under `table`,
+    `coker_dims`, `cross_table`, `per_s` and `routes.gcd`) and the stage
+    names under `timings`."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _report_keys(item, parent)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if parent not in PER_S_KEYS + ("timings",):
+                yield key
+            yield from _report_keys(value, key)
+
+
+def test_schema_doc_names_every_report_key(quintic_map, monkeypatch,
+                                           tmp_path, capsys):
+    """Each key of the golden quintic report, of `fibers` and `bounds` on
+    the quintic and of the presentation-error report is named in
+    docs/report_schema.md, in backticks or double quotes."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        reports = [json.load(fh)]
+    for command in ("fibers", "bounds"):
+        reports.append(run_pipeline(
+            quintic_map, PipelineOptions(**COMMAND_STAGES[command])).report)
+    reports.append(_presentation_error_report(monkeypatch, tmp_path,
+                                              "failed")[1])
+    capsys.readouterr()
+    with open(SCHEMA_DOC, encoding="utf-8") as fh:
+        doc = fh.read()
+    missing = sorted({key for report in reports
+                      for key in _report_keys(report)
+                      if f"`{key}`" not in doc and f'"{key}"' not in doc})
+    assert not missing, f"keys missing from the schema doc: {missing}"

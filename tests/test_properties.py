@@ -625,8 +625,8 @@ def test_eliminate_hands_over_the_grevlex_basis():
                     for j in range(rng.randint(3, 4))]
             if rng.random() < 0.5:
                 gens.append(_rand_weighted_form(rng, XT, 3))
-            E, small = eliminate(Ideal(XT, gens), range(2))
-            _assert_holds_its_grevlex_basis(E, small)
+            E = eliminate(Ideal(XT, gens), range(2))
+            _assert_holds_its_grevlex_basis(E, E.ring)
             nonzero += not E.is_zero()
     assert nonzero
 
