@@ -9,7 +9,7 @@
 Exit codes: 0 success, 1 usage, I/O or parse error (a missing argument,
 a value argparse rejects, ``--s-max`` below 1), 2 hypothesis failure (not
 generically finite, or the forms share a factor), 3 analysis finished but
-completeness is not certified.
+completeness is not certified, 4 a certificate failed.
 """
 
 from __future__ import annotations

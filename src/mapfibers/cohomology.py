@@ -33,16 +33,21 @@ from .rings import mono_mul
 # route one: difference formula
 
 def hdim_difference(J: Ideal, i: int, t: int) -> int:
-    """dim H^i_𝔪(R/J)_t for i ∈ {0,1}, valid when dim R/J ≤ 1."""
+    """dim H^i_𝔪(R/J)_t for i ∈ {0,1}, valid when dim R/J ≤ 1.
+
+    R/J and R/J^sat share their Krull dimension (when it is ≥ 1) and
+    their Hilbert polynomial, so both, and HF(R/J^sat), are read off the
+    saturation; only i = 0 reads HF(R/J) as well.
+    """
     if i not in (0, 1):
         raise ValueError("difference route only yields H⁰ and H¹")
-    h = J.hilbert()
-    if h.krull_dim > 1:
+    h_sat = J.saturation().hilbert()
+    if h_sat.krull_dim > 1:
         raise ValueError("difference route requires dim R/J ≤ 1")
-    hf_sat = J.saturation().hilbert().hf(t)
+    hf_sat = h_sat.hf(t)
     if i == 0:
-        return h.hf(t) - hf_sat
-    hp = h.hp(t)
+        return J.hilbert().hf(t) - hf_sat
+    hp = h_sat.hp(t)
     if hp.denominator != 1:
         raise ArithmeticError("Hilbert polynomial value is not integral")
     return int(hp) - hf_sat
@@ -218,23 +223,38 @@ class ModuleDegreeVerdict:
 
 def check_module_degree_formula(divisor_degrees: Sequence[int],
                                 table: CohomologyTable, m: int,
-                                coker_stable: Optional[int] = None
+                                coker_stable: Optional[int] = None,
+                                incomplete: Optional[str] = None
                                 ) -> ModuleDegreeVerdict:
     """Stabilized N_s against Σ binom(deg h_y + m − 1, m).  When the table
     has not stabilized in its window, ``coker_stable``, the stable value of
     the presentation cokernel (which stabilizes over a longer one), stands
-    in when given."""
+    in when given.
+
+    ``incomplete`` names why the fiber inventory behind ``divisor_degrees``
+    is not certified complete (None when it is).  The sum is then only a
+    lower bound, so a stabilized value above it is inconclusive, while
+    one below it still fails."""
     rhs = sum(comb(deg + m - 1, m) for deg in divisor_degrees)
-    if not table.stabilized and coker_stable is not None:
-        return ModuleDegreeVerdict(
-            coker_stable, rhs, coker_stable == rhs, False,
-            f"stabilized value {coker_stable} taken from the presentation "
-            f"cokernel vs divisor sum {rhs}")
-    if not table.stabilized:
+    if table.stabilized:
+        lhs = table.stable_value
+        source = f"stabilized value {lhs}"
+    elif coker_stable is not None:
+        lhs = coker_stable
+        source = (f"stabilized value {lhs} taken from the presentation "
+                  "cokernel")
+    else:
         return ModuleDegreeVerdict(None, rhs, False, True,
                                    "no stabilization observed in the computed window")
-    lhs = table.stable_value
-    return ModuleDegreeVerdict(
-        lhs, rhs, lhs == rhs, False,
-        f"stabilized value {lhs} vs divisor sum {rhs} (equal)" if lhs == rhs
-        else f"stabilized value {lhs} differs from divisor sum {rhs}")
+    if lhs > rhs and incomplete is not None:
+        return ModuleDegreeVerdict(
+            lhs, rhs, False, True,
+            f"{source} exceeds divisor sum {rhs}, only a lower bound as "
+            f"the inventory is incomplete: {incomplete}")
+    if not table.stabilized:
+        detail = f"{source} vs divisor sum {rhs}"
+    elif lhs == rhs:
+        detail = f"{source} vs divisor sum {rhs} (equal)"
+    else:
+        detail = f"{source} differs from divisor sum {rhs}"
+    return ModuleDegreeVerdict(lhs, rhs, lhs == rhs, False, detail)

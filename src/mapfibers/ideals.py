@@ -12,6 +12,14 @@ identity
     ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
     so x^{se}·(I : x^∞)^s ⊆ I^s.
 
+When dim R/I ≤ 1 the power is saturated by 𝔪 from I's own certificate,
+so I^s gets no basis or Hilbert series of its own (unless a colon of I
+needs higher degrees than I, see `saturate_variable`): Ass(R/I^s) ⊆
+Min(I) ∪ {𝔪}, so a variable whose colon passed I's Hilbert-polynomial
+test (it avoids every point of V(I)) gives (I^s)^sat = I^s : x^∞, and
+when none passed the colons by all variables are intersected
+(`saturate_irrelevant`).
+
 An ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
 (`engine.groebner_raw`'s hint), as is the Rees elimination, whose series
@@ -55,8 +63,8 @@ class Ideal:
     on first read of ``generators``.
     """
 
-    __slots__ = ("ring", "_polys", "_terms", "_gb", "_sat", "_hilbert",
-                 "_series", "_power_of")
+    __slots__ = ("ring", "_polys", "_terms", "_gb", "_sat", "_sat_by",
+                 "_hilbert", "_series", "_power_of")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -69,6 +77,9 @@ class Ideal:
         self._terms: Optional[Tuple[EngineContext, list]] = None
         self._gb: Dict[TermOrder, GroebnerBasis] = {}
         self._sat: Optional[Ideal] = None
+        # i when `saturate_irrelevant` certified I : X_i^∞ = I^sat by the
+        # Hilbert polynomial
+        self._sat_by: Optional[int] = None
         self._hilbert: Optional[HilbertData] = None
         # numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights
         self._series: Optional[Dict[int, int]] = None
@@ -386,19 +397,36 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     `saturate_variable` hands J_i over with its reduced basis in the
     order with X_i last, so `J_i.hilbert()` reads HS(R/J_i) off its leads
     at no extra Gröbner basis; the first try (X_n last) starts from
-    I's own grevlex basis, which the target was read from.  The other
-    tries on a power I = B^s may go through its base (`saturate_variable`).
-    When no variable passes, the per-variable saturations are intersected
-    in the order they were built.
+    I's own grevlex basis, which the target was read from.  When no
+    variable passes, the per-variable saturations are intersected in the
+    order they were built (I : 𝔪^∞ = ∩_i I : X_i^∞ for every ideal).
+
+    A power I = B^s (s ≥ 2, from `ideal_power`) with dim R/B ≤ 1 needs
+    no target: it is saturated from B's own certificate, and its colons
+    go through B (`saturate_variable`).
+    Every prime over B is then a point of V(B), minimal over B, or 𝔪, so
+    Ass(R/B^s) ⊆ Min(B) ∪ {𝔪}.  X_i passes B's test exactly when no point
+    of V(B) lies on X_i = 0 (for a point P ∋ X_i, (B : X_i^∞)_P = R_P
+    while B^sat ⊆ P), so then X_i lies in no relevant associated prime of
+    B^s and B^s : X_i^∞ = (B^s)^sat.  When no variable passed for B, the
+    n + 1 colons of B^s are intersected untried.
     """
     if I.is_zero():
         return I
     _require_homogeneous(I)
+    if I._power_of and I._power_of[1] > 1:
+        base = I._power_of[0]
+        if base.hilbert().krull_dim <= 1:
+            base.saturation()
+            tries = (reversed(range(I.ring.nvars)) if base._sat_by is None
+                     else (base._sat_by,))
+            return intersect_many([saturate_variable(I, i) for i in tries])
     target = _hilbert_polynomial(I.hilbert())
     pieces = []
     for i in reversed(range(I.ring.nvars)):
         J = saturate_variable(I, i)
         if _hilbert_polynomial(J.hilbert()) == target:
+            I._sat_by = i
             return J
         pieces.append(J)
     return intersect_many(pieces)

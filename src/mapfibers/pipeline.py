@@ -5,7 +5,9 @@ each, and places the blocks `report` builds under their top-level keys.
 Exit codes: 0 on success, 2 when a hypothesis fails (the map is not
 generically finite, or the forms share a factor), 3 when the run finished
 but completeness is not certified (e.g. fiber points outside the base
-field).  Partial results are reported as computed, never fabricated.
+field), 4 when a certificate failed (a `holds` or `passes` of false in
+the report; this takes precedence over 3).  Partial results are reported
+as computed, never fabricated.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .report import (SCHEMA_VERSION, divisor_bound_json, factorization_json,
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_INCOMPLETE = 3
+EXIT_CERTIFICATE = 4
 
 
 @dataclass
@@ -85,6 +88,7 @@ def run_pipeline(pmap: ParameterizedMap,
         search = find_one_dim_fibers(pmap, s_max=max(opt.s_max, 2))
     report["fibers"] = fibers_block(search)
     incomplete = not search.complete
+    failed = False
     powers = range(1, opt.s_max + 1)
 
     if opt.divisor_bound:
@@ -92,12 +96,15 @@ def run_pipeline(pmap: ParameterizedMap,
             rows = [check_divisor_degree_bound(pmap, s, search.records)
                     for s in powers]
         report["divisor_bound"] = [divisor_bound_json(v) for v in rows]
+        failed = any(v.holds is False for v in rows)
 
     if opt.factorization and search.records:
         with _step(timings, "factorization"):
-            report["factorization"] = [
-                factorization_json(rec, check_fiber_factorization(pmap, rec))
-                for rec in search.records]
+            checks = [check_fiber_factorization(pmap, rec)
+                      for rec in search.records]
+        report["factorization"] = [factorization_json(rec, v) for rec, v
+                                   in zip(search.records, checks)]
+        failed = failed or not all(v.passes for v in checks)
 
     if opt.module_table:
         with _step(timings, "module"):
@@ -105,9 +112,12 @@ def run_pipeline(pmap: ParameterizedMap,
             pres = pmap.presentation[0]
             verdict = check_module_degree_formula(
                 [r.divisor_degree for r in search.records], table, pmap.m,
-                None if pres is None else pres.stable_value)
-        report["module"] = module_block(table, verdict, pres)
+                None if pres is None else pres.stable_value,
+                None if search.complete else "; ".join(search.notes))
+        block = report["module"] = module_block(table, verdict, pres)
         incomplete = incomplete or verdict.inconclusive
+        failed = (failed or not (verdict.holds or verdict.inconclusive)
+                  or block.get("two_sided", {}).get("holds") is False)
 
     if opt.surface_bounds and pmap.presentation[0] is not None:
         with _step(timings, "surface_bounds"):
@@ -117,6 +127,8 @@ def run_pipeline(pmap: ParameterizedMap,
                 base_degree=bdeg if cone_dim > 0 else None,
                 lci=pmap.lci_proxy, indeg_sat=sat.initial_degree())
         report["surface_bounds"] = surface_bounds_block(sb)
+        failed = failed or not sb.all_hold
 
-    return PipelineResult(report, EXIT_INCOMPLETE if incomplete else EXIT_OK,
-                          search)
+    code = (EXIT_CERTIFICATE if failed else
+            EXIT_INCOMPLETE if incomplete else EXIT_OK)
+    return PipelineResult(report, code, search)

@@ -1,14 +1,17 @@
 from types import SimpleNamespace
 
-from mapfibers import groebner, linalg
-from mapfibers.cohomology import (check_module_degree_formula, hdim_difference,
+import pytest
+
+from mapfibers import cohomology, groebner, linalg
+from mapfibers.cohomology import (CohomologyTable,
+                                  check_module_degree_formula, hdim_difference,
                                   hdim_duality, hom_basis, m_mu_dims, n_table,
                                   resolution_hdim)
 from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal, ideal_power
 from mapfibers.modules import free_resolution
 from mapfibers.poly import Polynomial
-from mapfibers.rings import standard_ring
+from mapfibers.rings import GREVLEX, standard_ring
 from conftest import count_calls
 from references import hypersurface_hdim
 
@@ -55,6 +58,26 @@ def test_degree_formula_requires_stabilization():
     verdict = check_module_degree_formula([1, 1], t, 1)
     assert verdict.inconclusive and not verdict.holds
     assert verdict.stabilized_value is None
+
+
+def test_an_incomplete_inventory_bounds_the_sum_below():
+    """With an incomplete inventory the divisor sum is a lower bound: a
+    stabilized value above it is inconclusive and names the cause, one
+    below it still fails, and so does any mismatch of a complete one.
+    The same holds for a value taken from the presentation cokernel."""
+    why = "support has components with no rational point"
+    stable = CohomologyTable(mu=-2, m=2, values={s: 8 for s in range(1, 5)})
+    stable.detect_stabilization()
+    unstable = CohomologyTable(mu=-2, m=2, values={1: 8, 2: 10, 3: 9})
+    for table, coker in ((stable, None), (unstable, 8)):
+        above = check_module_degree_formula([1] * 6, table, 2, coker, why)
+        assert (above.holds, above.inconclusive) == (False, True)
+        assert why in above.detail and "lower bound" in above.detail
+        for degrees, cause in (([1] * 9, why), ([1] * 6, None)):
+            v = check_module_degree_formula(degrees, table, 2, coker, cause)
+            assert (v.holds, v.inconclusive) == (False, False)
+        v = check_module_degree_formula([1] * 8, table, 2, coker, why)
+        assert (v.holds, v.inconclusive) == (True, False)
 
 
 def test_cross_table_only_when_a_second_route_ran():
@@ -133,3 +156,59 @@ def test_a_sweep_ranks_each_dual_map_once(monkeypatch, quintic_ideal):
     for _ in range(2):
         assert [resolution_hdim(res, i, t) for i in range(c + 1)] == expected
         assert len(ranks) == len(set(asked)) < len(asked)
+
+
+def test_the_strand_builds_no_basis_of_a_power(monkeypatch, quintic_map):
+    """dim R/I = 1 for the quintic, so each power I^s (s ≥ 2) of the strand
+    is saturated from I's certificate and H¹ of R/I^s is read off the
+    saturation: no power asks for a basis or a Hilbert series of its own,
+    and the values are unchanged."""
+    I = Ideal(quintic_map.source, list(quintic_map.forms))
+    powers, asked = [], []
+    groebner_of, hilbert_of = Ideal.groebner, Ideal.hilbert
+
+    def built_power(B, s):
+        powers.append(ideal_power(B, s))
+        return powers[-1]
+
+    def logged(J, order=GREVLEX):
+        asked.append(J)
+        return groebner_of(J, order)
+
+    def spied(J):
+        asked.append(J)
+        return hilbert_of(J)
+
+    monkeypatch.setattr(cohomology, "ideal_power", built_power)
+    monkeypatch.setattr(Ideal, "groebner", logged)
+    monkeypatch.setattr(Ideal, "hilbert", spied)
+    table = m_mu_dims(I, quintic_map.d, -2, range(1, 6))
+    assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
+    assert len(powers) == 4 and asked
+    assert not any(J is P for J in asked for P in powers)
+
+
+def test_h0_reads_the_quotient_and_h1_only_the_saturation(monkeypatch,
+                                                          quintic_ideal):
+    """On a power of the quintic's base ideal, H¹ asks for no Hilbert data
+    of the power, H⁰ reads HF(R/J) as well, and both agree with duality.
+    The route refuses dim R/J > 1, for an ideal and for a power."""
+    P = ideal_power(quintic_ideal, 2)
+    asked = []
+    hilbert_of = Ideal.hilbert
+
+    def spied(J):
+        asked.append(J)
+        return hilbert_of(J)
+
+    monkeypatch.setattr(Ideal, "hilbert", spied)
+    for t in (8, 9):
+        assert hdim_difference(P, 1, t) == hdim_duality(P, 1, t)
+    assert not any(J is P for J in asked)
+    for t in (8, 9, 10):
+        del asked[:]
+        assert hdim_difference(P, 0, t) == hdim_duality(P, 0, t)
+        assert any(J is P for J in asked)
+    for J in (Ideal(R, [x * y]), ideal_power(Ideal(R, [x * y, x * z]), 2)):
+        with pytest.raises(ValueError, match="dim R/J"):
+            hdim_difference(J, 1, 2)

@@ -78,7 +78,10 @@ def test_fallback_intersects_reduced_pieces(monkeypatch, quintic_ideal):
     """The quintic has a base point at each coordinate point, so the
     saturation of I⁴ intersects all three pieces I⁴ : X_i^∞.  Handed over
     as reduced bases they hold 5, 8 and 8 generators (built as J_2, J_1,
-    J_0); I⁴'s own bases with X_i last hold 35, 43 and 43."""
+    J_0); I⁴'s own bases with X_i last hold 35, 43 and 43.  The base's
+    own saturation, which certifies that no variable passes, is computed
+    first, as every caller of a power's saturation does."""
+    quintic_ideal.saturation()
     pieces = []
 
     original = ideals.intersect_many
@@ -96,11 +99,13 @@ def test_fallback_intersects_reduced_pieces(monkeypatch, quintic_ideal):
 
 
 def test_a_power_is_saturated_through_its_base(monkeypatch, quintic_map):
-    """`saturate_irrelevant(I⁴)` on the quintic tries every variable.  I⁴
-    gets its grevlex basis only (the certificate's target, and the X_2
-    strip); the only bases with X_i last (i < 2) built are those of the
-    base I and of (I : X_i^∞)⁴, whose 24 elements strip to I⁴ : X_i^∞
-    in place of the 43 of I⁴'s own basis in that order."""
+    """`saturate_irrelevant(I⁴)` on the quintic reads I's certificate (no
+    variable passes, as dim R/I = 1 with base points at every coordinate
+    point) and intersects the three colons I⁴ : X_i^∞ untried.  I⁴ gets no
+    basis of its own; the only power bases built are those of
+    (I : X_i^∞)⁴ with X_i last, whose 5, 24 and 24 elements (i = 2, 1, 0)
+    strip to I⁴ : X_i^∞ in place of the 35, 43 and 43 of I⁴'s own bases,
+    and I holds its grevlex basis and those with X_1 and X_0 last."""
     built = []
     groebner_of = Ideal.groebner
 
@@ -113,13 +118,16 @@ def test_a_power_is_saturated_through_its_base(monkeypatch, quintic_map):
     I = Ideal(quintic_map.source, list(quintic_map.forms))
     P = ideal_power(I, 4)
     saturate_irrelevant(P)
-    assert list(P._gb) == [GREVLEX]
-    for i in (0, 1):
-        order = grevlex_with_last(3, i)
-        base, power = [J for J, o in built if o == order]
-        assert base is I and power._power_of[1] == 4
-        assert len(power._gb[order].raw) == 24
+    assert P._gb == {}
+    powers = [(J, order) for J, order in built if J._power_of]
+    assert [order for _, order in powers] == [grevlex_with_last(3, i)
+                                              for i in (2, 1, 0)]
+    for (power, order), i, size in zip(powers, (2, 1, 0), (5, 24, 24)):
+        assert power._power_of[1] == 4
         assert power._power_of[0] == saturate_variable(I, i)
+        assert len(power._gb[order].raw) == size
+    assert list(I._gb) == [GREVLEX, grevlex_with_last(3, 1),
+                           grevlex_with_last(3, 0)]
 
 
 def test_membership_does_not_depend_on_the_basis_held():

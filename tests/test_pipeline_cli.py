@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import mapfibers
-from mapfibers import build_map, ideals, standard_ring
+from mapfibers import build_map, ideals, pipeline, standard_ring
 from mapfibers.cli import COMMAND_STAGES, main
 from mapfibers.fields import PRIME_CAP
 from mapfibers.ideals import saturate_irrelevant
@@ -82,6 +83,73 @@ def test_irrational_fiber_points_give_partial_inventory():
     assert res.report["fibers"]["complete"] is False
     assert res.report["fibers"]["count"] == 6
     assert any("no rational point" in n for n in res.report["fibers"]["notes"])
+    # the six rational fibers give a divisor sum of 6, a lower bound only:
+    # the stabilized 8 above it is inconclusive, not a failure
+    formula = res.report["module"]["degree_formula"]
+    assert (formula["expected"], formula["stabilized"]) == (6, 8)
+    assert formula["inconclusive"] is True and formula["holds"] is False
+    assert "lower bound" in formula["detail"]
+    assert "no rational point" in formula["detail"]
+
+
+def _failed_certificates(report):
+    """The certificates the report shows failing, by name."""
+    module = report["module"]
+    formula = module["degree_formula"]
+    failing = {
+        "divisor_bound": any(row["holds"] is False
+                             for row in report["divisor_bound"]),
+        "factorization": not all(f["passes"]
+                                 for f in report["factorization"]),
+        "degree_formula": not (formula["holds"] or formula["inconclusive"]),
+        "two_sided": module["two_sided"]["holds"] is False,
+        "surface_bounds": not report["surface_bounds"]["all_hold"],
+    }
+    return [name for name, failed in failing.items() if failed]
+
+
+def _one_value_off(table):
+    table.values[1] += 1
+    return table
+
+
+def _first_item_fails(verdict):
+    first = dataclasses.replace(verdict.items[0], holds=False)
+    return dataclasses.replace(verdict, items=[first] + verdict.items[1:])
+
+
+# certificate -> (the function on `pipeline` that yields it, a spoiler of
+# its result)
+SPOILERS = {
+    "divisor_bound": ("check_divisor_degree_bound", lambda v:
+                      dataclasses.replace(v, holds=False) if v.applicable
+                      else v),
+    "factorization": ("check_fiber_factorization", lambda v:
+                      dataclasses.replace(v, saturation_contained=False)),
+    "degree_formula": ("check_module_degree_formula", lambda v:
+                       dataclasses.replace(v, holds=False)),
+    "two_sided": ("n_table", _one_value_off),
+    "surface_bounds": ("check_surface_bounds", _first_item_fails),
+}
+
+
+def test_no_certificate_of_the_quintic_fails(quintic_result):
+    assert _failed_certificates(quintic_result.report) == []
+
+
+@pytest.mark.parametrize("certificate", sorted(SPOILERS))
+def test_a_failed_certificate_exits_4(monkeypatch, quintic_map,
+                                      certificate):
+    """With a complete inventory, any one certificate of the quintic's
+    report made to fail gives exit code 4 (0 before exit code 4 existed)."""
+    name, spoil = SPOILERS[certificate]
+    check = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name,
+                        lambda *args, **kw: spoil(check(*args, **kw)))
+    res = run_pipeline(quintic_map, PipelineOptions(s_max=4))
+    assert res.report["fibers"]["complete"] is True
+    assert _failed_certificates(res.report) == [certificate]
+    assert res.exit_code == 4
 
 
 def test_render_text_contains_key_lines(quintic_result):

@@ -8,7 +8,8 @@ against the intersection route (over GF(7) and QQ), variable saturation by
 its two routes in the Rees ring's weights (over GF(7) and QQ), the reduced
 basis variable saturation hands over against one computed from scratch
 (over GF(7) and QQ), and the same for the saturation of a power through
-its base (over GF(7) and QQ), the two
+its base (over GF(7) and QQ), the saturation of a power from its base's
+certificate against the Hilbert-certified loop (over GF(7) and QQ), the two
 independent routes to local cohomology dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
 concurrent recomputation, minimal generators of submodules (over GF(7)
@@ -314,6 +315,69 @@ def test_power_saturation_through_the_base_matches_the_power(monkeypatch):
                 assert S == intersect_many(pieces)
         assert all(outcomes.values()) and all(routes.values()), \
             (outcomes, routes)
+
+
+def _power_saturation_cases(rng, field):
+    """(case, B) for the four shapes of base ideal the saturation of a
+    power tells apart: structured cubics as the oracle suite draws them
+    (X_2 passes B's certificate), forms through the three coordinate
+    points (no variable passes), a base-point-free B, and the P^3 map
+    X0², X0X1, X0X2, X0X3, X1X2, whose base locus holds the lines
+    X0 = X1 = 0 and X0 = X2 = 0 (dim R/B = 2)."""
+    R = _ring(field)
+    x, y, z = (Polynomial.variable(R, i) for i in range(3))
+    coord = lambda: field.from_int(rng.randint(1, 6))
+    linear = lambda: Polynomial.from_terms(R, [
+        (R.var_mono(i), coord()) for i in range(3)])
+    u, v = linear() * linear(), linear() * linear()
+    yield "one passes", Ideal(R, [y * u, x * v, z * u, z * v])
+    corners = [tuple(field.from_int(int(i == j)) for j in range(3))
+               for i in range(3)]
+    points = corners + [tuple(coord() for _ in range(3))]
+    yield "none passes", Ideal(R, [_form_through(rng, R, points)
+                                   for _ in range(3)])
+    B = Ideal(R, [_rand_signed_form(rng, R, 2) for _ in range(3)])
+    while B.hilbert().krull_dim:
+        B = Ideal(R, [_rand_signed_form(rng, R, 2) for _ in range(3)])
+    yield "base-point-free", B
+    R4 = _ring(field, 4)
+    X = [Polynomial.variable(R4, i) for i in range(4)]
+    yield "base curve", Ideal(R4, [X[0] * X[0], X[0] * X[1], X[0] * X[2],
+                                   X[0] * X[3], X[1] * X[2]])
+
+
+def test_power_saturation_from_the_base_certificate(monkeypatch):
+    """`saturate_irrelevant(B^s)` for s = 2, 3 (over GF(7) and QQ) equals
+    the Hilbert-certified loop on the same generators with no record of
+    the base, and the intersection of the n + 1 colons B^s : X_i^∞.
+    When dim R/B ≤ 1 the power reads B's certificate and never asks for
+    its own Hilbert series; the base curve (dim R/B = 2) still takes the
+    loop, which reads it."""
+    asked = []
+    hilbert_of = Ideal.hilbert
+
+    def spied(J):
+        asked.append(J)
+        return hilbert_of(J)
+
+    monkeypatch.setattr(Ideal, "hilbert", spied)
+    rng = random.Random(SEED + 13)
+    for field in (PrimeField(7), QQ):
+        for case, B in _power_saturation_cases(rng, field):
+            n = B.ring.nvars
+            B.saturation()
+            # X_3 passes for the base curve too; its powers take the loop
+            assert (B._sat_by is None) == (case == "none passes")
+            for s in (2, 3):
+                P = ideal_power(B, s)
+                del asked[:]
+                S = saturate_irrelevant(P)
+                assert any(J is P for J in asked) == (case == "base curve")
+                assert (P._gb == {}) == (case != "base curve")
+                slow = saturate_irrelevant(Ideal(B.ring, P.generators))
+                assert S == slow, (case, s)
+                assert S == intersect_many([saturate_variable(P, i)
+                                            for i in reversed(range(n))])
 
 
 def _rand_biform(rng, ring, nx, a, b):
