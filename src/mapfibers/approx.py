@@ -188,9 +188,14 @@ class PresentationData:
     matrix: List[List[Polynomial]]         # n × mrank, entries linear in T
     coker_dims: Dict[int, int]             # s -> dim_k N_s
     coker_dim_deg: Tuple[int, int]         # (krull dim, degree) of coker over B
-    stable_value: Optional[int]            # common value on [n, n+2], if constant
+    window: Tuple[int, int, int]           # dim_k N_s for s = n, n+1, n+2
     annihilator: Ideal                     # ann_B(coker) — same radical as Fitt_0
     fitting_ideal: Optional[Ideal]         # literal maximal minors when affordable
+
+    @property
+    def stable_value(self) -> Optional[int]:
+        """The common value of `window`, None when it is not constant."""
+        return self.window[0] if len(set(self.window)) == 1 else None
 
 
 # minors of an n×mrank matrix are only expanded when the subset count is modest
@@ -276,8 +281,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
     mgb = module_groebner(columns, cfree)
     H = hilbert_series_quotient(mgb)
     coker_dims = {s: H.hf(s) for s in range(1, max(n + 2, 4) + 1)}
-    window = {H.hf(s) for s in range(n, n + 3)}
-    stable = window.pop() if len(window) == 1 else None
+    window = tuple(H.hf(s) for s in range(n, n + 3))
 
     live_cols = [c for c in columns if not vec_is_zero(c)]
     if n == 0:
@@ -302,7 +306,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
         fitt = Ideal(B, minors or [Polynomial.zero(B)])
 
     return PresentationData(B, (l, mrank, n), P, coker_dims,
-                            (H.krull_dim, H.degree), stable, ann, fitt)
+                            (H.krull_dim, H.degree), window, ann, fitt)
 
 
 @dataclass
@@ -340,7 +344,7 @@ def check_surface_bounds(pres: PresentationData, d: int,
     stable = pres.stable_value
     items.append(BoundsItem(
         "regularity_window", True, stable is not None,
-        f"dims on [n, n+2] = {[pres.coker_dims.get(s) for s in range(n, n + 3)]}"
+        f"dims on [n, n+2] = {list(pres.window)}"
         + (f", constant at {stable}" if stable is not None else ", not constant")))
 
     deg_n = pres.coker_dim_deg[1] if pres.coker_dim_deg[0] >= 1 else 0

@@ -84,7 +84,11 @@ def _cmd_pipeline(args) -> int:
     result = run_pipeline(pmap, opt, path=args.file)
     sys.stdout.write(render_text(result.report))
     if getattr(args, "json", None):
-        write_json(result.report, args.json)
+        try:
+            write_json(result.report, args.json)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return result.exit_code
 
 

@@ -429,14 +429,32 @@ def base_locus(pmap: ParameterizedMap) -> Tuple[Ideal, int, int]:
 
 def lci_proxy_check(pmap: ParameterizedMap) -> bool:
     """Proxy for the local-complete-intersection hypothesis: the Rees ideal
-    agrees with the symmetric-algebra ideal up to irrelevant torsion,
-    i.e. 𝔓 ⊆ (𝔓₁·S : (X)^∞)."""
+    agrees with the symmetric-algebra ideal J1 = 𝔓₁·S up to irrelevant
+    torsion, i.e. 𝔓 ⊆ J1 : 𝔪^∞ with 𝔪 = (X_0, …, X_m).
+
+    Since 𝔪^∞-torsion is torsion for each X_i, the test is 𝔓 ⊆ J1 : X_i^∞
+    for every i.  When I = (f_0, …, f_n) certifies a variable X_i
+    (`Ideal.certified_variable`: dim R/I ≤ 1 and X_i passed I's
+    Hilbert-polynomial test), that one X_i decides it:
+
+        After inverting any f_j, 𝔓 is generated by the Koszul forms
+        f_j·T_k − f_k·T_j, which lie in J1; so Supp(𝔓/J1) ⊆ V(I·S) and
+        some power of I·S kills 𝔓/J1.
+        X_i certified means V(I) ∩ {X_i = 0} = ∅ over k̄, so
+        √(I + (X_i)) = 𝔪.
+        So if 𝔓/J1 is X_i-torsion it is killed by a power of
+        I·S + (X_i), hence of 𝔪: it is 𝔪-torsion.  The converse is
+        trivial.
+
+    Otherwise (base points on every coordinate line, or dim R/I ≥ 2)
+    every variable is tried.
+    """
     rd = pmap.rees
-    S = rd.ambient
-    J1 = Ideal(S, rd.linear_part)
-    # 𝔓 ⊆ ∩_i (J1 : X_i^∞) iff 𝔓 ⊆ J1 : X_i^∞ for every i
+    J1 = Ideal(rd.ambient, rd.linear_part)
+    i = pmap.base_ideal.certified_variable()
+    tries = range(pmap.source.nvars) if i is None else (i,)
     return all(rd.rees.is_subideal_of(saturate_variable(J1, i))
-               for i in range(pmap.source.nvars))
+               for i in tries)
 
 
 def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:

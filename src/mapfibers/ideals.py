@@ -12,13 +12,19 @@ identity
     ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
     so x^{se}·(I : x^∞)^s ⊆ I^s.
 
-When dim R/I ≤ 1 the power is saturated by 𝔪 from I's own certificate,
-so I^s gets no basis or Hilbert series of its own (unless a colon of I
-needs higher degrees than I, see `saturate_variable`): Ass(R/I^s) ⊆
-Min(I) ∪ {𝔪}, so a variable whose colon passed I's Hilbert-polynomial
-test (it avoids every point of V(I)) gives (I^s)^sat = I^s : x^∞, and
-when none passed the colons by all variables are intersected
-(`saturate_irrelevant`).
+When dim R/I ≤ 1, a variable X_i whose colon passed I's Hilbert-polynomial
+test in `saturate_irrelevant` vanishes at no point of V(I) over the
+algebraic closure (the prime of a point on X_i = 0 contains I^sat but
+not I : X_i^∞), so √(I + (X_i)) = 𝔪.  `Ideal.certified_variable` returns
+that i, and both its readers use this one fact.  The power I^s is
+saturated by 𝔪 from I's certificate, so it gets no basis or Hilbert
+series of its own (unless a colon of I needs higher degrees than I, see
+`saturate_variable`): Ass(R/I^s) ⊆ Min(I) ∪ {𝔪}, so the certified X_i
+gives (I^s)^sat = I^s : X_i^∞, and when no variable passed the colons by
+all variables are intersected.  `fibers.lci_proxy_check` saturates the
+symmetric-algebra ideal J1 by the certified X_i alone: 𝔓/J1 is
+supported on V(I·S), so X_i-torsion there is 𝔪-torsion (the proof is in
+its docstring).
 
 An ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
@@ -138,6 +144,19 @@ class Ideal:
         if self._sat is None:
             self._sat = saturate_irrelevant(self)
         return self._sat
+
+    def certified_variable(self) -> Optional[int]:
+        """The index i of a variable X_i that vanishes at no point of V(I)
+        over the algebraic closure, as certified by the Hilbert-polynomial
+        test of `saturate_irrelevant` (run if it has not been); None when
+        dim R/I ≥ 2 or no variable passed.  A power B^s reads B's (same
+        zero set)."""
+        if self._power_of:
+            return self._power_of[0].certified_variable()
+        if self.hilbert().krull_dim > 1:
+            return None
+        self.saturation()
+        return self._sat_by
 
     def contains(self, f: Polynomial) -> bool:
         """Membership by the normal form against a reduced basis this ideal
@@ -402,8 +421,9 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     order they were built (I : 𝔪^∞ = ∩_i I : X_i^∞ for every ideal).
 
     A power I = B^s (s ≥ 2, from `ideal_power`) with dim R/B ≤ 1 needs
-    no target: it is saturated from B's own certificate, and its colons
-    go through B (`saturate_variable`).
+    no target: it is saturated from B's own certificate
+    (`Ideal.certified_variable`), and its colons go through B
+    (`saturate_variable`).
     Every prime over B is then a point of V(B), minimal over B, or 𝔪, so
     Ass(R/B^s) ⊆ Min(B) ∪ {𝔪}.  X_i passes B's test exactly when no point
     of V(B) lies on X_i = 0 (for a point P ∋ X_i, (B : X_i^∞)_P = R_P
@@ -416,11 +436,12 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     _require_homogeneous(I)
     if I._power_of and I._power_of[1] > 1:
         base = I._power_of[0]
+        i = base.certified_variable()
+        if i is not None:
+            return saturate_variable(I, i)
         if base.hilbert().krull_dim <= 1:
-            base.saturation()
-            tries = (reversed(range(I.ring.nvars)) if base._sat_by is None
-                     else (base._sat_by,))
-            return intersect_many([saturate_variable(I, i) for i in tries])
+            return intersect_many([saturate_variable(I, i)
+                                   for i in reversed(range(I.ring.nvars))])
     target = _hilbert_polynomial(I.hilbert())
     pieces = []
     for i in reversed(range(I.ring.nvars)):

@@ -10,7 +10,7 @@ from math import comb, gcd
 from mapfibers.fields import PrimeField
 from mapfibers.fibers import _specialize, fiber_ideal
 from mapfibers.ideals import (Ideal, eliminate, exact_divide,
-                              extend_polynomial, intersect)
+                              extend_polynomial, intersect, saturate_variable)
 from mapfibers.modules import (FreeModule, FreeResolution, generator_map,
                                kernel_of_free_map, minimal_generators)
 from mapfibers.poly import Polynomial
@@ -75,6 +75,16 @@ def fibers_agree(pmap, y):
     agree at y (after saturating the irrelevant ideal away)?"""
     sym = Ideal(pmap.source, _specialize(pmap, y, pmap.rees.linear_part))
     return fiber_ideal(pmap, y).saturation() == sym.saturation()
+
+
+def lci_proxy_by_variable(pmap):
+    """The lci proxy 𝔓 ⊆ J1 : 𝔪^∞ (J1 = 𝔓₁·S) decided by the definition
+    𝔪^∞-torsion = X_i^∞-torsion for every i: for each source variable X_i
+    in order, whether 𝔓 ⊆ J1 : X_i^∞.  The proxy holds when all do."""
+    rd = pmap.rees
+    J1 = Ideal(rd.ambient, rd.linear_part)
+    return [rd.rees.is_subideal_of(saturate_variable(J1, i))
+            for i in range(pmap.source.nvars)]
 
 
 def iterated_kernel_resolution(gens):

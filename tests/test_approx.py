@@ -136,6 +136,19 @@ def test_zero_module_edge_case():
         Polynomial.constant(pres.base_ring, 1))
 
 
+def test_regularity_window_shows_the_dims_it_read():
+    """On the fat point x²z + y³, y²z + x³, xyz, x²y the rank n is 0, so
+    the window [n, n+2] starts below s = 1, the first cokernel dimension
+    kept; the detail shows the three values the verdict read."""
+    pres = presentation_matrix_N(build_map([x * x * z + y ** 3,
+                                            y * y * z + x ** 3, x * y * z,
+                                            x * x * y]))
+    assert pres.ranks[2] == 0 and min(pres.coker_dims) == 1
+    item = check_surface_bounds(pres, 3).items[0]
+    assert item.name == "regularity_window" and item.holds
+    assert item.detail == "dims on [n, n+2] = [0, 0, 0], constant at 0"
+
+
 def test_surface_bounds_gating(quintic_map):
     pres = quintic_map.presentation[0]
     strict = check_surface_bounds(pres, 5, base_degree=18, lci=True,

@@ -11,7 +11,10 @@ Each record is also pushed through the factorization check and the degree
 bounds deg h_y < d and d * deg h_y <= deg of the base locus.
 
 On the first sampled map, a generic one, the Hilbert-driven eliminations
-are held to S-pair counts below those of plain Buchberger.
+are held to S-pair counts below those of plain Buchberger, and so is the
+lci proxy on the first sampled map whose base locus certifies no
+variable.  The proxy saturates by one variable on the generic map and by
+three on the quintic.
 """
 
 import random
@@ -22,11 +25,12 @@ from mapfibers import (PrimeField, base_locus, brute_force_fiber_oracle,
                        build_map, check_fiber_factorization, engine, fibers,
                        find_one_dim_fibers, image_ideal, standard_ring)
 from mapfibers.fibers import PointProjective
-from mapfibers.ideals import degree_monomials
+from mapfibers.ideals import degree_monomials, saturate_variable
+from mapfibers.mapfile import load_map_file
 from mapfibers.poly import Polynomial
 from mapfibers.solve import projective_points
 
-from conftest import count_calls, rebind
+from conftest import count_calls, map_path, rebind
 
 SEED = 733
 F7 = PrimeField(7)
@@ -134,9 +138,13 @@ def test_sample_is_not_vacuous():
     assert nonempty >= 5
 
 
-# S-pairs reduced on MAPS[0] by plain Buchberger (every basis built from its
-# generators alone, 𝔓 and the image rewrapped without their bases)
-PLAIN_SPAIRS = {"rees_ideal": 269, "image_ideal": 153, "lci_proxy_check": 255}
+# S-pairs reduced by plain Buchberger (every basis built from its generators
+# alone, 𝔓 and the image rewrapped without their bases): the eliminations
+# on MAPS[0], and the lci proxy on MAPS[NO_CERTIFIED_VARIABLE], the first
+# sampled map whose base locus certifies no variable, so that the proxy
+# saturates J1 by all three
+NO_CERTIFIED_VARIABLE = 7
+PLAIN_SPAIRS = {"rees_ideal": 269, "image_ideal": 153, "lci_proxy_check": 40}
 
 
 def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
@@ -147,6 +155,9 @@ def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
     assert _candidate(random.Random(SEED), standard_ring(("x", "y", "z"), F7),
                       False) == list(MAPS[0].forms)     # the generic one
     pmap = build_map(list(MAPS[0].forms))               # nothing cached
+    proxy_map = build_map(list(MAPS[NO_CERTIFIED_VARIABLE].forms))
+    proxy_map.rees               # outside the count: only MAPS[0]'s is held
+    assert proxy_map.base_ideal.certified_variable() is None
     inside = []
 
     def labelled(name, fn):
@@ -164,6 +175,19 @@ def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
     spairs = count_calls(monkeypatch, engine._spoly,
                          key=lambda *args: inside[-1] if inside else None)
     assert pmap.image.generically_finite
-    fibers.lci_proxy_check(pmap)
+    fibers.lci_proxy_check(proxy_map)
     counts = {name: spairs.count(name) for name in PLAIN_SPAIRS}
     assert all(counts[n] < PLAIN_SPAIRS[n] for n in PLAIN_SPAIRS), counts
+
+
+def test_lci_proxy_saturates_by_the_certified_variable_alone(monkeypatch):
+    """On the generic MAPS[0] the base locus certifies X_2, and the lci
+    proxy saturates J1 by it alone; on the quintic, with base points on
+    every coordinate line, it saturates J1 by all three variables."""
+    for pmap, calls in ((build_map(list(MAPS[0].forms)), 1),
+                        (load_map_file(map_path("quintic_surface.map")), 3)):
+        pmap.rees, pmap.locus
+        with monkeypatch.context() as patch:
+            log = count_calls(patch, saturate_variable)
+            assert fibers.lci_proxy_check(pmap)
+        assert len(log) == calls

@@ -303,6 +303,21 @@ def test_cli_prime_field_past_the_cap_exits_one(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_cli_json_to_an_unwritable_path_exits_one(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapfibers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "missing" / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "mapfibers.cli", "analyze",
+                           map_path("base_point_free.map"), "--json",
+                           str(out)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_source_target_name_clash_exits_one(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(mapfibers.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

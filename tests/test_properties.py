@@ -9,8 +9,10 @@ its two routes in the Rees ring's weights (over GF(7) and QQ), the reduced
 basis variable saturation hands over against one computed from scratch
 (over GF(7) and QQ), and the same for the saturation of a power through
 its base (over GF(7) and QQ), the saturation of a power from its base's
-certificate against the Hilbert-certified loop (over GF(7) and QQ), the two
-independent routes to local cohomology dimensions,
+certificate against the Hilbert-certified loop (over GF(7) and QQ), the
+lci proxy by the certified variable against the proxy by every variable
+(over GF(7) and QQ), the two independent routes to local cohomology
+dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
 concurrent recomputation, minimal generators of submodules (over GF(7)
 and QQ) against the per-generator greedy loop, the Hilbert-driven engine
@@ -24,7 +26,7 @@ and local cohomology by duality (over GF(7) and QQ).
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-from mapfibers import QQ, Ideal, PrimeField, standard_ring
+from mapfibers import QQ, Ideal, PrimeField, build_map, fibers, standard_ring
 from mapfibers.cohomology import (hdim_difference, hdim_duality,
                                   resolution_hdim)
 from mapfibers import engine
@@ -36,12 +38,16 @@ from mapfibers.ideals import (degree_monomials, eliminate, exact_divide,
                               extend_polynomial, ideal_power, intersect,
                               intersect_many, poly_gcd, saturate_irrelevant,
                               saturate_variable)
+from mapfibers.mapfile import load_map_file
 from mapfibers.modules import (FreeModule, free_resolution,
                                minimal_generators, module_groebner, vec_add,
                                vec_is_zero, vec_scale, vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import GREVLEX, elimination_order, grevlex_with_last
-from references import colon, iterated_kernel_resolution, saturate_element
+from conftest import map_path
+from references import (colon, iterated_kernel_resolution,
+                        lci_proxy_by_variable, saturate_element)
+from test_oracle_agreement import MAPS as ORACLE_MAPS
 
 SEED = 20260815
 FIELDS = (PrimeField(7), PrimeField(11))
@@ -61,6 +67,7 @@ N_HINT = 30              # per field and ring shape
 N_ELIM = 20              # per field and elimination shape
 N_RES = 12               # per field and ring shape
 N_RES_POWER = 4          # per field
+N_LCI_ORACLE = 8         # first oracle-suite cubics; the last certifies none
 
 
 def _ring(field, nvars=3):
@@ -378,6 +385,41 @@ def test_power_saturation_from_the_base_certificate(monkeypatch):
                 assert S == slow, (case, s)
                 assert S == intersect_many([saturate_variable(P, i)
                                             for i in reversed(range(n))])
+
+
+def test_lci_proxy_against_every_variable():
+    """`lci_proxy_check`, which saturates J1 by the base locus's certified
+    variable alone when there is one, equals the proxy decided by every
+    source variable on: the first oracle-suite GF(7) cubics, the bundled
+    maps, the P^3 map X0², X0X1, X0X2, X0X3, X1X2 (dim R/I = 2, so every
+    variable is tried), and over GF(7) and QQ the fat point
+    x²z + y³, y²z + x³, xyz, x²y.  Its base locus is (0:0:1) with local
+    ideal 𝔪_p² of degree 3, X_2 is certified and the proxy fails, but
+    only J1 : X_2^∞ misses 𝔓: a proxy by any other variable says True."""
+    maps = [build_map(list(pmap.forms))
+            for pmap in ORACLE_MAPS[:N_LCI_ORACLE]]
+    maps += [load_map_file(map_path(name)) for name in (
+        "base_point_free.map", "irrational_fibers.map",
+        "non_generically_finite.map", "quintic_surface.map")]
+    assert any(pmap.base_ideal.certified_variable() is None
+               for pmap in maps[:N_LCI_ORACLE])
+    for field in (PrimeField(7), QQ):
+        R4 = _ring(field, 4)
+        X = [Polynomial.variable(R4, i) for i in range(4)]
+        curve = build_map([X[0] * X[0], X[0] * X[1], X[0] * X[2],
+                           X[0] * X[3], X[1] * X[2]])
+        assert curve.base_ideal.hilbert().krull_dim == 2
+        assert curve.base_ideal.certified_variable() is None
+        x, y, z = (Polynomial.variable(_ring(field), i) for i in range(3))
+        fat = build_map([x * x * z + y ** 3, y * y * z + x ** 3, x * y * z,
+                         x * x * y])
+        assert fat.locus[1:] == (1, 3)
+        assert fat.base_ideal.certified_variable() == 2
+        assert lci_proxy_by_variable(fat) == [True, True, False]
+        maps += [curve, fat]
+    for pmap in maps:
+        assert fibers.lci_proxy_check(pmap) == \
+            all(lci_proxy_by_variable(pmap)), pmap.forms
 
 
 def _rand_biform(rng, ring, nx, a, b):
