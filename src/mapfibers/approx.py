@@ -202,24 +202,47 @@ class PresentationData:
 _MINor_SUBSET_LIMIT = 200
 
 
-def _poly_det(M: List[List[Polynomial]], ring: RingDescriptor,
-              cols: Tuple[int, ...], memo: Dict[Tuple[int, ...], Polynomial]) -> Polynomial:
-    """Determinant of M restricted to rows 0..len(cols)-1 and the given columns,
-    by Laplace expansion along the last row with sub-minors shared in `memo`."""
-    if cols in memo:
-        return memo[cols]
+def poly_minor(M: Sequence[Sequence[Polynomial]], ring: RingDescriptor,
+               rows: Tuple[int, ...], cols: Tuple[int, ...],
+               memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial]
+               ) -> Polynomial:
+    """Determinant of M restricted to the given rows and columns (as many
+    of each), by Laplace expansion along the last of the rows, with the
+    sub-minors shared in `memo`, keyed by (rows, cols)."""
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
     if not cols:
-        return memo.setdefault((), Polynomial.constant(ring, 1))
+        return memo.setdefault(key, Polynomial.constant(ring, 1))
     k = len(cols) - 1
     acc = Polynomial.zero(ring)
     for idx, c in enumerate(cols):
-        entry = M[k][c]
+        entry = M[rows[k]][c]
         if entry.is_zero():
             continue
-        term = entry * _poly_det(M, ring, cols[:idx] + cols[idx + 1:], memo)
+        term = entry * poly_minor(M, ring, rows[:k],
+                                  cols[:idx] + cols[idx + 1:], memo)
         acc = acc + term if (k + idx) % 2 == 0 else acc - term
-    memo[cols] = acc
+    memo[key] = acc
     return acc
+
+
+def minors(M: Sequence[Sequence[Polynomial]], ring: RingDescriptor,
+           ncols: int, k: int) -> List[Polynomial]:
+    """The nonzero k × k minors of the len(M) × ncols matrix M, by row
+    subsets and then column subsets in lexicographic order, sharing their
+    sub-minors; [1] when k ≤ 0 (the ideal of minors of size ≤ 0 is the
+    unit ideal)."""
+    if k <= 0:
+        return [Polynomial.constant(ring, 1)]
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial] = {}
+    out = []
+    for rows in combinations(range(len(M)), k):
+        for cols in combinations(range(ncols), k):
+            det = poly_minor(M, ring, rows, cols, memo)
+            if not det.is_zero():
+                out.append(det)
+    return out
 
 
 def presentation_matrix_N(pmap) -> PresentationData:
@@ -297,13 +320,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
 
     fitt = None
     if n <= mrank and comb(mrank, n) <= _MINor_SUBSET_LIMIT:
-        memo: Dict[Tuple[int, ...], Polynomial] = {}
-        minors = []
-        for cols in combinations(range(mrank), n):
-            det = _poly_det(P, B, cols, memo)
-            if not det.is_zero():
-                minors.append(det)
-        fitt = Ideal(B, minors or [Polynomial.zero(B)])
+        fitt = Ideal(B, minors(P, B, mrank, n) or [Polynomial.zero(B)])
 
     return PresentationData(B, (l, mrank, n), P, coker_dims,
                             (H.krull_dim, H.degree), window, ann, fitt)

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .approx import (PresentationData, presentation_applies,
+from .approx import (PresentationData, minors, presentation_applies,
                      presentation_matrix_N)
 from .groebner import normal_form
 from .ideals import (Ideal, eliminate, exact_divide,
@@ -432,29 +432,40 @@ def lci_proxy_check(pmap: ParameterizedMap) -> bool:
     agrees with the symmetric-algebra ideal J1 = 𝔓₁·S up to irrelevant
     torsion, i.e. 𝔓 ⊆ J1 : 𝔪^∞ with 𝔪 = (X_0, …, X_m).
 
-    Since 𝔪^∞-torsion is torsion for each X_i, the test is 𝔓 ⊆ J1 : X_i^∞
-    for every i.  When I = (f_0, …, f_n) certifies a variable X_i
-    (`Ideal.certified_variable`: dim R/I ≤ 1 and X_i passed I's
-    Hilbert-polynomial test), that one X_i decides it:
+    When dim R/I ≤ 1 (a finite base locus) it is decided in R by Fitting
+    ideals: it holds exactly when R/(I + I_{n+1−m}(φ)) has Krull dimension
+    0, where φ is the (n+1) × r matrix whose columns are the map's
+    `syzygies` (the minors of size ≤ 0 generate the unit ideal).
 
-        After inverting any f_j, 𝔓 is generated by the Koszul forms
-        f_j·T_k − f_k·T_j, which lie in J1; so Supp(𝔓/J1) ⊆ V(I·S) and
-        some power of I·S kills 𝔓/J1.
-        X_i certified means V(I) ∩ {X_i = 0} = ∅ over k̄, so
-        √(I + (X_i)) = 𝔪.
-        So if 𝔓/J1 is X_i-torsion it is killed by a power of
-        I·S + (X_i), hence of 𝔪: it is 𝔪-torsion.  The converse is
-        trivial.
+        𝔓/J1 is the kernel of Sym(I) → Rees(I), so it is 𝔪-torsion
+        exactly when I_p is of linear type for every homogeneous prime
+        p ≠ 𝔪 of R.
+        If dim R/I ≤ 1, the only such p that contain I are the base
+        points; at each one R_p is regular of dimension m and I_p is
+        p-primary.
+        If I_p is of linear type, its fiber cone is a polynomial ring in
+        μ(I_p) variables, so μ(I_p) = ℓ(I_p) ≤ m; a p-primary ideal needs
+        at least m generators, so I_p is a complete intersection.
+        Conversely, a regular sequence is of linear type.
+        By Fitting's lemma, μ(I_p) ≤ m exactly when I_{n+1−m}(φ) ⊄ p, for
+        any presentation of I, and the syzygies are one.
+        So the proxy holds exactly when V(I + I_{n+1−m}(φ)) is empty in
+        P^m.
 
-    Otherwise (base points on every coordinate line, or dim R/I ≥ 2)
-    every variable is tried.
+    When dim R/I ≥ 2, 𝔪^∞-torsion is torsion for each X_i, and the test
+    is 𝔓 ⊆ J1 : X_i^∞ for every i.
     """
+    I = pmap.base_ideal
+    if I.hilbert().krull_dim <= 1:
+        # the syzygies as rows: φ transposed, which has the same minors
+        fitt = minors(pmap.syzygies, pmap.source, len(pmap.forms),
+                      pmap.n + 1 - pmap.m)
+        return Ideal(pmap.source,
+                     list(pmap.forms) + fitt).hilbert().krull_dim == 0
     rd = pmap.rees
     J1 = Ideal(rd.ambient, rd.linear_part)
-    i = pmap.base_ideal.certified_variable()
-    tries = range(pmap.source.nvars) if i is None else (i,)
     return all(rd.rees.is_subideal_of(saturate_variable(J1, i))
-               for i in tries)
+               for i in range(pmap.source.nvars))
 
 
 def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:

@@ -16,15 +16,12 @@ When dim R/I ≤ 1, a variable X_i whose colon passed I's Hilbert-polynomial
 test in `saturate_irrelevant` vanishes at no point of V(I) over the
 algebraic closure (the prime of a point on X_i = 0 contains I^sat but
 not I : X_i^∞), so √(I + (X_i)) = 𝔪.  `Ideal.certified_variable` returns
-that i, and both its readers use this one fact.  The power I^s is
+that i for its one reader, the power's saturation.  The power I^s is
 saturated by 𝔪 from I's certificate, so it gets no basis or Hilbert
 series of its own (unless a colon of I needs higher degrees than I, see
 `saturate_variable`): Ass(R/I^s) ⊆ Min(I) ∪ {𝔪}, so the certified X_i
 gives (I^s)^sat = I^s : X_i^∞, and when no variable passed the colons by
-all variables are intersected.  `fibers.lci_proxy_check` saturates the
-symmetric-algebra ideal J1 by the certified X_i alone: 𝔓/J1 is
-supported on V(I·S), so X_i-torsion there is 𝔪-torsion (the proof is in
-its docstring).
+all variables are intersected.
 
 An ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
@@ -150,7 +147,8 @@ class Ideal:
         over the algebraic closure, as certified by the Hilbert-polynomial
         test of `saturate_irrelevant` (run if it has not been); None when
         dim R/I ≥ 2 or no variable passed.  A power B^s reads B's (same
-        zero set)."""
+        zero set), and B^s's saturation (`saturate_irrelevant`) is its one
+        reader."""
         if self._power_of:
             return self._power_of[0].certified_variable()
         if self.hilbert().krull_dim > 1:

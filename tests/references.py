@@ -87,6 +87,19 @@ def lci_proxy_by_variable(pmap):
             for i in range(pmap.source.nvars)]
 
 
+def cofactor_det(M, ring):
+    """Determinant of a square polynomial matrix by the textbook cofactor
+    expansion along the first row, with nothing shared; 1 for 0 × 0."""
+    if not M:
+        return Polynomial.constant(ring, 1)
+    det = Polynomial.zero(ring)
+    for c, entry in enumerate(M[0]):
+        sub = [row[:c] + row[c + 1:] for row in M[1:]]
+        term = entry * cofactor_det(sub, ring)
+        det = det + term if c % 2 == 0 else det - term
+    return det
+
+
 def iterated_kernel_resolution(gens):
     """Minimal graded free resolution of R/(gens) by iterated kernels: the
     minimal generators of (gens), then the minimal generators of each

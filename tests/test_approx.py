@@ -1,18 +1,23 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from mapfibers import modules
+from mapfibers import QQ, PrimeField
 from mapfibers.approx import (check_surface_bounds, contract, hom_piece,
-                              koszul_cycles, presentation_applies,
-                              presentation_matrix_N)
+                              koszul_cycles, minors, poly_minor,
+                              presentation_applies, presentation_matrix_N)
 from mapfibers.fibers import build_map
 from mapfibers.mapfile import load_map_file
 from mapfibers.modules import (FreeModule, generator_map, kernel_of_free_map,
                                vec_is_zero, vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
+from mapfibers.ideals import degree_monomials
 from conftest import count_calls, map_path
+from references import cofactor_det
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
@@ -147,6 +152,44 @@ def test_regularity_window_shows_the_dims_it_read():
     item = check_surface_bounds(pres, 3).items[0]
     assert item.name == "regularity_window" and item.holds
     assert item.detail == "dims on [n, n+2] = [0, 0, 0], constant at 0"
+
+
+def _rand_entry(rng, ring):
+    """A random form of degree 0 to 2 with up to three terms, or zero."""
+    F = ring.field
+    if rng.random() < 0.25:
+        return Polynomial.zero(ring)
+    monos = list(degree_monomials(3, rng.randint(0, 2)))
+    items = [(m, F.div(F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))),
+                       F.from_int(rng.randint(1, 2))))
+             for m in rng.sample(monos, rng.randint(1, min(3, len(monos))))]
+    return Polynomial.from_terms(ring, items)
+
+
+def test_minors_match_the_cofactor_expansion():
+    """`poly_minor` on any row and column subsets, with one memo shared
+    across them, and `minors`, equal the textbook cofactor expansion on
+    random polynomial matrices over GF(7) and QQ."""
+    rng = random.Random(20261020)
+    for field in (PrimeField(7), QQ):
+        ring = standard_ring(("x", "y", "z"), field)
+        for _ in range(6):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            M = [[_rand_entry(rng, ring) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            memo = {}
+            for k in range(min(nrows, ncols) + 1):
+                expected = []
+                for rows in combinations(range(nrows), k):
+                    for cols in combinations(range(ncols), k):
+                        det = cofactor_det([[M[r][c] for c in cols]
+                                            for r in rows], ring)
+                        assert poly_minor(M, ring, rows, cols, memo) == det
+                        if not det.is_zero():
+                            expected.append(det)
+                assert minors(M, ring, ncols, k) == expected, (M, k)
+            assert minors(M, ring, ncols, 0) == minors(M, ring, ncols, -1) \
+                == [Polynomial.constant(ring, 1)]
 
 
 def test_surface_bounds_gating(quintic_map):

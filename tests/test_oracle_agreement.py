@@ -12,9 +12,9 @@ bounds deg h_y < d and d * deg h_y <= deg of the base locus.
 
 On the first sampled map, a generic one, the Hilbert-driven eliminations
 are held to S-pair counts below those of plain Buchberger, and so is the
-lci proxy on the first sampled map whose base locus certifies no
-variable.  The proxy saturates by one variable on the generic map and by
-three on the quintic.
+lci proxy on a P^3 map whose base locus is a curve, the one case where it
+still saturates J1.  On the generic map and on the quintic (finite base
+loci) the proxy builds no basis outside the source ring.
 """
 
 import random
@@ -138,26 +138,33 @@ def test_sample_is_not_vacuous():
     assert nonempty >= 5
 
 
+def _curve_map():
+    """The P^3 ⇢ P^4 map X0², X0X1, X0X2, X0X3, X1X2 over GF(7): its base
+    locus is the two lines X0 = X1 = 0 and X0 = X2 = 0, so dim R/I = 2."""
+    R = standard_ring(("X0", "X1", "X2", "X3"), F7)
+    X = [Polynomial.variable(R, i) for i in range(4)]
+    return build_map([X[0] * X[0], X[0] * X[1], X[0] * X[2], X[0] * X[3],
+                      X[1] * X[2]])
+
+
 # S-pairs reduced by plain Buchberger (every basis built from its generators
 # alone, 𝔓 and the image rewrapped without their bases): the eliminations
-# on MAPS[0], and the lci proxy on MAPS[NO_CERTIFIED_VARIABLE], the first
-# sampled map whose base locus certifies no variable, so that the proxy
-# saturates J1 by all three
-NO_CERTIFIED_VARIABLE = 7
-PLAIN_SPAIRS = {"rees_ideal": 269, "image_ideal": 153, "lci_proxy_check": 40}
+# on MAPS[0], and the lci proxy on the curve map, the one path that still
+# saturates J1 (by all four variables)
+PLAIN_SPAIRS = {"rees_ideal": 269, "image_ideal": 153, "lci_proxy_check": 56}
 
 
 def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
     """The Rees elimination (series known by a theorem), the image
     elimination (series of 𝔓's handed-over grevlex basis) and the second
-    and third bases of the lci proxy's J1 (series of the first) drop the
-    S-pairs Traverso's criterion proves useless."""
+    to fourth bases of the curve map's J1 in the lci proxy (series of the
+    first) drop the S-pairs Traverso's criterion proves useless."""
     assert _candidate(random.Random(SEED), standard_ring(("x", "y", "z"), F7),
                       False) == list(MAPS[0].forms)     # the generic one
     pmap = build_map(list(MAPS[0].forms))               # nothing cached
-    proxy_map = build_map(list(MAPS[NO_CERTIFIED_VARIABLE].forms))
+    proxy_map = _curve_map()
     proxy_map.rees               # outside the count: only MAPS[0]'s is held
-    assert proxy_map.base_ideal.certified_variable() is None
+    assert proxy_map.base_ideal.hilbert().krull_dim == 2
     inside = []
 
     def labelled(name, fn):
@@ -180,14 +187,25 @@ def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
     assert all(counts[n] < PLAIN_SPAIRS[n] for n in PLAIN_SPAIRS), counts
 
 
-def test_lci_proxy_saturates_by_the_certified_variable_alone(monkeypatch):
-    """On the generic MAPS[0] the base locus certifies X_2, and the lci
-    proxy saturates J1 by it alone; on the quintic, with base points on
-    every coordinate line, it saturates J1 by all three variables."""
-    for pmap, calls in ((build_map(list(MAPS[0].forms)), 1),
-                        (load_map_file(map_path("quintic_surface.map")), 3)):
+def test_lci_proxy_stays_in_the_source_ring_on_a_finite_base_locus(
+        monkeypatch):
+    """On the generic MAPS[0] and on the quintic (finite base loci) the lci
+    proxy is decided by Fitting ideals in k[x, y, z]: no saturation, and
+    every Gröbner basis it builds is in the three source variables.  On
+    the curve map (dim R/I = 2) it saturates J1 by all four variables."""
+    for pmap in (build_map(list(MAPS[0].forms)),
+                 load_map_file(map_path("quintic_surface.map"))):
         pmap.rees, pmap.locus
         with monkeypatch.context() as patch:
-            log = count_calls(patch, saturate_variable)
+            sats = count_calls(patch, saturate_variable)
+            nvars = count_calls(patch, engine.groebner_raw,
+                                key=lambda gens, ctx, *hint: ctx.nvars)
             assert fibers.lci_proxy_check(pmap)
-        assert len(log) == calls
+        assert sats == [] and nvars and set(nvars) == {3}, nvars
+    curve = _curve_map()
+    curve.rees
+    with monkeypatch.context() as patch:
+        sats = count_calls(patch, saturate_variable,
+                           key=lambda J, i: (J.ring.nvars, i))
+        fibers.lci_proxy_check(curve)
+    assert sats == [(9, i) for i in range(4)]

@@ -10,7 +10,7 @@ basis variable saturation hands over against one computed from scratch
 (over GF(7) and QQ), and the same for the saturation of a power through
 its base (over GF(7) and QQ), the saturation of a power from its base's
 certificate against the Hilbert-certified loop (over GF(7) and QQ), the
-lci proxy by the certified variable against the proxy by every variable
+lci proxy by Fitting ideals against the proxy by every variable
 (over GF(7) and QQ), the two independent routes to local cohomology
 dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
@@ -67,7 +67,7 @@ N_HINT = 30              # per field and ring shape
 N_ELIM = 20              # per field and elimination shape
 N_RES = 12               # per field and ring shape
 N_RES_POWER = 4          # per field
-N_LCI_ORACLE = 8         # first oracle-suite cubics; the last certifies none
+N_LCI_ORACLE = 8         # first oracle-suite cubics
 
 
 def _ring(field, nvars=3):
@@ -387,39 +387,92 @@ def test_power_saturation_from_the_base_certificate(monkeypatch):
                                             for i in reversed(range(n))])
 
 
+# local ideals at (0:0:1) for the lci proxy maps, each with whether it is
+# a complete intersection
+LCI_LOCAL_IDEALS = (
+    (lambda x, y, z: [x * x, x * y, y * y], False),        # (x, y)²
+    (lambda x, y, z: [x * z - y * y, y ** 3], True),       # (xz − y², y³)
+    (lambda x, y, z: [x * x, y], True),                     # (x², y)
+)
+
+
+def _map_around(rng, field, local, nforms):
+    """A map P^2 ⇢ P^(nforms−1) by random combinations, with coefficients
+    in ±{1, 2, 3}, of the cubic multiples of the generators of a local
+    ideal at (0:0:1), written in random coordinates that fix the point."""
+    R = _ring(field)
+    F = field
+    x, y, z = (Polynomial.variable(R, i) for i in range(3))
+
+    def lin(a, b, c=0):
+        return (x.scale(F.from_int(a)) + y.scale(F.from_int(b))
+                + z.scale(F.from_int(c)))
+
+    while True:
+        a, b, c, e = (rng.randint(-3, 3) for _ in range(4))
+        if (a * e - b * c) % 7:
+            break
+    gens = local(lin(a, b), lin(c, e), lin(rng.randint(-3, 3),
+                                           rng.randint(-3, 3), 1))
+    span = [g * Polynomial.from_terms(R, [(mono, F.one())]) for g in gens
+            for mono in degree_monomials(3, 3 - g.degree())]
+    forms = []
+    for _ in range(nforms):
+        f = Polynomial.zero(R)
+        for g in span:
+            f = f + g.scale(F.from_int(rng.choice((-3, -2, -1, 1, 2, 3))))
+        forms.append(f)
+    return build_map(forms)
+
+
 def test_lci_proxy_against_every_variable():
-    """`lci_proxy_check`, which saturates J1 by the base locus's certified
-    variable alone when there is one, equals the proxy decided by every
-    source variable on: the first oracle-suite GF(7) cubics, the bundled
-    maps, the P^3 map X0², X0X1, X0X2, X0X3, X1X2 (dim R/I = 2, so every
-    variable is tried), and over GF(7) and QQ the fat point
-    x²z + y³, y²z + x³, xyz, x²y.  Its base locus is (0:0:1) with local
-    ideal 𝔪_p² of degree 3, X_2 is certified and the proxy fails, but
-    only J1 : X_2^∞ misses 𝔓: a proxy by any other variable says True."""
+    """`lci_proxy_check`, which decides a finite base locus by the Fitting
+    ideal I + I_{n+1−m}(φ) in the source ring, equals the proxy decided by
+    saturating J1 by every source variable on: the first oracle-suite
+    GF(7) cubics, the bundled maps, the P^3 map X0², X0X1, X0X2, X0X3,
+    X1X2 (dim R/I = 2, so J1 is saturated), the fat point
+    x²z + y³, y²z + x³, xyz, x²y (base locus (0:0:1) with local ideal 𝔪_p²,
+    proxy False, and only J1 : X_2^∞ misses 𝔓), and seeded cubics built
+    around the local ideals (x, y)² (not lci), (xz − y², y³) and (x², y)
+    at (0:0:1), all over GF(7) and QQ; then over GF(7) two P^2 ⇢ P^4 maps
+    around (x, y)² and (x², y) (3 × 3 minors) and the P^3 ⇢ P^4 map
+    X0², X1², X2² + X0X3, X0X1 + X2X3, X1X3 (a finite base locus, 2 × 2
+    minors).  A P^3 map with a finite base locus that is not lci is left
+    out: the reference's saturations of J1 there did not finish."""
+    rng = random.Random(SEED + 17)
     maps = [build_map(list(pmap.forms))
             for pmap in ORACLE_MAPS[:N_LCI_ORACLE]]
     maps += [load_map_file(map_path(name)) for name in (
         "base_point_free.map", "irrational_fibers.map",
         "non_generically_finite.map", "quintic_surface.map")]
-    assert any(pmap.base_ideal.certified_variable() is None
-               for pmap in maps[:N_LCI_ORACLE])
+    seeded = []
     for field in (PrimeField(7), QQ):
         R4 = _ring(field, 4)
         X = [Polynomial.variable(R4, i) for i in range(4)]
         curve = build_map([X[0] * X[0], X[0] * X[1], X[0] * X[2],
                            X[0] * X[3], X[1] * X[2]])
         assert curve.base_ideal.hilbert().krull_dim == 2
-        assert curve.base_ideal.certified_variable() is None
         x, y, z = (Polynomial.variable(_ring(field), i) for i in range(3))
         fat = build_map([x * x * z + y ** 3, y * y * z + x ** 3, x * y * z,
                          x * x * y])
         assert fat.locus[1:] == (1, 3)
-        assert fat.base_ideal.certified_variable() == 2
         assert lci_proxy_by_variable(fat) == [True, True, False]
         maps += [curve, fat]
-    for pmap in maps:
-        assert fibers.lci_proxy_check(pmap) == \
-            all(lci_proxy_by_variable(pmap)), pmap.forms
+        for local, lci in LCI_LOCAL_IDEALS:
+            seeded.append((_map_around(rng, field, local, 4), lci))
+    for local, lci in LCI_LOCAL_IDEALS[0::2]:
+        seeded.append((_map_around(rng, PrimeField(7), local, 5), lci))
+    R4 = _ring(PrimeField(7), 4)
+    X = [Polynomial.variable(R4, i) for i in range(4)]
+    maps.append(build_map([X[0] * X[0], X[1] * X[1],
+                           X[2] * X[2] + X[0] * X[3],
+                           X[0] * X[1] + X[2] * X[3], X[1] * X[3]]))
+    assert maps[-1].base_ideal.hilbert().krull_dim == 1
+    assert all(pmap.locus[1] == 1 for pmap, _ in seeded)
+    for pmap, lci in [(pmap, None) for pmap in maps] + seeded:
+        reference = all(lci_proxy_by_variable(pmap))
+        assert lci in (None, reference), pmap.forms
+        assert fibers.lci_proxy_check(pmap) == reference, pmap.forms
 
 
 def _rand_biform(rng, ring, nx, a, b):
