@@ -14,14 +14,24 @@ l = dim Hom(Z_3, R)_{-3d-1}.  The entry P[a][b] is Σ_i (D_i)[b][a]·T_i with
 D_i: Hom(Z_1,R)_{-d-1} → Hom(Z_2,R)_{-2d-1} given by composition with the
 contraction e_i ⌟ (-): Z_2 → Z_1.
 
+The rank l is C(d+1, 2), by the depth sensitivity of the Koszul complex
+(Bruns–Herzog, Cohen–Macaulay Rings, Thm 1.6.17), so Z_3 is never built:
+
+    The forms have gcd 1 (the `ParameterizedMap` invariant); in three
+    variables that makes grade I ≥ 2.
+    So H_q(f_0..f_3; R) = 0 for q > 4 − 2.
+    Hence Z_3 = B_3 = d_4(K_4) ≅ R(−4d), and Hom(Z_3, R)_{−3d−1} = R_{d−1}.
+    This holds for linearly dependent forms too, and when the base locus
+    is empty (grade 3).
+
 Z_1 = Syz(f_0..f_3), which also gives the Rees ideal's linear part, is the
-map's own `syzygies`.  Everything here is exact linear algebra over the
-coefficient field.  A Hom piece Hom(Z_q, R)_e is the kernel, in degree e,
-of the dual of the syzygy map of the chosen generators of Z_q
-(`cohomology.dual_map_rows`), the contraction compositions are computed by
-lifting through the cover map of Z_1 (against the graph basis that also
-gives its syzygy map), and their coordinates are read off the nullspace
-basis of Hom(Z_2, R).
+map's own `syzygies`, and Z_2 is computed here.  Everything here is exact
+linear algebra over the coefficient field.  A Hom piece Hom(Z_q, R)_e is
+the kernel, in degree e, of the dual of the syzygy map of the chosen
+generators of Z_q (`cohomology.dual_map_rows`), the contraction
+compositions are computed by lifting through the cover map of Z_1 (against
+the graph basis that also gives its syzygy map), and their coordinates are
+read off the nullspace basis of Hom(Z_2, R).
 """
 
 from dataclasses import dataclass
@@ -45,11 +55,12 @@ PAIRS: Tuple[Tuple[int, int], ...] = tuple(combinations(range(4), 2))
 
 @dataclass
 class KoszulData:
-    """Koszul complex on four forms together with its cycle modules."""
+    """Koszul complex on four forms through K_2, with its cycle modules
+    Z_1 and Z_2 (Z_3 ≅ R(−4d) is known, see the module docstring)."""
     ring: RingDescriptor
     d: int
-    modules: List[FreeModule]              # K_0 .. K_4
-    differentials: List[FreeModuleMap]     # d_1 .. d_4, d_q: K_q -> K_{q-1}
+    modules: List[FreeModule]              # K_0, K_1, K_2
+    differentials: List[FreeModuleMap]     # d_q: K_q -> K_{q-1}, q = 1, 2
     cycles: Dict[int, List[Vector]]        # q -> minimal generators of Z_q
     covers: Dict[int, FreeModuleMap]       # q -> Z_q ← ⊕_j R(−deg g_j), e_j ↦ g_j
     syzygies: Dict[int, FreeModuleMap]     # q -> syzygy map of the cover: coker = Z_q
@@ -63,21 +74,21 @@ def presentation_applies(pmap) -> bool:
 
 
 def koszul_cycles(pmap) -> KoszulData:
-    """The Koszul complex on the forms of a map P^2 ⇢ P^3 and minimal
-    generators of its cycle modules: Z_1 is the map's `syzygies`, and Z_2
-    and Z_3 are computed here."""
+    """The Koszul complex on the forms of a map P^2 ⇢ P^3 through K_2 and
+    minimal generators of its cycle modules: Z_1 is the map's `syzygies`,
+    and Z_2 is computed here."""
     if not presentation_applies(pmap):
         raise ValueError("the construction needs four nonzero forms in three "
                          "variables: a map from P^2 to P^3")
     forms, ring, d = pmap.forms, pmap.source, pmap.d
 
     zero = Polynomial.zero(ring)
-    K = [FreeModule(ring, (q * d,) * comb(4, q)) for q in range(5)]
+    K = [FreeModule(ring, (q * d,) * comb(4, q)) for q in range(3)]
     # d_q(e_J) = Σ_k (−1)^k f_{J[k]} e_{J∖J[k]} on the bases J of K_q,
     # the q-subsets of {0..3} in lexicographic order
-    bases = [list(combinations(range(4), q)) for q in range(5)]
+    bases = [list(combinations(range(4), q)) for q in range(3)]
     diffs = []
-    for q in range(1, 5):
+    for q in (1, 2):
         row_of = {J: r for r, J in enumerate(bases[q - 1])}
         matrix = [[zero] * len(bases[q]) for _ in bases[q - 1]]
         for c, J in enumerate(bases[q]):
@@ -91,8 +102,7 @@ def koszul_cycles(pmap) -> KoszulData:
             if not vec_is_zero(lo.apply(hi.column(c))):
                 raise ArithmeticError("Koszul differentials do not compose to zero")
 
-    cycles = {1: pmap.syzygies, 2: kernel_of_free_map(diffs[1]),
-              3: kernel_of_free_map(diffs[2])}
+    cycles = {1: pmap.syzygies, 2: kernel_of_free_map(diffs[1])}
     covers = {q: generator_map(gens, K[q]) for q, gens in cycles.items()}
     syzygies = {q: generator_map(kernel_of_free_map(c), c.source)
                 for q, c in covers.items()}
@@ -188,9 +198,15 @@ class PresentationData:
     matrix: List[List[Polynomial]]         # n × mrank, entries linear in T
     coker_dims: Dict[int, int]             # s -> dim_k N_s
     coker_dim_deg: Tuple[int, int]         # (krull dim, degree) of coker over B
-    window: Tuple[int, int, int]           # dim_k N_s for s = n, n+1, n+2
     annihilator: Ideal                     # ann_B(coker) — same radical as Fitt_0
     fitting_ideal: Optional[Ideal]         # literal maximal minors when affordable
+
+    @property
+    def window(self) -> List[int]:
+        """dim_k N_s for s = n, n+1, n+2, with N_0 = 0: the cokernel's
+        generators sit in degree 1."""
+        n = self.ranks[2]
+        return [self.coker_dims[s] if s else 0 for s in range(n, n + 3)]
 
     @property
     def stable_value(self) -> Optional[int]:
@@ -250,8 +266,9 @@ def presentation_matrix_N(pmap) -> PresentationData:
     over the map's target ring B = k[T], its graded cokernel dimensions,
     and the support ideal, for the base ideal I of a map P^2 ⇢ P^3.  The
     ranks (l, mrank, n) are the dimensions of Hom(Z_q, R)_{-qd-1} for
-    q = 3, 2, 1, and n is cross-checked against dim H^1_m(R/I)_{d-2} by
-    the difference route."""
+    q = 3, 2, 1: l = C(d+1, 2) by depth (the module docstring), mrank and
+    n from Z_2 and Z_1, and n is cross-checked against dim H^1_m(R/I)_{d-2}
+    by the difference route."""
     kd = koszul_cycles(pmap)
     ring, d = kd.ring, kd.d
     F = ring.field
@@ -260,7 +277,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
     z2 = kd.cycles[2]
     W1 = hom_piece(kd.syzygies[1], e1)
     W2 = hom_piece(kd.syzygies[2], e2)
-    l = hom_piece(kd.syzygies[3], -3 * d - 1).dim
+    l = comb(d + 1, 2)
     n, mrank = W1.dim, W2.dim
 
     n_check = hdim_difference(pmap.base_ideal, 1, d - 2)
@@ -294,8 +311,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
                 D[i][b][a] = lam[b]
 
     B = pmap.target
-    unit = lambda i: tuple(1 if v == i else 0 for v in range(4))
-    P = [[Polynomial(B, {unit(i): D[i][b][a]
+    P = [[Polynomial(B, {B.var_mono(i): D[i][b][a]
                          for i in range(4) if not F.is_zero(D[i][b][a])})
           for b in range(mrank)] for a in range(n)]
 
@@ -304,26 +320,21 @@ def presentation_matrix_N(pmap) -> PresentationData:
     mgb = module_groebner(columns, cfree)
     H = hilbert_series_quotient(mgb)
     coker_dims = {s: H.hf(s) for s in range(1, max(n + 2, 4) + 1)}
-    window = tuple(H.hf(s) for s in range(n, n + 3))
 
-    live_cols = [c for c in columns if not vec_is_zero(c)]
     if n == 0:
-        # coker is the zero module, annihilated by everything
+        # coker is the zero module: no components to intersect
         ann = Ideal(B, [Polynomial.constant(B, 1)])
-    elif live_cols:
-        ann = intersect_many([
-            Ideal(B, submodule_colon_component(live_cols, cfree, j) or
-                  [Polynomial.zero(B)])
-            for j in range(n)])
     else:
-        ann = Ideal(B, [Polynomial.zero(B)])
+        ann = intersect_many([
+            Ideal(B, submodule_colon_component(columns, cfree, j))
+            for j in range(n)])
 
     fitt = None
     if n <= mrank and comb(mrank, n) <= _MINor_SUBSET_LIMIT:
-        fitt = Ideal(B, minors(P, B, mrank, n) or [Polynomial.zero(B)])
+        fitt = Ideal(B, minors(P, B, mrank, n))
 
     return PresentationData(B, (l, mrank, n), P, coker_dims,
-                            (H.krull_dim, H.degree), window, ann, fitt)
+                            (H.krull_dim, H.degree), ann, fitt)
 
 
 @dataclass
@@ -349,30 +360,33 @@ def check_surface_bounds(pres: PresentationData, d: int,
                          indeg_sat: Optional[int] = None) -> SurfaceBoundsVerdict:
     """Verify the numerical consequences of the presentation of N.
 
-    Always checked: the cokernel dimensions are constant on [n, n+2] (a
-    regularity witness) and deg N ≤ C(n+2, 3).  When the base locus is a
-    local complete intersection and indeg(I^sat) = d, additionally check
-    the sandwich d(d+1)/2 ≤ deg(base locus) ≤ d^2-2d+3 and the exact count
-    n = deg(base locus) - d(d-1)/2 together with d ≤ n ≤ d(d-3)/2 + 3.
+    Always checked: deg N ≤ C(n+2, 3).  When the base locus is a local
+    complete intersection and indeg(I^sat) = d, additionally check that
+    the cokernel dimensions are constant on [n, n+2] (a regularity
+    witness), the sandwich d(d+1)/2 ≤ deg(base locus) ≤ d^2-2d+3 and the
+    exact count n = deg(base locus) - d(d-1)/2 together with
+    d ≤ n ≤ d(d-3)/2 + 3.  Off those hypotheses the window item is not
+    applicable, and its detail still shows the dimensions it read.
     """
     l, mrank, n = pres.ranks
     items = []
+    strict = bool(lci) and indeg_sat == d
+    why_not = ("requires a local complete intersection base locus with "
+               f"indeg(I^sat) = d (got lci={lci}, indeg={indeg_sat})")
 
     stable = pres.stable_value
+    window = (f"dims on [n, n+2] = {pres.window}"
+              + (f", constant at {stable}" if stable is not None
+                 else ", not constant"))
     items.append(BoundsItem(
-        "regularity_window", True, stable is not None,
-        f"dims on [n, n+2] = {list(pres.window)}"
-        + (f", constant at {stable}" if stable is not None else ", not constant")))
+        "regularity_window", strict, stable is not None if strict else None,
+        window if strict else f"{window}; {why_not}"))
 
     deg_n = pres.coker_dim_deg[1] if pres.coker_dim_deg[0] >= 1 else 0
     cap = comb(n + 2, 3)
     items.append(BoundsItem(
         "module_degree_cap", True, deg_n <= cap,
         f"deg N = {deg_n} ≤ C(n+2,3) = {cap}"))
-
-    strict = bool(lci) and indeg_sat == d
-    why_not = ("requires a local complete intersection base locus with "
-               f"indeg(I^sat) = d (got lci={lci}, indeg={indeg_sat})")
 
     if base_degree is None or not strict:
         items.append(BoundsItem("base_degree_sandwich", False, None, why_not

@@ -12,16 +12,8 @@ identity
     ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
     so x^{se}·(I : x^∞)^s ⊆ I^s.
 
-When dim R/I ≤ 1, a variable X_i whose colon passed I's Hilbert-polynomial
-test in `saturate_irrelevant` vanishes at no point of V(I) over the
-algebraic closure (the prime of a point on X_i = 0 contains I^sat but
-not I : X_i^∞), so √(I + (X_i)) = 𝔪.  `Ideal.certified_variable` returns
-that i for its one reader, the power's saturation.  The power I^s is
-saturated by 𝔪 from I's certificate, so it gets no basis or Hilbert
-series of its own (unless a colon of I needs higher degrees than I, see
-`saturate_variable`): Ass(R/I^s) ⊆ Min(I) ∪ {𝔪}, so the certified X_i
-gives (I^s)^sat = I^s : X_i^∞, and when no variable passed the colons by
-all variables are intersected.
+When dim R/I ≤ 1 the power is also saturated by 𝔪 from I's own
+certificate (`saturate_irrelevant`, which gives the proof).
 
 An ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
@@ -86,7 +78,8 @@ class Ideal:
         self._hilbert: Optional[HilbertData] = None
         # numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights
         self._series: Optional[Dict[int, int]] = None
-        # (B, s) when `ideal_power` built this ideal as B^s
+        # (B, s) when `ideal_power` built this ideal as B^s, B itself not
+        # such a power
         self._power_of: Optional[Tuple[Ideal, int]] = None
 
     @property
@@ -141,20 +134,6 @@ class Ideal:
         if self._sat is None:
             self._sat = saturate_irrelevant(self)
         return self._sat
-
-    def certified_variable(self) -> Optional[int]:
-        """The index i of a variable X_i that vanishes at no point of V(I)
-        over the algebraic closure, as certified by the Hilbert-polynomial
-        test of `saturate_irrelevant` (run if it has not been); None when
-        dim R/I ≥ 2 or no variable passed.  A power B^s reads B's (same
-        zero set), and B^s's saturation (`saturate_irrelevant`) is its one
-        reader."""
-        if self._power_of:
-            return self._power_of[0].certified_variable()
-        if self.hilbert().krull_dim > 1:
-            return None
-        self.saturation()
-        return self._sat_by
 
     def contains(self, f: Polynomial) -> bool:
         """Membership by the normal form against a reduced basis this ideal
@@ -243,7 +222,9 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
     generator i_k, for k = 2..s.  The power holds its generators as term
     lists, converted to polynomials only on first read of ``generators``,
     and records that it is I^s, so that `saturate_variable` saturates it
-    through I (the identity in the module docstring).
+    through I (the identity in the module docstring).  A power (B^t)^s of
+    a power records B^{ts}, the same ideal, so its saturation reads B's
+    certificate.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -263,7 +244,8 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
             seen.add(key)
             gens.append(g)
     P = _packed_ideal(I.ring, ctx, gens)
-    P._power_of = (I, s)
+    base, t = I._power_of or (I, 1)
+    P._power_of = (base, t * s)
     return P
 
 
@@ -419,13 +401,15 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     order they were built (I : 𝔪^∞ = ∩_i I : X_i^∞ for every ideal).
 
     A power I = B^s (s ≥ 2, from `ideal_power`) with dim R/B ≤ 1 needs
-    no target: it is saturated from B's own certificate
-    (`Ideal.certified_variable`), and its colons go through B
-    (`saturate_variable`).
+    no target: B is saturated, and the variable X_i that passed B's test
+    saturates B^s, through B (`saturate_variable`), so B^s gets no basis
+    or Hilbert series of its own (unless a colon of B needs higher degrees
+    than B, see `saturate_variable`).
     Every prime over B is then a point of V(B), minimal over B, or 𝔪, so
     Ass(R/B^s) ⊆ Min(B) ∪ {𝔪}.  X_i passes B's test exactly when no point
-    of V(B) lies on X_i = 0 (for a point P ∋ X_i, (B : X_i^∞)_P = R_P
-    while B^sat ⊆ P), so then X_i lies in no relevant associated prime of
+    of V(B) over the algebraic closure lies on X_i = 0 (for a point
+    P ∋ X_i, (B : X_i^∞)_P = R_P while B^sat ⊆ P), that is when
+    √(B + (X_i)) = 𝔪; then X_i lies in no relevant associated prime of
     B^s and B^s : X_i^∞ = (B^s)^sat.  When no variable passed for B, the
     n + 1 colons of B^s are intersected untried.
     """
@@ -434,10 +418,10 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     _require_homogeneous(I)
     if I._power_of and I._power_of[1] > 1:
         base = I._power_of[0]
-        i = base.certified_variable()
-        if i is not None:
-            return saturate_variable(I, i)
         if base.hilbert().krull_dim <= 1:
+            base.saturation()
+            if base._sat_by is not None:
+                return saturate_variable(I, base._sat_by)
             return intersect_many([saturate_variable(I, i)
                                    for i in reversed(range(I.ring.nvars))])
     target = _hilbert_polynomial(I.hilbert())

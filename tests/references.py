@@ -5,14 +5,17 @@ the textbook definition, and none is used by the package itself.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
+from mapfibers.approx import hom_piece
 from mapfibers.fields import PrimeField
 from mapfibers.fibers import _specialize, fiber_ideal
 from mapfibers.ideals import (Ideal, eliminate, exact_divide,
                               extend_polynomial, intersect, saturate_variable)
-from mapfibers.modules import (FreeModule, FreeResolution, generator_map,
-                               kernel_of_free_map, minimal_generators)
+from mapfibers.modules import (FreeModule, FreeModuleMap, FreeResolution,
+                               generator_map, kernel_of_free_map,
+                               minimal_generators, vector_degree)
 from mapfibers.poly import Polynomial
 
 
@@ -98,6 +101,28 @@ def cofactor_det(M, ring):
         term = entry * cofactor_det(sub, ring)
         det = det + term if c % 2 == 0 else det - term
     return det
+
+
+def top_cycle_reference(pmap):
+    """For the four forms of a map P^2 ⇢ P^3: the generator degrees of the
+    top Koszul cycle module Z_3 = ker(d_3: K_3 → K_2) and
+    dim Hom(Z_3, R)_{−3d−1}, with d_3 built by the Koszul formula
+    d_3(e_J) = Σ_k (−1)^k f_{J[k]} e_{J∖J[k]}."""
+    ring, d, forms = pmap.source, pmap.d, pmap.forms
+    pairs = list(combinations(range(4), 2))
+    triples = list(combinations(range(4), 3))
+    matrix = [[Polynomial.zero(ring)] * len(triples) for _ in pairs]
+    for c, J in enumerate(triples):
+        for k, j in enumerate(J):
+            matrix[pairs.index(J[:k] + J[k + 1:])][c] = \
+                forms[j] if k % 2 == 0 else -forms[j]
+    K3 = FreeModule(ring, (3 * d,) * len(triples))
+    d3 = FreeModuleMap(K3, FreeModule(ring, (2 * d,) * len(pairs)), matrix)
+    z3 = kernel_of_free_map(d3)
+    cover = generator_map(z3, K3)
+    syzygies = generator_map(kernel_of_free_map(cover), cover.source)
+    return ([vector_degree(v, K3.shifts) for v in z3],
+            hom_piece(syzygies, -3 * d - 1).dim)
 
 
 def iterated_kernel_resolution(gens):

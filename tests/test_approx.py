@@ -17,10 +17,21 @@ from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
 from mapfibers.ideals import degree_monomials
 from conftest import count_calls, map_path
-from references import cofactor_det
+from references import cofactor_det, top_cycle_reference
 
 R = standard_ring(("x", "y", "z"))
 x, y, z = (Polynomial.variable(R, i) for i in range(3))
+
+BUNDLED = ("quintic_surface.map", "irrational_fibers.map",
+           "base_point_free.map", "non_generically_finite.map")
+
+
+def fat_point_map(field):
+    """x²z + y³, y²z + x³, xyz, x²y: a fat point at (0:0:1), rank n = 0."""
+    ring = standard_ring(("x", "y", "z"), field)
+    x, y, z = (Polynomial.variable(ring, i) for i in range(3))
+    return build_map([x * x * z + y ** 3, y * y * z + x ** 3, x * y * z,
+                      x * x * y])
 
 
 def test_input_validation():
@@ -45,10 +56,8 @@ def test_cycle_generator_degrees(quintic_koszul):
     kd = quintic_koszul
     z1 = sorted(vector_degree(v, kd.modules[1].shifts) for v in kd.cycles[1])
     z2 = sorted(vector_degree(v, kd.modules[2].shifts) for v in kd.cycles[2])
-    z3 = [vector_degree(v, kd.modules[3].shifts) for v in kd.cycles[3]]
     assert z1 == [6, 6, 8]
     assert z2 == [12, 14, 14]
-    assert z3 == [4 * 5]
 
 
 def test_contraction_carries_cycles_to_cycles(quintic_koszul):
@@ -62,11 +71,18 @@ def test_contraction_carries_cycles_to_cycles(quintic_koszul):
                 assert all(c.is_zero() for c in img)
 
 
-def test_top_cycle_dual_dimension(quintic_koszul):
-    # the top cycle module is free of rank one generated in degree 4d,
-    # so dim Hom(Z_3, R)_{-3d-1} is dim R_{d-1}
-    assert hom_piece(quintic_koszul.syzygies[3], -3 * 5 - 1).dim == \
-        comb(5 + 1, 2)
+def test_top_cycle_dual_dimension():
+    """On the bundled maps (the last one's forms linearly dependent) and
+    the fat point over GF(7) and QQ, Z_3 computed from d_3 is one
+    generator of degree 4d, and dim Hom(Z_3, R)_{-3d-1} is the rank l
+    that the presentation takes from depth, C(d+1, 2)."""
+    maps = ([load_map_file(map_path(name)) for name in BUNDLED]
+            + [fat_point_map(field) for field in (PrimeField(7), QQ)])
+    for pmap in maps:
+        degrees, dim = top_cycle_reference(pmap)
+        assert degrees == [4 * pmap.d]
+        assert presentation_matrix_N(pmap).ranks[0] == dim == \
+            comb(pmap.d + 1, 2)
 
 
 def test_hom_coordinates_read_off_the_nullspace(quintic_koszul):
@@ -92,10 +108,10 @@ def test_hom_coordinates_reject_values_outside_hom():
 
 
 def test_presentation_builds_few_graph_bases(monkeypatch):
-    """On a fresh map the Rees ideal and the presentation build six graph
+    """On a fresh map the Rees ideal and the presentation build four graph
     bases: the forms' row (Z_1 and the Rees linear part), the Koszul
-    kernels Z_2 and Z_3, and the three cover syzygy maps, of which Z_1's
-    also serves its lifts.  The forms' row is taken apart once."""
+    kernel Z_2, and the two cover syzygy maps, of which Z_1's also serves
+    its lifts.  The forms' row is taken apart once."""
     built = []
     real = modules._graph_basis
 
@@ -110,7 +126,7 @@ def test_presentation_builds_few_graph_bases(monkeypatch):
     assert pmap.rees.linear_part and pmap.lci_proxy
     pres = presentation_matrix_N(pmap)
     assert pres.ranks == (15, 23, 8)
-    assert len(built) == 6
+    assert len(built) == 4
     assert rows.count(True) == 1
 
 
@@ -142,14 +158,13 @@ def test_zero_module_edge_case():
 
 
 def test_regularity_window_shows_the_dims_it_read():
-    """On the fat point x²z + y³, y²z + x³, xyz, x²y the rank n is 0, so
-    the window [n, n+2] starts below s = 1, the first cokernel dimension
-    kept; the detail shows the three values the verdict read."""
-    pres = presentation_matrix_N(build_map([x * x * z + y ** 3,
-                                            y * y * z + x ** 3, x * y * z,
-                                            x * x * y]))
+    """On the fat point the rank n is 0, so the window [n, n+2] starts
+    below s = 1, the first cokernel dimension kept; under the hypotheses
+    that make the window applicable, the detail shows the three values
+    the verdict read."""
+    pres = presentation_matrix_N(fat_point_map(QQ))
     assert pres.ranks[2] == 0 and min(pres.coker_dims) == 1
-    item = check_surface_bounds(pres, 3).items[0]
+    item = check_surface_bounds(pres, 3, lci=True, indeg_sat=3).items[0]
     assert item.name == "regularity_window" and item.holds
     assert item.detail == "dims on [n, n+2] = [0, 0, 0], constant at 0"
 
@@ -200,10 +215,14 @@ def test_surface_bounds_gating(quintic_map):
     names = {it.name: it for it in strict.items}
     assert names["base_degree_sandwich"].applicable
     assert names["rank_formula"].applicable
-    # without the lci certificate the last two are reported not applicable
+    # without the lci certificate the window and the last two are reported
+    # not applicable
     loose = check_surface_bounds(pres, 5, base_degree=18, lci=False,
                                  indeg_sat=5)
     names = {it.name: it for it in loose.items}
+    assert not names["regularity_window"].applicable
+    assert names["regularity_window"].detail.startswith(
+        "dims on [n, n+2] = [8, 8, 8], constant at 8; requires")
     assert not names["base_degree_sandwich"].applicable
     assert names["base_degree_sandwich"].holds is None
     assert loose.all_hold                 # only applicable items count

@@ -15,15 +15,22 @@ are held to S-pair counts below those of plain Buchberger, and so is the
 lci proxy on a P^3 map whose base locus is a curve, the one case where it
 still saturates J1.  On the generic map and on the quintic (finite base
 loci) the proxy builds no basis outside the source ring.
+
+On the first eight maps the presentation's rank l, taken from depth, is
+checked against the top Koszul cycle module built from d_3, and the
+structured MAPS[1] is run through `analyze`.
 """
 
+import json
 import random
 
 import pytest
 
 from mapfibers import (PrimeField, base_locus, brute_force_fiber_oracle,
                        build_map, check_fiber_factorization, engine, fibers,
-                       find_one_dim_fibers, image_ideal, standard_ring)
+                       find_one_dim_fibers, format_map_file, image_ideal,
+                       presentation_matrix_N, standard_ring)
+from mapfibers.cli import main
 from mapfibers.fibers import PointProjective
 from mapfibers.ideals import degree_monomials, saturate_variable
 from mapfibers.mapfile import load_map_file
@@ -31,6 +38,7 @@ from mapfibers.poly import Polynomial
 from mapfibers.solve import projective_points
 
 from conftest import count_calls, map_path, rebind
+from references import top_cycle_reference
 
 SEED = 733
 F7 = PrimeField(7)
@@ -209,3 +217,28 @@ def test_lci_proxy_stays_in_the_source_ring_on_a_finite_base_locus(
                            key=lambda J, i: (J.ring.nvars, i))
         fibers.lci_proxy_check(curve)
     assert sats == [(9, i) for i in range(4)]
+
+
+def test_top_cycle_dual_dimension_on_oracle_cubics():
+    """On the first eight maps Z_3 computed from d_3 is one generator of
+    degree 4d, and dim Hom(Z_3, R)_{-3d-1} is the presentation's l."""
+    for pmap in MAPS[:8]:
+        degrees, dim = top_cycle_reference(pmap)
+        assert degrees == [4 * pmap.d]
+        assert presentation_matrix_N(pmap).ranks[0] == dim
+
+
+def test_structured_cubic_analyze_exits_0(tmp_path):
+    """MAPS[1] has four base points and indeg(I^sat) = 2 < d = 3, and N
+    is 1, 0, 0, … with n = 1.  The regularity window is gated on the
+    hypotheses of the other strict items, so it is reported not
+    applicable with the dims it read, and `analyze` exits 0."""
+    path, out = tmp_path / "cubic.map", tmp_path / "cubic.json"
+    path.write_text(format_map_file(MAPS[1]), encoding="utf-8")
+    assert main(["analyze", str(path), "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    window = report["surface_bounds"]["items"][0]
+    assert window["name"] == "regularity_window"
+    assert not window["applicable"] and window["holds"] is None
+    assert window["detail"].startswith(
+        "dims on [n, n+2] = [1, 0, 0], not constant; requires")

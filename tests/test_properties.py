@@ -354,12 +354,13 @@ def _power_saturation_cases(rng, field):
 
 
 def test_power_saturation_from_the_base_certificate(monkeypatch):
-    """`saturate_irrelevant(B^s)` for s = 2, 3 (over GF(7) and QQ) equals
-    the Hilbert-certified loop on the same generators with no record of
-    the base, and the intersection of the n + 1 colons B^s : X_i^∞.
-    When dim R/B ≤ 1 the power reads B's certificate and never asks for
-    its own Hilbert series; the base curve (dim R/B = 2) still takes the
-    loop, which reads it."""
+    """`saturate_irrelevant(B^s)` for s = 2, 3 and for the power of a power
+    (B²)² (over GF(7) and QQ) equals the Hilbert-certified loop on the same
+    generators with no record of the base, and the intersection of the
+    n + 1 colons B^s : X_i^∞.  When dim R/B ≤ 1 the power reads B's
+    certificate and never asks for its own Hilbert series; the base curve
+    (dim R/B = 2) still takes the loop, which reads it.  The inner B² of
+    (B²)² is never asked for its series."""
     asked = []
     hilbert_of = Ideal.hilbert
 
@@ -375,11 +376,13 @@ def test_power_saturation_from_the_base_certificate(monkeypatch):
             B.saturation()
             # X_3 passes for the base curve too; its powers take the loop
             assert (B._sat_by is None) == (case == "none passes")
-            for s in (2, 3):
-                P = ideal_power(B, s)
+            inner = ideal_power(B, 2)
+            for s, P in ((2, ideal_power(B, 2)), (3, ideal_power(B, 3)),
+                         ((2, 2), ideal_power(inner, 2))):
                 del asked[:]
                 S = saturate_irrelevant(P)
                 assert any(J is P for J in asked) == (case == "base curve")
+                assert not any(J is inner for J in asked)
                 assert (P._gb == {}) == (case != "base curve")
                 slow = saturate_irrelevant(Ideal(B.ring, P.generators))
                 assert S == slow, (case, s)
