@@ -44,7 +44,7 @@ from .ideals import Ideal, intersect_many
 from .modules import (FreeModule, FreeModuleMap, Vector, generator_map,
                       kernel_of_free_map, module_groebner,
                       submodule_colon_component, vec_is_zero)
-from .hilbert import hilbert_series_quotient
+from .hilbert import HilbertData, hilbert_series_quotient
 from .poly import Polynomial
 from .rings import RingDescriptor
 from . import linalg
@@ -192,30 +192,25 @@ def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
 
 @dataclass
 class PresentationData:
-    """Presentation of N over the target ring and derived invariants."""
+    """Presentation of N over the target ring and derived invariants; its
+    dimensions are read off one fact, dim_k N_s = ``hilbert.hf(s)``."""
     base_ring: RingDescriptor              # B = k[T_0..T_3]
     ranks: Tuple[int, int, int]            # (l, mrank, n)
     matrix: List[List[Polynomial]]         # n × mrank, entries linear in T
-    coker_dims: Dict[int, int]             # s -> dim_k N_s
-    coker_dim_deg: Tuple[int, int]         # (krull dim, degree) of coker over B
+    hilbert: HilbertData                   # Hilbert series of coker over B
     annihilator: Ideal                     # ann_B(coker) — same radical as Fitt_0
     fitting_ideal: Optional[Ideal]         # literal maximal minors when affordable
 
     @property
-    def window(self) -> List[int]:
-        """dim_k N_s for s = n, n+1, n+2, with N_0 = 0: the cokernel's
-        generators sit in degree 1."""
-        n = self.ranks[2]
-        return [self.coker_dims[s] if s else 0 for s in range(n, n + 3)]
-
-    @property
-    def stable_value(self) -> Optional[int]:
-        """The common value of `window`, None when it is not constant."""
-        return self.window[0] if len(set(self.window)) == 1 else None
+    def stable_value(self) -> int:
+        """dim_k N_s for s ≫ 0.  For a generically finite map N lives on
+        finitely many fiber points, so this is deg N, or 0 if N has
+        finite length."""
+        return self.hilbert.degree if self.hilbert.krull_dim else 0
 
 
 # minors of an n×mrank matrix are only expanded when the subset count is modest
-_MINor_SUBSET_LIMIT = 200
+_MINOR_SUBSET_LIMIT = 200
 
 
 def poly_minor(M: Sequence[Sequence[Polynomial]], ring: RingDescriptor,
@@ -263,7 +258,7 @@ def minors(M: Sequence[Sequence[Polynomial]], ring: RingDescriptor,
 
 def presentation_matrix_N(pmap) -> PresentationData:
     """Compute the linear presentation matrix of N = ⊕_s H^1_m(R/I^s)_{sd-2}
-    over the map's target ring B = k[T], its graded cokernel dimensions,
+    over the map's target ring B = k[T], its cokernel's Hilbert series
     and the support ideal, for the base ideal I of a map P^2 ⇢ P^3.  The
     ranks (l, mrank, n) are the dimensions of Hom(Z_q, R)_{-qd-1} for
     q = 3, 2, 1: l = C(d+1, 2) by depth (the module docstring), mrank and
@@ -319,7 +314,6 @@ def presentation_matrix_N(pmap) -> PresentationData:
     columns = [tuple(P[a][b] for a in range(n)) for b in range(mrank)]
     mgb = module_groebner(columns, cfree)
     H = hilbert_series_quotient(mgb)
-    coker_dims = {s: H.hf(s) for s in range(1, max(n + 2, 4) + 1)}
 
     if n == 0:
         # coker is the zero module: no components to intersect
@@ -330,11 +324,10 @@ def presentation_matrix_N(pmap) -> PresentationData:
             for j in range(n)])
 
     fitt = None
-    if n <= mrank and comb(mrank, n) <= _MINor_SUBSET_LIMIT:
+    if n <= mrank and comb(mrank, n) <= _MINOR_SUBSET_LIMIT:
         fitt = Ideal(B, minors(P, B, mrank, n))
 
-    return PresentationData(B, (l, mrank, n), P, coker_dims,
-                            (H.krull_dim, H.degree), ann, fitt)
+    return PresentationData(B, (l, mrank, n), P, H, ann, fitt)
 
 
 @dataclass
@@ -360,13 +353,15 @@ def check_surface_bounds(pres: PresentationData, d: int,
                          indeg_sat: Optional[int] = None) -> SurfaceBoundsVerdict:
     """Verify the numerical consequences of the presentation of N.
 
-    Always checked: deg N ≤ C(n+2, 3).  When the base locus is a local
-    complete intersection and indeg(I^sat) = d, additionally check that
-    the cokernel dimensions are constant on [n, n+2] (a regularity
-    witness), the sandwich d(d+1)/2 ≤ deg(base locus) ≤ d^2-2d+3 and the
-    exact count n = deg(base locus) - d(d-1)/2 together with
-    d ≤ n ≤ d(d-3)/2 + 3.  Off those hypotheses the window item is not
-    applicable, and its detail still shows the dimensions it read.
+    deg N = `stable_value` and dim N_s = ``hilbert.hf(s)`` are read off
+    the cokernel's Hilbert series.  Always checked: deg N ≤ C(n+2, 3).
+    When the base locus is a local complete intersection and
+    indeg(I^sat) = d, additionally check that dim N_s = deg N for
+    s = n, n+1, n+2 (a regularity witness), the sandwich d(d+1)/2 ≤
+    deg(base locus) ≤ d^2-2d+3 and the exact count n = deg(base locus)
+    - d(d-1)/2 together with d ≤ n ≤ d(d-3)/2 + 3.  Off those hypotheses
+    the window item is not applicable, and its detail still shows the
+    dimensions it read.
     """
     l, mrank, n = pres.ranks
     items = []
@@ -375,18 +370,18 @@ def check_surface_bounds(pres: PresentationData, d: int,
                f"indeg(I^sat) = d (got lci={lci}, indeg={indeg_sat})")
 
     stable = pres.stable_value
-    window = (f"dims on [n, n+2] = {pres.window}"
-              + (f", constant at {stable}" if stable is not None
-                 else ", not constant"))
+    dims = [pres.hilbert.hf(s) for s in range(n, n + 3)]
+    constant = all(v == stable for v in dims)
+    window = (f"dims on [n, n+2] = {dims}"
+              + (f", constant at {stable}" if constant else ", not constant"))
     items.append(BoundsItem(
-        "regularity_window", strict, stable is not None if strict else None,
+        "regularity_window", strict, constant if strict else None,
         window if strict else f"{window}; {why_not}"))
 
-    deg_n = pres.coker_dim_deg[1] if pres.coker_dim_deg[0] >= 1 else 0
     cap = comb(n + 2, 3)
     items.append(BoundsItem(
-        "module_degree_cap", True, deg_n <= cap,
-        f"deg N = {deg_n} ≤ C(n+2,3) = {cap}"))
+        "module_degree_cap", True, stable <= cap,
+        f"deg N = {stable} ≤ C(n+2,3) = {cap}"))
 
     if base_degree is None or not strict:
         items.append(BoundsItem("base_degree_sandwich", False, None, why_not

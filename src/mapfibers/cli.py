@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mu", type=int, required=True,
                    help="strand offset: degree s*d + mu")
-    p.add_argument("--s-max", type=_power_bound, default=4, dest="s_max")
+    p.add_argument("--s-max", type=_power_bound, default=PipelineOptions.s_max,
+                   dest="s_max")
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("image", help="implicit equations of the image")

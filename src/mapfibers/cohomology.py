@@ -226,23 +226,22 @@ def check_module_degree_formula(divisor_degrees: Sequence[int],
                                 coker_stable: Optional[int] = None,
                                 incomplete: Optional[str] = None
                                 ) -> ModuleDegreeVerdict:
-    """Stabilized N_s against Σ binom(deg h_y + m − 1, m).  When the table
-    has not stabilized in its window, ``coker_stable``, the stable value of
-    the presentation cokernel (which stabilizes over a longer one), stands
-    in when given.
+    """Stabilized N_s against Σ binom(deg h_y + m − 1, m).  ``coker_stable``,
+    dim N_s for s ≫ 0 read off the presentation cokernel's Hilbert series,
+    is read first; else the table's window, which certifies nothing.
 
     ``incomplete`` names why the fiber inventory behind ``divisor_degrees``
     is not certified complete (None when it is).  The sum is then only a
     lower bound, so a stabilized value above it is inconclusive, while
     one below it still fails."""
     rhs = sum(comb(deg + m - 1, m) for deg in divisor_degrees)
-    if table.stabilized:
-        lhs = table.stable_value
-        source = f"stabilized value {lhs}"
-    elif coker_stable is not None:
+    if coker_stable is not None:
         lhs = coker_stable
         source = (f"stabilized value {lhs} taken from the presentation "
                   "cokernel")
+    elif table.stabilized:
+        lhs = table.stable_value
+        source = f"stabilized value {lhs}"
     else:
         return ModuleDegreeVerdict(None, rhs, False, True,
                                    "no stabilization observed in the computed window")
@@ -251,7 +250,7 @@ def check_module_degree_formula(divisor_degrees: Sequence[int],
             lhs, rhs, False, True,
             f"{source} exceeds divisor sum {rhs}, only a lower bound as "
             f"the inventory is incomplete: {incomplete}")
-    if not table.stabilized:
+    if coker_stable is not None:
         detail = f"{source} vs divisor sum {rhs}"
     elif lhs == rhs:
         detail = f"{source} vs divisor sum {rhs} (equal)"

@@ -195,6 +195,13 @@ _FORM = re.compile(r"^f(\d+)$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
+def field_tag(field: Field) -> str:
+    """The map-file spelling of a field, "QQ" or "GF p"; the inverse of
+    `_parse_field_tag`."""
+    p = field.characteristic()
+    return "QQ" if p == 0 else f"GF {p}"
+
+
 def _parse_field_tag(value: str, line: int, col: int) -> Field:
     parts = value.replace("(", " ").replace(")", " ").split()
     if parts == ["QQ"]:
@@ -309,10 +316,8 @@ def load_map_file(path: str) -> ParameterizedMap:
 
 def format_map_file(pmap: ParameterizedMap) -> str:
     """Print a map back to file syntax; parsing the result reproduces it."""
-    F = pmap.source.field
-    tag = "QQ" if F.characteristic() == 0 else f"GF {F.characteristic()}"
     lines = [
-        f"field = {tag}",
+        f"field = {field_tag(pmap.source.field)}",
         f"source = {' '.join(pmap.source.variables)}",
         f"target = {' '.join(pmap.target.variables)}",
     ]

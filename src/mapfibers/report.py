@@ -16,6 +16,7 @@ from .approx import PresentationData, SurfaceBoundsVerdict
 from .cohomology import CohomologyTable, ModuleDegreeVerdict
 from .fibers import (FiberRecord, FiberSearch, ImageData, ParameterizedMap,
                      DivisorBoundVerdict, FactorizationVerdict)
+from .mapfile import field_tag
 from .solve import PointProjective
 
 SCHEMA_VERSION = 2
@@ -23,11 +24,6 @@ SCHEMA_VERSION = 2
 
 def point_json(pt: PointProjective) -> List[str]:
     return [pt.field.to_str(c) for c in pt.coords]
-
-
-def field_tag(field) -> str:
-    p = field.characteristic()
-    return "QQ" if p == 0 else f"GF {p}"
 
 
 def _common_factor(pmap: ParameterizedMap) -> str:
@@ -133,13 +129,14 @@ def presentation_block(pmap: ParameterizedMap) -> Optional[Dict]:
         return None if error is None else {"error": error}
     pts, supp_complete = pmap.support
     l, mrank, n = pres.ranks
+    H = pres.hilbert
     block = {
         "ranks": {"l": l, "mrank": mrank, "n": n},
         "matrix": [[str(e) for e in row] for row in pres.matrix],
-        "coker_dims": {str(s): v for s, v in sorted(pres.coker_dims.items())},
+        "coker_dims": {str(s): H.hf(s) for s in range(1, max(n + 2, 4) + 1)},
         "stable_value": pres.stable_value,
-        "dimension": pres.coker_dim_deg[0],
-        "degree": pres.coker_dim_deg[1],
+        "dimension": H.krull_dim,
+        "degree": H.degree,
         "annihilator": [str(g) for g in pres.annihilator.minimal_basis()],
         "support_points": [point_json(p) for p in
                            sorted(pts or [], key=lambda p: p.coords)],
@@ -158,7 +155,8 @@ def presentation_block(pmap: ParameterizedMap) -> Optional[Dict]:
 def module_block(table: CohomologyTable, verdict: ModuleDegreeVerdict,
                  pres: Optional[PresentationData]) -> Dict:
     """The N-table, its degree-formula verdict and, with a presentation,
-    its per-s agreement with the cokernel dimensions."""
+    its agreement with the cokernel's Hilbert function at every s of the
+    table."""
     block = {
         "mu": table.mu,
         "table": {str(s): v for s, v in sorted(table.values.items())},
@@ -176,8 +174,7 @@ def module_block(table: CohomologyTable, verdict: ModuleDegreeVerdict,
         block["cross_table"] = {str(s): v for s, v in
                                 sorted(table.cross_values.items())}
     if pres is not None:
-        agree = {s: pres.coker_dims.get(s) == v
-                 for s, v in table.values.items() if s in pres.coker_dims}
+        agree = {s: pres.hilbert.hf(s) == v for s, v in table.values.items()}
         block["two_sided"] = {
             "per_s": {str(s): ok for s, ok in sorted(agree.items())},
             "holds": all(agree.values()) if agree else None,

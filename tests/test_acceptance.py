@@ -92,9 +92,9 @@ def test_criterion_4_hilbert_data_and_sandwiches(quintic_ideal,
 def test_criterion_5_module_table_two_sided(quintic_map, quintic_result):
     with _budget(900):
         pres = quintic_map.presentation[0]
-        assert {s: pres.coker_dims[s] for s in (1, 2, 3, 4)} == \
+        assert {s: pres.hilbert.hf(s) for s in (1, 2, 3, 4)} == \
             {1: 8, 2: 10, 3: 9, 4: 8}
-        assert all(pres.coker_dims[s] == 8 for s in (8, 9, 10))
+        assert all(pres.hilbert.hf(s) == 8 for s in (8, 9, 10))
         assert pres.stable_value == 8
         module = quintic_result.report["module"]
         assert module["table"] == {"1": 8, "2": 10, "3": 9, "4": 8}

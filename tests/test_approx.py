@@ -141,16 +141,16 @@ def test_presentation_matrix_is_linear(quintic_map):
 
 def test_coker_dims_match_strand(quintic_map):
     pres = quintic_map.presentation[0]
-    assert [pres.coker_dims[s] for s in (1, 2, 3, 4)] == [8, 10, 9, 8]
-    assert all(pres.coker_dims[s] == 8 for s in range(8, 11))
+    assert [pres.hilbert.hf(s) for s in (1, 2, 3, 4)] == [8, 10, 9, 8]
+    assert all(pres.hilbert.hf(s) == 8 for s in range(8, 11))
     assert pres.stable_value == 8
-    assert pres.coker_dim_deg == (1, 8)
+    assert (pres.hilbert.krull_dim, pres.hilbert.degree) == (1, 8)
 
 
 def test_zero_module_edge_case():
     pres = presentation_matrix_N(build_map([x * x, y * y, z * z, x * y]))
     assert pres.ranks[2] == 0
-    assert all(v == 0 for v in pres.coker_dims.values())
+    assert all(pres.hilbert.hf(s) == 0 for s in range(1, 5))
     assert pres.annihilator.contains(Polynomial.constant(pres.base_ring, 1))
     assert pres.fitting_ideal is not None
     assert pres.fitting_ideal.contains(
@@ -159,11 +159,11 @@ def test_zero_module_edge_case():
 
 def test_regularity_window_shows_the_dims_it_read():
     """On the fat point the rank n is 0, so the window [n, n+2] starts
-    below s = 1, the first cokernel dimension kept; under the hypotheses
-    that make the window applicable, the detail shows the three values
-    the verdict read."""
+    at s = 0, below the cokernel's generators; under the hypotheses that
+    make the window applicable, the detail shows the three values the
+    verdict read."""
     pres = presentation_matrix_N(fat_point_map(QQ))
-    assert pres.ranks[2] == 0 and min(pres.coker_dims) == 1
+    assert pres.ranks[2] == 0 and pres.hilbert.hf(0) == 0
     item = check_surface_bounds(pres, 3, lci=True, indeg_sat=3).items[0]
     assert item.name == "regularity_window" and item.holds
     assert item.detail == "dims on [n, n+2] = [0, 0, 0], constant at 0"

@@ -80,6 +80,19 @@ def test_an_incomplete_inventory_bounds_the_sum_below():
         assert (v.holds, v.inconclusive) == (True, False)
 
 
+def test_the_presentation_value_comes_before_the_table_window():
+    """A table that stabilizes at 9 in its window does not outrank the
+    cokernel's certified stable value 8, which matches eight divisors of
+    degree 1 (Σ C(1 + 1, 2) = 8)."""
+    table = CohomologyTable(mu=-2, m=2, values={1: 8, 2: 9, 3: 9, 4: 9})
+    table.detect_stabilization()
+    assert table.stable_value == 9
+    v = check_module_degree_formula([1] * 8, table, 2, coker_stable=8)
+    assert (v.holds, v.inconclusive, v.stabilized_value) == (True, False, 8)
+    assert v.detail == ("stabilized value 8 taken from the presentation "
+                        "cokernel vs divisor sum 8")
+
+
 def test_cross_table_only_when_a_second_route_ran():
     # m = 1 has only the duality route: nothing is cross-checked
     R2 = standard_ring(("x", "y"))

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from mapfibers.fibers import build_map
-from mapfibers.mapfile import (MapFileError, format_map_file, parse_map_file,
+from mapfibers.fields import QQ, PrimeField
+from mapfibers.mapfile import (MapFileError, _parse_field_tag, field_tag,
+                               format_map_file, parse_map_file,
                                parse_polynomial)
 from mapfibers.poly import Polynomial
 from mapfibers.rings import standard_ring
@@ -87,6 +89,11 @@ def test_missing_and_duplicate_forms():
 def test_target_length_mismatch():
     with pytest.raises(MapFileError):
         parse_map_file("source = x y\ntarget = T0 T1 T2\nf0 = x\nf1 = y\n")
+
+
+def test_field_tag_round_trips():
+    for F in (QQ, PrimeField(7), PrimeField(65521)):
+        assert _parse_field_tag(field_tag(F), 1, 1) == F
 
 
 def test_bad_field_tags():

@@ -232,7 +232,12 @@ def test_structured_cubic_analyze_exits_0(tmp_path):
     """MAPS[1] has four base points and indeg(I^sat) = 2 < d = 3, and N
     is 1, 0, 0, … with n = 1.  The regularity window is gated on the
     hypotheses of the other strict items, so it is reported not
-    applicable with the dims it read, and `analyze` exits 0."""
+    applicable with the dims it read, and `analyze` exits 0.  N_s = 0 for
+    s ≫ 0, so the stable value read off the cokernel's Hilbert series,
+    and reported, is 0."""
+    pres = MAPS[1].presentation[0]
+    assert pres.stable_value == 0
+    assert [pres.hilbert.hf(s) for s in (1, 2, 3)] == [1, 0, 0]
     path, out = tmp_path / "cubic.map", tmp_path / "cubic.json"
     path.write_text(format_map_file(MAPS[1]), encoding="utf-8")
     assert main(["analyze", str(path), "--json", str(out)]) == 0
@@ -242,3 +247,4 @@ def test_structured_cubic_analyze_exits_0(tmp_path):
     assert not window["applicable"] and window["holds"] is None
     assert window["detail"].startswith(
         "dims on [n, n+2] = [1, 0, 0], not constant; requires")
+    assert report["presentation"]["stable_value"] == 0

@@ -9,7 +9,7 @@ import pytest
 
 import mapfibers
 from mapfibers import build_map, ideals, pipeline, standard_ring
-from mapfibers.cli import COMMAND_STAGES, main
+from mapfibers.cli import COMMAND_STAGES, build_parser, main
 from mapfibers.fields import PRIME_CAP
 from mapfibers.ideals import saturate_irrelevant
 from mapfibers.fibers import lci_proxy_check
@@ -204,6 +204,27 @@ def test_cli_analyze_json(tmp_path, capsys):
         doc = json.load(fh)
     assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["fibers"]["count"] == 0
+
+
+def test_two_sided_covers_every_power_of_the_table(tmp_path, capsys):
+    """The two-sided check compares the cokernel's Hilbert function with
+    every s of the N-table, also past the s the report lists under
+    `coker_dims`."""
+    out_path = tmp_path / "bpf.json"
+    assert main(["analyze", map_path("base_point_free.map"), "--s-max", "6",
+                 "--json", str(out_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    powers = [str(s) for s in range(1, 7)]
+    assert list(doc["presentation"]["coker_dims"]) == powers[:4]
+    assert list(doc["module"]["table"]) == powers
+    assert doc["module"]["two_sided"] == {
+        "per_s": {s: True for s in powers}, "holds": True}
+
+
+def test_cohomology_s_max_defaults_to_the_pipeline_default():
+    args = build_parser().parse_args(["cohomology", "f.map", "--mu", "-2"])
+    assert args.s_max == PipelineOptions.s_max
 
 
 def test_cli_analyze_exit_two(capsys):

@@ -11,8 +11,9 @@ basis variable saturation hands over against one computed from scratch
 its base (over GF(7) and QQ), the saturation of a power from its base's
 certificate against the Hilbert-certified loop (over GF(7) and QQ), the
 lci proxy by Fitting ideals against the proxy by every variable
-(over GF(7) and QQ), the two independent routes to local cohomology
-dimensions,
+(over GF(7) and QQ), the stable value of N read off the presentation
+cokernel's Hilbert series against its Hilbert function (over GF(7) and
+QQ), the two independent routes to local cohomology dimensions,
 normal-form soundness, determinism of the reduced Groebner basis under
 concurrent recomputation, minimal generators of submodules (over GF(7)
 and QQ) against the per-generator greedy loop, the Hilbert-driven engine
@@ -488,6 +489,35 @@ def _rand_biform(rng, ring, nx, a, b):
                        F.from_int(rng.randint(1, 2))))
              for m in rng.sample(monos, rng.randint(1, min(4, len(monos))))]
     return Polynomial.from_terms(ring, items)
+
+
+def test_stable_value_is_the_hilbert_function_for_large_s():
+    """The presentation's `stable_value` (deg N, or 0 when N has finite
+    length) equals the cokernel's Hilbert function at three s at or above
+    the largest exponent of its numerator, where the function is the
+    Hilbert polynomial; and where the dims on [n, n+2] are constant they
+    equal it.  Run on the bundled maps whose presentation the pipeline
+    reports (not `non_generically_finite`, whose N has dimension 2), the
+    first oracle-suite cubics and the fat point x²z + y³, y²z + x³, xyz,
+    x²y over GF(7) and QQ."""
+    maps = [load_map_file(map_path(name)) for name in (
+        "base_point_free.map", "irrational_fibers.map",
+        "quintic_surface.map")]
+    maps += [build_map(list(pmap.forms))
+             for pmap in ORACLE_MAPS[:N_LCI_ORACLE]]
+    for field in (PrimeField(7), QQ):
+        x, y, z = (Polynomial.variable(_ring(field), i) for i in range(3))
+        maps.append(build_map([x * x * z + y ** 3, y * y * z + x ** 3,
+                               x * y * z, x * x * y]))
+    for pmap in maps:
+        pres = pmap.presentation[0]
+        H, n = pres.hilbert, pres.ranks[2]
+        assert H.krull_dim <= 1
+        top = max(H.numerator, default=1)
+        assert all(H.hf(s) == pres.stable_value
+                   for s in range(top, top + 3))
+        window = {H.hf(s) for s in range(n, n + 3)}
+        assert len(window) > 1 or window == {pres.stable_value}
 
 
 def test_variable_saturation_routes_agree_in_rees_weights():
