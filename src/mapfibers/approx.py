@@ -203,9 +203,10 @@ class PresentationData:
 
     @property
     def stable_value(self) -> int:
-        """dim_k N_s for s ≫ 0.  For a generically finite map N lives on
-        finitely many fiber points, so this is deg N, or 0 if N has
-        finite length."""
+        """dim_k N_s for s ≫ 0.  N lives on finitely many points (for a
+        generically finite map, its fiber points; `presentation_matrix_N`
+        refuses any other N), so this is deg N, or 0 if N has finite
+        length."""
         return self.hilbert.degree if self.hilbert.krull_dim else 0
 
 
@@ -263,7 +264,10 @@ def presentation_matrix_N(pmap) -> PresentationData:
     ranks (l, mrank, n) are the dimensions of Hom(Z_q, R)_{-qd-1} for
     q = 3, 2, 1: l = C(d+1, 2) by depth (the module docstring), mrank and
     n from Z_2 and Z_1, and n is cross-checked against dim H^1_m(R/I)_{d-2}
-    by the difference route."""
+    by the difference route.  ArithmeticError when that check fails, or
+    when the cokernel has Krull dimension above 1 (as for a map that is
+    not generically finite), where `PresentationData.stable_value` would
+    mean nothing."""
     kd = koszul_cycles(pmap)
     ring, d = kd.ring, kd.d
     F = ring.field
@@ -314,6 +318,11 @@ def presentation_matrix_N(pmap) -> PresentationData:
     columns = [tuple(P[a][b] for a in range(n)) for b in range(mrank)]
     mgb = module_groebner(columns, cfree)
     H = hilbert_series_quotient(mgb)
+    if H.krull_dim > 1:
+        raise ArithmeticError(
+            f"the presentation's cokernel N has Krull dimension {H.krull_dim} "
+            "over the target ring, so it does not live on finitely many "
+            "points and has no stable value")
 
     if n == 0:
         # coker is the zero module: no components to intersect

@@ -175,7 +175,9 @@ def m_mu_dims(I: Ideal, d: int, mu: int,
     H^{m−1}_𝔪(R) and H^m_𝔪(R) (depth m+1).  For m = 2 the difference
     route is used; higher m goes through duality alone.  Nothing is
     cross-checked (`n_table` is).  Each power is built for its own step
-    and dropped after it.
+    and dropped after it, while I keeps I : X_i^∞ and the colon of the
+    last power (`ideals.saturate_variable`), from which the next power's
+    colon starts.
     """
     return _strand_table(lambda s: ideal_power(I, s) if s > 1 else I,
                          d, mu, s_range, I.ring.nvars - 1, False)

@@ -114,8 +114,9 @@ class ParameterizedMap:
         """(presentation of N, None) when `presentation_applies` (m = 2
         with four nonzero forms), (None, message) when
         `presentation_matrix_N` raised ArithmeticError (the map misses a
-        hypothesis of the rank cross-check), and (None, None) when the
-        construction does not apply."""
+        hypothesis of the rank cross-check, or N has Krull dimension
+        above 1), and (None, None) when the construction does not
+        apply."""
         if not presentation_applies(self):
             return None, None
         try:

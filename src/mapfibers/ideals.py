@@ -3,14 +3,10 @@ elimination, multivariate gcd, the monomials of a degree.
 
 Everything is exact.  Saturation takes generators homogeneous in total
 degree and raises ValueError otherwise.  A power I^s built by
-`ideal_power` is saturated by a variable x through its base, by the
-identity
-
-    I^s : x^∞ = (I : x^∞)^s : x^∞.
-
-    ⊆: I^s ⊆ (I : x^∞)^s.
-    ⊇: I : x^∞ has finitely many generators g_k, with x^e·g_k ∈ I,
-    so x^{se}·(I : x^∞)^s ⊆ I^s.
+`ideal_power` is saturated by a variable x through its base, from the
+colon of I^{s−1}, as ((I^{s−1} : x^∞)·(I : x^∞)) : x^∞, and the base I
+keeps I : x^∞ and the last power's colon (`saturate_variable`, which
+gives the proof).
 
 When dim R/I ≤ 1 the power is also saturated by 𝔪 from I's own
 certificate (`saturate_irrelevant`, which gives the proof).
@@ -59,7 +55,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "_polys", "_terms", "_gb", "_sat", "_sat_by",
-                 "_hilbert", "_series", "_power_of")
+                 "_hilbert", "_series", "_power_of", "_colons")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -81,6 +77,9 @@ class Ideal:
         # (B, s) when `ideal_power` built this ideal as B^s, B itself not
         # such a power
         self._power_of: Optional[Tuple[Ideal, int]] = None
+        # (i, s) -> I^s : X_i^∞, built by `saturate_variable` on I or on a
+        # power of I: s = 1 and the last s built, per i
+        self._colons: Dict[Tuple[int, int], Ideal] = {}
 
     @property
     def generators(self) -> Tuple[Polynomial, ...]:
@@ -236,17 +235,22 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
             (f, a), (g, b) = table[combo[:-1]], packed[combo[-1]]
             longer[combo] = engine.multiply(f, g, ctx), a * b
         table = longer
-    seen = set()
-    gens = []
-    for g in table.values():
-        key = (tuple(g[0]), g[1])
-        if key not in seen:
-            seen.add(key)
-            gens.append(g)
-    P = _packed_ideal(I.ring, ctx, gens)
+    P = _packed_ideal(I.ring, ctx, _distinct(table.values()))
     base, t = I._power_of or (I, 1)
     P._power_of = (base, t * s)
     return P
+
+
+def _distinct(packed: Iterable[Tuple[list, object]]) -> list:
+    """The packed pairs (terms, scale), each kept once, in order."""
+    seen = set()
+    out = []
+    for g in packed:
+        key = (tuple(g[0]), g[1])
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
 
 
 def _packed_ideal(ring: RingDescriptor, ctx: EngineContext,
@@ -348,29 +352,82 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
 
     The basis comes from a basis in that order by
     `GroebnerBasis.saturate_last`: strip each element's X_i power and
-    interreduce.  A power I = B^s (s ≥ 2, from `ideal_power`) that holds
-    no basis in that order is saturated through its base, as
-    (B : x^∞)^s : x^∞ (the identity in the module docstring).
+    interreduce.  The base B of I = B^s (I itself when it is no power
+    from `ideal_power`) keeps the colon under (i, s), for s = 1 and the
+    power last saturated by X_i, so a climb s = 1, 2, … strips each
+    colon once.
+
+    A power I = B^s (s ≥ 2) that holds no basis in that order is
+    saturated through B, from the colon of B^{s−1} (built first when B
+    does not hold it), as
+
+        B^s : x^∞ = ((B^{s−1} : x^∞)·(B : x^∞)) : x^∞,
+
+    by (A·C) : x^∞ = ((A : x^∞)·C) : x^∞ for ideals A and C, taken for
+    A = B^{s−1}, C = B and then for A = B, C = B^{s−1} : x^∞:
+
+        ⊆: A ⊆ A : x^∞.
+        ⊇: if x^k·f ∈ A, then x^k·f·c ∈ A·C for every c ∈ C.
+
+    The product's basis is the one stripped: its generators are close to
+    the colon's basis, where B^s's own are not.
 
     The route is taken when the basis of B : x^∞ has no element of higher
-    degree than B's generators, so that its power is generated in no
-    higher degree than B^s; then its basis is the cheaper one to strip.
-    (When the colon needs higher degrees, as for a complete intersection
-    of two quartics with base points on the line x = 0, whose colon has
-    basis degrees up to 6, the power of the colon is the costlier one.)
-    Both routes give the colon's one reduced basis.  Any other ideal
-    strips its own basis in that order.
+    degree than B's generators, and the product has no generator of
+    higher degree than B^s; otherwise B^s strips its own basis.  (When
+    the colon needs higher degrees, as for a complete intersection of two
+    quartics with base points on the line x = 0, whose colon has basis
+    degrees up to 6, the product is the costlier basis.)  Both routes
+    give the colon's one reduced basis.
     """
     if I.is_zero():
         return I
     _require_homogeneous(I)
-    order = grevlex_with_last(I.ring.nvars, i)
-    if order not in I._gb and I._power_of and I._power_of[1] > 1:
-        base, s = I._power_of
-        colon = saturate_variable(base, i)
-        if _top_degree(colon) <= _top_degree(base):
-            I = ideal_power(colon, s)
-    return _holding(I.groebner(order).saturate_last(i))
+    base, s = I._power_of or (I, 1)
+    return _colon(base, i, s, I)
+
+
+def _colon(B: Ideal, i: int, s: int, P: Optional[Ideal] = None) -> Ideal:
+    """B^s : X_i^∞ with its reduced basis, X_i last, kept on B under
+    (i, s); ``P`` is B^s when the caller holds it, else it is built if
+    needed.  B keeps B : X_i^∞ and the colon of the power built last for
+    X_i: the next power's colon needs only those two, and holding every
+    power's colon raised peak memory."""
+    J = B._colons.get((i, s))
+    if J is None:
+        order = grevlex_with_last(B.ring.nvars, i)
+        if s > 1 and (P is None or order not in P._gb):
+            J = _colon_through_base(B, i, s, order)
+        if J is None:
+            if P is None:
+                P = ideal_power(B, s) if s > 1 else B
+            J = _holding(P.groebner(order).saturate_last(i))
+        if s > 1:
+            for key in [k for k in B._colons if k[0] == i and k[1] > 1]:
+                del B._colons[key]
+        B._colons[(i, s)] = J
+    return J
+
+
+def _colon_through_base(B: Ideal, i: int, s: int,
+                        order: TermOrder) -> Optional[Ideal]:
+    """B^s : X_i^∞ by stripping the basis, in ``order``, of the product
+    (B^{s−1} : X_i^∞)·(B : X_i^∞); None when a degree guard of
+    `saturate_variable` fails."""
+    first = _colon(B, i, 1)
+    top = _top_degree(B)
+    if _top_degree(first) > top:
+        return None
+    prev = _colon(B, i, s - 1)
+    # the product's top degree, its factors being homogeneous
+    if _top_degree(prev) + _top_degree(first) > s * top:
+        return None
+    # both colons hold their basis in ``order``, so share one key layout
+    ctx, left = prev.packed()
+    product = _packed_ideal(B.ring, ctx, _distinct(
+        (engine.multiply(f, g, ctx), a * b)
+        for f, a in left for g, b in first.packed()[1]))
+    return _holding(product.groebner(order).saturate_last(i))
 
 
 def _top_degree(I: Ideal) -> int:
@@ -402,9 +459,12 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
 
     A power I = B^s (s ≥ 2, from `ideal_power`) with dim R/B ≤ 1 needs
     no target: B is saturated, and the variable X_i that passed B's test
-    saturates B^s, through B (`saturate_variable`), so B^s gets no basis
+    saturates B^s, through B (`saturate_variable`), by
+    B^s : X_i^∞ = ((B^{s−1} : X_i^∞)·(B : X_i^∞)) : X_i^∞, which holds as
+    A ⊆ A : x^∞ and x^k·f ∈ A gives x^k·f·c ∈ A·C.  So B^s gets no basis
     or Hilbert series of its own (unless a colon of B needs higher degrees
-    than B, see `saturate_variable`).
+    than B, see `saturate_variable`), and B keeps the colons the next
+    power starts from.
     Every prime over B is then a point of V(B), minimal over B, or 𝔪, so
     Ass(R/B^s) ⊆ Min(B) ∪ {𝔪}.  X_i passes B's test exactly when no point
     of V(B) over the algebraic closure lies on X_i = 0 (for a point

@@ -14,6 +14,7 @@ from mapfibers.mapfile import load_map_file
 from mapfibers.modules import (FreeModule, generator_map, kernel_of_free_map,
                                vec_is_zero, vector_degree)
 from mapfibers.poly import Polynomial
+from mapfibers.report import presentation_block
 from mapfibers.rings import standard_ring
 from mapfibers.ideals import degree_monomials
 from conftest import count_calls, map_path
@@ -75,14 +76,32 @@ def test_top_cycle_dual_dimension():
     """On the bundled maps (the last one's forms linearly dependent) and
     the fat point over GF(7) and QQ, Z_3 computed from d_3 is one
     generator of degree 4d, and dim Hom(Z_3, R)_{-3d-1} is the rank l
-    that the presentation takes from depth, C(d+1, 2)."""
+    that the presentation takes from depth, C(d+1, 2).  The last bundled
+    map is not generically finite: its presentation is refused (N has
+    Krull dimension 2), so only the reference's rank is compared there."""
     maps = ([load_map_file(map_path(name)) for name in BUNDLED]
             + [fat_point_map(field) for field in (PrimeField(7), QQ)])
-    for pmap in maps:
+    for k, pmap in enumerate(maps):
         degrees, dim = top_cycle_reference(pmap)
         assert degrees == [4 * pmap.d]
-        assert presentation_matrix_N(pmap).ranks[0] == dim == \
-            comb(pmap.d + 1, 2)
+        assert dim == comb(pmap.d + 1, 2)
+        if k == len(BUNDLED) - 1:
+            with pytest.raises(ArithmeticError, match="Krull dimension 2"):
+                presentation_matrix_N(pmap)
+        else:
+            assert presentation_matrix_N(pmap).ranks[0] == dim
+
+
+def test_a_presentation_of_dimension_above_one_is_refused():
+    """On `non_generically_finite.map` the cokernel has Krull dimension 2
+    (dim N_s = s), so it has no stable value: `pmap.presentation` is
+    (None, message) with the message naming the dimension, and the report
+    block carries that message as its error."""
+    pmap = load_map_file(map_path("non_generically_finite.map"))
+    pres, error = pmap.presentation
+    assert pres is None
+    assert "Krull dimension 2" in error
+    assert presentation_block(pmap) == {"error": error}
 
 
 def test_hom_coordinates_read_off_the_nullspace(quintic_koszul):

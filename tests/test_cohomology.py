@@ -11,7 +11,7 @@ from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal, ideal_power
 from mapfibers.modules import free_resolution
 from mapfibers.poly import Polynomial
-from mapfibers.rings import GREVLEX, standard_ring
+from mapfibers.rings import GREVLEX, grevlex_with_last, standard_ring
 from conftest import count_calls
 from references import hypersurface_hdim
 
@@ -199,6 +199,36 @@ def test_the_strand_builds_no_basis_of_a_power(monkeypatch, quintic_map):
     assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
     assert len(powers) == 4 and asked
     assert not any(J is P for J in asked for P in powers)
+
+
+def test_the_strand_builds_one_colon_basis_per_variable_and_power(
+        monkeypatch, quintic_map):
+    """`m_mu_dims` on the quintic for s = 1..5 builds, in the source ring,
+    exactly one basis with X_i last per (i, s), and strips each once: I's
+    own for s = 1, that of (Iˢ⁻¹ : X_i^∞)·(I : X_i^∞) for s ≥ 2.  I keeps
+    I : X_i^∞ and the colon of the last power, so no step rebuilds or
+    re-strips one of an earlier s."""
+    I = Ideal(quintic_map.source, list(quintic_map.forms))
+    orders = {grevlex_with_last(3, i): i for i in range(3)}
+    built, stripped = [], []
+    groebner_of = Ideal.groebner
+    strip = groebner.GroebnerBasis.saturate_last
+
+    def logged(J, order=GREVLEX):
+        if order not in J._gb and J.ring == I.ring and order in orders:
+            built.append(orders[order])
+        return groebner_of(J, order)
+
+    def counted(gb, i):
+        stripped.append(i)
+        return strip(gb, i)
+
+    monkeypatch.setattr(Ideal, "groebner", logged)
+    monkeypatch.setattr(groebner.GroebnerBasis, "saturate_last", counted)
+    table = m_mu_dims(I, quintic_map.d, -2, range(1, 6))
+    assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
+    assert sorted(built) == sorted(stripped) == [0] * 5 + [1] * 5 + [2] * 5
+    assert sorted(I._colons) == [(i, s) for i in range(3) for s in (1, 5)]
 
 
 def test_h0_reads_the_quotient_and_h1_only_the_saturation(monkeypatch,

@@ -102,10 +102,14 @@ def test_a_power_is_saturated_through_its_base(monkeypatch, quintic_map):
     """`saturate_irrelevant(I⁴)` on the quintic reads I's certificate (no
     variable passes, as dim R/I = 1 with base points at every coordinate
     point) and intersects the three colons I⁴ : X_i^∞ untried.  I⁴ gets no
-    basis of its own; the only power bases built are those of
-    (I : X_i^∞)⁴ with X_i last, whose 5, 24 and 24 elements (i = 2, 1, 0)
-    strip to I⁴ : X_i^∞ in place of the 35, 43 and 43 of I⁴'s own bases,
-    and I holds its grevlex basis and those with X_1 and X_0 last."""
+    basis of its own; the only other bases built in the source ring are
+    those, with X_i last, of the products (Iˢ⁻¹ : X_i^∞)·(I : X_i^∞) for
+    s = 2, 3, 4, each stripped to Iˢ : X_i^∞; I keeps I : X_i^∞ and
+    I⁴ : X_i^∞, the product's stripped basis for s = 4.  For
+    i = 2, 1, 0 the products have 3, 4, 5 / 6, 13, 18 / 6, 13, 18
+    generators and bases of 3, 4, 5 / 7, 9, 10 / 7, 9, 10 elements, in
+    place of the 35, 43 and 43 of I⁴'s own bases; and I holds its grevlex
+    basis and those with X_1 and X_0 last."""
     built = []
     groebner_of = Ideal.groebner
 
@@ -119,13 +123,21 @@ def test_a_power_is_saturated_through_its_base(monkeypatch, quintic_map):
     P = ideal_power(I, 4)
     saturate_irrelevant(P)
     assert P._gb == {}
-    powers = [(J, order) for J, order in built if J._power_of]
-    assert [order for _, order in powers] == [grevlex_with_last(3, i)
-                                              for i in (2, 1, 0)]
-    for (power, order), i, size in zip(powers, (2, 1, 0), (5, 24, 24)):
-        assert power._power_of[1] == 4
-        assert power._power_of[0] == saturate_variable(I, i)
-        assert len(power._gb[order].raw) == size
+    products = [(J, order) for J, order in built
+                if J.ring == I.ring and J is not I]
+    steps = [(i, s) for i in (2, 1, 0) for s in (2, 3, 4)]
+    assert [order for _, order in products] == [grevlex_with_last(3, i)
+                                                for i, _ in steps]
+    sizes = [(len(J.packed()[1]), len(J._gb[order].raw))
+             for J, order in products]
+    assert sizes == [(3, 3), (4, 4), (5, 5), (6, 7), (13, 9), (18, 10),
+                     (6, 7), (13, 9), (18, 10)]
+    for (J, order), (i, s) in zip(products, steps):
+        assert J._power_of is None
+        if s == 4:
+            assert (J._gb[order].saturate_last(i).raw
+                    == I._colons[i, s]._gb[order].raw)
+    assert sorted(I._colons) == [(i, s) for i in range(3) for s in (1, 4)]
     assert list(I._gb) == [GREVLEX, grevlex_with_last(3, 1),
                            grevlex_with_last(3, 0)]
 
