@@ -99,6 +99,7 @@ def _cmd_cohomology(args) -> int:
     if _shares_a_factor(pmap):
         return EXIT_HYPOTHESIS
     table = m_mu_dims(pmap.base_ideal, pmap.d, args.mu, range(1, args.s_max + 1))
+    table.detect_stabilization()
     print(f"dim H^{pmap.m}(I^s) in degree s*d + ({args.mu}):")
     for s in sorted(table.values):
         print(f"  s = {s}: {table.values[s]}")

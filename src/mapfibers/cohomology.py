@@ -102,12 +102,8 @@ def hdim_duality(J: Ideal, i: int, t: int) -> int:
 
 def resolution_hdim(res: FreeResolution, i: int, t: int) -> int:
     """dim H^i_𝔪(R/J)_t by local duality from ``res``, a minimal graded
-    free resolution of R/J.
-
-    Adjacent i share a dual map (that of ``res.maps[j]`` in degree e is
-    the outgoing one for i = c − j and the incoming one for i = c − j − 1),
-    so each rank is kept on ``res.dual_ranks`` and computed once.
-    """
+    free resolution of R/J: the homology at Hom(F_j, R) in degree
+    e = −t − c, j = c − i, from the ranks of its two dual maps."""
     c = res.modules[0].ring.nvars
     j = c - i
     if j < 0 or j > res.length:
@@ -116,18 +112,12 @@ def resolution_hdim(res: FreeResolution, i: int, t: int) -> int:
     dim_j = len(hom_basis(res.modules[j].shifts, e, c))
     if dim_j == 0:
         return 0
-    rk_out = _dual_rank(res, j, e) if j < res.length else 0
-    rk_in = _dual_rank(res, j - 1, e) if j else 0
-    return dim_j - rk_out - rk_in
 
-
-def _dual_rank(res: FreeResolution, j: int, e: int) -> int:
-    """Rank of Hom(res.maps[j], R) in degree e, once per resolution."""
-    rank = res.dual_ranks.get((j, e))
-    if rank is None:
-        rank = res.dual_ranks[j, e] = linalg.rank(
-            dual_map_rows(res.maps[j], e)[0], res.modules[0].ring.field)
-    return rank
+    def dual_rank(k):
+        return linalg.rank(dual_map_rows(res.maps[k], e)[0],
+                           res.modules[0].ring.field)
+    return (dim_j - (dual_rank(j) if j < res.length else 0)
+            - (dual_rank(j - 1) if j else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,8 @@ class CohomologyTable:
 
     def detect_stabilization(self) -> None:
         """Stable from the first of three consecutive equal values that
-        every later value repeats."""
+        every later value repeats.  This describes the computed table
+        and certifies nothing; no verdict reads it."""
         run = 3
         ss = sorted(self.values)
         for k in range(len(ss) - run + 1):
@@ -203,7 +194,6 @@ def _strand_table(power: Callable[[int], Ideal], d: int, mu: int,
         else:
             val = hdim_duality(J, m - 1, t)
         table.values[s] = val
-    table.detect_stabilization()
     return table
 
 
@@ -223,39 +213,29 @@ class ModuleDegreeVerdict:
     detail: str
 
 
-def check_module_degree_formula(divisor_degrees: Sequence[int],
-                                table: CohomologyTable, m: int,
-                                coker_stable: Optional[int] = None,
+def check_module_degree_formula(divisor_degrees: Sequence[int], m: int,
+                                stable_value: Optional[int], source: str,
                                 incomplete: Optional[str] = None
                                 ) -> ModuleDegreeVerdict:
-    """Stabilized N_s against Σ binom(deg h_y + m − 1, m).  ``coker_stable``,
-    dim N_s for s ≫ 0 read off the presentation cokernel's Hilbert series,
-    is read first; else the table's window, which certifies nothing.
+    """dim N_s for s ≫ 0 against Σ binom(deg h_y + m − 1, m).
+
+    ``stable_value`` is that dimension, certified, and ``source`` names
+    what certified it; when it is None, ``source`` says why there is no
+    certified value, and the verdict is inconclusive.
 
     ``incomplete`` names why the fiber inventory behind ``divisor_degrees``
     is not certified complete (None when it is).  The sum is then only a
-    lower bound, so a stabilized value above it is inconclusive, while
-    one below it still fails."""
+    lower bound, so a stable value above it is inconclusive, while one
+    below it still fails."""
     rhs = sum(comb(deg + m - 1, m) for deg in divisor_degrees)
-    if coker_stable is not None:
-        lhs = coker_stable
-        source = (f"stabilized value {lhs} taken from the presentation "
-                  "cokernel")
-    elif table.stabilized:
-        lhs = table.stable_value
-        source = f"stabilized value {lhs}"
-    else:
+    if stable_value is None:
         return ModuleDegreeVerdict(None, rhs, False, True,
-                                   "no stabilization observed in the computed window")
-    if lhs > rhs and incomplete is not None:
+                                   f"no certified stable value: {source}")
+    found = f"stabilized value {stable_value} taken from {source}"
+    if stable_value > rhs and incomplete is not None:
         return ModuleDegreeVerdict(
-            lhs, rhs, False, True,
-            f"{source} exceeds divisor sum {rhs}, only a lower bound as "
+            stable_value, rhs, False, True,
+            f"{found} exceeds divisor sum {rhs}, only a lower bound as "
             f"the inventory is incomplete: {incomplete}")
-    if coker_stable is not None:
-        detail = f"{source} vs divisor sum {rhs}"
-    elif lhs == rhs:
-        detail = f"{source} vs divisor sum {rhs} (equal)"
-    else:
-        detail = f"{source} differs from divisor sum {rhs}"
-    return ModuleDegreeVerdict(lhs, rhs, lhs == rhs, False, detail)
+    return ModuleDegreeVerdict(stable_value, rhs, stable_value == rhs, False,
+                               f"{found} vs divisor sum {rhs}")

@@ -479,6 +479,10 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
     presented module N is exactly the fiber locus when the base locus is lci;
     each support point is verified the same way.  The union is returned with
     a completeness flag that is True only when a complete route ran.
+
+    An empty base locus proves the inventory empty when m ≥ 2 (the forms,
+    proportional to y on a fiber divisor of positive dimension, vanish
+    together somewhere on it); for m = 1 nothing is searched.
     """
     img = pmap.image
     if not img.generically_finite:
@@ -506,9 +510,11 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         found[key] = FiberRecord(y, _pivot(y), h, h.degree(), dim, route)
 
     if base_empty:
-        # divisors force base points, so 𝒴_{m-1} is provably empty
-        result.complete = True
-        result.notes.append("base locus empty: no fiber can contain a divisor")
+        result.complete = m >= 2
+        result.notes.append(
+            "base locus empty: no fiber can contain a divisor" if m >= 2 else
+            "base locus empty, but for m = 1 a fiber divisor is a set of "
+            "points and need not meet it: inventory not searched")
         return result
 
     seen = set()
@@ -520,8 +526,8 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         result.route_a[s] = entry
         if nu >= s * d:
             continue
-        # the degree-ν elements of the reduced basis span (I^s)^sat_ν
-        gb = Jsat.groebner()
+        # the degree-ν elements of a reduced basis span (I^s)^sat_ν
+        gb = Jsat.basis()
         G = poly_gcd_list([g for (g,) in gb.select(
             lambda k: gb.ctx.deg(k) == nu)])
         entry["gcd_degree"] = G.degree()

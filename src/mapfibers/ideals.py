@@ -3,10 +3,8 @@ elimination, multivariate gcd, the monomials of a degree.
 
 Everything is exact.  Saturation takes generators homogeneous in total
 degree and raises ValueError otherwise.  A power I^s built by
-`ideal_power` is saturated by a variable x through its base, from the
-colon of I^{s−1}, as ((I^{s−1} : x^∞)·(I : x^∞)) : x^∞, and the base I
-keeps I : x^∞ and the last power's colon (`saturate_variable`, which
-gives the proof).
+`ideal_power` is saturated by a variable through its base, from the
+colon of I^{s−1}, which I keeps (`saturate_variable`).
 
 When dim R/I ≤ 1 the power is also saturated by 𝔪 from I's own
 certificate (`saturate_irrelevant`, which gives the proof).
@@ -134,14 +132,21 @@ class Ideal:
             self._sat = saturate_irrelevant(self)
         return self._sat
 
+    def basis(self, any_order: bool = False) -> GroebnerBasis:
+        """The grevlex basis if held, else any held basis when ``any_order``
+        (membership) or the generators are homogeneous in total degree
+        (then every reduced basis gives the Hilbert series and the initial
+        degree ν, and its degree-ν elements span I_ν), else grevlex."""
+        gb = self._gb.get(GREVLEX)
+        if gb is None and self._gb and (any_order or _homogeneous(self)):
+            gb = next(iter(self._gb.values()))
+        return gb or self.groebner()
+
     def contains(self, f: Polynomial) -> bool:
-        """Membership by the normal form against a reduced basis this ideal
-        holds (grevlex first; any order decides membership), else grevlex."""
-        if f.is_zero():
-            return True
-        gb = (self._gb.get(GREVLEX) or next(iter(self._gb.values()), None)
-              or self.groebner())
-        return normal_form(f, gb).is_zero()
+        """Membership by the normal form against a reduced basis in any
+        order (`basis`)."""
+        return (f.is_zero()
+                or normal_form(f, self.basis(any_order=True)).is_zero())
 
     def is_subideal_of(self, other: "Ideal") -> bool:
         return all(other.contains(g) for g in self.generators)
@@ -156,13 +161,9 @@ class Ideal:
         return self.groebner().raw == other.groebner().raw
 
     def hilbert(self) -> HilbertData:
-        """Hilbert data of R/I, computed once: from the grevlex basis, or for
-        homogeneous generators from any basis held (same series)."""
+        """Hilbert data of R/I, computed once, from `basis`."""
         if self._hilbert is None:
-            gb = self._gb.get(GREVLEX)
-            if gb is None and self._gb and _homogeneous(self):
-                gb = next(iter(self._gb.values()))
-            self._hilbert = hilbert_series_quotient(gb or self.groebner())
+            self._hilbert = hilbert_series_quotient(self.basis())
         return self._hilbert
 
     def dimension_degree(self) -> Tuple[int, int]:
@@ -171,8 +172,8 @@ class Ideal:
 
     def initial_degree(self) -> Optional[int]:
         """Least t with a nonzero element of degree t (the least degree of
-        a grevlex lead), None for (0)."""
-        gb = self.groebner()
+        a lead of `basis`), None for (0)."""
+        gb = self.basis()
         return min((gb.ctx.deg(t[0][0]) for t in gb.raw), default=None)
 
     def minimal_basis(self) -> List[Polynomial]:
@@ -221,7 +222,7 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
     generator i_k, for k = 2..s.  The power holds its generators as term
     lists, converted to polynomials only on first read of ``generators``,
     and records that it is I^s, so that `saturate_variable` saturates it
-    through I (the identity in the module docstring).  A power (B^t)^s of
+    through I (the identity is proved there).  A power (B^t)^s of
     a power records B^{ts}, the same ideal, so its saturation reads B's
     certificate.
     """
@@ -459,9 +460,7 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
 
     A power I = B^s (s ≥ 2, from `ideal_power`) with dim R/B ≤ 1 needs
     no target: B is saturated, and the variable X_i that passed B's test
-    saturates B^s, through B (`saturate_variable`), by
-    B^s : X_i^∞ = ((B^{s−1} : X_i^∞)·(B : X_i^∞)) : X_i^∞, which holds as
-    A ⊆ A : x^∞ and x^k·f ∈ A gives x^k·f·c ∈ A·C.  So B^s gets no basis
+    saturates B^s, through B (`saturate_variable`).  So B^s gets no basis
     or Hilbert series of its own (unless a colon of B needs higher degrees
     than B, see `saturate_variable`), and B keeps the colons the next
     power starts from.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import engine, linalg
 from .groebner import GroebnerBasis, Vector, induced_context, induced_matrix
@@ -199,9 +199,6 @@ class FreeResolution:
     def __init__(self, modules: List[FreeModule], maps: List[FreeModuleMap]):
         self.modules = modules
         self.maps = maps       # maps[i]: modules[i+1] -> modules[i]
-        # (j, e) -> rank of Hom(maps[j], R) in degree e, filled by
-        # `cohomology.resolution_hdim`
-        self.dual_ranks: Dict[Tuple[int, int], int] = {}
 
     @property
     def length(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .approx import check_surface_bounds
 from .cohomology import check_module_degree_formula, n_table
@@ -47,6 +47,19 @@ class PipelineResult:
     report: Dict
     exit_code: int
     search: Optional[FiberSearch] = None
+
+
+def _stable_value(pmap: ParameterizedMap) -> Tuple[Optional[int], str]:
+    """dim N_s for s ≫ 0 and what certifies it, else None and why not.
+    An empty base locus with m ≥ 2 gives N = 0: H^{m−1}_𝔪(R/Iˢ) = 0."""
+    pres, error = pmap.presentation
+    if pres is not None:
+        return pres.stable_value, "the presentation cokernel"
+    if pmap.m >= 2 and pmap.locus[1] <= 0:
+        return 0, "the empty base locus (N = 0)"
+    if error is not None:
+        return None, f"presentation of N unavailable: {error}"
+    return None, f"no presentation of N for m = {pmap.m}, n = {pmap.n}"
 
 
 @contextmanager
@@ -109,12 +122,12 @@ def run_pipeline(pmap: ParameterizedMap,
     if opt.module_table:
         with _step(timings, "module"):
             table = n_table(pmap, powers)
-            pres = pmap.presentation[0]
             verdict = check_module_degree_formula(
-                [r.divisor_degree for r in search.records], table, pmap.m,
-                None if pres is None else pres.stable_value,
+                [r.divisor_degree for r in search.records], pmap.m,
+                *_stable_value(pmap),
                 None if search.complete else "; ".join(search.notes))
-        block = report["module"] = module_block(table, verdict, pres)
+        block = report["module"] = module_block(table, verdict,
+                                                pmap.presentation[0])
         incomplete = incomplete or verdict.inconclusive
         failed = (failed or not (verdict.holds or verdict.inconclusive)
                   or block.get("two_sided", {}).get("holds") is False)

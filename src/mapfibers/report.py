@@ -19,7 +19,7 @@ from .fibers import (FiberRecord, FiberSearch, ImageData, ParameterizedMap,
 from .mapfile import field_tag
 from .solve import PointProjective
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def point_json(pt: PointProjective) -> List[str]:
@@ -160,8 +160,6 @@ def module_block(table: CohomologyTable, verdict: ModuleDegreeVerdict,
     block = {
         "mu": table.mu,
         "table": {str(s): v for s, v in sorted(table.values.items())},
-        "stable_value": table.stable_value,
-        "stable_from": table.stable_from,
         "degree_formula": {
             "expected": verdict.divisor_sum,
             "stabilized": verdict.stabilized_value,
@@ -263,16 +261,13 @@ def render_text(report: Dict) -> str:
         dims = ", ".join(f"s={s}: {v}" for s, v in sorted(
             mod["table"].items(), key=lambda kv: int(kv[0])))
         out.append(f"module N dimensions ({dims})")
-        if mod.get("stable_value") is not None:
-            out.append(f"  stabilizes at {mod['stable_value']}"
-                       f" from s = {mod['stable_from']}")
         df = mod.get("degree_formula")
         if df:
             m = len(inp["source"]) - 1
             shift = f" + {m - 1}" if m > 1 else ""
             verdict = (f"inconclusive ({df['detail']})" if df["inconclusive"]
                        else _verdict(df["holds"]))
-            stab = ("not stabilized" if df["stabilized"] is None
+            stab = ("no stable value" if df["stabilized"] is None
                     else f"stabilized {df['stabilized']}")
             out.append(f"  deg N = sum C(deg h_y{shift}, {m}): expected"
                        f" {df['expected']}, {stab}: {verdict}")

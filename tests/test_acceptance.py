@@ -190,7 +190,7 @@ def test_criterion_9_degenerate_inputs(bpf_map, ngf_map):
     assert res.search.records == [] and res.search.complete
     module = res.report["module"]
     assert all(v == 0 for v in module["table"].values())
-    assert module["stable_value"] == 0
+    assert module["degree_formula"]["stabilized"] == 0
     assert module["degree_formula"]["holds"] is True
 
     res2 = run_pipeline(ngf_map, PipelineOptions(s_max=2))

@@ -2,14 +2,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from mapfibers import cohomology, groebner, linalg
+from mapfibers import cohomology, groebner, pipeline
 from mapfibers.cohomology import (CohomologyTable,
                                   check_module_degree_formula, hdim_difference,
-                                  hdim_duality, hom_basis, m_mu_dims, n_table,
-                                  resolution_hdim)
+                                  hdim_duality, m_mu_dims, n_table)
 from mapfibers.fibers import build_map
 from mapfibers.ideals import Ideal, ideal_power
-from mapfibers.modules import free_resolution
+from mapfibers.pipeline import PipelineOptions, run_pipeline
 from mapfibers.poly import Polynomial
 from mapfibers.rings import GREVLEX, grevlex_with_last, standard_ring
 from conftest import count_calls
@@ -49,48 +48,53 @@ def test_quintic_strands(quintic_map, quintic_ideal):
 
 
 def test_degree_formula_requires_stabilization():
-    # two constant entries are fewer than the three-run certification window
+    # two constant entries are fewer than the three-run window, which the
+    # verdict does not read anyway: with no certified stable value it is
+    # inconclusive and says why
     R2 = standard_ring(("x", "y"))
     a = Polynomial.variable(R2, 0)
     t = m_mu_dims(Ideal(R2, [a ** 5]), 5, -3, range(1, 3))
     t.detect_stabilization()
     assert t.stable_value is None
-    verdict = check_module_degree_formula([1, 1], t, 1)
+    why = "no presentation of N for m = 1, n = 2"
+    verdict = check_module_degree_formula([1, 1], 1, None, why)
     assert verdict.inconclusive and not verdict.holds
     assert verdict.stabilized_value is None
+    assert verdict.detail == f"no certified stable value: {why}"
 
 
 def test_an_incomplete_inventory_bounds_the_sum_below():
     """With an incomplete inventory the divisor sum is a lower bound: a
-    stabilized value above it is inconclusive and names the cause, one
-    below it still fails, and so does any mismatch of a complete one.
-    The same holds for a value taken from the presentation cokernel."""
+    stable value above it is inconclusive and names the cause, one below
+    it still fails, and so does any mismatch of a complete one."""
     why = "support has components with no rational point"
-    stable = CohomologyTable(mu=-2, m=2, values={s: 8 for s in range(1, 5)})
-    stable.detect_stabilization()
-    unstable = CohomologyTable(mu=-2, m=2, values={1: 8, 2: 10, 3: 9})
-    for table, coker in ((stable, None), (unstable, 8)):
-        above = check_module_degree_formula([1] * 6, table, 2, coker, why)
-        assert (above.holds, above.inconclusive) == (False, True)
-        assert why in above.detail and "lower bound" in above.detail
-        for degrees, cause in (([1] * 9, why), ([1] * 6, None)):
-            v = check_module_degree_formula(degrees, table, 2, coker, cause)
-            assert (v.holds, v.inconclusive) == (False, False)
-        v = check_module_degree_formula([1] * 8, table, 2, coker, why)
-        assert (v.holds, v.inconclusive) == (True, False)
+    source = "the presentation cokernel"
+    above = check_module_degree_formula([1] * 6, 2, 8, source, why)
+    assert (above.holds, above.inconclusive) == (False, True)
+    assert why in above.detail and "lower bound" in above.detail
+    for degrees, cause in (([1] * 9, why), ([1] * 6, None)):
+        v = check_module_degree_formula(degrees, 2, 8, source, cause)
+        assert (v.holds, v.inconclusive) == (False, False)
+    v = check_module_degree_formula([1] * 8, 2, 8, source, why)
+    assert (v.holds, v.inconclusive) == (True, False)
 
 
-def test_the_presentation_value_comes_before_the_table_window():
-    """A table that stabilizes at 9 in its window does not outrank the
-    cokernel's certified stable value 8, which matches eight divisors of
-    degree 1 (Σ C(1 + 1, 2) = 8)."""
+def test_the_presentation_value_comes_before_the_table_window(
+        monkeypatch, quintic_map):
+    """A table whose window reads 9 does not outrank the cokernel's
+    certified stable value 8, which matches the quintic's eight divisors
+    of degree 1 (Σ C(1 + 1, 2) = 8): the verdict reads that value only."""
     table = CohomologyTable(mu=-2, m=2, values={1: 8, 2: 9, 3: 9, 4: 9})
     table.detect_stabilization()
     assert table.stable_value == 9
-    v = check_module_degree_formula([1] * 8, table, 2, coker_stable=8)
-    assert (v.holds, v.inconclusive, v.stabilized_value) == (True, False, 8)
-    assert v.detail == ("stabilized value 8 taken from the presentation "
-                        "cokernel vs divisor sum 8")
+    monkeypatch.setattr(pipeline, "n_table", lambda *args: table)
+    res = run_pipeline(quintic_map, PipelineOptions(
+        divisor_bound=False, factorization=False, surface_bounds=False))
+    formula = res.report["module"]["degree_formula"]
+    assert (formula["holds"], formula["inconclusive"],
+            formula["stabilized"]) == (True, False, 8)
+    assert formula["detail"] == ("stabilized value 8 taken from the "
+                                 "presentation cokernel vs divisor sum 8")
 
 
 def test_cross_table_only_when_a_second_route_ran():
@@ -105,7 +109,9 @@ def test_degree_formula_on_stable_table(bpf_map):
     table = n_table(bpf_map, range(1, 5))
     table.detect_stabilization()
     assert table.stable_value == 0
-    verdict = check_module_degree_formula([], table, 2)
+    verdict = check_module_degree_formula(
+        [], 2, bpf_map.presentation[0].stable_value,
+        "the presentation cokernel")
     assert verdict.holds and not verdict.inconclusive
     assert verdict.divisor_sum == 0
 
@@ -151,24 +157,6 @@ def test_the_strand_multiplies_no_polynomials(monkeypatch, quintic_map):
     assert table.values == {1: 8, 2: 10, 3: 9, 4: 8, 5: 8}
     assert packed == [(g,) for g in I.generators]
     assert unpacked == []
-
-
-def test_a_sweep_ranks_each_dual_map_once(monkeypatch, quintic_ideal):
-    """Adjacent i share a dual map: Hom(maps[j], R)_e is the outgoing map
-    for i = c − j and the incoming one for i = c − j − 1.  A sweep over
-    every i at one t ranks each (j, e) once, a second sweep ranks nothing,
-    and the values are those of a fresh resolution per call."""
-    c, t = 3, -1
-    e = -t - c
-    expected = [hdim_duality(quintic_ideal, i, t) for i in range(c + 1)]
-    res = free_resolution(quintic_ideal)
-    asked = [k for j in range(c + 1) if j <= res.length
-             and hom_basis(res.modules[j].shifts, e, c)
-             for k in (j, j - 1) if 0 <= k < res.length]
-    ranks = count_calls(monkeypatch, linalg.rank)
-    for _ in range(2):
-        assert [resolution_hdim(res, i, t) for i in range(c + 1)] == expected
-        assert len(ranks) == len(set(asked)) < len(asked)
 
 
 def test_the_strand_builds_no_basis_of_a_power(monkeypatch, quintic_map):

@@ -12,7 +12,8 @@ from mapfibers import build_map, ideals, pipeline, standard_ring
 from mapfibers.cli import COMMAND_STAGES, build_parser, main
 from mapfibers.fields import PRIME_CAP
 from mapfibers.ideals import saturate_irrelevant
-from mapfibers.fibers import lci_proxy_check
+from mapfibers.fibers import (brute_force_fiber_oracle, find_one_dim_fibers,
+                              lci_proxy_check)
 from mapfibers.approx import presentation_matrix_N
 from mapfibers.poly import Polynomial
 from mapfibers.mapfile import load_map_file, parse_map_file
@@ -70,7 +71,7 @@ def test_base_point_free_run(bpf_map):
     assert res.report["fibers"]["count"] == 0
     assert res.report["fibers"]["complete"] is True
     assert all(v == 0 for v in res.report["module"]["table"].values())
-    assert res.report["module"]["stable_value"] == 0
+    assert res.report["module"]["degree_formula"]["stabilized"] == 0
     assert res.report["presentation"]["support_points"] == []
     assert res.report["presentation"]["fitting"] == ["1"]
 
@@ -162,17 +163,68 @@ def test_render_text_contains_key_lines(quintic_result):
 
 
 def test_render_text_degree_formula_on_a_curve_map(tmp_path, capsys):
-    """P^1 -> P^2: the formula is Σ C(deg h_y, 1), and a table that never
-    stabilizes gives an inconclusive verdict with its cause, as in the JSON."""
+    """P^1 -> P^2: the formula is Σ C(deg h_y, 1), and with no certified
+    stable value of N the verdict is inconclusive with its cause, as in
+    the JSON."""
     path = tmp_path / "twisted.map"
     path.write_text("field = QQ\nsource = x y\nf0 = x^3\nf1 = y^3\n"
                     "f2 = x^2*y\n")
     assert main(["analyze", str(path)]) == 3
     out = capsys.readouterr().out
-    assert "  deg N = sum C(deg h_y, 1): expected 0, not stabilized:" \
-        " inconclusive (no stabilization observed in the computed window)\n" \
-        in out
+    assert "  deg N = sum C(deg h_y, 1): expected 0, no stable value:" \
+        " inconclusive (no certified stable value: no presentation of N" \
+        " for m = 1, n = 2)\n" in out
     assert "FAILS" not in out and "None" not in out
+
+
+CURVE = "source = x y\nf0 = x^3\nf1 = y^3\nf2 = x^2*y\n"
+
+
+def test_a_curve_map_with_no_base_points_is_not_certified_complete(
+        tmp_path, capsys):
+    """For m = 1 an empty base locus proves nothing: a fiber divisor is a
+    set of points.  Over GF(7) the oracle sees 8 points whose fiber has
+    dimension m − 1 = 0, (1:0:0) among them with h_y = y, so the
+    inventory must not claim to be complete, and `fibers` exits 3."""
+    pmap = parse_map_file("field = GF 7\n" + CURVE)
+    oracle = {r.point.coords: str(r.divisor)
+              for r in brute_force_fiber_oracle(pmap)}
+    assert len(oracle) == 8 and oracle[(1, 0, 0)] == "y"
+    search = find_one_dim_fibers(pmap, s_max=2)
+    assert search.complete is False
+    assert any("m = 1" in note for note in search.notes)
+    path = tmp_path / "curve.map"
+    path.write_text("field = GF 7\n" + CURVE)
+    assert main(["fibers", str(path)]) == 3
+    assert "inventory INCOMPLETE" in capsys.readouterr().out
+
+
+def test_the_degree_formula_needs_a_certified_stable_value():
+    """The P^3 map's N-table reads 1, 1, 1, 1, but no presentation of N
+    exists for m = 3, n = 4 and the base locus is not empty: the verdict
+    is inconclusive and says why.  Two base-point-free maps without a
+    presentation read N = 0 off the empty base locus and hold."""
+    p3 = parse_map_file("source = X0 X1 X2 X3\nf0 = X0^2\nf1 = X0*X1\n"
+                        "f2 = X0*X2\nf3 = X0*X3\nf4 = X1*X2\n")
+    res = run_pipeline(p3, PipelineOptions(s_max=3))
+    module = res.report["module"]
+    assert set(module["table"].values()) == {1}
+    assert module["degree_formula"] == {
+        "expected": 1, "stabilized": None, "holds": False,
+        "inconclusive": True,
+        "detail": "no certified stable value: no presentation of N for "
+                  "m = 3, n = 4"}
+    assert res.exit_code == 3
+    for forms in ("f0 = x^2\nf1 = y^2\nf2 = z^2\nf3 = x*y\nf4 = x*z\n",
+                  "f0 = a^2\nf1 = b^2\nf2 = c^2\nf3 = d^2\nf4 = a*b + c*d\n"):
+        names = "x y z" if "x" in forms else "a b c d"
+        res = run_pipeline(parse_map_file(f"source = {names}\n{forms}"),
+                           PipelineOptions(s_max=3))
+        formula = res.report["module"]["degree_formula"]
+        assert "presentation" not in res.report
+        assert (formula["holds"], formula["stabilized"]) == (True, 0)
+        assert "empty base locus" in formula["detail"]
+        assert res.exit_code == 0
 
 
 def test_cli_image(capsys):

@@ -21,7 +21,9 @@ against plain Buchberger in the standard and the Rees weights (over GF(7)
 and QQ), the grevlex basis `eliminate` hands over against one
 computed from scratch (over GF(7) and QQ), and the pruned Schreyer
 resolution against the iterated-kernel reference: Betti tables, d∘d = 0
-and local cohomology by duality (over GF(7) and QQ).
+and local cohomology by duality (over GF(7) and QQ).  One check draws no
+cases: the pipeline's coordinate-free results on five maps, each also in
+one fixed change of source and target coordinates.
 """
 
 import random
@@ -40,6 +42,7 @@ from mapfibers.ideals import (degree_monomials, eliminate, exact_divide,
                               intersect_many, poly_gcd, saturate_irrelevant,
                               saturate_variable)
 from mapfibers.mapfile import load_map_file
+from mapfibers.pipeline import run_pipeline
 from mapfibers.modules import (FreeModule, free_resolution,
                                minimal_generators, module_groebner, vec_add,
                                vec_is_zero, vec_scale, vector_degree)
@@ -523,6 +526,71 @@ def test_stable_value_is_the_hilbert_function_for_large_s():
                    for s in range(top, top + 3))
         window = {H.hf(s) for s in range(n, n + 3)}
         assert len(window) > 1 or window == {pres.stable_value}
+
+
+def _frame(ring):
+    """A: X0 ↦ X1, X1 ↦ X0 + X2, X2 ↦ X2, as a substitution."""
+    X0, X1, X2 = (Polynomial.variable(ring, i) for i in range(3))
+    return {0: X1, 1: X0 + X2, 2: X2}
+
+
+def _in_moved_frame(pmap):
+    """The map in one fixed sparse frame: g = f∘A, then the target forms
+    (g1, g0, g2, g2 + g3)."""
+    A = _frame(pmap.source)
+    g = [f.substitute(A) for f in pmap.forms]
+    return build_map([g[1], g[0], g[2], g[2] + g[3]])
+
+
+def _moved_point(y):
+    """The image point y of f as an image point of the moved map."""
+    F, (y0, y1, y2, y3) = y.field, y.coords
+    return fibers.PointProjective((y1, y0, y2, F.add(y2, y3)), F)
+
+
+def _frame_free_facts(res):
+    """What a `run_pipeline` report says that no choice of coordinates in
+    the source or the target may change."""
+    rep = res.report
+    fib, mod = rep["fibers"], rep["module"]
+    pres = rep["presentation"]
+    return {
+        "exit": res.exit_code,
+        "image": (rep["image"]["dimension"], rep["image"]["degree"]),
+        "hypotheses": rep["hypotheses"],
+        "fibers": (fib["count"], fib["complete"],
+                   sorted(r["divisor_degree"] for r in fib["records"])),
+        "table": mod["table"],
+        "degree_formula": mod["degree_formula"],
+        "presentation": [pres[k] for k in ("ranks", "coker_dims",
+                                           "dimension", "degree",
+                                           "stable_value")],
+        "surface_bounds": [(it["name"], it["applicable"], it["holds"])
+                           for it in rep["surface_bounds"]["items"]],
+    }
+
+
+def test_the_pipeline_is_invariant_under_a_change_of_coordinates():
+    """The certified variable, the per-X_i colon climb, route A's charts,
+    `_pivot` and the solver's charts all depend on the coordinates; the
+    report's invariants must not, and each fiber record must move with
+    the frame: its point by the target change, its divisor h to h∘A.
+    Run on the two bench cubics (the oracle suite's first two maps),
+    `base_point_free`, `irrational_fibers` and the quintic, each also in
+    one fixed sparse frame (`_in_moved_frame`)."""
+    maps = [build_map(list(pmap.forms)) for pmap in ORACLE_MAPS[:2]]
+    maps += [load_map_file(map_path(name)) for name in (
+        "base_point_free.map", "irrational_fibers.map",
+        "quintic_surface.map")]
+    for pmap in maps:
+        res, moved = run_pipeline(pmap), run_pipeline(_in_moved_frame(pmap))
+        assert _frame_free_facts(moved) == _frame_free_facts(res)
+        R, A = pmap.source, _frame(pmap.source)
+        found = {r.point: Ideal(R, [r.divisor])
+                 for r in moved.search.records}
+        assert found == {_moved_point(r.point):
+                         Ideal(R, [r.divisor.substitute(A)])
+                         for r in res.search.records}
 
 
 def test_variable_saturation_routes_agree_in_rees_weights():
