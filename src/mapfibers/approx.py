@@ -27,19 +27,24 @@ The rank l is C(d+1, 2), by the depth sensitivity of the Koszul complex
 Z_1 = Syz(f_0..f_3), which also gives the Rees ideal's linear part, is the
 map's own `syzygies`, and Z_2 is computed here.  Everything here is exact
 linear algebra over the coefficient field.  A Hom piece Hom(Z_q, R)_e is
-the kernel, in degree e, of the dual of the syzygy map of the chosen
-generators of Z_q (`cohomology.dual_map_rows`), the contraction
-compositions are computed by lifting through the cover map of Z_1 (against
-the graph basis that also gives its syzygy map), and their coordinates are
-read off the nullspace basis of Hom(Z_2, R).
+the nullspace, in degree e, of the dual of the syzygy map of the chosen
+generators of Z_q (`cohomology.dual_map_rows`).  D_i is the dual, also
+built by `dual_map_rows`, of the lift map that expands e_i ⌟ w over the
+Z_1 generators for each Z_2 generator w (lifting through the cover map of
+Z_1, against the graph basis that also gives its syzygy map); both duals
+index Hom coordinates by `cohomology.hom_basis`, so D_i carries the
+nullspace vectors of Hom(Z_1, R) to vectors whose coordinates are read
+off the nullspace basis of Hom(Z_2, R) (`hom_coordinates`).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import dual_map_rows, hdim_difference, hom_basis
+from .cohomology import dual_map_rows, hdim_difference
+from .fields import Field
 from .ideals import Ideal, intersect_many
 from .modules import (FreeModule, FreeModuleMap, Vector, generator_map,
                       kernel_of_free_map, module_groebner,
@@ -126,75 +131,31 @@ def contract(i: int, vec: Vector, ring: RingDescriptor) -> Vector:
     return tuple(out)
 
 
-@dataclass
-class HomPiece:
-    """Explicit k-basis of Hom(M, R)_e for M = ⟨g_j⟩ ⊆ a graded free module.
-
-    A homomorphism is recorded by its values u_j = φ(g_j) ∈ R_{δ_j + e};
-    the values are subject to Σ_j σ_j·u_j = 0 for every generating syzygy σ.
-    `coords` indexes the coordinate space: one slot per (generator j, monomial
-    of degree δ_j + e), and each basis element is a coefficient vector over it.
-    """
-    gen_degrees: Tuple[int, ...]
-    coords: List[Tuple[int, tuple]]
-    basis: List[List]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def values(self, ring: RingDescriptor, a: int) -> List[Polynomial]:
-        """The value tuple (u_1, .., u_k) of the a-th basis homomorphism."""
-        vals = [dict() for _ in self.gen_degrees]
-        for (j, mono), c in zip(self.coords, self.basis[a]):
-            if not ring.field.is_zero(c):
-                vals[j][mono] = c
-        return [Polynomial(ring, v) for v in vals]
-
-    def coordinates(self, values: Sequence[Polynomial]) -> List:
-        """Coordinates in this basis of the homomorphism with the given value
-        tuple.  Each basis vector comes from `linalg.nullspace`, so it is the
-        only one nonzero at its last nonzero entry (its free column), and its
-        coordinate is read off there.  Subtracting the combination must leave
-        zero, which certifies that the values lie in Hom; ArithmeticError is
-        raised if not."""
-        F = values[0].ring.field
-        slot = {c: k for k, c in enumerate(self.coords)}
-        x = [F.zero()] * len(self.coords)
-        for j, u in enumerate(values):
-            for mono, c in u.terms.items():
-                if (j, mono) not in slot:
-                    raise ArithmeticError("value of the wrong degree for Hom")
-                x[slot[(j, mono)]] = c
-        lam = []
-        for vec in self.basis:
-            k = max(k for k, c in enumerate(vec) if not F.is_zero(c))
-            a = F.div(x[k], vec[k])
-            lam.append(a)
-            if not F.is_zero(a):
-                for r, c in enumerate(vec):
-                    if not F.is_zero(c):
-                        x[r] = F.sub(x[r], F.mul(a, c))
-        if any(not F.is_zero(r) for r in x):
-            raise ArithmeticError("value tuple is not a homomorphism in Hom")
-        return lam
-
-
-def hom_piece(syzygies: FreeModuleMap, e: int) -> HomPiece:
-    """Hom(M, R)_e for the module M presented by its generators' syzygy map:
-    the kernel of Hom(syzygies, R) in degree e."""
-    ring = syzygies.target.ring
-    rows, ncols = dual_map_rows(syzygies, e)
-    return HomPiece(syzygies.target.shifts,
-                    hom_basis(syzygies.target.shifts, e, ring.nvars),
-                    linalg.nullspace(rows, ncols, ring.field))
+def hom_coordinates(basis: Sequence[List], x: Sequence, F: Field) -> List:
+    """Coordinates of the vector x in ``basis``, a `linalg.nullspace` basis
+    of a Hom piece.  Each basis vector is the only one nonzero at its last
+    nonzero entry (its free column), so its coordinate is read off there.
+    Subtracting the combination must leave zero, which certifies that x
+    lies in Hom; ArithmeticError is raised if not."""
+    x = list(x)
+    lam = []
+    for vec in basis:
+        k = max(k for k, c in enumerate(vec) if not F.is_zero(c))
+        a = F.div(x[k], vec[k])
+        lam.append(a)
+        if not F.is_zero(a):
+            for r, c in enumerate(vec):
+                if not F.is_zero(c):
+                    x[r] = F.sub(x[r], F.mul(a, c))
+    if any(not F.is_zero(r) for r in x):
+        raise ArithmeticError("vector is not a homomorphism in Hom")
+    return lam
 
 
 @dataclass
 class PresentationData:
     """Presentation of N over the target ring and derived invariants; its
     dimensions are read off one fact, dim_k N_s = ``hilbert.hf(s)``."""
-    base_ring: RingDescriptor              # B = k[T_0..T_3]
     ranks: Tuple[int, int, int]            # (l, mrank, n)
     matrix: List[List[Polynomial]]         # n × mrank, entries linear in T
     hilbert: HilbertData                   # Hilbert series of coker over B
@@ -273,45 +234,38 @@ def presentation_matrix_N(pmap) -> PresentationData:
     F = ring.field
     e1, e2 = -d - 1, -2 * d - 1
 
-    z2 = kd.cycles[2]
-    W1 = hom_piece(kd.syzygies[1], e1)
-    W2 = hom_piece(kd.syzygies[2], e2)
+    W1 = linalg.nullspace(*dual_map_rows(kd.syzygies[1], e1), F)
+    W2 = linalg.nullspace(*dual_map_rows(kd.syzygies[2], e2), F)
     l = comb(d + 1, 2)
-    n, mrank = W1.dim, W2.dim
+    n, mrank = len(W1), len(W2)
 
     n_check = hdim_difference(pmap.base_ideal, 1, d - 2)
     if n_check != n:
         raise ArithmeticError(
             f"presentation rank n={n} disagrees with H^1_m(R/I)_{d - 2}={n_check}")
 
-    # contractions of the Z_2 generators, expanded over the Z_1 generators
-    lift_coeffs: Dict[Tuple[int, int], List[Polynomial]] = {}
+    # D_i sends φ_a to φ_a ∘ (e_i ⌟ -): the dual, in degree e1, of the
+    # lift map L_i: ⊕_b R(d − deg w_b) → ⊕_j R(−deg z_j) whose column b
+    # expands e_i ⌟ w_b over the Z_1 generators z_j; its rows are indexed
+    # like W_2's coordinates, its columns like W_1's
+    cover = kd.covers[1]
+    shifted = FreeModule(ring, [s - d for s in kd.covers[2].source.shifts])
+    D = []                                   # D[i][a]: W_2 coordinates
     for i in range(4):
-        for b, w in enumerate(z2):
-            cs = kd.covers[1].lift(contract(i, w, ring))
-            if cs is None:
-                raise ArithmeticError("contraction left the cycle module Z_1")
-            lift_coeffs[(i, b)] = cs
-
-    # D_i[b][a]: coordinates of φ_a ∘ (e_i ⌟ -) in the W_2 basis
-    D = [[[F.zero()] * n for _ in range(mrank)] for _ in range(4)]
-    for a in range(n):
-        u = W1.values(ring, a)
-        for i in range(4):
-            vals = []
-            for b in range(len(z2)):
-                vb = Polynomial.zero(ring)
-                for j, cj in enumerate(lift_coeffs[(i, b)]):
-                    if not cj.is_zero() and not u[j].is_zero():
-                        vb = vb + cj * u[j]
-                vals.append(vb)
-            lam = W2.coordinates(vals)
-            for b in range(mrank):
-                D[i][b][a] = lam[b]
+        lifts = [cover.lift(contract(i, w, ring)) for w in kd.cycles[2]]
+        if any(cs is None for cs in lifts):
+            raise ArithmeticError("contraction left the cycle module Z_1")
+        L = FreeModuleMap(shifted, cover.source,
+                          [[cs[j] for cs in lifts]
+                           for j in range(cover.source.rank)])
+        rows, _ = dual_map_rows(L, e1)
+        D.append([hom_coordinates(W2, [
+            reduce(F.add, (F.mul(c, u[k]) for k, c in row.items()), F.zero())
+            for row in rows], F) for u in W1])
 
     B = pmap.target
-    P = [[Polynomial(B, {B.var_mono(i): D[i][b][a]
-                         for i in range(4) if not F.is_zero(D[i][b][a])})
+    P = [[Polynomial(B, {B.var_mono(i): D[i][a][b]
+                         for i in range(4) if not F.is_zero(D[i][a][b])})
           for b in range(mrank)] for a in range(n)]
 
     cfree = FreeModule(B, (1,) * n)
@@ -336,7 +290,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
     if n <= mrank and comb(mrank, n) <= _MINOR_SUBSET_LIMIT:
         fitt = Ideal(B, minors(P, B, mrank, n))
 
-    return PresentationData(B, (l, mrank, n), P, H, ann, fitt)
+    return PresentationData((l, mrank, n), P, H, ann, fitt)
 
 
 @dataclass

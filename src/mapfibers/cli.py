@@ -104,7 +104,10 @@ def _cmd_cohomology(args) -> int:
     for s in sorted(table.values):
         print(f"  s = {s}: {table.values[s]}")
     if table.stabilized:
-        print(f"stabilizes at {table.stable_value} from s = {table.stable_from}")
+        last = max(table.values)
+        print(f"the last {last - table.stable_from + 1} computed values equal "
+              f"{table.stable_value} (s = {table.stable_from}..{last}); "
+              "that is not a certified stable value")
     return EXIT_OK
 
 

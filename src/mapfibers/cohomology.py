@@ -75,6 +75,8 @@ def dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[dict], int]:
     Hom(source of d)_e (`hom_basis`); returns (rows, number of columns).
     Row (b, m′) holds, at column (r, m), the coefficient of m′/m in
     d[r][b], so each entry is one term of one matrix entry.
+    ArithmeticError when a term lands outside the basis of Hom(source of
+    d)_e, which happens exactly when d is not homogeneous of degree 0.
     """
     nv = d.target.ring.nvars
     src = hom_basis(d.target.shifts, e, nv)
@@ -85,8 +87,11 @@ def dual_map_rows(d: FreeModuleMap, e: int) -> Tuple[List[dict], int]:
         for b, p in enumerate(d.matrix[r]):
             for mm, c in p.terms.items():
                 k = tgt_index.get((b, mono_mul(mm, m)))
-                if k is not None:
-                    rows[k][col] = c
+                if k is None:
+                    raise ArithmeticError(
+                        "a term of the map lands outside the Hom basis: "
+                        "the map is not homogeneous")
+                rows[k][col] = c
     return rows, len(src)
 
 

@@ -18,8 +18,10 @@ grammar
 
 where a coefficient is an integer or an a/b rational literal.  Parsing is
 exact; over GF(p) integer literals reduce mod p.  No degree may pass the
-engine's monomial cap `engine.EXP_CAP` (32767).  ``format_map_file`` is a
-right inverse: parsing its output reproduces the map.
+engine's monomial cap `engine.EXP_CAP` (32767).  No literal, and no
+coefficient of a parsed form, may pass the interpreter's limit on
+int/str conversion.  ``format_map_file`` is a right inverse: parsing its
+output reproduces the map.
 """
 
 from __future__ import annotations
@@ -144,12 +146,24 @@ class _ExprParser:
             if kind != "int":
                 raise MapFileError("exponent must be a natural number",
                                    self.line, col)
-            n = int(text)
+            n = self._int(text, col)
             if max(f.degree(), 1) * n > EXP_CAP:
                 raise MapFileError(f"exponent {n} takes the degree past the "
                                    f"monomial cap {EXP_CAP}", self.line, col)
             f = f ** n
         return f
+
+    def _int(self, text: str, col: int) -> int:
+        """The integer a digit token spells; a located error past the
+        interpreter's limit on int/str conversion (4300 digits by
+        default since Python 3.10.7), where `int` raises ValueError."""
+        try:
+            return int(text)
+        except ValueError:
+            raise MapFileError(
+                f"integer literal of {len(text)} digits is past the "
+                "interpreter's limit for integer string conversion",
+                self.line, col) from None
 
     def _base(self) -> Polynomial:
         kind, text, col = self._next()
@@ -162,13 +176,15 @@ class _ExprParser:
                 if k2 != "int":
                     raise MapFileError("denominator must be an integer",
                                        self.line, c2)
+                F = self.ring.field
+                num, den = self._int(text, col), self._int(t2, c2)
                 try:
-                    c = self.ring.field.parse(f"{text}/{t2}")
+                    c = F.div(F.from_int(num), F.from_int(den))
                 except ZeroDivisionError:
                     raise MapFileError("division by zero in coefficient",
                                        self.line, c2) from None
                 return Polynomial.constant(self.ring, c)
-            return Polynomial.constant(self.ring, int(text))
+            return Polynomial.constant(self.ring, self._int(text, col))
         if kind == "name":
             idx = self.var_index.get(text)
             if idx is None:
@@ -284,6 +300,13 @@ def parse_map_file(text: str) -> ParameterizedMap:
                                f"the monomial cap {EXP_CAP}", lineno, vcol)
         if not f.is_homogeneous():
             raise MapFileError(f"form f{idx} is not homogeneous", lineno, vcol)
+        try:                # so that `format_map_file` can print every map
+            str(f)
+        except ValueError:
+            raise MapFileError(
+                f"form f{idx} has a coefficient too long to print, past the "
+                "interpreter's limit for integer string conversion",
+                lineno, vcol) from None
         forms.append(f)
     if target is not None and len(target) != n + 1:
         raise MapFileError(

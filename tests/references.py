@@ -8,7 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from mapfibers.approx import hom_piece
+from mapfibers import linalg
+from mapfibers.cohomology import dual_map_rows
 from mapfibers.fields import PrimeField
 from mapfibers.fibers import _specialize, fiber_ideal
 from mapfibers.ideals import (Ideal, eliminate, exact_divide,
@@ -122,7 +123,8 @@ def top_cycle_reference(pmap):
     cover = generator_map(z3, K3)
     syzygies = generator_map(kernel_of_free_map(cover), cover.source)
     return ([vector_degree(v, K3.shifts) for v in z3],
-            hom_piece(syzygies, -3 * d - 1).dim)
+            len(linalg.nullspace(*dual_map_rows(syzygies, -3 * d - 1),
+                                 ring.field)))
 
 
 def iterated_kernel_resolution(gens):

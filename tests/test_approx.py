@@ -4,15 +4,16 @@ from math import comb
 
 import pytest
 
-from mapfibers import modules
+from mapfibers import linalg, modules
 from mapfibers import QQ, PrimeField
-from mapfibers.approx import (check_surface_bounds, contract, hom_piece,
+from mapfibers.approx import (check_surface_bounds, contract, hom_coordinates,
                               koszul_cycles, minors, poly_minor,
                               presentation_applies, presentation_matrix_N)
+from mapfibers.cohomology import dual_map_rows, hom_basis
 from mapfibers.fibers import build_map
 from mapfibers.mapfile import load_map_file
-from mapfibers.modules import (FreeModule, generator_map, kernel_of_free_map,
-                               vec_is_zero, vector_degree)
+from mapfibers.modules import (FreeModule, FreeModuleMap, generator_map,
+                               kernel_of_free_map, vec_is_zero, vector_degree)
 from mapfibers.poly import Polynomial
 from mapfibers.report import presentation_block
 from mapfibers.rings import standard_ring
@@ -106,24 +107,40 @@ def test_a_presentation_of_dimension_above_one_is_refused():
 
 def test_hom_coordinates_read_off_the_nullspace(quintic_koszul):
     kd = quintic_koszul
-    W2 = hom_piece(kd.syzygies[2], -2 * kd.d - 1)
     F = kd.ring.field
-    assert W2.dim == 23
-    for a in range(W2.dim):
-        unit = [F.one() if b == a else F.zero() for b in range(W2.dim)]
-        assert W2.coordinates(W2.values(kd.ring, a)) == unit
+    W2 = linalg.nullspace(*dual_map_rows(kd.syzygies[2], -2 * kd.d - 1), F)
+    assert len(W2) == 23
+    for a, vec in enumerate(W2):
+        unit = [F.one() if b == a else F.zero() for b in range(len(W2))]
+        assert hom_coordinates(W2, vec, F) == unit
 
 
 def test_hom_coordinates_reject_values_outside_hom():
     # M = (x, y): a degree-0 homomorphism sends x, y to c·x, c·y
     cover = generator_map([(x,), (y,)], FreeModule(R, (0,)))
-    W = hom_piece(generator_map(kernel_of_free_map(cover), cover.source), 0)
-    assert (W.dim, len(W.coords)) == (1, 6)
-    assert W.coordinates([x + x, y + y]) == [2 * W.coordinates([x, y])[0]]
+    syz = generator_map(kernel_of_free_map(cover), cover.source)
+    coords = hom_basis(syz.target.shifts, 0, 3)
+    W = linalg.nullspace(*dual_map_rows(syz, 0), QQ)
+
+    def vector(values):
+        """The coordinates of the value tuple, one per (j, monomial)."""
+        return [values[j].terms.get(m, QQ.zero()) for j, m in coords]
+
+    assert (len(W), len(coords)) == (1, 6)
+    assert (hom_coordinates(W, vector([x + x, y + y]), QQ)
+            == [2 * hom_coordinates(W, vector([x, y]), QQ)[0]])
     with pytest.raises(ArithmeticError):
-        W.coordinates([x, z])               # z·x ≠ x·y: not a homomorphism
-    with pytest.raises(ArithmeticError):
-        W.coordinates([x * x, x * y])       # degree 1, not degree 0
+        hom_coordinates(W, vector([x, z]), QQ)   # z·x ≠ x·y: not in Hom
+
+
+def test_dual_map_rows_rejects_a_non_homogeneous_map():
+    """x² on R(−1) → R is not homogeneous of degree 0: its term lands in
+    degree e + 2, outside the degree-(e + 1) basis of Hom(R(−1), R)_e."""
+    bad = FreeModuleMap(FreeModule(R, (1,)), FreeModule(R, (0,)), [[x * x]])
+    with pytest.raises(ArithmeticError, match="not homogeneous"):
+        dual_map_rows(bad, 0)
+    good = FreeModuleMap(FreeModule(R, (2,)), FreeModule(R, (0,)), [[x * x]])
+    assert dual_map_rows(good, 0) == ([{0: 1}] + [{}] * 5, 1)
 
 
 def test_presentation_builds_few_graph_bases(monkeypatch):
@@ -167,13 +184,15 @@ def test_coker_dims_match_strand(quintic_map):
 
 
 def test_zero_module_edge_case():
-    pres = presentation_matrix_N(build_map([x * x, y * y, z * z, x * y]))
+    pmap = build_map([x * x, y * y, z * z, x * y])
+    pres = presentation_matrix_N(pmap)
     assert pres.ranks[2] == 0
     assert all(pres.hilbert.hf(s) == 0 for s in range(1, 5))
-    assert pres.annihilator.contains(Polynomial.constant(pres.base_ring, 1))
+    assert pres.annihilator.ring == pmap.target
+    assert pres.annihilator.contains(Polynomial.constant(pmap.target, 1))
     assert pres.fitting_ideal is not None
-    assert pres.fitting_ideal.contains(
-        Polynomial.constant(pres.base_ring, 1))
+    assert pres.fitting_ideal.ring == pmap.target
+    assert pres.fitting_ideal.contains(Polynomial.constant(pmap.target, 1))
 
 
 def test_regularity_window_shows_the_dims_it_read():

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 
 import pytest
 
@@ -151,6 +152,44 @@ def test_build_map_rejects_shared_names():
     x, y = (Polynomial.variable(R, i) for i in range(2))
     with pytest.raises(ValueError, match="'y'"):
         build_map([x, y], target_names=("y", "z"))
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default int/str conversion limit, 4300 digits
+    (Python 3.10.7 and later), pinned for the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("form, column, digits", [
+    ("7" * 5000 + "*x", 6, 5000),          # a coefficient literal
+    ("x^" + "9" * 5000, 8, 5000),           # an exponent
+    ("1/" + "3" * 4400 + "*x", 8, 4400),    # a denominator
+], ids=["coefficient", "exponent", "denominator"])
+def test_literal_past_the_digit_limit_is_a_located_error(int_digit_limit,
+                                                         form, column, digits):
+    with pytest.raises(MapFileError) as exc:
+        parse_map_file(f"source = x y\nf0 = {form}\nf1 = y\n")
+    assert (exc.value.line, exc.value.column) == (2, column)
+    assert f"{digits} digits" in str(exc.value)
+
+
+def test_unprintable_coefficient_is_rejected_when_parsed(int_digit_limit):
+    """2^14300 has 4305 digits: the form parses, but it could not be
+    printed, so the map is refused; 2^14284, of 4300 digits, is kept and
+    round-trips."""
+    with pytest.raises(MapFileError) as exc:
+        parse_map_file("field = QQ\nsource = x y\n"
+                       "f0 = (2*x)^14300\nf1 = y^14300\n")
+    assert (exc.value.line, exc.value.column) == (3, 6)
+    assert "f0" in str(exc.value) and "too long to print" in str(exc.value)
+    pm = parse_map_file("source = x y\nf0 = (2*x)^14284\nf1 = y^14284\n")
+    assert parse_map_file(format_map_file(pm)).forms == pm.forms
 
 
 def _mutate(rng, text):

@@ -228,6 +228,15 @@ def test_top_cycle_dual_dimension_on_oracle_cubics():
         assert presentation_matrix_N(pmap).ranks[0] == dim
 
 
+def test_structured_cubic_presentation_matrix():
+    """MAPS[1]'s presentation over GF(7): one row, linear entries whose
+    coefficients are reduced mod 7."""
+    pres = MAPS[1].presentation[0]
+    assert pres.ranks == (6, 7, 1)
+    assert [str(e) for e in pres.matrix[0]] == [
+        "T2", "0", "3*T2 + 6*T3", "0", "4*T0", "T1 + 4*T2", "3*T0"]
+
+
 def test_structured_cubic_analyze_exits_0(tmp_path):
     """MAPS[1] has four base points and indeg(I^sat) = 2 < d = 3, and N
     is 1, 0, 0, … with n = 1.  The regularity window is gated on the

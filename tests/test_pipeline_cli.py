@@ -238,12 +238,26 @@ def test_cli_image_not_finite(capsys):
     assert "generically finite: False" in capsys.readouterr().out
 
 
-def test_cli_cohomology(capsys):
+def test_cli_cohomology(tmp_path, capsys):
+    """The quintic's table reads 8, 10 with no equal run.  The P^3 map's
+    reads 1, 1, 1, 1, but no presentation of N exists for m = 3 and
+    n = 4, so equal values certify nothing: the line says that they are
+    the last computed values and not a stable value."""
     rc = main(["cohomology", map_path("quintic_surface.map"),
                "--mu", "-2", "--s-max", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "s = 1: 8" in out and "s = 2: 10" in out
+    assert "computed values" not in out
+    path = tmp_path / "p3p4.map"
+    path.write_text("source = X0 X1 X2 X3\nf0 = X0^2\nf1 = X0*X1\n"
+                    "f2 = X0*X2\nf3 = X0*X3\nf4 = X1*X2\n", encoding="utf-8")
+    assert main(["cohomology", str(path), "--mu", "-3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == (
+        "the last 4 computed values equal 1 (s = 1..4); "
+        "that is not a certified stable value")
+    assert "stabilizes" not in out
 
 
 def test_cli_analyze_json(tmp_path, capsys):
@@ -354,6 +368,27 @@ def test_cli_exponent_past_the_cap_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "line 2, column 8" in proc.stderr and "32767" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_integer_past_the_digit_limit_exits_one(tmp_path):
+    """A literal or a form coefficient past the interpreter's int/str
+    digit limit (pinned at its default, 4300) is a located parse error,
+    not a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapfibers.__file__)))
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cases = (("f0 = " + "7" * 5000 + "*x\nf1 = y\n", "line 2, column 6"),
+             ("f0 = (2*x)^14300\nf1 = y^14300\n", "line 2, column 6"))
+    for k, (forms, where) in enumerate(cases):
+        bad = tmp_path / f"big{k}.map"
+        bad.write_text("source = x y\n" + forms)
+        proc = subprocess.run([sys.executable, "-m", "mapfibers.cli",
+                               "analyze", str(bad)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {bad}: {where}: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_prime_field_past_the_cap_exits_one(tmp_path):

@@ -22,8 +22,9 @@ and QQ), the grevlex basis `eliminate` hands over against one
 computed from scratch (over GF(7) and QQ), and the pruned Schreyer
 resolution against the iterated-kernel reference: Betti tables, d∘d = 0
 and local cohomology by duality (over GF(7) and QQ).  One check draws no
-cases: the pipeline's coordinate-free results on five maps, each also in
-one fixed change of source and target coordinates.
+cases: the pipeline's coordinate-free results on seven maps, P^1, P^2 and
+P^3 sources among them, each also in one fixed change of source and
+target coordinates.
 """
 
 import random
@@ -529,31 +530,40 @@ def test_stable_value_is_the_hilbert_function_for_large_s():
 
 
 def _frame(ring):
-    """A: X0 ↦ X1, X1 ↦ X0 + X2, X2 ↦ X2, as a substitution."""
-    X0, X1, X2 = (Polynomial.variable(ring, i) for i in range(3))
-    return {0: X1, 1: X0 + X2, 2: X2}
+    """A: X0 ↦ X1, X1 ↦ X0 + X_last, every other X_i ↦ X_i, as a
+    substitution."""
+    X = [Polynomial.variable(ring, i) for i in range(ring.nvars)]
+    return {**dict(enumerate(X)), 0: X[1], 1: X[0] + X[-1]}
+
+
+def _moved_target(v, add):
+    """The fixed target change on a list of n + 1 entries: the first two
+    swapped, the one before the last added to the last."""
+    return [v[1], v[0]] + v[2:-1] + [add(v[-2], v[-1])]
 
 
 def _in_moved_frame(pmap):
-    """The map in one fixed sparse frame: g = f∘A, then the target forms
-    (g1, g0, g2, g2 + g3)."""
+    """The map in one fixed sparse frame: g = f∘A, then the target change
+    (`_moved_target`) on the forms g."""
     A = _frame(pmap.source)
     g = [f.substitute(A) for f in pmap.forms]
-    return build_map([g[1], g[0], g[2], g[2] + g[3]])
+    return build_map(_moved_target(g, lambda a, b: a + b))
 
 
 def _moved_point(y):
     """The image point y of f as an image point of the moved map."""
-    F, (y0, y1, y2, y3) = y.field, y.coords
-    return fibers.PointProjective((y1, y0, y2, F.add(y2, y3)), F)
+    return fibers.PointProjective(_moved_target(list(y.coords), y.field.add),
+                                  y.field)
 
 
 def _frame_free_facts(res):
     """What a `run_pipeline` report says that no choice of coordinates in
-    the source or the target may change."""
+    the source or the target may change.  A map without a presentation of
+    N (m ≠ 2 or n ≠ 3) has no presentation block and no surface bounds,
+    and that absence is compared."""
     rep = res.report
     fib, mod = rep["fibers"], rep["module"]
-    pres = rep["presentation"]
+    pres, bounds = rep.get("presentation"), rep.get("surface_bounds")
     return {
         "exit": res.exit_code,
         "image": (rep["image"]["dimension"], rep["image"]["degree"]),
@@ -562,11 +572,11 @@ def _frame_free_facts(res):
                    sorted(r["divisor_degree"] for r in fib["records"])),
         "table": mod["table"],
         "degree_formula": mod["degree_formula"],
-        "presentation": [pres[k] for k in ("ranks", "coker_dims",
-                                           "dimension", "degree",
-                                           "stable_value")],
-        "surface_bounds": [(it["name"], it["applicable"], it["holds"])
-                           for it in rep["surface_bounds"]["items"]],
+        "presentation": pres and [pres[k] for k in (
+            "ranks", "coker_dims", "dimension", "degree", "stable_value")],
+        "surface_bounds": bounds and [(it["name"], it["applicable"],
+                                       it["holds"])
+                                      for it in bounds["items"]],
     }
 
 
@@ -576,12 +586,18 @@ def test_the_pipeline_is_invariant_under_a_change_of_coordinates():
     report's invariants must not, and each fiber record must move with
     the frame: its point by the target change, its divisor h to h∘A.
     Run on the two bench cubics (the oracle suite's first two maps),
-    `base_point_free`, `irrational_fibers` and the quintic, each also in
-    one fixed sparse frame (`_in_moved_frame`)."""
+    `base_point_free`, `irrational_fibers`, the quintic, the P^3 map
+    X0², X0X1, X0X2, X0X3, X1X2 and the curve map x³, y³, x²y over QQ,
+    each also in one fixed sparse frame (`_in_moved_frame`)."""
     maps = [build_map(list(pmap.forms)) for pmap in ORACLE_MAPS[:2]]
     maps += [load_map_file(map_path(name)) for name in (
         "base_point_free.map", "irrational_fibers.map",
         "quintic_surface.map")]
+    X = [Polynomial.variable(_ring(QQ, 4), i) for i in range(4)]
+    maps.append(build_map([X[0] * X[0], X[0] * X[1], X[0] * X[2],
+                           X[0] * X[3], X[1] * X[2]]))
+    x, y = (Polynomial.variable(_ring(QQ, 2), i) for i in range(2))
+    maps.append(build_map([x ** 3, y ** 3, x * x * y]))
     for pmap in maps:
         res, moved = run_pipeline(pmap), run_pipeline(_in_moved_frame(pmap))
         assert _frame_free_facts(moved) == _frame_free_facts(res)
