@@ -7,7 +7,8 @@
     mapfibers bounds     <file>
 
 Exit codes: 0 success, 1 usage, I/O or parse error (a missing argument,
-a value argparse rejects, ``--s-max`` below 1), 2 hypothesis failure (not
+a value argparse rejects, ``--s-max`` below 1) or a computed coefficient
+past the interpreter's int/str digit limit, 2 hypothesis failure (not
 generically finite, or the forms share a factor), 3 analysis finished but
 completeness is not certified, 4 a certificate failed.
 """
@@ -19,6 +20,7 @@ import sys
 from typing import Optional
 
 from .cohomology import m_mu_dims
+from .fields import CoefficientTooLongError
 from .mapfile import MapFileError, load_map_file
 from .pipeline import (EXIT_HYPOTHESIS, EXIT_OK, PipelineOptions,
                        run_pipeline)
@@ -118,9 +120,10 @@ def _cmd_image(args) -> int:
     if _shares_a_factor(pmap):
         return EXIT_HYPOTHESIS
     img = pmap.image
+    equations = [str(g) for g in img.ideal.minimal_basis()]
     print(f"image: dimension {img.dimension}, degree {img.degree}, "
           f"generically finite: {img.generically_finite}")
-    for g in img.ideal.minimal_basis():
+    for g in equations:
         print(f"  {g}")
     return EXIT_OK if img.generically_finite else EXIT_HYPOTHESIS
 
@@ -165,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CoefficientTooLongError as exc:
+        # raised while a text is built, before any of it is printed
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -287,7 +287,8 @@ def _add_tail(acc, heap, b, delta, terms):
 
 
 class _Basis:
-    """Growing reducer set with leads indexed ascending for prefix scans."""
+    """Growing reducer set of canonical term lists (`_normalize`), with
+    leads indexed ascending for prefix scans."""
 
     def __init__(self, ctx, polys=()):
         self.ctx = ctx
@@ -374,13 +375,9 @@ def _reduce(acc, heap, sugar, basis, ctx, skip=-1, track_scale=False):
         if mod is not None:
             _add_tail(acc, heap, mod - c, delta, rterms)
         else:
+            # every reducer is canonical, so its lead rc is positive
             g = igcd(c, rc)
-            a = rc // g
-            if a < 0:
-                a = -a
-                b = c // g
-            else:
-                b = -(c // g)
+            a, b = rc // g, -(c // g)
             if a != 1:
                 for t in acc:
                     acc[t] *= a

@@ -31,8 +31,7 @@ from .ideals import (Ideal, eliminate, exact_divide,
 from .modules import FreeModule, FreeModuleMap, Vector, kernel_of_free_map
 from .poly import Polynomial
 from .rings import RingDescriptor, elimination_order, standard_ring
-from .solve import (NotZeroDimensionalError, PointProjective, _affine_points,
-                    rational_points_zero_dim)
+from .solve import PointProjective, _affine_points, rational_points_zero_dim
 
 
 class NotGenericallyFiniteError(ValueError):
@@ -125,15 +124,13 @@ class ParameterizedMap:
             return None, str(exc)
 
     @cached_property
-    def support(self) -> Tuple[Optional[List[PointProjective]], bool]:
+    def support(self) -> Tuple[List[PointProjective], bool]:
         """`rational_points_zero_dim` on the annihilator of N: the rational
         support points in solver order and whether they are all of its
-        points; (None, False) when the support is not zero-dimensional.
-        Only defined when `presentation` succeeded."""
-        try:
-            return rational_points_zero_dim(self.presentation[0].annihilator)
-        except NotZeroDimensionalError:
-            return None, False
+        points.  The support V(ann N) is finite: `presentation_matrix_N`
+        refuses a cokernel of Krull dimension above 1.  Only defined when
+        `presentation` succeeded."""
+        return rational_points_zero_dim(self.presentation[0].annihilator)
 
 
 def build_map(forms: Sequence[Polynomial],
@@ -378,11 +375,10 @@ def linear_factors(G: Polynomial) -> Tuple[List[Polynomial], bool]:
                 if xpart not in eqs:
                     eqs[xpart] = Polynomial.zero(avars)
                 eqs[xpart] = eqs[xpart] + Polynomial(avars, {apart: c})
-            try:
-                sols, _ = _affine_points([e for e in eqs.values()
-                                          if not e.is_zero()], avars)
-            except NotZeroDimensionalError:
-                sols = []
+            # finitely many linear forms divide G, so the system is
+            # zero-dimensional
+            sols, _ = _affine_points([e for e in eqs.values()
+                                      if not e.is_zero()], avars)
             for sol in sols:
                 ell = Polynomial.variable(R, k)
                 for idx, v in enumerate(range(k + 1, nv)):
@@ -554,16 +550,13 @@ def find_one_dim_fibers(pmap: ParameterizedMap, s_max: int = 3) -> FiberSearch:
         result.route_b_ran = True
         pts, pts_complete = pmap.support
         result.route_b_points_complete = pts_complete
-        if pts is None:
-            result.notes.append("module support is not zero-dimensional")
-        else:
-            for y in pts:
-                try_point(y, "B")
-            result.complete = pts_complete and pmap.lci_proxy
-            if not pts_complete:
-                result.notes.append(
-                    "support has components with no rational point: "
-                    "inventory restricted to the base field")
+        for y in pts:
+            try_point(y, "B")
+        result.complete = pts_complete and pmap.lci_proxy
+        if not pts_complete:
+            result.notes.append(
+                "support has components with no rational point: "
+                "inventory restricted to the base field")
     if not result.complete and not result.route_b_ran:
         result.notes.append(
             "only the gcd route ran: inventory is sound but may be incomplete")

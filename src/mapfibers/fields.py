@@ -6,11 +6,17 @@ residues in [0, p) for GF(p)); the field object supplies the arithmetic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 # A prime modulus must lie below this: primality is tested by trial division
 # and `solve` finds roots over GF(p) by trying every element.
 PRIME_CAP = 1 << 16
+
+
+class CoefficientTooLongError(ValueError):
+    """A coefficient cannot be printed: it is past the interpreter's limit
+    on int/str conversion (4300 digits by default since Python 3.10.7)."""
 
 
 class Field:
@@ -102,7 +108,13 @@ class RationalField(Field):
         return Fraction(text)
 
     def to_str(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:      # the only failure of str on a Fraction
+            raise CoefficientTooLongError(
+                "a computed coefficient is past the interpreter's limit of "
+                f"{sys.get_int_max_str_digits()} digits for integer string "
+                "conversion") from None
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -83,23 +83,13 @@ def to_raw(vec: Vector, ctx: EngineContext) -> list:
 
 
 def pack_generators(polys: Sequence[Polynomial], ring: RingDescriptor):
-    """Nonzero polynomials of ``ring`` → (grevlex context, [(terms,
-    scale)]) with each polynomial equal to scale · terms: over QQ the terms
-    are primitive integers with a positive lead and the scale a Fraction,
-    over GF(p) the coefficients lie in [0, p) and the scale is 1.  Either
-    way equal polynomials give equal pairs, and a product of two packed
-    polynomials is packed the same way (Gauss's lemma over QQ)."""
+    """Nonzero polynomials of ``ring`` → (grevlex context, [terms]), each
+    term list canonical (`engine._normalize`): monic over GF(p), primitive
+    with a positive lead over QQ.  Polynomials equal up to a unit give
+    equal lists, and a product of two canonical lists is canonical
+    (Gauss's lemma over QQ)."""
     ctx = grevlex_context(ring)
-    out = []
-    for p in polys:
-        terms = to_raw((p,), ctx)
-        if ctx.mod is not None:
-            out.append((terms, 1))
-            continue
-        primitive = engine._normalize(terms, None)
-        out.append((primitive, Fraction(terms[0][1] // primitive[0][1],
-                                        _denominator((p,)))))
-    return ctx, out
+    return ctx, [engine._normalize(to_raw((p,), ctx), ctx.mod) for p in polys]
 
 
 def from_raw(terms: list, ctx: EngineContext, ring: RingDescriptor,

@@ -16,11 +16,11 @@ quotient, so its basis in any other order is computed Hilbert-driven
 this module touches an ideal's caches, and `_holding` builds every ideal
 that holds a handed-over basis.
 
-An ideal packs its generators into engine term lists once, each as an
-exact scale times a canonical term list (primitive with a positive lead
-over QQ), and every basis re-packs those keys into its order.  Powers,
-intersections and handed-over bases are built on the term lists alone;
-their polynomials are built only when ``generators`` is read.
+An ideal packs its generators into engine term lists once, each a
+canonical one with no scale (monic over GF(p), primitive with a positive
+lead over QQ), and every basis re-packs those keys into its order.
+Powers, intersections and handed-over bases are built on the term lists
+alone; their polynomials, monic, are built when ``generators`` is read.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Ideal:
                 raise ValueError("generator from a different ring")
         self.ring = ring
         self._polys: Optional[Tuple[Polynomial, ...]] = gens
-        # (engine context, [(terms, scale)]): generator = scale · terms
+        # (engine context, [terms]): each generator's canonical term list
         self._terms: Optional[Tuple[EngineContext, list]] = None
         self._gb: Dict[TermOrder, GroebnerBasis] = {}
         self._sat: Optional[Ideal] = None
@@ -83,12 +83,11 @@ class Ideal:
     def generators(self) -> Tuple[Polynomial, ...]:
         if self._polys is None:
             ctx, packed = self._terms
-            self._polys = tuple(from_raw(t, ctx, self.ring, scale=c)[0]
-                                for t, c in packed)
+            self._polys = tuple(from_raw(t, ctx, self.ring)[0] for t in packed)
         return self._polys
 
     def packed(self) -> Tuple[EngineContext, list]:
-        """The generators as (context, [(terms, scale)]), packed once."""
+        """The generators as (context, [canonical terms]), packed once."""
         if self._terms is None:
             self._terms = pack_generators(self._polys, self.ring)
         return self._terms
@@ -97,8 +96,7 @@ class Ideal:
         gb = self._gb.get(order)
         if gb is None:
             ctx, packed = self.packed()
-            gb = GroebnerBasis.from_terms([t for t, _ in packed], ctx,
-                                          self.ring, order,
+            gb = GroebnerBasis.from_terms(packed, ctx, self.ring, order,
                                           hint=self._known_series())
             self._gb[order] = gb
         return gb
@@ -213,11 +211,11 @@ def restrict_polynomial(f: Polynomial, small: RingDescriptor, keep: Sequence[int
 
 def ideal_power(I: Ideal, s: int) -> Ideal:
     """I^s from the products of s generators taken with repetition, in
-    lexicographic index order; products that coincide are kept once.
+    lexicographic index order; products equal up to a unit are kept once.
 
     The products are engine term lists in the layout of I's packed
-    generators (`engine.multiply`), each with the product of its factors'
-    scales, so equal polynomials give equal pairs.  The product of an
+    generators (`engine.multiply`), canonical as their factors are, so
+    products equal up to a unit give equal lists.  The product of an
     index combination (i_1 ≤ … ≤ i_k) is that of its prefix times
     generator i_k, for k = 2..s.  The power holds its generators as term
     lists, converted to polynomials only on first read of ``generators``,
@@ -231,32 +229,24 @@ def ideal_power(I: Ideal, s: int) -> Ideal:
     ctx, packed = I.packed()
     table = {(i,): g for i, g in enumerate(packed)}
     for level in range(2, s + 1):
-        longer = {}
-        for combo in combinations_with_replacement(range(len(packed)), level):
-            (f, a), (g, b) = table[combo[:-1]], packed[combo[-1]]
-            longer[combo] = engine.multiply(f, g, ctx), a * b
-        table = longer
+        table = {combo: engine.multiply(table[combo[:-1]], packed[combo[-1]],
+                                        ctx)
+                 for combo in combinations_with_replacement(range(len(packed)),
+                                                            level)}
     P = _packed_ideal(I.ring, ctx, _distinct(table.values()))
     base, t = I._power_of or (I, 1)
     P._power_of = (base, t * s)
     return P
 
 
-def _distinct(packed: Iterable[Tuple[list, object]]) -> list:
-    """The packed pairs (terms, scale), each kept once, in order."""
-    seen = set()
-    out = []
-    for g in packed:
-        key = (tuple(g[0]), g[1])
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
+def _distinct(packed: Iterable[list]) -> list:
+    """The canonical term lists, each kept once, in order."""
+    return list({tuple(g): g for g in packed}.values())
 
 
 def _packed_ideal(ring: RingDescriptor, ctx: EngineContext,
                   packed: list) -> Ideal:
-    """The ideal generated by the packed polynomials (terms, scale) of
+    """The ideal generated by the canonical term lists ``packed`` of
     layout ``ctx``; its polynomials are built on first read."""
     J = Ideal(ring, ())
     J._polys = None
@@ -267,8 +257,9 @@ def _packed_ideal(ring: RingDescriptor, ctx: EngineContext,
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J by eliminating an auxiliary scalar t from t·I + (1−t)·J.
 
-    The generators t·g and (1−t)·g are formed on I's and J's packed term
-    lists, moved into the grevlex layout of the ring with t.
+    The generators t·g and (t−1)·g (canonical, as t and t−1 are) are
+    formed on I's and J's packed term lists, moved into the grevlex
+    layout of the ring with t.
     """
     R = I.ring
     big = R.adjoin(("_t",))
@@ -276,13 +267,12 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     ctx = grevlex_context(big)
     t_key = ctx.pack((0,) * n + (1,))
     minus_one = ctx.mod - 1 if ctx.mod is not None else -1
-    factors = ([(t_key, 1)], [(t_key, minus_one), (ctx.one, 1)])
+    factors = ([(t_key, 1)], [(t_key, 1), (ctx.one, minus_one)])
     gens = []
     for K, factor in zip((I, J), factors):
         src, packed = K.packed()
-        moved = engine.repack([p for p, _ in packed], src, ctx)
-        gens += [(engine.multiply(p, factor, ctx), c)
-                 for p, (_, c) in zip(moved, packed)]
+        gens += [engine.multiply(p, factor, ctx)
+                 for p in engine.repack(packed, src, ctx)]
     return eliminate(_packed_ideal(big, ctx, gens), (n,))
 
 
@@ -330,7 +320,7 @@ def _homogeneous(I: Ideal, weighted: bool = False) -> bool:
     ``weighted`` in the ring's weights; read off the packed keys."""
     ctx, packed = I.packed()
     deg = ctx.wdeg if weighted else ctx.deg
-    for terms, _ in packed:
+    for terms in packed:
         d = deg(terms[0][0])
         if any(deg(k) != d for k, _ in terms):
             return False
@@ -426,8 +416,7 @@ def _colon_through_base(B: Ideal, i: int, s: int,
     # both colons hold their basis in ``order``, so share one key layout
     ctx, left = prev.packed()
     product = _packed_ideal(B.ring, ctx, _distinct(
-        (engine.multiply(f, g, ctx), a * b)
-        for f, a in left for g, b in first.packed()[1]))
+        engine.multiply(f, g, ctx) for f in left for g in first.packed()[1]))
     return _holding(product.groebner(order).saturate_last(i))
 
 
@@ -435,7 +424,7 @@ def _top_degree(I: Ideal) -> int:
     """The largest total degree of a generator of I (homogeneous, nonzero),
     read off the packed lead keys."""
     ctx, packed = I.packed()
-    return max(ctx.deg(terms[0][0]) for terms, _ in packed)
+    return max(ctx.deg(terms[0][0]) for terms in packed)
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
@@ -518,11 +507,9 @@ def eliminate(I: Ideal, drop: Sequence[int],
 
 
 def _holding(gb: GroebnerBasis) -> Ideal:
-    """The ideal generated by the reduced basis ``gb``, holding it; its
-    polynomials are built on first read."""
-    J = _packed_ideal(gb.ring, gb.ctx, [
-        (t, 1 if gb.ctx.mod is not None else Fraction(1, t[0][1]))
-        for t in gb.raw])
+    """The ideal generated by the reduced basis ``gb``, holding it; the
+    elements, canonical already, are its packed generators as they are."""
+    J = _packed_ideal(gb.ring, gb.ctx, gb.raw)
     J._gb[gb.ctx.order] = gb
     return J
 

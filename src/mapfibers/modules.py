@@ -232,9 +232,9 @@ def free_resolution(J) -> FreeResolution:
     src, packed = J.packed()
     if not packed:
         raise ValueError("no nonzero generators")
-    if any(src.deg(k) != src.deg(t[0][0]) for t, _ in packed for k, _ in t):
+    if any(src.deg(k) != src.deg(t[0][0]) for t in packed for k, _ in t):
         raise ValueError("a graded resolution needs homogeneous generators")
-    gb = GroebnerBasis.from_terms([t for t, _ in packed], src, ring, GREVLEX)
+    gb = GroebnerBasis.from_terms(packed, src, ring, GREVLEX)
     ctx = induced_context(ring, INDEX_BITS)
     top, imask = ctx.rank_bits[0], ctx.index_mask
     # the index field lies below every field of the plain layout, so a

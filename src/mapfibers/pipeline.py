@@ -6,8 +6,9 @@ Exit codes: 0 on success, 2 when a hypothesis fails (the map is not
 generically finite, or the forms share a factor), 3 when the run finished
 but completeness is not certified (e.g. fiber points outside the base
 field), 4 when a certificate failed (a `holds` or `passes` of false in
-the report; this takes precedence over 3).  Partial results are reported
-as computed, never fabricated.
+the report, or a module `cross_table` other than its `table`; this takes
+precedence over 3).  Partial results are reported as computed, never
+fabricated.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def run_pipeline(pmap: ParameterizedMap,
                                                 pmap.presentation[0])
         incomplete = incomplete or verdict.inconclusive
         failed = (failed or not (verdict.holds or verdict.inconclusive)
-                  or block.get("two_sided", {}).get("holds") is False)
+                  or block.get("two_sided", {}).get("holds") is False
+                  or table.cross_values not in ({}, table.values))
 
     if opt.surface_bounds and pmap.presentation[0] is not None:
         with _step(timings, "surface_bounds"):

@@ -139,7 +139,7 @@ def presentation_block(pmap: ParameterizedMap) -> Optional[Dict]:
         "degree": H.degree,
         "annihilator": [str(g) for g in pres.annihilator.minimal_basis()],
         "support_points": [point_json(p) for p in
-                           sorted(pts or [], key=lambda p: p.coords)],
+                           sorted(pts, key=lambda p: p.coords)],
         "support_complete": supp_complete,
     }
     if pres.fitting_ideal is not None:
@@ -261,6 +261,12 @@ def render_text(report: Dict) -> str:
         dims = ", ".join(f"s={s}: {v}" for s, v in sorted(
             mod["table"].items(), key=lambda kv: int(kv[0])))
         out.append(f"module N dimensions ({dims})")
+        cross = mod.get("cross_table", mod["table"])
+        split = [f"s={s}: {v} vs {cross[s]}"
+                 for s, v in mod["table"].items() if cross[s] != v]
+        if split:
+            out.append(f"  difference and duality routes disagree "
+                       f"({', '.join(split)}): FAILS")
         df = mod.get("degree_formula")
         if df:
             m = len(inp["source"]) - 1

@@ -36,6 +36,18 @@ def count_calls(monkeypatch, fn, key=lambda *args: None):
     return log
 
 
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default int/str conversion limit, 4300 digits
+    (Python 3.10.7 and later), pinned for the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
 @pytest.fixture(scope="session")
 def quintic_map():
     return load_map_file(map_path("quintic_surface.map"))

@@ -6,9 +6,9 @@ import pytest
 from mapfibers import engine, groebner, ideals
 from mapfibers.engine import EXP_CAP
 from mapfibers.groebner import reduced_groebner
-from mapfibers.ideals import (Ideal, degree_monomials, eliminate,
-                              exact_divide, ideal_power, intersect, poly_gcd,
-                              poly_gcd_list, saturate_irrelevant,
+from mapfibers.ideals import (Ideal, _normalize_poly, degree_monomials,
+                              eliminate, exact_divide, ideal_power, intersect,
+                              poly_gcd, poly_gcd_list, saturate_irrelevant,
                               saturate_variable)
 from mapfibers.fields import QQ, PrimeField
 from mapfibers.poly import Polynomial
@@ -189,13 +189,14 @@ def test_sum_product_power():
 
 
 def _ordered_product_power(I, s):
-    """I^s as all n^s ordered products, first occurrence of each value kept."""
+    """I^s as all n^s ordered products made monic, first occurrence of
+    each kept: the products up to a unit."""
     out = I
     for _ in range(s - 1):
         out = Ideal(I.ring, [g * h for g in out.generators
                              for h in I.generators])
     seen, gens = set(), []
-    for g in out.generators:
+    for g in map(_normalize_poly, out.generators):
         key = tuple(sorted(g.terms.items()))
         if key not in seen:
             seen.add(key)
@@ -270,9 +271,22 @@ def test_a_power_past_the_cap_raises():
         I = Ideal(R, gens)
         with pytest.raises(ArithmeticError, match=str(EXP_CAP)):
             ideal_power(I, 2)
-    ctx, ((terms, _),) = Ideal(R, [x ** half]).packed()
+    ctx, (terms,) = Ideal(R, [x ** half]).packed()
     with pytest.raises(ArithmeticError, match=str(EXP_CAP)):
         engine.multiply(terms, terms, ctx)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+def test_generators_are_packed_up_to_a_unit(field):
+    """A packed generator is one canonical term list: generators equal up
+    to a unit pack alike, and their products are kept once in a power."""
+    ring = standard_ring(("x", "y", "z"), field)
+    u = Polynomial.variable(ring, 0)
+    two, three = field.from_int(2), field.from_int(3)
+    P = ideal_power(Ideal(ring, [u, u.scale(two)]), 2)
+    assert P.generators == (u * u,)
+    assert Ideal(ring, [u.scale(three)]).packed()[1] == \
+        Ideal(ring, [u]).packed()[1]
 
 
 def test_equality_is_by_value_and_ideals_are_unhashable():

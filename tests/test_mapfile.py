@@ -1,6 +1,5 @@
 import os
 import random
-import sys
 
 import pytest
 
@@ -152,18 +151,6 @@ def test_build_map_rejects_shared_names():
     x, y = (Polynomial.variable(R, i) for i in range(2))
     with pytest.raises(ValueError, match="'y'"):
         build_map([x, y], target_names=("y", "z"))
-
-
-@pytest.fixture
-def int_digit_limit():
-    """The interpreter's default int/str conversion limit, 4300 digits
-    (Python 3.10.7 and later), pinned for the test."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this interpreter has no int/str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("form, column, digits", [

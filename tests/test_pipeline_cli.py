@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import mapfibers
-from mapfibers import build_map, ideals, pipeline, standard_ring
+from mapfibers import (approx, build_map, cohomology, ideals, pipeline,
+                       standard_ring)
 from mapfibers.cli import COMMAND_STAGES, build_parser, main
 from mapfibers.fields import PRIME_CAP
 from mapfibers.ideals import saturate_irrelevant
@@ -391,6 +392,34 @@ def test_cli_integer_past_the_digit_limit_exits_one(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("source, forms", [
+    # the image equation has a coefficient of more than 6000 digits
+    ("x y z", "f0 = 1" + "0" * 2000 + "*x^4\nf1 = y^4\nf2 = z^4\n"
+              "f3 = x^3*y\n"),
+    ("x y", "f0 = 1" + "0" * 2500 + "*x^3\nf1 = y^3\nf2 = x^2*y\n"),
+], ids=["surface", "curve"])
+def test_cli_computed_coefficient_past_the_digit_limit_exits_one(
+        int_digit_limit, tmp_path, capsys, source, forms):
+    """Every literal parses, but a computed coefficient cannot be printed:
+    each command that prints one exits 1 with one located line naming the
+    limit, prints nothing else and writes no report; `cohomology`, which
+    prints only integers, still succeeds."""
+    path = tmp_path / "big.map"
+    path.write_text(f"field = QQ\nsource = {source}\n{forms}")
+    report = tmp_path / "report.json"
+    for argv in (["analyze", str(path), "--json", str(report)],
+                 ["fibers", str(path)], ["bounds", str(path)],
+                 ["image", str(path)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}: a computed coefficient is past the "
+                       f"interpreter's limit of {int_digit_limit} digits "
+                       "for integer string conversion\n")
+    assert not report.exists()
+    assert main(["cohomology", str(path), "--mu", "-2", "--s-max", "3"]) == 0
+
+
 def test_cli_prime_field_past_the_cap_exits_one(tmp_path):
     """GF(2^61 − 1) hung in the trial-division primality test and
     GF(1000000007) in the root search over every field element; both
@@ -585,6 +614,61 @@ def test_presentation_error_leaves_the_gcd_route(monkeypatch, tmp_path,
     assert "two_sided" not in doc["module"]
     assert doc["module"]["degree_formula"]["inconclusive"] is True
     assert "surface_bounds" not in doc
+
+
+def test_presentation_rank_check_fires(monkeypatch, tmp_path, capsys):
+    """The presentation's own rank cross-check, fed a wrong H^1 value,
+    refuses the presentation, and route A alone is left."""
+    wrong = approx.hdim_difference
+    monkeypatch.setattr(approx, "hdim_difference",
+                        lambda J, i, t: wrong(J, i, t) + 1)
+    out_path = tmp_path / "rank.json"
+    rc = main(["analyze", map_path("quintic_surface.map"), "--json",
+               str(out_path)])
+    capsys.readouterr()
+    assert rc == 3
+    message = "presentation rank n=8 disagrees with H^1_m(R/I)_3=9"
+    doc = json.loads(out_path.read_text())
+    assert doc["presentation"] == {"error": message}
+    assert doc["fibers"]["notes"] == [
+        "support route unavailable: " + message,
+        "only the gcd route ran: inventory is sound but may be incomplete"]
+
+
+def test_disagreeing_cohomology_routes_fail_the_certificate(
+        monkeypatch, tmp_path, capsys):
+    """A duality value off by one is a failed certificate: exit 4 with the
+    report written and the disagreeing s named, not a traceback."""
+    wrong = cohomology.hdim_duality
+    rebind(monkeypatch, wrong, lambda J, i, t: wrong(J, i, t) + 1)
+    out_path = tmp_path / "split.json"
+    rc = main(["analyze", map_path("quintic_surface.map"), "--json",
+               str(out_path)])
+    assert rc == 4
+    doc = json.loads(out_path.read_text())
+    table, cross = doc["module"]["table"], doc["module"]["cross_table"]
+    assert table == {"1": 8, "2": 10, "3": 9, "4": 8}
+    assert cross == {s: v + 1 for s, v in table.items()}
+    assert ("  difference and duality routes disagree (s=1: 8 vs 9, "
+            "s=2: 10 vs 11, s=3: 9 vs 10, s=4: 8 vs 9): FAILS\n"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("field", ["GF(7)", "QQ"])
+def test_failed_lci_proxy_leaves_route_b_unverified(field):
+    """The fat point x²z + y³, y²z + x³, xyz, x²y: route B runs, but the
+    base locus fails the lci proxy, so the inventory is not certified."""
+    pmap = parse_map_file(f"field = {field}\nsource = x y z\n"
+                          "f0 = x^2*z + y^3\nf1 = y^2*z + x^3\n"
+                          "f2 = x*y*z\nf3 = x^2*y\n")
+    result = run_pipeline(pmap, PipelineOptions(**COMMAND_STAGES["fibers"]))
+    assert result.exit_code == 3
+    assert result.report["hypotheses"]["lci_proxy"] is False
+    fibers = result.report["fibers"]
+    assert fibers["routes"]["support_ran"] is True
+    assert fibers["complete"] is False
+    assert fibers["notes"] == [
+        "lci proxy failed: support route results verified individually"]
 
 
 @pytest.mark.parametrize("command, calls", [("fibers", 0), ("analyze", 1),
