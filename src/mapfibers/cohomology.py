@@ -38,7 +38,9 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
 
     R/J and R/J^sat share their Krull dimension (when it is ≥ 1) and
     their Hilbert polynomial, so both, and HF(R/J^sat), are read off the
-    saturation; only i = 0 reads HF(R/J) as well.
+    saturation; only i = 0 reads HF(R/J) as well.  For dimension ≤ 1 the
+    Hilbert polynomial of R/J^sat is the constant `degree` (a saturated
+    quotient of dimension 0 is the zero module, of degree 0).
     """
     if i not in (0, 1):
         raise ValueError("difference route only yields H⁰ and H¹")
@@ -48,10 +50,7 @@ def hdim_difference(J: Ideal, i: int, t: int) -> int:
     hf_sat = h_sat.hf(t)
     if i == 0:
         return J.hilbert().hf(t) - hf_sat
-    hp = h_sat.hp(t)
-    if hp.denominator != 1:
-        raise ArithmeticError("Hilbert polynomial value is not integral")
-    return int(hp) - hf_sat
+    return h_sat.degree - hf_sat
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ realizes it.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approx import (PresentationData, minors, presentation_applies,
@@ -186,20 +185,20 @@ class ReesData:
 def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     """𝔓 = (T_j - t·f_j : j) ∩ k[X, T], eliminating the auxiliary t.
 
-    The elimination is Hilbert-driven: in lex with the T_j first the
-    generators T_j − t·f_j have the pairwise coprime leads T_j, so they
-    form a regular sequence of forms of degree d+1 and
-    k[X, T, t]/(T_j − t·f_j) ≅ k[X, t], whose series is ∏_j (1 − z^{d+1})
-    over the ring's ∏_i (1 − z^{w_i}).  𝔓 comes out holding its grevlex
+    The elimination is Hilbert-driven: the graph ideal (T_j − t·f_j)
+    first takes its basis in the elimination order of the T block, which
+    is the binomials themselves (their leads T_j are pairwise coprime, so
+    no S-pair is formed).  `Ideal.groebner` reads the series of
+    k[X, T, t]/(T_j − t·f_j), ∏_j (1 − z^{d+1}) over the ring's
+    ∏_i (1 − z^{w_i}), off those leads.  𝔓 comes out holding its grevlex
     basis (`eliminate`).
 
     The linear part 𝔓_(*,1) comes independently from the map's syzygies
     of (f_0 .. f_n).  Two containments guard the elimination: 𝔓 lies in the
     ideal (T_j − f_j : j) of the graph, and 𝔓_(*,1) lies in 𝔓.  The first
     is tested against the basis of (T_j − f_j) in the elimination order of
-    the T block, which is the binomials themselves (their leads T_j are
-    pairwise coprime, so no S-pair is formed); the normal form of g there
-    is g(X, f).
+    the T block, again the binomials themselves; the normal form of g
+    there is g(X, f).
     """
     R = pmap.source
     nx, nt = R.nvars, len(pmap.forms)
@@ -209,8 +208,7 @@ def rees_ideal(pmap: ParameterizedMap) -> ReesData:
     graph = Ideal(big, [Polynomial.variable(big, nx + j)
                         - t * extend_polynomial(f, big)
                         for j, f in enumerate(pmap.forms)])
-    graph.set_known_series({k * (pmap.d + 1): (-1) ** k * comb(nt, k)
-                            for k in range(nt + 1)})
+    graph.groebner(elimination_order(range(nx, nx + nt)))
     P = eliminate(graph, drop=(big.nvars - 1,))
     if P.ring != S:
         raise ArithmeticError("elimination returned an unexpected ring")

@@ -233,9 +233,6 @@ class GroebnerBasis:
         return from_raw(nf, ctx, self.ring,
                         scale=Fraction(den, num * _denominator(vec)))
 
-    def contains(self, vec: Vector) -> bool:
-        return all(p.is_zero() for p in self.normal_form(vec))
-
     def __repr__(self):
         return f"<GroebnerBasis of {len(self.raw)} elements in {self.ring!r}>"
 

@@ -1,4 +1,5 @@
-"""Hilbert series, functions, polynomials, Krull dimension, and degree.
+"""Hilbert series and functions, Krull dimension, degree, and the
+comparison of Hilbert polynomials.
 
 The series of a quotient by a monomial (initial) ideal is computed by
 the classic pivot recursion: for a monomial pivot p,
@@ -6,8 +7,10 @@ the classic pivot recursion: for a monomial pivot p,
     HN(I) = HN(I + (p)) + t^deg(p) · HN(I : p)
 
 coming from 0 → R/(I:p)(−deg p) → R/I → R/(I+(p)) → 0.  Everything
-downstream (Hilbert function, polynomial, dimension, multiplicity) is
-derived from the numerator over (1 − t)^nvars.
+downstream (Hilbert function, dimension, multiplicity) is derived from the
+numerator over (1 − t)^nvars.  Two quotients have the same Hilbert
+polynomial exactly when the difference of their series is a polynomial
+(`HilbertData.same_polynomial`).
 
 `numerator_from_leads` also takes variable weights w: then deg p is the
 weighted degree and the numerator is over ∏_i (1 − t^{w_i}), the series
@@ -16,7 +19,6 @@ the Gröbner engine's Hilbert-driven criterion compares against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import le
 from typing import Dict, List, Sequence, Tuple
@@ -105,15 +107,6 @@ def numerator_from_leads(lead_monos: Sequence[tuple], nvars: int,
     return _numerator(tuple(monos), {}, weights)
 
 
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 class HilbertData:
     """HS = numerator / (1−t)^nvars for a graded quotient (or module)."""
 
@@ -134,7 +127,6 @@ class HilbertData:
                     s[k] = acc
             q = s
             c -= 1
-        self.reduced = q
         self.krull_dim = c if q else 0
         self.degree = sum(q.values()) if q else 0
 
@@ -150,32 +142,15 @@ class HilbertData:
                 total += c * comb(a, n - 1)
         return total
 
-    def hp_coefficients(self) -> List[Fraction]:
-        """Hilbert polynomial coefficients [c0, c1, …] (HP(t) = Σ c_i t^i)."""
-        if not self.reduced or self.krull_dim == 0:
-            return []
-        c = self.krull_dim
-        out = [Fraction(0)] * c
-        fact = 1
-        for i in range(1, c):
-            fact *= i
-        for k, q in self.reduced.items():
-            # C(t−k+c−1, c−1) as a polynomial in t
-            term = [Fraction(1)]
-            for i in range(c - 1):
-                term = _poly_mul(term, [Fraction(-k + c - 1 - i), Fraction(1)])
-            for j, x in enumerate(term):
-                out[j] += q * x / fact
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def hp(self, t: int) -> Fraction:
-        coeffs = self.hp_coefficients()
-        val = Fraction(0)
-        for i, c in enumerate(reversed(coeffs)):
-            val = val * t + c
-        return val
+    def same_polynomial(self, other: HilbertData) -> bool:
+        """Whether the two quotients, over the same number of variables,
+        have the same Hilbert polynomial: the difference of their series,
+        read as one, has no pole at t = 1, so its dimension is ≤ 0."""
+        diff = dict(self.numerator)
+        for k, c in other.numerator.items():
+            diff[k] = diff.get(k, 0) - c
+        return HilbertData({k: c for k, c in diff.items() if c},
+                           self.nvars).krull_dim <= 0
 
     def __repr__(self):
         terms = " + ".join(f"{c}t^{k}" for k, c in sorted(self.numerator.items()))

@@ -11,10 +11,9 @@ certificate (`saturate_irrelevant`, which gives the proof).
 
 An ideal that holds a basis in one order knows the Hilbert series of its
 quotient, so its basis in any other order is computed Hilbert-driven
-(`engine.groebner_raw`'s hint), as is the Rees elimination, whose series
-`fibers.rees_ideal` knows by a theorem (`Ideal.set_known_series`).  Only
-this module touches an ideal's caches, and `_holding` builds every ideal
-that holds a handed-over basis.
+(`engine.groebner_raw`'s hint); every hint is read off a reduced basis
+the ideal holds, never handed in.  Only this module touches an ideal's
+caches, and `_holding` builds every ideal that holds a handed-over basis.
 
 An ideal packs its generators into engine term lists once, each a
 canonical one with no scale (monic over GF(p), primitive with a positive
@@ -25,7 +24,6 @@ alone; their polynomials, monic, are built when ``generators`` is read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -101,17 +99,11 @@ class Ideal:
             self._gb[order] = gb
         return gb
 
-    def set_known_series(self, numerator: Dict[int, int]) -> None:
-        """Drive every basis of this ideal by ``numerator``, that of
-        HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's weights, which must be
-        certified (a theorem): a wrong one can pass with a wrong basis."""
-        self._series = dict(numerator)
-
     def _known_series(self) -> Optional[Dict[int, int]]:
         """The numerator of HS(R/I) over ∏_i (1 − z^{w_i}) in the ring's
-        weights, when it is known without a new basis: given by
-        `set_known_series`, or read off a basis this ideal holds when its
-        generators are homogeneous in those weights; else None."""
+        weights, when it is known without a new basis: read off a basis
+        this ideal holds when its generators are homogeneous in those
+        weights; else None."""
         if self._series is None and self._gb:
             gb = next(iter(self._gb.values()))
             weights = gb.ctx.weights
@@ -433,7 +425,8 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
 
     J_i = I : X_i^∞ is tried for i = n, n−1, …, 0, and the first J_i with
     HP(R/J_i) = HP(R/I) (the whole polynomial, not just dimension and
-    degree) is I^sat:
+    degree; `HilbertData.same_polynomial`: the two series differ by a
+    polynomial) is I^sat:
 
         I^sat ⊆ J_i, because X_i ∈ 𝔪;
         HP(R/I^sat) = HP(R/I), because I^sat/I has finite length;
@@ -472,19 +465,15 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
                 return saturate_variable(I, base._sat_by)
             return intersect_many([saturate_variable(I, i)
                                    for i in reversed(range(I.ring.nvars))])
-    target = _hilbert_polynomial(I.hilbert())
+    target = I.hilbert()
     pieces = []
     for i in reversed(range(I.ring.nvars)):
         J = saturate_variable(I, i)
-        if _hilbert_polynomial(J.hilbert()) == target:
+        if J.hilbert().same_polynomial(target):
             I._sat_by = i
             return J
         pieces.append(J)
     return intersect_many(pieces)
-
-
-def _hilbert_polynomial(h: HilbertData) -> Tuple[int, List[Fraction]]:
-    return h.krull_dim, h.hp_coefficients()
 
 
 def eliminate(I: Ideal, drop: Sequence[int],

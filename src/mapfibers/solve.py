@@ -17,6 +17,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .fields import Field, PrimeField
 from .groebner import reduced_groebner
+from .hilbert import hilbert_series_quotient
 from .ideals import Ideal, eliminate, restrict_polynomial
 from .poly import Polynomial
 from .rings import RingDescriptor
@@ -184,19 +185,14 @@ def _affine_points(gens: List[Polynomial], ring: RingDescriptor) -> Tuple[List[T
     gb = reduced_groebner(live, ring=ring)
     if any(p.is_constant() for p in gb.polys):
         return [], True
-    # zero-dimensionality: every variable must appear as a pure power
-    # among the leading monomials
-    leads = [m for _, m in gb.leading_terms()]
-    for i in range(n):
-        if not any(m[i] and all(e == 0 for j, e in enumerate(m) if j != i) for m in leads):
-            raise NotZeroDimensionalError("chart system is not zero-dimensional")
+    # R/in(I) and R/I have the same dimension
+    if hilbert_series_quotient(gb).krull_dim:
+        raise NotZeroDimensionalError("chart system is not zero-dimensional")
     complete = True
     candidates: List[List] = []
     I = Ideal(ring, list(gb.polys))
     for i in range(n):
         eli = eliminate(I, [j for j in range(n) if j != i])
-        if not eli.generators:
-            raise NotZeroDimensionalError("no eliminant in a variable")
         coeffs = univariate_coeffs(eli.generators[0], 0)
         roots, splits = field_roots(coeffs, F)
         complete = complete and splits

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from mapfibers import fibers
+from mapfibers import engine, fibers
 from mapfibers.fields import QQ, PrimeField
 from mapfibers.fibers import (NotGenericallyFiniteError, base_locus,
                               brute_force_fiber_oracle, build_map,
@@ -18,6 +19,7 @@ from mapfibers.rings import standard_ring
 from mapfibers.solve import PointProjective
 from conftest import count_calls, map_path
 from references import fibers_agree, substitute_term_at_a_time
+from test_oracle_agreement import MAPS as ORACLE_MAPS
 
 R = standard_ring(("X0", "X1", "X2"))
 X0, X1, X2 = (Polynomial.variable(R, i) for i in range(3))
@@ -119,6 +121,42 @@ def test_rees_guard_agrees_with_substitution(monkeypatch):
                     verdicts.add(on_graph)
                 monkeypatch.undo()
             assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["quintic", "cubic_00_generic"])
+def test_rees_elimination_hint_is_read_off_the_graph_basis(monkeypatch,
+                                                            name):
+    """The graph ideal (T_j − t·f_j) holds its basis, the binomials
+    themselves, before t is eliminated, and the elimination's one
+    Gröbner basis is driven by the series read off its leads T_j:
+    Σ_k (−1)^k C(n+1, k) z^{k(d+1)} = ∏_j (1 − z^{d+1})."""
+    forms = (load_map_file(map_path("quintic_surface.map")).forms
+             if name == "quintic" else ORACLE_MAPS[0].forms)
+    pm = build_map(list(forms))                         # nothing cached
+    nt, d = len(pm.forms), pm.d
+    pm.syzygies                                         # outside the count
+    hints, held, eliminating = [], [], []
+    real_raw, real_eliminate = engine.groebner_raw, fibers.eliminate
+
+    def spy_raw(gens, ctx, hint=None):
+        if eliminating:
+            hints.append(hint)
+        return real_raw(gens, ctx, hint)
+
+    def spy_eliminate(I, drop):
+        held.append([len(gb.raw) for gb in I._gb.values()])
+        eliminating.append(drop)
+        try:
+            return real_eliminate(I, drop)
+        finally:
+            eliminating.clear()
+
+    monkeypatch.setattr(engine, "groebner_raw", spy_raw)
+    monkeypatch.setattr(fibers, "eliminate", spy_eliminate)
+    rees_ideal(pm)
+    assert held == [[nt]]
+    assert hints == [{k * (d + 1): (-1) ** k * comb(nt, k)
+                      for k in range(nt + 1)}]
 
 
 def test_image_of_veronese_type_map():

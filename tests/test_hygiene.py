@@ -228,8 +228,7 @@ def test_only_ideals_touches_an_ideals_caches(module):
     Hilbert data and series, the generators as polynomials and as packed
     term lists, the base and exponent of a power) is read and written in
     `ideals.py` alone; other modules go through its methods (`generators`,
-    `groebner`, `saturation`, `hilbert`, `set_known_series`) and
-    `ideal_power`."""
+    `groebner`, `saturation`, `hilbert`) and `ideal_power`."""
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     found = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)

@@ -163,10 +163,11 @@ PLAIN_SPAIRS = {"rees_ideal": 269, "image_ideal": 153, "lci_proxy_check": 56}
 
 
 def test_hilbert_driven_eliminations_reduce_fewer_spairs(monkeypatch):
-    """The Rees elimination (series known by a theorem), the image
-    elimination (series of 𝔓's handed-over grevlex basis) and the second
-    to fourth bases of the curve map's J1 in the lci proxy (series of the
-    first) drop the S-pairs Traverso's criterion proves useless."""
+    """The Rees elimination (series of the graph ideal's held basis in
+    the elimination order of the T block), the image elimination (series
+    of 𝔓's handed-over grevlex basis) and the second to fourth bases of
+    the curve map's J1 in the lci proxy (series of the first) drop the
+    S-pairs Traverso's criterion proves useless."""
     assert _candidate(random.Random(SEED), standard_ring(("x", "y", "z"), F7),
                       False) == list(MAPS[0].forms)     # the generic one
     pmap = build_map(list(MAPS[0].forms))               # nothing cached

@@ -704,7 +704,7 @@ def _greedy_minimal_generators(vectors, free):
     chosen = []
     gb = None
     for v in vecs:
-        if gb is not None and gb.contains(v):
+        if gb is not None and vec_is_zero(gb.normal_form(v)):
             continue
         chosen.append(v)
         gb = module_groebner(chosen, free)
