@@ -160,7 +160,6 @@ class PresentationData:
     matrix: List[List[Polynomial]]         # n × mrank, entries linear in T
     hilbert: HilbertData                   # Hilbert series of coker over B
     annihilator: Ideal                     # ann_B(coker) — same radical as Fitt_0
-    fitting_ideal: Optional[Ideal]         # literal maximal minors when affordable
 
     @property
     def stable_value(self) -> int:
@@ -169,10 +168,6 @@ class PresentationData:
         refuses any other N), so this is deg N, or 0 if N has finite
         length."""
         return self.hilbert.degree if self.hilbert.krull_dim else 0
-
-
-# minors of an n×mrank matrix are only expanded when the subset count is modest
-_MINOR_SUBSET_LIMIT = 200
 
 
 def poly_minor(M: Sequence[Sequence[Polynomial]], ring: RingDescriptor,
@@ -286,11 +281,7 @@ def presentation_matrix_N(pmap) -> PresentationData:
             Ideal(B, submodule_colon_component(columns, cfree, j))
             for j in range(n)])
 
-    fitt = None
-    if n <= mrank and comb(mrank, n) <= _MINOR_SUBSET_LIMIT:
-        fitt = Ideal(B, minors(P, B, mrank, n))
-
-    return PresentationData((l, mrank, n), P, H, ann, fitt)
+    return PresentationData((l, mrank, n), P, H, ann)
 
 
 @dataclass

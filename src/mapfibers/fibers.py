@@ -603,18 +603,18 @@ class FactorizationVerdict:
 
 def check_fiber_factorization(pmap: ParameterizedMap,
                               rec: FiberRecord) -> FactorizationVerdict:
-    """Materialize the cofactors g_j = (f_j - p_j f_i)/h_y and verify
-    I = (f_i) + h_y·(g_j) and I^sat ⊆ (f_i, h_y).  A divisibility failure
-    signals a false fiber record and raises."""
-    R = pmap.source
-    fi = pmap.forms[rec.pivot]
-    # exact_divide raises if h_y is not a divisor
-    cofactors = [exact_divide(num, rec.divisor)
-                 for num in _differences(pmap, rec.point, rec.pivot)]
-    I = pmap.base_ideal
-    rebuilt = Ideal(R, [fi] + [rec.divisor * g for g in cofactors])
-    ideal_match = I == rebuilt
-    contained = I.saturation().is_subideal_of(Ideal(R, [fi, rec.divisor]))
+    """Verify I = (f_i) + h_y·(g_j) with g_j = (f_j - p_j f_i)/h_y, and
+    I^sat ⊆ (f_i, h_y).  Since f_i and the f_j - p_j f_i generate I, the
+    first identity holds exactly when h_y divides every f_j - p_j f_i; a
+    division that fails makes it false."""
+    try:
+        for num in _differences(pmap, rec.point, rec.pivot):
+            exact_divide(num, rec.divisor)
+        ideal_match = True
+    except ValueError:
+        ideal_match = False
+    contained = pmap.base_ideal.saturation().is_subideal_of(
+        Ideal(pmap.source, [pmap.forms[rec.pivot], rec.divisor]))
     return FactorizationVerdict(ideal_match, contained)
 
 

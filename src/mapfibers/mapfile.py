@@ -338,12 +338,14 @@ def load_map_file(path: str) -> ParameterizedMap:
 
 
 def format_map_file(pmap: ParameterizedMap) -> str:
-    """Print a map back to file syntax; parsing the result reproduces it."""
+    """Print a map back to file syntax; parsing the result reproduces it.
+    A common factor that `build_map` divided out is multiplied back in."""
     lines = [
         f"field = {field_tag(pmap.source.field)}",
         f"source = {' '.join(pmap.source.variables)}",
         f"target = {' '.join(pmap.target.variables)}",
     ]
+    g = pmap.common_factor
     for j, f in enumerate(pmap.forms):
-        lines.append(f"f{j} = {f}")
+        lines.append(f"f{j} = {f if g is None else f * g}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ and a submodule's Gröbner basis is `groebner.GroebnerBasis` with the free
 module's shifts.  There is one order: position over term, component 0
 first, with grevlex underneath.  This module holds the one copy of each
 graded-module primitive the package uses: minimal generators (a Gröbner
-basis per degree, rebuilt only when the kept set has grown;
+basis per degree, recomputed only when the kept set has grown;
 `Ideal.minimal_basis` is the rank-one call), the generator map
 ⊕_j R(−deg g_j) → F of a list of vectors, and the graph submodule
 {(M(e_c), e_c)} of target ⊕ source.  A map builds its graph basis once
@@ -142,7 +142,7 @@ def minimal_generators(vectors: Sequence[Vector], free: FreeModule) -> List[Vect
     degree-t vector is generated by the earlier ones iff its normal form lies
     in the span of the normal forms of the degree-t vectors before it.
     `linalg.independent` picks those out, with each normal form a row keyed
-    by (component, monomial).  The basis is rebuilt only at a degree after
+    by (component, monomial).  The basis is recomputed only at a degree after
     one that kept a vector.
     """
     by_degree: Dict[int, List[Vector]] = {}

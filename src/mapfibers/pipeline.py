@@ -60,6 +60,12 @@ def _stable_value(pmap: ParameterizedMap) -> Tuple[Optional[int], str]:
         return 0, "the empty base locus (N = 0)"
     if error is not None:
         return None, f"presentation of N unavailable: {error}"
+    if pmap.m == 2 and pmap.n == 3:
+        # the construction needs four nonzero forms; a generically finite
+        # map P^2 ⇢ P^3 has at most one zero form
+        j = next(j for j, f in enumerate(pmap.forms) if f.is_zero())
+        return None, (f"no presentation of N: it needs four nonzero forms, "
+                      f"and f{j} is zero")
     return None, f"no presentation of N for m = {pmap.m}, n = {pmap.n}"
 
 

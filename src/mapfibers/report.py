@@ -19,7 +19,7 @@ from .fibers import (FiberRecord, FiberSearch, ImageData, ParameterizedMap,
 from .mapfile import field_tag
 from .solve import PointProjective
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def point_json(pt: PointProjective) -> List[str]:
@@ -130,7 +130,7 @@ def presentation_block(pmap: ParameterizedMap) -> Optional[Dict]:
     pts, supp_complete = pmap.support
     l, mrank, n = pres.ranks
     H = pres.hilbert
-    block = {
+    return {
         "ranks": {"l": l, "mrank": mrank, "n": n},
         "matrix": [[str(e) for e in row] for row in pres.matrix],
         "coker_dims": {str(s): H.hf(s) for s in range(1, max(n + 2, 4) + 1)},
@@ -142,14 +142,6 @@ def presentation_block(pmap: ParameterizedMap) -> Optional[Dict]:
                            sorted(pts, key=lambda p: p.coords)],
         "support_complete": supp_complete,
     }
-    if pres.fitting_ideal is not None:
-        block["fitting"] = [str(g) for g in pres.fitting_ideal.minimal_basis()]
-    else:
-        block["fitting"] = None
-        block["fitting_note"] = ("minor expansion skipped: too many "
-                                 "column choices; support certified via "
-                                 "the annihilator (same radical)")
-    return block
 
 
 def module_block(table: CohomologyTable, verdict: ModuleDegreeVerdict,

@@ -4,8 +4,11 @@ Chart-by-chart: set the first k coordinates to zero, the next to one,
 solve the affine system by per-variable eliminants, take rational (or
 exhaustive finite-field) roots, and verify candidates by evaluation.
 A completeness flag records whether every geometric point was captured:
-it is true exactly when every eliminant splits into linear factors over
-the coefficient field.
+it is true only when every eliminant splits into linear factors over the
+coefficient field.  Over ℚ it is also false when trial division stops at
+`_DIVISOR_SEARCH` = 10⁷ before it reaches a rational root, as for
+(x − 10000019)(x − 10000079): the missed root leaves the eliminant
+unsplit.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ def _int_divisors(n: int) -> List[int]:
 
 
 def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots of a nonzero polynomial over ℚ (exact)."""
+    """Rational roots of a nonzero polynomial over ℚ (exact).  Trial
+    division stops at `_DIVISOR_SEARCH`, so a root whose numerator or
+    denominator it does not reach is missed."""
     c = _uni_trim(list(coeffs))
     if not c:
         raise ValueError("zero polynomial")

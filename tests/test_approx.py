@@ -190,9 +190,6 @@ def test_zero_module_edge_case():
     assert all(pres.hilbert.hf(s) == 0 for s in range(1, 5))
     assert pres.annihilator.ring == pmap.target
     assert pres.annihilator.contains(Polynomial.constant(pmap.target, 1))
-    assert pres.fitting_ideal is not None
-    assert pres.fitting_ideal.ring == pmap.target
-    assert pres.fitting_ideal.contains(Polynomial.constant(pmap.target, 1))
 
 
 def test_regularity_window_shows_the_dims_it_read():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -245,6 +246,19 @@ def test_factorization_identity(quintic_result):
     assert len(rows) == 8
     assert all(r["ideal_matches"] and r["saturation_contained"]
                and r["passes"] for r in rows)
+
+
+def test_a_divisor_that_misses_a_difference_fails_the_identity(
+        quintic_map, quintic_result):
+    """Times X2, a quintic record's divisor no longer divides every
+    f_j − p_j·f_i: the identity is false, and the check says so instead
+    of raising."""
+    rec = quintic_result.search.records[0]
+    bad = dataclasses.replace(rec, divisor=rec.divisor * X2,
+                              divisor_degree=rec.divisor_degree + 1)
+    verdict = check_fiber_factorization(quintic_map, bad)
+    assert verdict.ideal_matches is False
+    assert verdict.passes is False
 
 
 def test_oracle_requires_finite_field():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mapfibers.cli import main
 from mapfibers.fibers import build_map
 from mapfibers.fields import QQ, PrimeField
 from mapfibers.mapfile import (MapFileError, _parse_field_tag, field_tag,
@@ -40,6 +41,22 @@ def test_round_trip():
     again = parse_map_file(format_map_file(pm))
     assert again.forms == pm.forms
     assert again.source == pm.source and again.target == pm.target
+
+
+def test_round_trip_keeps_a_common_factor(tmp_path):
+    """The forms x²y, xy², xyz, x³ share x: the printed file carries it,
+    so the parsed map equals the original, `common_factor` included, and
+    the CLI still refuses the map with exit code 2."""
+    pm = parse_map_file("source = x y z\nf0 = x^2*y\nf1 = x*y^2\n"
+                        "f2 = x*y*z\nf3 = x^3\n")
+    assert str(pm.common_factor) == "x"
+    text = format_map_file(pm)
+    assert "f0 = x^2*y\n" in text and "f3 = x^3\n" in text
+    again = parse_map_file(text)
+    assert again == pm and again.common_factor == pm.common_factor
+    path = tmp_path / "shared.map"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
 
 
 def test_round_trip_over_prime_field():

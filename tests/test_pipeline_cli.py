@@ -74,7 +74,6 @@ def test_base_point_free_run(bpf_map):
     assert all(v == 0 for v in res.report["module"]["table"].values())
     assert res.report["module"]["degree_formula"]["stabilized"] == 0
     assert res.report["presentation"]["support_points"] == []
-    assert res.report["presentation"]["fitting"] == ["1"]
 
 
 def test_irrational_fiber_points_give_partial_inventory():
@@ -154,6 +153,26 @@ def test_a_failed_certificate_exits_4(monkeypatch, quintic_map,
     assert res.exit_code == 4
 
 
+def test_a_divisor_that_misses_a_difference_exits_4(monkeypatch, quintic_map,
+                                                    quintic_result):
+    """A record carrying another fiber's divisor (of the same degree, so
+    the divisor sum is unchanged) fails only the factorization identity:
+    h_y does not divide every f_j − p_j·f_i, its row reads false, and the
+    run exits 4."""
+    search = quintic_result.search
+    first, second = search.records[:2]
+    wrong = dataclasses.replace(first, divisor=second.divisor)
+    monkeypatch.setattr(pipeline, "find_one_dim_fibers", lambda *a, **kw:
+                        dataclasses.replace(search, records=[wrong] +
+                                            search.records[1:]))
+    res = run_pipeline(quintic_map, PipelineOptions(s_max=4))
+    rows = res.report["factorization"]
+    assert (rows[0]["ideal_matches"], rows[0]["passes"]) == (False, False)
+    assert all(r["passes"] for r in rows[1:])
+    assert _failed_certificates(res.report) == ["factorization"]
+    assert res.exit_code == 4
+
+
 def test_render_text_contains_key_lines(quintic_result):
     text = render_text(quintic_result.report)
     assert "inventory complete" in text
@@ -226,6 +245,21 @@ def test_the_degree_formula_needs_a_certified_stable_value():
         assert (formula["holds"], formula["stabilized"]) == (True, 0)
         assert "empty base locus" in formula["detail"]
         assert res.exit_code == 0
+
+
+def test_the_degree_formula_names_a_zero_form():
+    """For m = 2, n = 3 the presentation exists only with four nonzero
+    forms, so with f1 = 0 the inconclusive verdict names the zero form,
+    not the dimensions."""
+    pm = parse_map_file("source = x y z\nf0 = x^2*z\nf1 = 0\n"
+                        "f2 = y^2*z\nf3 = x^3 + x*y*z\n")
+    res = run_pipeline(pm, PipelineOptions(s_max=2))
+    formula = res.report["module"]["degree_formula"]
+    assert formula["inconclusive"] is True
+    assert formula["detail"] == (
+        "no certified stable value: no presentation of N: it needs four "
+        "nonzero forms, and f1 is zero")
+    assert res.exit_code == 3
 
 
 def test_cli_image(capsys):
